@@ -185,13 +185,13 @@ func BenchmarkComprehensiveAnalysis(b *testing.B) {
 	pass := func(threads int) ([]lac.NodeBest, [3]time.Duration) {
 		var tm [3]time.Duration
 		t0 := time.Now()
-		cuts := cut.NewSet(g, threads)
+		cuts, _ := cut.NewSet(context.Background(), g, threads)
 		tm[0] = time.Since(t0)
 		t1 := time.Now()
-		res := cpm.BuildDisjoint(g, s, cuts, nil, threads)
+		res, _ := cpm.BuildDisjoint(context.Background(), g, s, cuts, nil, threads)
 		tm[1] = time.Since(t1)
 		t2 := time.Now()
-		bests, _ := lac.EvaluateTargets(generator, res, st, targets, threads)
+		bests, _, _, _, _ := lac.Evaluate(context.Background(), generator, res, st, targets, threads, nil)
 		tm[2] = time.Since(t2)
 		return bests, tm
 	}
@@ -221,80 +221,62 @@ func BenchmarkComprehensiveAnalysis(b *testing.B) {
 // BenchmarkDualPhase measures a full multi-round dual-phase run (several
 // comprehensive analyses plus the phase-2 incremental iterations) on a
 // ~5k-AND circuit, with the persistent incremental CPM cache and the
-// cross-round phase-1 warm start ("cache") and with the pre-reuse
-// from-scratch rebuild of everything ("rebuild": NoCPMCache +
-// NoWarmStart). Both modes are verified to produce identical results
-// before timing starts, and the warm run must reuse phase-1 state and
-// make warm comprehensive passes ≥1.4× faster per pass than cold ones.
-// After the run the measurements are written to results/BENCH_phase2.json
-// (ns/op, allocs/op, phase-1 time and reuse rate, rows recomputed per
-// phase-2 iteration) so the perf trajectory is machine-readable.
+// cross-round phase-1 warm start. Before timing starts, a traced run must
+// recycle pooled diff vectors, reuse phase-1 state, and make warm
+// comprehensive passes ≥1.4× faster per pass than cold ones. After the run
+// the measurements are written to results/BENCH_phase2.json (ns/op,
+// allocs/op, phase-1 time and reuse rate, rows recomputed per analysis) so
+// the perf trajectory is machine-readable.
 func BenchmarkDualPhase(b *testing.B) {
 	c := dpals.NewVecMul(4, 10) // 4730 AND nodes
 	if n := c.NumGates(); n < 4000 {
 		b.Fatalf("benchmark circuit too small: %d ANDs", n)
 	}
-	opts := func(rebuild bool) dpals.Options {
-		return dpals.Options{
-			Flow: dpals.DP, Metric: dpals.MSE,
-			Threshold: dpals.ReferenceError(c) * dpals.ReferenceError(c),
-			Patterns:  1024, Seed: 1, Threads: 1,
-			UseConstLACs: true, MaxIters: 24,
-			// Small fixed round shape: 1 phase-1 apply + N phase-2 applies
-			// per round, so MaxIters 24 spans eight rounds and the
-			// cross-round warm start fires seven times. N is kept small —
-			// every apply invalidates the TFI cones of its fanout, so fewer
-			// applies per round leave more phase-1 rows reusable.
-			M: 18, N: 2,
-			NoCPMCache: rebuild, NoWarmStart: rebuild,
-		}
+	opt := dpals.Options{
+		Flow: dpals.DP, Metric: dpals.MSE,
+		Threshold: dpals.ReferenceError(c) * dpals.ReferenceError(c),
+		Patterns:  1024, Seed: 1, Threads: 1,
+		UseConstLACs: true, MaxIters: 24,
+		// Small fixed round shape: 1 phase-1 apply + N phase-2 applies
+		// per round, so MaxIters 24 spans eight rounds and the
+		// cross-round warm start fires seven times. N is kept small —
+		// every apply invalidates the TFI cones of its fanout, so fewer
+		// applies per round leave more phase-1 rows reusable.
+		M: 18, N: 2,
 	}
-	// Self-check: the cache must not change the synthesis result. The cache
-	// run is traced and metered; besides proving observation does not
-	// perturb the benchmark workload, its artifacts (trace + metrics, for
-	// the CI upload and the Fig. 4-style time-breakdown recipe in
+	// Self-check run, traced and metered: besides proving observation does
+	// not perturb the benchmark workload, its artifacts (trace + metrics,
+	// for the CI upload and the Fig. 4-style time-breakdown recipe in
 	// EXPERIMENTS.md) are written next to BENCH_phase2.json.
 	tracer := obs.New()
 	mets := obs.NewMetrics()
 	ctx := obs.WithMetrics(obs.WithTracer(context.Background(), tracer), mets)
-	withCache, err := dpals.ApproximateContext(ctx, c, opts(false))
+	checked, err := dpals.ApproximateContext(ctx, c, opt)
 	if err != nil {
 		b.Fatal(err)
-	}
-	withoutCache, err := dpals.Approximate(c, opts(true))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if withCache.Error != withoutCache.Error ||
-		withCache.Stats.Applied != withoutCache.Stats.Applied ||
-		withCache.Circuit.NumGates() != withoutCache.Circuit.NumGates() {
-		b.Fatalf("cache changed the result: error %g vs %g, applied %d vs %d, gates %d vs %d",
-			withCache.Error, withoutCache.Error,
-			withCache.Stats.Applied, withoutCache.Stats.Applied,
-			withCache.Circuit.NumGates(), withoutCache.Circuit.NumGates())
 	}
 	// The whole point of the pooled cache is allocation reuse: a dual-phase
 	// run on this circuit must recycle diff vectors, or the free list is
 	// broken.
-	if withCache.Stats.Pool.Reuses == 0 {
-		b.Fatalf("CPM pool never reused a vector: %+v", withCache.Stats.Pool)
+	if checked.Stats.Pool.Reuses == 0 {
+		b.Fatalf("CPM pool never reused a vector: %+v", checked.Stats.Pool)
 	}
-	// The point of the cross-round warm start is cheaper rounds ≥2: the warm
-	// run must actually warm-start passes, reuse phase-1 CPM rows, and spend
+	// The point of the cross-round warm start is cheaper rounds ≥2: the run
+	// must actually warm-start passes, reuse phase-1 CPM rows, and spend
 	// substantially less wall-clock per warm comprehensive pass than per
 	// cold one. The ≥1.4× floor is deliberately conservative — the observed
 	// ratio is far higher — so the gate survives machine noise.
-	warmPasses := withCache.Stats.WarmComprehensive
-	coldPasses := withCache.Stats.Comprehensive - warmPasses
+	warmPasses := checked.Stats.WarmComprehensive
+	coldPasses := checked.Stats.Comprehensive - warmPasses
 	if warmPasses == 0 || coldPasses == 0 {
 		b.Fatalf("degenerate round split: %d warm / %d cold comprehensive passes",
 			warmPasses, coldPasses)
 	}
-	if r := withCache.Stats.Phase1ReuseRate(); r <= 0 {
+	if r := checked.Stats.Phase1ReuseRate(); r <= 0 {
 		b.Fatalf("warm run reused no phase-1 CPM rows (reuse rate %v)", r)
 	}
-	warmPer := withCache.Stats.Phase1WarmTime / time.Duration(warmPasses)
-	coldPer := (withCache.Stats.Phase1Time - withCache.Stats.Phase1WarmTime) / time.Duration(coldPasses)
+	warmPer := checked.Stats.Phase1WarmTime / time.Duration(warmPasses)
+	coldPer := (checked.Stats.Phase1Time - checked.Stats.Phase1WarmTime) / time.Duration(coldPasses)
 	if warmPer <= 0 || coldPer < warmPer*14/10 {
 		b.Fatalf("warm phase-1 pass not ≥1.4× faster: warm %v/pass, cold %v/pass", warmPer, coldPer)
 	}
@@ -315,104 +297,83 @@ func BenchmarkDualPhase(b *testing.B) {
 		// time per op, the fraction of its CPM rows served by the
 		// cross-round warm start, and how many applied LACs repaired the
 		// cut set incrementally instead of forcing a rebuild. The latter
-		// two are deterministic; zero reuse in "rebuild" mode is by design.
+		// two are deterministic.
 		Phase1Ns        int64   `json:"phase1_ns"`
 		Phase1ReuseRate float64 `json:"phase1_reuse_rate"`
 		CutUpdates      int64   `json:"cut_updates_incremental"`
 	}
-	results := map[string]*modeResult{}
+	var mr *modeResult
 	var warmSpeedup float64
-
-	for _, mode := range []struct {
-		name    string
-		rebuild bool
-	}{{"cache", false}, {"rebuild", true}} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var ms0, ms1 runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&ms0)
-			start := time.Now()
-			var last *dpals.Result
-			for i := 0; i < b.N; i++ {
-				res, err := dpals.Approximate(c, opts(mode.rebuild))
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
+	b.Run("cache", func(b *testing.B) {
+		b.ReportAllocs()
+		var ms0, ms1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms0)
+		start := time.Now()
+		var last *dpals.Result
+		for i := 0; i < b.N; i++ {
+			res, err := dpals.Approximate(c, opt)
+			if err != nil {
+				b.Fatal(err)
 			}
-			elapsed := time.Since(start)
-			runtime.ReadMemStats(&ms1)
-			mr := &modeResult{
-				NsPerOp:         elapsed.Nanoseconds() / int64(b.N),
-				AllocsPerOp:     int64(ms1.Mallocs-ms0.Mallocs) / int64(b.N),
-				BytesPerOp:      int64(ms1.TotalAlloc-ms0.TotalAlloc) / int64(b.N),
-				RowsReused:      last.Stats.CPMRowsReused,
-				RowsRecomp:      last.Stats.CPMRowsRecomputed,
-				ReuseRate:       last.Stats.ReuseRate(),
-				Phase2Iters:     last.Stats.Incremental,
-				AppliedLACs:     last.Stats.Applied,
-				Phase1Ns:        last.Stats.Phase1Time.Nanoseconds(),
-				Phase1ReuseRate: last.Stats.Phase1ReuseRate(),
-				CutUpdates:      int64(last.Stats.CutUpdates),
+			last = res
+		}
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&ms1)
+		mr = &modeResult{
+			NsPerOp:         elapsed.Nanoseconds() / int64(b.N),
+			AllocsPerOp:     int64(ms1.Mallocs-ms0.Mallocs) / int64(b.N),
+			BytesPerOp:      int64(ms1.TotalAlloc-ms0.TotalAlloc) / int64(b.N),
+			RowsReused:      last.Stats.CPMRowsReused,
+			RowsRecomp:      last.Stats.CPMRowsRecomputed,
+			ReuseRate:       last.Stats.ReuseRate(),
+			Phase2Iters:     last.Stats.Incremental,
+			AppliedLACs:     last.Stats.Applied,
+			Phase1Ns:        last.Stats.Phase1Time.Nanoseconds(),
+			Phase1ReuseRate: last.Stats.Phase1ReuseRate(),
+			CutUpdates:      int64(last.Stats.CutUpdates),
+		}
+		// Per-pass phase-1 speedup of rounds ≥2, from the untraced timed
+		// run: warm passes vs the cold ones of the same run.
+		if w, c := last.Stats.WarmComprehensive, last.Stats.Comprehensive-last.Stats.WarmComprehensive; w > 0 && c > 0 {
+			warm := float64(last.Stats.Phase1WarmTime) / float64(w)
+			cold := float64(last.Stats.Phase1Time-last.Stats.Phase1WarmTime) / float64(c)
+			if warm > 0 {
+				warmSpeedup = cold / warm
 			}
-			if mode.name == "cache" {
-				// Per-pass phase-1 speedup of rounds ≥2, from the untraced
-				// timed run: warm passes vs the cold ones of the same run.
-				if w, c := last.Stats.WarmComprehensive, last.Stats.Comprehensive-last.Stats.WarmComprehensive; w > 0 && c > 0 {
-					warm := float64(last.Stats.Phase1WarmTime) / float64(w)
-					cold := float64(last.Stats.Phase1Time-last.Stats.Phase1WarmTime) / float64(c)
-					if warm > 0 {
-						warmSpeedup = cold / warm
-					}
-				}
-				b.ReportMetric(100*mr.Phase1ReuseRate, "phase1_reuse_%")
-			}
-			if last.Stats.Incremental > 0 {
-				// Phase-2 recompute volume: total recomputed minus the
-				// comprehensive passes' full rebuilds is not separable from
-				// Stats alone in rebuild mode, so report the overall mean.
-				mr.RowsPerIter = float64(mr.RowsRecomp) / float64(last.Stats.Incremental+last.Stats.Comprehensive)
-			}
-			b.ReportMetric(100*mr.ReuseRate, "reuse_%")
-			b.ReportMetric(mr.RowsPerIter, "rows_recomputed/analysis")
-			results[mode.name] = mr
-		})
+		}
+		if n := last.Stats.Incremental + last.Stats.Comprehensive; n > 0 {
+			mr.RowsPerIter = float64(mr.RowsRecomp) / float64(n)
+		}
+		b.ReportMetric(100*mr.Phase1ReuseRate, "phase1_reuse_%")
+		b.ReportMetric(100*mr.ReuseRate, "reuse_%")
+		b.ReportMetric(mr.RowsPerIter, "rows_recomputed/analysis")
+	})
+	if mr == nil {
+		return
 	}
-
-	if results["cache"] != nil && results["rebuild"] != nil {
-		if warmSpeedup < 1.4 {
-			b.Fatalf("phase-1 warm speedup %.2fx below the 1.4x floor", warmSpeedup)
-		}
-		payload := struct {
-			Circuit     string                 `json:"circuit"`
-			Gates       int                    `json:"gates"`
-			Patterns    int                    `json:"patterns"`
-			MaxIters    int                    `json:"max_iters"`
-			Modes       map[string]*modeResult `json:"modes"`
-			SpeedupX    float64                `json:"speedup_x"`
-			AllocsRatio float64                `json:"allocs_ratio"`
-			// Per-pass phase-1 speedup of the warm rounds (≥2) over the
-			// cold first round, within the "cache" mode's timed run.
-			Phase1WarmSpeedupX float64 `json:"phase1_warm_speedup_x"`
-		}{
-			Circuit: "vecmul4x10", Gates: c.NumGates(), Patterns: 1024, MaxIters: 24,
-			Modes: results, Phase1WarmSpeedupX: warmSpeedup,
-		}
-		if ns := results["cache"].NsPerOp; ns > 0 {
-			payload.SpeedupX = float64(results["rebuild"].NsPerOp) / float64(ns)
-		}
-		if a := results["cache"].AllocsPerOp; a > 0 {
-			payload.AllocsRatio = float64(results["rebuild"].AllocsPerOp) / float64(a)
-		}
-		data, err := json.MarshalIndent(payload, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile("results/BENCH_phase2.json", append(data, '\n'), 0o644); err != nil {
-			b.Logf("could not write results/BENCH_phase2.json: %v", err)
-		}
+	if warmSpeedup < 1.4 {
+		b.Fatalf("phase-1 warm speedup %.2fx below the 1.4x floor", warmSpeedup)
+	}
+	payload := struct {
+		Circuit  string                 `json:"circuit"`
+		Gates    int                    `json:"gates"`
+		Patterns int                    `json:"patterns"`
+		MaxIters int                    `json:"max_iters"`
+		Modes    map[string]*modeResult `json:"modes"`
+		// Per-pass phase-1 speedup of the warm rounds (≥2) over the cold
+		// first round, within the timed run.
+		Phase1WarmSpeedupX float64 `json:"phase1_warm_speedup_x"`
+	}{
+		Circuit: "vecmul4x10", Gates: c.NumGates(), Patterns: 1024, MaxIters: 24,
+		Modes: map[string]*modeResult{"cache": mr}, Phase1WarmSpeedupX: warmSpeedup,
+	}
+	data, err := json.MarshalIndent(payload, "", "  ")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := os.WriteFile("results/BENCH_phase2.json", append(data, '\n'), 0o644); err != nil {
+		b.Logf("could not write results/BENCH_phase2.json: %v", err)
 	}
 }
 

@@ -10,8 +10,8 @@
 //   - the exhaustively enumerated exact error (circuits ≤ 20 inputs):
 //     equality in exhaustive mode, a Hoeffding bound for Monte-Carlo,
 //   - SAT-certified worst-case error vs enumerated worst-case error,
-//   - bit-identical results across thread counts and with the CPM cache
-//     on/off, and validity of cancelled runs,
+//   - bit-identical results across thread counts, and validity of
+//     cancelled runs,
 //   - budget monotonicity of the conventional flow.
 //
 // With -faults it additionally seeds every engine fault kind
@@ -35,6 +35,7 @@ import (
 	"strconv"
 	"strings"
 
+	"dpals"
 	"dpals/internal/aig"
 	"dpals/internal/core"
 	"dpals/internal/fault"
@@ -257,8 +258,8 @@ func (c *campaign) runSeed(seed int64, maxPIs int, faults, emitFaultRepros bool)
 }
 
 // differential runs one spec plus its metamorphic variants: thread-count
-// and cache-switch determinism (compared down to the per-iteration
-// evaluation traces), and a mid-run cancellation.
+// determinism (compared down to the per-iteration evaluation traces), and
+// a mid-run cancellation.
 func (c *campaign) differential(g *aig.Graph, spec oracle.RunSpec) {
 	ref := oracle.ExecuteTraced(g, spec)
 	c.runs++
@@ -269,40 +270,15 @@ func (c *campaign) differential(g *aig.Graph, spec oracle.RunSpec) {
 	c.report(g, spec, oracle.Verify(g, spec, ref.Result), "clean run")
 	c.noteCert(spec, ref.Result)
 
-	variants := []struct {
-		name string
-		mut  func(*oracle.RunSpec)
-	}{
-		{"threads-all", func(s *oracle.RunSpec) { s.Threads = 0 }},
-	}
-	if spec.Flow == core.FlowDP || spec.Flow == core.FlowDPSA {
-		variants = append(variants,
-			struct {
-				name string
-				mut  func(*oracle.RunSpec)
-			}{"no-cpm-cache", func(s *oracle.RunSpec) { s.NoCPMCache = true }},
-			// Warm cross-round phase-1 reuse must be bit-identical to cold
-			// rebuilds, down to the evaluation traces DPSA self-adaption
-			// feeds on; this is the campaign's differential check on the
-			// whole reuse layer (incremental cuts, CPM refresh, eval memo).
-			struct {
-				name string
-				mut  func(*oracle.RunSpec)
-			}{"cold-phase1", func(s *oracle.RunSpec) { s.NoWarmStart = true }})
-	}
-	for _, v := range variants {
-		vs := spec
-		v.mut(&vs)
-		vout := oracle.ExecuteTraced(g, vs)
-		c.runs++
-		c.checks++
-		if vout.Err != nil {
-			c.fail(g, vs, "panic", vout.Err.Error())
-			continue
-		}
-		if d := oracle.DivergesOutcome(ref, vout); d != "" {
-			c.fail(g, vs, "determinism-"+v.name, d)
-		}
+	all := spec
+	all.Threads = 0
+	vout := oracle.ExecuteTraced(g, all)
+	c.runs++
+	c.checks++
+	if vout.Err != nil {
+		c.fail(g, all, "panic", vout.Err.Error())
+	} else if d := oracle.DivergesOutcome(ref, vout); d != "" {
+		c.fail(g, all, "determinism-threads-all", d)
 	}
 
 	cancel := spec
@@ -507,33 +483,25 @@ func parseRange(s string) (int64, int64, error) {
 }
 
 func parseFlows(s string) ([]core.Flow, error) {
-	m := map[string]core.Flow{
-		"conventional": core.FlowConventional, "vecbee": core.FlowVECBEE,
-		"accals": core.FlowAccALS, "dp": core.FlowDP, "dpsa": core.FlowDPSA,
-	}
 	var out []core.Flow
 	for _, name := range strings.Split(s, ",") {
-		f, ok := m[strings.TrimSpace(strings.ToLower(name))]
-		if !ok {
-			return nil, fmt.Errorf("unknown flow %q", name)
+		f, err := dpals.ParseFlow(strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, f)
+		out = append(out, core.Flow(f))
 	}
 	return out, nil
 }
 
 func parseMetrics(s string) ([]metric.Kind, error) {
-	m := map[string]metric.Kind{
-		"er": metric.ER, "mse": metric.MSE, "med": metric.MED, "mhd": metric.MHD,
-		"wce": metric.WCE,
-	}
 	var out []metric.Kind
 	for _, name := range strings.Split(s, ",") {
-		k, ok := m[strings.TrimSpace(strings.ToLower(name))]
-		if !ok {
-			return nil, fmt.Errorf("unknown metric %q", name)
+		m, err := dpals.ParseMetric(strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, k)
+		out = append(out, metric.Kind(m))
 	}
 	return out, nil
 }

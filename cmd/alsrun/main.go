@@ -47,8 +47,6 @@ func main() {
 	out := flag.String("o", "", "output file (.blif or .aag); empty: no output written")
 	maxIters := flag.Int("max-iters", 0, "cap on applied LACs (0 = unlimited)")
 	timeLimit := flag.Duration("time-limit", 0, "wall-clock budget; on expiry the best-so-far circuit is written (0 = unlimited)")
-	noCache := flag.Bool("no-cpm-cache", false, "disable the incremental CPM cache (A/B baseline)")
-	noWarm := flag.Bool("no-warm-start", false, "disable the cross-round phase-1 reuse (A/B baseline)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file (taken after the run)")
 	statsOut := flag.String("stats", "", "write run statistics (step times, work counters, MTrace, reuse rate) as JSON to this file")
@@ -67,19 +65,10 @@ func main() {
 	c, err := load(flag.Arg(0))
 	check(err)
 
-	flows := map[string]dpals.Flow{
-		"conventional": dpals.Conventional, "vecbee": dpals.VECBEE,
-		"accals": dpals.AccALS, "dp": dpals.DP, "dpsa": dpals.DPSA,
-	}
-	flow, ok := flows[strings.ToLower(*flowName)]
-	if !ok {
-		check(fmt.Errorf("unknown flow %q", *flowName))
-	}
-	metrics := map[string]dpals.Metric{"er": dpals.ER, "mse": dpals.MSE, "med": dpals.MED, "mhd": dpals.MHD, "wce": dpals.WCE}
-	m, ok := metrics[strings.ToLower(*metricName)]
-	if !ok {
-		check(fmt.Errorf("unknown metric %q", *metricName))
-	}
+	flow, err := dpals.ParseFlow(*flowName)
+	check(err)
+	m, err := dpals.ParseMetric(*metricName)
+	check(err)
 	thr := *threshold
 	bound := *wceBound
 	if m == dpals.WCE {
@@ -194,9 +183,7 @@ func main() {
 		Patterns: *patterns, Seed: *seed, Threads: *threads,
 		UseConstLACs: true, UseSASIMILACs: *sasimi,
 		DepthLimit: *depth, MaxIters: *maxIters,
-		TimeLimit:   *timeLimit,
-		NoCPMCache:  *noCache,
-		NoWarmStart: *noWarm,
+		TimeLimit: *timeLimit,
 	}
 	if m == dpals.WCE {
 		opt.WCEBound = bound
@@ -313,12 +300,12 @@ type runStats struct {
 	CPMWork  int64 `json:"cpm_work"`
 	EvalWork int64 `json:"eval_work"`
 
+	// CPM cache rows and pool (every disjoint-cut flow; zero for vecbee).
 	CPMRowsReused     int64   `json:"cpm_rows_reused"`
 	CPMRowsRecomputed int64   `json:"cpm_rows_recomputed"`
 	ReuseRate         float64 `json:"reuse_rate"`
 
-	// Cross-round phase-1 reuse (dual-phase flows; zero with
-	// -no-warm-start or for flows without warm starts).
+	// Cross-round phase-1 reuse (dual-phase flows; zero for the others).
 	WarmComprehensive int     `json:"warm_comprehensive,omitempty"`
 	Phase1WarmTimeNS  int64   `json:"phase1_warm_time_ns,omitempty"`
 	Phase1ReuseRate   float64 `json:"phase1_reuse_rate,omitempty"`

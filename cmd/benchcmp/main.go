@@ -20,7 +20,7 @@
 // regression (reuse that stops happening), gated by the relative
 // threshold alone. All three are skipped when the old file reports them
 // as zero or omits them: an older baseline predating the schema, or a
-// mode where reuse is disabled by design ("rebuild"), gates nothing.
+// mode that performs no reuse, gates nothing.
 //
 // Bogus inputs fail loudly rather than passing vacuously: a mode with a
 // zero (or negative) ns_per_op is rejected at load time — a real benchmark

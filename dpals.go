@@ -398,19 +398,6 @@ type Options struct {
 	// Stats.StopReason = StopDeadline. Composes with ApproximateContext:
 	// whichever of the context and the limit fires first stops the run.
 	TimeLimit time.Duration
-
-	// NoCPMCache disables the persistent incremental CPM cache of the
-	// dual-phase flows, rebuilding the phase-2 CPM from scratch every
-	// iteration. Results are bit-identical either way; for A/B
-	// benchmarking only.
-	NoCPMCache bool
-
-	// NoWarmStart disables the cross-round phase-1 reuse of the dual-phase
-	// flows: every comprehensive analysis rebuilds the cut set, the CPM and
-	// the LAC evaluations from scratch instead of carrying the
-	// incrementally maintained state across round boundaries. Results are
-	// bit-identical either way; for A/B benchmarking only.
-	NoWarmStart bool
 }
 
 // Resolved returns o with every defaulted knob replaced by the value the
@@ -517,17 +504,18 @@ type Stats struct {
 	CPMWork  int64
 	EvalWork int64
 
-	// CPM cache accounting (dual-phase flows): rows served from the
-	// persistent incremental cache versus recomputed, across all analyses
-	// of the run. Zero when the cache is disabled or unused by the flow.
+	// CPM cache accounting: rows served from the persistent incremental
+	// cache versus recomputed, across all analyses of the run. Every
+	// disjoint-cut flow (Conventional, AccALS, DP, DPSA) goes through the
+	// cache; zero for VECBEE, which does not use it.
 	CPMRowsReused     int64
 	CPMRowsRecomputed int64
 
-	// Cross-round warm-start accounting (dual-phase flows, zero with
-	// Options.NoWarmStart): WarmComprehensive counts the comprehensive
-	// passes that reused the incrementally maintained analysis state
-	// instead of rebuilding cold; Phase1RowsReused / Phase1RowsRecomputed
-	// split the CPM rows of those phase-1 analyses; SkippedWork is the
+	// Cross-round warm-start accounting (dual-phase flows; zero for the
+	// others): WarmComprehensive counts the comprehensive passes that
+	// reused the incrementally maintained analysis state instead of
+	// rebuilding cold; Phase1RowsReused / Phase1RowsRecomputed split the
+	// CPM rows of those phase-1 analyses; SkippedWork is the
 	// total charged-but-not-performed work (word operations) across cuts,
 	// CPM and evaluation — it is included in CutWork/CPMWork/EvalWork so
 	// those stay identical to a cold run; EvalMemoHits counts target
@@ -545,7 +533,7 @@ type Stats struct {
 	CutUpdates int
 
 	// Pool is the final snapshot of the CPM cache's bit-vector free list
-	// (dual-phase flows with the cache enabled; zero otherwise):
+	// (every disjoint-cut flow; zero for VECBEE):
 	// allocation-avoidance accounting, deterministic across thread counts.
 	Pool bitvec.PoolStats
 
@@ -658,8 +646,6 @@ func ApproximateContext(ctx context.Context, c *Circuit, opt Options) (*Result, 
 	iopt.CertEvery = opt.CertEvery
 	iopt.CertConflictLimit = opt.CertConflictLimit
 	iopt.TimeLimit = opt.TimeLimit
-	iopt.NoCPMCache = opt.NoCPMCache
-	iopt.NoWarmStart = opt.NoWarmStart
 	iopt.LACs = lac.Options{
 		Constants:  opt.UseConstLACs,
 		SASIMI:     opt.UseSASIMILACs,
@@ -682,7 +668,7 @@ func ApproximateContext(ctx context.Context, c *Circuit, opt Options) (*Result, 
 	}
 	iopt.Weights = weights
 
-	res, err := core.RunContext(ctx, g, iopt)
+	res, err := core.Run(ctx, g, iopt)
 	if err != nil {
 		return nil, err
 	}

@@ -105,61 +105,39 @@ func TestNewArenaPanicsOnBadLength(t *testing.T) {
 	NewArena(0)
 }
 
-func TestNewArenaPoolPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewArenaPool with mismatched word length must panic")
-		}
-	}()
-	NewArenaPool(5, NewArena(4))
-}
-
-// TestPoolStatsInvariant checks Gets = Reuses + Misses for a plain pool and
-// an arena-backed one, and that the arena serves exactly the miss rows.
+// TestPoolStatsInvariant checks Gets = Reuses + Misses, and that the
+// pool's arena serves exactly the miss rows.
 func TestPoolStatsInvariant(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		pool *Pool
-	}{
-		{"plain", NewPool(4)},
-		{"arena", NewArenaPool(4, NewArena(4))},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			p := tc.pool
-			var held []Vec
-			for i := 0; i < 10; i++ {
-				held = append(held, p.Get())
-			}
-			for _, v := range held {
-				p.Put(v)
-			}
-			for i := 0; i < 25; i++ {
-				p.Put(p.Get())
-			}
-			st := p.Stats()
-			if st.Gets != st.Reuses+st.Misses {
-				t.Errorf("Gets(%d) != Reuses(%d)+Misses(%d)", st.Gets, st.Reuses, st.Misses)
-			}
-			if st.Gets != 35 || st.Misses != 10 {
-				t.Errorf("Gets=%d Misses=%d, want 35/10", st.Gets, st.Misses)
-			}
-			if a := p.Arena(); a != nil {
-				ast := a.Stats()
-				if ast.Rows != st.Misses {
-					t.Errorf("arena Rows = %d, want Misses = %d", ast.Rows, st.Misses)
-				}
-			}
-		})
+	p := NewPool(4)
+	var held []Vec
+	for i := 0; i < 10; i++ {
+		held = append(held, p.Get())
+	}
+	for _, v := range held {
+		p.Put(v)
+	}
+	for i := 0; i < 25; i++ {
+		p.Put(p.Get())
+	}
+	st := p.Stats()
+	if st.Gets != st.Reuses+st.Misses {
+		t.Errorf("Gets(%d) != Reuses(%d)+Misses(%d)", st.Gets, st.Reuses, st.Misses)
+	}
+	if st.Gets != 35 || st.Misses != 10 {
+		t.Errorf("Gets=%d Misses=%d, want 35/10", st.Gets, st.Misses)
+	}
+	if rows := p.arena.Stats().Rows; rows != st.Misses {
+		t.Errorf("arena Rows = %d, want Misses = %d", rows, st.Misses)
 	}
 }
 
-// TestPoolArenaConcurrent hammers an arena-backed pool from many
+// TestPoolArenaConcurrent hammers a pool from many
 // goroutines; run under -race this checks the locking of both layers.
 // Afterwards the stats invariant must still hold and the arena must have
 // carved exactly one row per miss.
 func TestPoolArenaConcurrent(t *testing.T) {
-	arena := NewArena(8)
-	p := NewArenaPool(8, arena)
+	p := NewPool(8)
+	arena := p.arena
 	const workers = 8
 	const iters = 200
 	var wg sync.WaitGroup

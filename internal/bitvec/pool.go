@@ -12,12 +12,17 @@ import "sync"
 // vector before publishing it). Put hands a vector back; the caller must
 // not retain any reference to it afterwards.
 //
+// Misses are carved from a slab Arena the pool owns, so a miss costs one
+// slab carve and a heap allocation only once per defaultSlabRows misses.
+// The arena is never Reset: it lives exactly as long as the pool, so
+// recycled and freshly carved vectors are interchangeable.
+//
 // A Pool is safe for concurrent use. Whether a vector comes from the free
-// list or from a fresh allocation never changes computed results, so
-// pooled builds stay bit-identical to unpooled ones.
+// list or from a fresh carve never changes computed results, so pooled
+// builds stay bit-identical to unpooled ones.
 type Pool struct {
 	words int
-	arena *Arena // optional slab backing for misses; nil: plain allocation
+	arena *Arena // slab backing for misses
 
 	mu   sync.Mutex
 	free []Vec
@@ -27,7 +32,7 @@ type Pool struct {
 
 // PoolStats is a snapshot of a Pool's free-list behaviour, the raw
 // material of the pool-effectiveness metrics: every Get is either a reuse
-// (served from the free list) or a miss (a fresh allocation), so
+// (served from the free list) or a miss (carved from the arena), so
 // Gets = Reuses + Misses always holds. The counts depend only on the
 // deterministic row-recompute/invalidate schedule, not on worker
 // interleaving, so they are identical between runs for every thread
@@ -35,7 +40,7 @@ type Pool struct {
 type PoolStats struct {
 	Gets      int64 // vectors handed out
 	Puts      int64 // vectors recycled back into the free list
-	Misses    int64 // Gets served by a fresh allocation (free list empty)
+	Misses    int64 // Gets carved from the arena (free list empty)
 	Reuses    int64 // Gets served from the free list
 	HighWater int64 // maximum free-list length ever observed
 }
@@ -49,29 +54,9 @@ func (s PoolStats) HitRate() float64 {
 	return float64(s.Reuses) / float64(s.Gets)
 }
 
-// NewPool returns a pool of vectors of w words each.
-func NewPool(w int) *Pool { return &Pool{words: w} }
-
-// NewArenaPool returns a pool of vectors of w words each whose misses are
-// served by carving rows from a, instead of individual heap allocations:
-// the free list keeps recycling vectors exactly as before (Stats and the
-// Gets = Reuses + Misses invariant are unchanged), but a miss costs one
-// slab carve, and a heap allocation only once per defaultSlabRows misses.
-//
-// The arena must outlive the pool, and must not be Reset while any vector
-// handed out by the pool — free-listed or in use — is still reachable:
-// after a Reset, previously pooled vectors alias recycled slab memory. The
-// only safe reset pattern is to drop the pool together with the arena (or
-// to drain and rebuild it).
-func NewArenaPool(w int, a *Arena) *Pool {
-	if a.Words() != w {
-		panic("bitvec: NewArenaPool word length does not match the arena's")
-	}
-	return &Pool{words: w, arena: a}
-}
-
-// Words returns the word length of the pool's vectors.
-func (p *Pool) Words() int { return p.words }
+// NewPool returns a pool of vectors of w words each, backed by its own
+// arena.
+func NewPool(w int) *Pool { return &Pool{words: w, arena: NewArena(w)} }
 
 // Get returns a vector of the pool's word length. Its content is
 // unspecified; the caller must overwrite every word it reads back.
@@ -88,14 +73,8 @@ func (p *Pool) Get() Vec {
 	}
 	p.stats.Misses++
 	p.mu.Unlock()
-	if p.arena != nil {
-		return p.arena.Alloc()
-	}
-	return NewWords(p.words)
+	return p.arena.Alloc()
 }
-
-// Arena returns the arena backing this pool's misses, or nil.
-func (p *Pool) Arena() *Arena { return p.arena }
 
 // Put recycles v into the free list. v must have the pool's word length and
 // must not be used by the caller afterwards. Put(nil) is a no-op.

@@ -46,10 +46,10 @@ func TestCancelMidSynthesisReturnsBestSoFar(t *testing.T) {
 			cancel()
 		}
 	}
-	res, err := RunContext(ctx, g, opt)
+	res, err := Run(ctx, g, opt)
 	latency := time.Since(cancelledAt)
 	if err != nil {
-		t.Fatalf("RunContext: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if cancelledAt.IsZero() {
 		t.Fatal("run finished before reaching iteration 3; circuit too easy for the test")
@@ -94,9 +94,9 @@ func TestCancelBeforeStart(t *testing.T) {
 	cancel()
 	opt := DefaultOptions(FlowDPSA, metric.MSE, 100)
 	opt.Patterns = 512
-	res, err := RunContext(ctx, g, opt)
+	res, err := Run(ctx, g, opt)
 	if err != nil {
-		t.Fatalf("RunContext: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if res.Stats.StopReason != StopCancelled {
 		t.Errorf("StopReason = %q, want %q", res.Stats.StopReason, StopCancelled)
@@ -121,7 +121,7 @@ func TestTimeLimitStopsEveryFlow(t *testing.T) {
 		opt.Flow = flow
 		opt.TimeLimit = 50 * time.Millisecond
 		start := time.Now()
-		res, err := RunContext(context.Background(), g, opt)
+		res, err := Run(context.Background(), g, opt)
 		elapsed := time.Since(start)
 		if err != nil {
 			t.Fatalf("%v: %v", flow, err)
@@ -145,13 +145,13 @@ func TestTimeLimitStopsEveryFlow(t *testing.T) {
 }
 
 // The remaining stop reasons: natural completion reports budget, the
-// MaxIters cap reports max-iters — through Run as well as RunContext.
+// MaxIters cap reports max-iters.
 func TestStopReasonBudgetAndMaxIters(t *testing.T) {
 	g := gen.MultU(5, 5)
 	R := metric.ReferenceError(g.NumPOs())
 	opt := DefaultOptions(FlowDPSA, metric.MSE, R*R)
 	opt.Patterns = 512
-	res, err := Run(g, opt)
+	res, err := Run(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestStopReasonBudgetAndMaxIters(t *testing.T) {
 	}
 
 	opt.MaxIters = 2
-	res, err = Run(g, opt)
+	res, err = Run(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +172,9 @@ func TestStopReasonBudgetAndMaxIters(t *testing.T) {
 	}
 }
 
-// An uncancelled RunContext must be bit-identical to Run at every thread
-// count — the context checks may not perturb the synthesis trajectory.
+// A run under a cancellable context that is never cancelled must be
+// bit-identical to a run under context.Background() at every thread count
+// — the context checks may not perturb the synthesis trajectory.
 func TestRunContextUncancelledBitIdentical(t *testing.T) {
 	g := gen.MultU(6, 6)
 	R := metric.ReferenceError(g.NumPOs())
@@ -183,13 +184,15 @@ func TestRunContextUncancelledBitIdentical(t *testing.T) {
 		opt.Seed = 7
 		opt.Threads = threads
 		opt.LACs = lac.Options{Constants: true, SASIMI: true}
-		plain, err := Run(g, opt)
+		plain, err := Run(context.Background(), g, opt)
 		if err != nil {
 			t.Fatalf("Run(threads=%d): %v", threads, err)
 		}
-		ctxed, err := RunContext(context.Background(), g, opt)
+		ctx, cancel := context.WithCancel(context.Background())
+		ctxed, err := Run(ctx, g, opt)
+		cancel()
 		if err != nil {
-			t.Fatalf("RunContext(threads=%d): %v", threads, err)
+			t.Fatalf("Run(cancellable, threads=%d): %v", threads, err)
 		}
 		if plain.Error != ctxed.Error {
 			t.Errorf("threads=%d: Error %v vs %v", threads, plain.Error, ctxed.Error)

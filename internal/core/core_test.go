@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -43,7 +44,7 @@ func runFlow(t *testing.T, g *aig.Graph, flow Flow, kind metric.Kind, thr float6
 	if tweak != nil {
 		tweak(&opt)
 	}
-	res, err := Run(g, opt)
+	res, err := Run(context.Background(), g, opt)
 	if err != nil {
 		t.Fatalf("%v/%v: %v", flow, kind, err)
 	}
@@ -170,7 +171,7 @@ func TestOnIterationCallback(t *testing.T) {
 			t.Errorf("callback chosen err %v exceeds bound", chosen.Best.Err)
 		}
 	}
-	res, err := Run(g, opt)
+	res, err := Run(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,15 +205,15 @@ func TestMaxItersCap(t *testing.T) {
 
 func TestErrorsOnBadOptions(t *testing.T) {
 	g := gen.Adder(4)
-	if _, err := Run(g, Options{Flow: FlowDP, Metric: metric.ER, Threshold: -1, LACs: lac.Options{Constants: true}}); err == nil {
+	if _, err := Run(context.Background(), g, Options{Flow: FlowDP, Metric: metric.ER, Threshold: -1, LACs: lac.Options{Constants: true}}); err == nil {
 		t.Error("negative threshold accepted")
 	}
-	if _, err := Run(g, Options{Flow: FlowDP, Metric: metric.ER, Threshold: 0.1}); err == nil {
+	if _, err := Run(context.Background(), g, Options{Flow: FlowDP, Metric: metric.ER, Threshold: 0.1}); err == nil {
 		t.Error("no LAC kinds accepted")
 	}
 	empty := aig.New("empty")
 	empty.AddPO(empty.AddPI("a"), "o")
-	if _, err := Run(empty, DefaultOptions(FlowDP, metric.ER, 0.1)); err == nil {
+	if _, err := Run(context.Background(), empty, DefaultOptions(FlowDP, metric.ER, 0.1)); err == nil {
 		t.Error("AND-free circuit accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"dpals/internal/gen"
@@ -40,7 +41,7 @@ func TestFlowsDeterministicAcrossThreads(t *testing.T) {
 				if tc.tweak != nil {
 					tc.tweak(&opt)
 				}
-				res, err := Run(g, opt)
+				res, err := Run(context.Background(), g, opt)
 				if err != nil {
 					t.Fatalf("Run(threads=%d): %v", threads, err)
 				}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"dpals/internal/aig"
@@ -16,11 +17,11 @@ func TestDeterminism(t *testing.T) {
 	opt := DefaultOptions(FlowDPSA, metric.MSE, R*R)
 	opt.Patterns = 1024
 	opt.LACs = lac.Options{Constants: true, SASIMI: true, MaxPerNode: 4}
-	r1, err := Run(g, opt)
+	r1, err := Run(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(g, opt)
+	r2, err := Run(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestSeedsIndependentlyBounded(t *testing.T) {
 		opt := DefaultOptions(FlowDP, metric.MED, R)
 		opt.Patterns = 512
 		opt.Seed = seed
-		res, err := Run(g, opt)
+		res, err := Run(context.Background(), g, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +59,7 @@ func TestSASIMIOnly(t *testing.T) {
 	opt := DefaultOptions(FlowDPSA, metric.MSE, R*R)
 	opt.Patterns = 512
 	opt.LACs = lac.Options{SASIMI: true, MaxPerNode: 6}
-	res, err := Run(g, opt)
+	res, err := Run(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestConstantOutputCircuit(t *testing.T) {
 	g.AddPO(aig.True, "one")
 	opt := DefaultOptions(FlowConventional, metric.ER, 1.0) // everything allowed
 	opt.Patterns = 256
-	res, err := Run(g, opt)
+	res, err := Run(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestSingleChainCollapse(t *testing.T) {
 	g.AddPO(x, "y")
 	opt := DefaultOptions(FlowDP, metric.ER, 1.0)
 	opt.Patterns = 128
-	res, err := Run(g, opt)
+	res, err := Run(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestTightThresholdNoOvershoot(t *testing.T) {
 	for _, thr := range []float64{1e-6, 1e-3, 0.005} {
 		opt := DefaultOptions(FlowDPSA, metric.ER, thr)
 		opt.Patterns = 2048
-		res, err := Run(g, opt)
+		res, err := Run(context.Background(), g, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,22 +27,18 @@ type Result struct {
 }
 
 // Run synthesises an approximate version of g under opt and returns the
-// result. g itself is never modified.
-func Run(g *aig.Graph, opt Options) (*Result, error) {
-	return RunContext(context.Background(), g, opt)
-}
-
-// RunContext is Run with cooperative cancellation and an optional
-// deadline: when ctx is cancelled (or opt.TimeLimit expires) the run stops
-// at the next checkpoint — an iteration boundary of the flow, or a wave
-// boundary inside a running analysis — and returns the valid best-so-far
-// result instead of an error. The returned circuit is swept, its Error is
-// the genuine sampled error of that circuit, and it never exceeds the
-// budget; Stats.StopReason tells whether the run completed (budget,
-// max-iters) or was stopped (cancelled, deadline). An uncancelled run is
-// bit-identical to Run for every thread count. Errors are returned only
-// for invalid configurations, never for cancellation.
-func RunContext(ctx context.Context, g *aig.Graph, opt Options) (*Result, error) {
+// result; g itself is never modified. Cancellation is cooperative: when
+// ctx is cancelled (or opt.TimeLimit expires) the run stops at the next
+// checkpoint — an iteration boundary of the flow, or a wave boundary inside
+// a running analysis — and returns the valid best-so-far result instead of
+// an error. The returned circuit is swept, its Error is the genuine sampled
+// error of that circuit, and it never exceeds the budget;
+// Stats.StopReason tells whether the run completed (budget, max-iters) or
+// was stopped (cancelled, deadline). An uncancelled run is bit-identical
+// for every thread count. Errors are returned only for invalid
+// configurations, never for cancellation. A nil ctx behaves like
+// context.Background().
+func Run(ctx context.Context, g *aig.Graph, opt Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -181,9 +177,9 @@ type engine struct {
 	s     *sim.Sim
 	st    *metric.State
 	cuts  *cut.Set   // nil for VECBEE flows
-	cache *cpm.Cache // persistent incremental CPM (dual-phase flows; nil when disabled)
+	cache *cpm.Cache // persistent incremental CPM (disjoint-cut flows; nil for VECBEE)
 	gen   *lac.Generator
-	memo  *lac.Memo // cross-round evaluation memo (dual-phase flows; nil when disabled)
+	memo  *lac.Memo // cross-round evaluation memo (dual-phase flows; nil otherwise)
 	exact []bitvec.Vec
 	stats Stats
 
@@ -647,10 +643,10 @@ func (e *engine) finalizeWCE() {
 // incrementally-maintained analysis state instead of rebuilding cold: the
 // dual-phase flow repairs the cuts after every apply (incCuts), the set
 // exists and is in sync with the graph — the §III-B cut preservation
-// condition held through every change since the last pass — and the A/B
-// switch did not force cold passes. A first round (no cuts yet), a
-// rollback (cuts dropped), or a cancelled build (set never marked synced)
-// all fall back to the cold rebuild.
+// condition held through every change since the last pass. A first round
+// (no cuts yet), a rollback (cuts dropped), a cancelled build (set never
+// marked synced), or a flow that does not repair cuts (conventional,
+// AccALS) all fall back to the cold rebuild.
 func (e *engine) warmStart() bool {
-	return e.incCuts && !e.opt.NoWarmStart && e.cuts != nil && e.cuts.InSync()
+	return e.incCuts && e.cuts != nil && e.cuts.InSync()
 }

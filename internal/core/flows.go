@@ -11,16 +11,12 @@ import (
 	"dpals/internal/obs"
 )
 
-// useCache reports whether the persistent incremental CPM cache is active:
-// dual-phase flows only (the other flows have no phase-2 rows to reuse),
-// unless disabled for A/B comparison.
-func (e *engine) useCache() bool {
-	return (e.opt.Flow == FlowDP || e.opt.Flow == FlowDPSA) && !e.opt.NoCPMCache
-}
-
 // comprehensive performs the full error analysis of Fig. 3(b): disjoint
 // cuts of every node, full CPM, evaluation of every candidate LAC. It
-// returns the per-node bests sorted by ascending error.
+// returns the per-node bests sorted by ascending error. The CPM rows of
+// every disjoint-cut flow live in the engine's cpm.Cache: a cold pass is a
+// Rebuild, which recycles the previous pass's diff vectors through the
+// cache's pool.
 //
 // Cross-round warm start (the paper's §III-B/§III-C reuse applied at round
 // granularity): in dual-phase flows the engine repairs the cut set and
@@ -31,8 +27,8 @@ func (e *engine) useCache() bool {
 // accumulated changes invalidated, and the evaluation memo serves targets
 // whose state did not change since their last evaluation. Every reuse is
 // bit-identical to the cold computation; when the repair chain was broken
-// (first round, rollback, cancelled build, Options.NoWarmStart) the pass
-// falls back to the cold rebuild below.
+// (first round, rollback, cancelled build) or the flow does not repair cuts
+// (conventional, AccALS) the pass falls back to the cold rebuild below.
 //
 // Cancellation makes every step return early at a wave boundary; the
 // partial analysis is discarded (nil bests, half-built state dropped) and
@@ -62,7 +58,7 @@ func (e *engine) comprehensive(parent *obs.Span) []lac.NodeBest {
 		e.stats.Phase1Warm++
 	} else {
 		sp, ctx := e.step(p1, "cuts")
-		cuts, err := cut.NewSetCtx(ctx, e.g, e.opt.Threads)
+		cuts, err := cut.NewSet(ctx, e.g, e.opt.Threads)
 		sp.SetInt("work", cuts.Work())
 		sp.End()
 		e.stats.Step.Cuts += sp.Duration()
@@ -76,43 +72,35 @@ func (e *engine) comprehensive(parent *obs.Span) []lac.NodeBest {
 		}
 		e.cuts = cuts
 	}
+	if e.cache == nil {
+		e.cache = cpm.NewCache(e.g, e.s)
+	}
 	targets := e.liveTargets()
-	var res *cpm.Result
+	var upd cpm.Update
 	var err error
 	var sp *obs.Span
 	var ctx context.Context
-	if e.useCache() {
-		if e.cache == nil {
-			e.cache = cpm.NewCache(e.g, e.s)
+	if warm {
+		sp, ctx = e.step(p1, "cpm.warm")
+		upd, err = e.cache.Refresh(ctx, e.cuts, targets, e.opt.Threads)
+		sp.SetInt("rows_reused", int64(upd.Reused))
+		if upd.Needed > 0 {
+			sp.SetFloat("reuse_rate", float64(upd.Reused)/float64(upd.Needed))
 		}
-		var upd cpm.Update
-		if warm {
-			sp, ctx = e.step(p1, "cpm.warm")
-			upd, err = e.cache.RefreshCtx(ctx, e.cuts, targets, e.opt.Threads)
-			sp.SetInt("rows_reused", int64(upd.Reused))
-			if upd.Needed > 0 {
-				sp.SetFloat("reuse_rate", float64(upd.Reused)/float64(upd.Needed))
-			}
-			e.stats.Work.CPMSkipped += upd.ReusedWork
-			e.stats.Work.CPMRowsReused += int64(upd.Reused)
-			e.stats.Work.CPMRowsReusedPhase1 += int64(upd.Reused)
-		} else {
-			sp, ctx = e.step(p1, "cpm")
-			upd, err = e.cache.RebuildCtx(ctx, e.cuts, e.opt.Threads)
-		}
-		res = upd.Res
-		// Work + ReusedWork == the cold build's deterministic estimate.
-		e.stats.Work.CPM += upd.Work + upd.ReusedWork
-		e.stats.Work.CPMRowsRecomputed += int64(upd.Recomputed)
-		e.stats.Work.CPMRowsRecomputedPhase1 += int64(upd.Recomputed)
-		sp.SetInt("rows_recomputed", int64(upd.Recomputed))
-		sp.SetInt("work", upd.Work)
+		e.stats.Work.CPMSkipped += upd.ReusedWork
+		e.stats.Work.CPMRowsReused += int64(upd.Reused)
+		e.stats.Work.CPMRowsReusedPhase1 += int64(upd.Reused)
 	} else {
 		sp, ctx = e.step(p1, "cpm")
-		res, err = cpm.BuildDisjointCtx(ctx, e.g, e.s, e.cuts, nil, e.opt.Threads)
-		e.stats.Work.CPM += res.Work
-		sp.SetInt("work", res.Work)
+		upd, err = e.cache.Rebuild(ctx, e.cuts, e.opt.Threads)
 	}
+	res := upd.Res
+	// Work + ReusedWork == the cold build's deterministic estimate.
+	e.stats.Work.CPM += upd.Work + upd.ReusedWork
+	e.stats.Work.CPMRowsRecomputed += int64(upd.Recomputed)
+	e.stats.Work.CPMRowsRecomputedPhase1 += int64(upd.Recomputed)
+	sp.SetInt("rows_recomputed", int64(upd.Recomputed))
+	sp.SetInt("work", upd.Work)
 	sp.End()
 	e.stats.Step.CPM += sp.Duration()
 	if err != nil {
@@ -122,7 +110,7 @@ func (e *engine) comprehensive(parent *obs.Span) []lac.NodeBest {
 		res.FlipDiffBit(e.opt.Fault.Opportunities())
 	}
 	sp, ctx = e.step(p1, "eval")
-	bests, ew, rw, hits, err := lac.EvaluateTargetsMemoCtx(ctx, e.gen, res, e.st, targets, e.opt.Threads, e.memo)
+	bests, ew, rw, hits, err := lac.Evaluate(ctx, e.gen, res, e.st, targets, e.opt.Threads, e.memo)
 	sp.SetInt("targets", int64(len(targets)))
 	sp.SetInt("lacs_best", int64(len(bests)))
 	sp.SetInt("work", ew)
@@ -220,7 +208,7 @@ func (e *engine) vecbeeAnalysis() (bests []lac.NodeBest, ok bool) {
 		e.stats.PhaseTime.Phase1 += p1.Duration()
 	}()
 	sp, ctx := e.step(p1, "cpm")
-	res, err := cpm.BuildVECBEECtx(ctx, e.g, e.s, e.opt.DepthLimit, nil, e.opt.Threads)
+	res, err := cpm.BuildVECBEE(ctx, e.g, e.s, e.opt.DepthLimit, nil, e.opt.Threads)
 	sp.SetInt("work", res.Work)
 	sp.End()
 	e.stats.Step.CPM += sp.Duration()
@@ -234,7 +222,7 @@ func (e *engine) vecbeeAnalysis() (bests []lac.NodeBest, ok bool) {
 	}
 	sp, ctx = e.step(p1, "eval")
 	targets := e.liveTargets()
-	bests, ew, err := lac.EvaluateTargetsCtx(ctx, e.gen, res, e.st, targets, e.opt.Threads)
+	bests, ew, _, _, err := lac.Evaluate(ctx, e.gen, res, e.st, targets, e.opt.Threads, nil)
 	sp.SetInt("targets", int64(len(targets)))
 	sp.SetInt("work", ew)
 	sp.End()
@@ -356,11 +344,9 @@ func (e *engine) runAccALS() {
 // profile of the last dual phase, and the adaptive early stop of phase 2.
 func (e *engine) runDualPhase(selfAdapt bool) {
 	e.incCuts = true
-	if !e.opt.NoWarmStart {
-		// Cross-round evaluation memo: phase-2 evaluations not followed by
-		// an apply stay valid into the next comprehensive pass.
-		e.memo = lac.NewMemo(e.g.NumVars())
-	}
+	// Cross-round evaluation memo: phase-2 evaluations not followed by an
+	// apply stay valid into the next comprehensive pass.
+	e.memo = lac.NewMemo(e.g.NumVars())
 	M := e.opt.M
 	if M <= 0 {
 		if e.stats.NodesBefore < 4000 {
@@ -515,23 +501,14 @@ func (e *engine) dualPhaseRound(round *obs.Span, M, N int, selfAdapt bool) (stop
 		// analysis — §III-C's reuse, bit-identical to a full rebuild.
 		sp, ctx := e.step(p2, "cpm")
 		sp.SetInt("scand", int64(len(scand)))
-		var res *cpm.Result
-		var err error
-		if e.cache != nil {
-			upd, rerr := e.cache.RowsCtx(ctx, scand, e.opt.Threads)
-			err = rerr
-			res = upd.Res
-			e.stats.Work.CPM += upd.Work
-			e.stats.Work.CPMRowsReused += int64(upd.Reused)
-			e.stats.Work.CPMRowsRecomputed += int64(upd.Recomputed)
-			sp.SetInt("rows_reused", int64(upd.Reused))
-			sp.SetInt("rows_recomputed", int64(upd.Recomputed))
-			sp.SetInt("work", upd.Work)
-		} else {
-			res, err = cpm.BuildDisjointCtx(ctx, e.g, e.s, e.cuts, scand, e.opt.Threads)
-			e.stats.Work.CPM += res.Work
-			sp.SetInt("work", res.Work)
-		}
+		upd, err := e.cache.Rows(ctx, scand, e.opt.Threads)
+		res := upd.Res
+		e.stats.Work.CPM += upd.Work
+		e.stats.Work.CPMRowsReused += int64(upd.Reused)
+		e.stats.Work.CPMRowsRecomputed += int64(upd.Recomputed)
+		sp.SetInt("rows_reused", int64(upd.Reused))
+		sp.SetInt("rows_recomputed", int64(upd.Recomputed))
+		sp.SetInt("work", upd.Work)
 		sp.End()
 		e.stats.Step.CPM += sp.Duration()
 		if err != nil {
@@ -546,7 +523,7 @@ func (e *engine) dualPhaseRound(round *obs.Span, M, N int, selfAdapt bool) (stop
 		// final evaluation of a round that exits *without* applying stays
 		// fresh into the next comprehensive pass.
 		sp, ctx = e.step(p2, "eval")
-		bests2, ew, rw, hits, err := lac.EvaluateTargetsMemoCtx(ctx, e.gen, res, e.st, scand, e.opt.Threads, e.memo)
+		bests2, ew, rw, hits, err := lac.Evaluate(ctx, e.gen, res, e.st, scand, e.opt.Threads, e.memo)
 		sp.SetInt("targets", int64(len(scand)))
 		sp.SetInt("work", ew)
 		sp.End()

@@ -74,9 +74,9 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 						ctx = obs.WithMetrics(ctx, obs.NewMetrics())
 						ctx = obs.WithProgress(ctx, obs.NewProgress(io.Discard, time.Millisecond))
 					}
-					res, err := RunContext(ctx, g, opt)
+					res, err := Run(ctx, g, opt)
 					if err != nil {
-						t.Fatalf("RunContext(threads=%d traced=%v): %v", threads, traced, err)
+						t.Fatalf("Run(threads=%d traced=%v): %v", threads, traced, err)
 					}
 					var buf bytes.Buffer
 					if err := aiger.Write(&buf, res.Graph); err != nil {
@@ -144,7 +144,7 @@ func TestSpanTreeMatchesStats(t *testing.T) {
 			opt.Threads = 4
 			opt.MaxIters = 15
 			tr := obs.New()
-			res, err := RunContext(obs.WithTracer(context.Background(), tr), g, opt)
+			res, err := Run(obs.WithTracer(context.Background(), tr), g, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -225,7 +225,7 @@ func TestUntracedRunStillTimesSteps(t *testing.T) {
 	opt := DefaultOptions(FlowDPSA, metric.MSE, R*R)
 	opt.Patterns = 512
 	opt.MaxIters = 10
-	res, err := Run(g, opt)
+	res, err := Run(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

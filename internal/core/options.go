@@ -125,27 +125,10 @@ type Options struct {
 	MaxIters int
 
 	// TimeLimit bounds the wall-clock time of a run (0 = unlimited).
-	// RunContext derives a deadline-carrying context from it; when the
+	// Run derives a deadline-carrying context from it; when the
 	// limit expires the run stops cooperatively at the next checkpoint and
 	// returns the best-so-far result with Stats.StopReason = StopDeadline.
 	TimeLimit time.Duration
-
-	// NoCPMCache disables the persistent incremental CPM cache of the
-	// dual-phase flows and rebuilds the phase-2 CPM from scratch every
-	// iteration (the pre-cache behaviour). Results are bit-identical either
-	// way; the switch exists for A/B benchmarking and differential tests.
-	NoCPMCache bool
-
-	// NoWarmStart disables the cross-round warm start of the comprehensive
-	// analysis in the dual-phase flows: every phase-1 pass rebuilds the
-	// disjoint cuts from scratch, revalidates every CPM row, and
-	// re-evaluates every target (the pre-warm-start behaviour). Results —
-	// including the deterministic Stats.Work profile DP-SA tunes from, and
-	// with it the whole self-adaption trajectory — are bit-identical either
-	// way, because warm passes charge the cold-equivalent work (see
-	// StepWork); the switch exists for A/B benchmarking and differential
-	// tests.
-	NoWarmStart bool
 
 	// OnIteration, when non-nil, observes every applied LAC: the 1-based
 	// iteration number, the chosen candidate, and the full sorted
@@ -239,7 +222,7 @@ func (t PhaseTimes) Total() time.Duration { return t.Phase1 + t.Phase2 }
 
 // StepWork is the deterministic analogue of StepTimes: cumulated work
 // estimates of the three analysis steps in bitvec word operations, as
-// self-reported by cut.Set.Work, cpm.Result.Work and lac.EvaluateTargets.
+// self-reported by cut.Set.Work, cpm.Result.Work and lac.Evaluate.
 // Unlike wall-clock times these are identical between runs regardless of
 // Threads, machine, or load, so DP-SA's self-adaption (§III-D) profiles
 // the steps with StepWork — keeping the whole flow bit-deterministic —
@@ -249,25 +232,25 @@ type StepWork struct {
 	CPM  int64
 	Eval int64
 
-	// CPM cache row accounting (dual-phase flows with the incremental
-	// cache): how many of the rows needed by the analyses were served from
-	// the cache versus recomputed. Cold comprehensive passes recompute
-	// every row; warm passes and phase-2 iterations reuse whatever the
-	// applied LACs did not invalidate. The reuse rate is CPMRowsReused /
-	// (CPMRowsReused + CPMRowsRecomputed). Deterministic like the work
-	// counters; not part of Total.
+	// CPM cache row accounting (every disjoint-cut flow: conventional,
+	// AccALS, DP, DP-SA): how many of the rows needed by the analyses were
+	// served from the cache versus recomputed. Cold comprehensive passes
+	// recompute every row; warm passes and phase-2 iterations reuse
+	// whatever the applied LACs did not invalidate. The reuse rate is
+	// CPMRowsReused / (CPMRowsReused + CPMRowsRecomputed). Deterministic
+	// like the work counters; not part of Total.
 	CPMRowsReused     int64
 	CPMRowsRecomputed int64
 
-	// Cross-round warm-start accounting (dual-phase flows unless
-	// Options.NoWarmStart). Warm comprehensive passes charge Cuts, CPM and
-	// Eval with the cold-equivalent work — reused cuts, rows and
-	// evaluations charge the cost recorded at their last computation, which
-	// unchanged inputs make exactly the cost of recomputing them — so the
-	// profile DP-SA tunes from, and with it the whole trajectory, is
-	// bit-identical between warm and cold runs. The *Skipped fields report
+	// Cross-round warm-start accounting (dual-phase flows). Warm
+	// comprehensive passes charge Cuts, CPM and Eval with the
+	// cold-equivalent work — reused cuts, rows and evaluations charge the
+	// cost recorded at their last computation, which unchanged inputs make
+	// exactly the cost of recomputing them — so the profile DP-SA tunes
+	// from, and with it the whole trajectory, is bit-identical to what
+	// from-scratch passes would produce. The *Skipped fields report
 	// how much of that charged work was served from the previous round
-	// instead of performed (0 in cold runs); EvalMemoHits counts the
+	// instead of performed (0 in cold passes); EvalMemoHits counts the
 	// targets whose generation+evaluation was reused whole; the Phase1 row
 	// counters are the comprehensive-pass slice of the row accounting
 	// above, from which the phase-1 reuse rate is derived.
@@ -280,8 +263,8 @@ type StepWork struct {
 }
 
 // Phase1ReuseRate returns the fraction of phase-1 CPM rows served from the
-// previous round by warm-started comprehensive passes (0 when no phase-1
-// rows were accounted, e.g. cold-only runs without the cache).
+// previous round by warm-started comprehensive passes (0 when no pass was
+// warm, e.g. in the conventional and AccALS flows).
 func (w StepWork) Phase1ReuseRate() float64 {
 	total := w.CPMRowsReusedPhase1 + w.CPMRowsRecomputedPhase1
 	if total == 0 {
@@ -309,8 +292,8 @@ type Stats struct {
 	Work        StepWork
 
 	// Pool is the final snapshot of the CPM cache's diff-vector free list
-	// (dual-phase flows with the cache enabled; zero otherwise) —
-	// deterministic like Work, see bitvec.PoolStats.
+	// (every disjoint-cut flow; zero for VECBEE) — deterministic like Work,
+	// see bitvec.PoolStats.
 	Pool bitvec.PoolStats
 
 	// WCE-constrained flow accounting (Metric == metric.WCE; zero
@@ -329,7 +312,7 @@ type Stats struct {
 	CertTime      time.Duration
 
 	// StopReason tells why the run ended (budget, max-iters, cancelled,
-	// deadline). Always set by Run/RunContext.
+	// deadline). Always set by Run.
 	StopReason StopReason
 
 	// Self-adaption trajectory (DP-SA): the M value after each dual phase.

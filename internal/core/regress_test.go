@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"dpals/internal/gen"
@@ -32,11 +33,11 @@ func TestZeroValueDPSAMatchesDefaults(t *testing.T) {
 		LACs:      lac.Options{Constants: true},
 	}
 
-	rd, err := Run(g, def)
+	rd, err := Run(context.Background(), g, def)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rz, err := Run(g, zero)
+	rz, err := Run(context.Background(), g, zero)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestAccALSRollbackIterationNumbering(t *testing.T) {
 	opt.OnIteration = func(iter int, chosen lac.NodeBest, bests []lac.NodeBest) {
 		iters = append(iters, iter)
 	}
-	res, err := Run(g, opt)
+	res, err := Run(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"dpals/internal/equiv"
@@ -22,18 +23,18 @@ func TestWCERejectsBadOptions(t *testing.T) {
 
 	opt := wceOptions(FlowDP, 3)
 	opt.Weights = metric.UnsignedWeights(g.NumPOs())
-	if _, err := Run(g, opt); err == nil {
+	if _, err := Run(context.Background(), g, opt); err == nil {
 		t.Error("explicit weights accepted on the WCE path")
 	}
 
 	wide := gen.Adder(63) // 64 POs
-	if _, err := Run(wide, wceOptions(FlowDP, 3)); err == nil {
+	if _, err := Run(context.Background(), wide, wceOptions(FlowDP, 3)); err == nil {
 		t.Error("a 64-output circuit accepted on the WCE path")
 	}
 
 	med := DefaultOptions(FlowDP, metric.MED, 2)
 	med.WCEBound = 3
-	if _, err := Run(gen.Adder(4), med); err == nil {
+	if _, err := Run(context.Background(), gen.Adder(4), med); err == nil {
 		t.Error("WCEBound accepted for a non-WCE metric")
 	}
 }
@@ -45,7 +46,7 @@ func TestWCEAllFlowsCertifiedWithinBound(t *testing.T) {
 	g := gen.MultU(4, 3)
 	const bound = 6
 	for _, flow := range []Flow{FlowConventional, FlowVECBEE, FlowAccALS, FlowDP, FlowDPSA} {
-		res, err := Run(g, wceOptions(flow, bound))
+		res, err := Run(context.Background(), g, wceOptions(flow, bound))
 		if err != nil {
 			t.Fatalf("%v: %v", flow, err)
 		}
@@ -75,7 +76,7 @@ func TestWCECertEveryAmortisation(t *testing.T) {
 	for _, every := range []int{1, 3, 8} {
 		opt := wceOptions(FlowDP, 6)
 		opt.CertEvery = every
-		res, err := Run(g, opt)
+		res, err := Run(context.Background(), g, opt)
 		if err != nil {
 			t.Fatalf("CertEvery %d: %v", every, err)
 		}

@@ -39,12 +39,16 @@ type Update struct {
 // The lifecycle mirrors the dual-phase loop:
 //
 //	cache := NewCache(g, s)
-//	cache.Rebuild(cuts, threads)            // phase 1: full CPM
+//	cache.Rebuild(ctx, cuts, threads)             // phase 1: full CPM
 //	for each phase-2 iteration {
-//	    upd := cache.Rows(scand, threads)   // reuse + recompute dirty
+//	    upd, _ := cache.Rows(ctx, scand, threads) // reuse + recompute dirty
 //	    … evaluate LACs on upd.Res, apply one …
-//	    cache.Invalidate(cs, changed, sv)   // after every apply
+//	    cache.Invalidate(cs, changed, sv)         // after every apply
 //	}
+//
+// The single-phase disjoint-cut flows (conventional, AccALS) use only the
+// first step: every analysis is a Rebuild, which recycles the previous
+// analysis's vectors through the pool.
 //
 // Invalidation rule (change signals → dependency closure → recompute set):
 // an applied LAC announces itself through three signals the engine already
@@ -102,13 +106,10 @@ type Cache struct {
 func NewCache(g *aig.Graph, s *sim.Sim) *Cache {
 	n := g.NumVars()
 	return &Cache{
-		g:   g,
-		s:   s,
-		res: &Result{Words: s.Words(), rows: make([]Row, n)},
-		// Pool misses carve rows from a slab arena instead of allocating
-		// individually; the arena lives (and is never Reset) as long as the
-		// cache, so recycled and carved rows are interchangeable.
-		pool:    bitvec.NewArenaPool(s.Words(), bitvec.NewArena(s.Words())),
+		g:       g,
+		s:       s,
+		res:     &Result{Words: s.Words(), rows: make([]Row, n)},
+		pool:    bitvec.NewPool(s.Words()),
 		valid:   make([]bool, n),
 		pos:     make([]int32, n),
 		rowWork: make([]int64, n),
@@ -117,10 +118,6 @@ func NewCache(g *aig.Graph, s *sim.Sim) *Cache {
 		inSet:   make([]bool, n),
 	}
 }
-
-// Result returns the shared result the cached rows live in. Rows are only
-// guaranteed valid for closures ensured by the last Rebuild/Rows call.
-func (c *Cache) Result() *Result { return c.res }
 
 // Pool exposes the diff-vector pool (for allocation-reuse introspection).
 func (c *Cache) Pool() *bitvec.Pool { return c.pool }
@@ -170,19 +167,13 @@ func (c *Cache) simulators(workers int) ([]*regionSimulator, []map[int32]bool) {
 // recomputed against cuts and retained. Previously cached vectors are
 // recycled through the pool first, so repeated rounds reuse the same
 // backing memory. The produced rows are bit-identical to
-// BuildDisjoint(g, s, cuts, nil, threads).
-func (c *Cache) Rebuild(cuts *cut.Set, threads int) Update {
-	upd, _ := c.RebuildCtx(context.Background(), cuts, threads)
-	return upd
-}
-
-// RebuildCtx is Rebuild with cooperative cancellation: the build checks
-// ctx at every wave boundary and stops early once it is cancelled,
-// returning ctx.Err(). On cancellation every row touched by this build is
-// released again (the cache is left consistent, holding no valid rows),
-// so the returned Update must be discarded; an uncancelled build is
-// bit-identical to Rebuild.
-func (c *Cache) RebuildCtx(ctx context.Context, cuts *cut.Set, threads int) (Update, error) {
+// BuildDisjoint(ctx, g, s, cuts, nil, threads).
+//
+// The build checks ctx at every wave boundary and stops early once it is
+// cancelled, returning ctx.Err(). On cancellation every row touched by this
+// build is released again (the cache is left consistent, holding no valid
+// rows), so the returned Update must be discarded.
+func (c *Cache) Rebuild(ctx context.Context, cuts *cut.Set, threads int) (Update, error) {
 	c.cuts = cuts
 	for v := range c.res.rows {
 		if len(c.res.rows[v].Diffs) > 0 {
@@ -268,48 +259,22 @@ func (c *Cache) Invalidate(cs aig.ChangeSet, changed, cutsRecomputed []int32) {
 	c.queue = q[:0]
 }
 
-// Refresh is RefreshCtx without cancellation.
-func (c *Cache) Refresh(cuts *cut.Set, targets []int32, threads int) Update {
-	upd, _ := c.RefreshCtx(context.Background(), cuts, targets, threads)
-	return upd
-}
-
-// RefreshCtx is the warm counterpart of RebuildCtx for the cross-round
-// reuse of the dual-phase framework: it ensures valid rows for every node
-// in targets — the live AND nodes of the graph — recomputing only the rows
-// invalidated since the previous build and serving everything else from
-// the cache, so a comprehensive pass becomes "recompute stale rows"
-// instead of "revalidate everything". The produced rows are bit-identical
-// to RebuildCtx over the same cut set (PR 2's cache invariant, applied at
-// round granularity), and Update.Work + Update.ReusedWork reproduces the
-// cold build's deterministic work estimate.
-//
-// The warm path requires the same incrementally-maintained cut set the
-// cached rows were built against; handed a different (rebuilt) set it
-// falls back to a full RebuildCtx, because row validity is only meaningful
-// relative to the cuts the rows were constructed with.
-func (c *Cache) RefreshCtx(ctx context.Context, cuts *cut.Set, targets []int32, threads int) (Update, error) {
+func (c *Cache) Refresh(ctx context.Context, cuts *cut.Set, targets []int32, threads int) (Update, error) {
 	if cuts != c.cuts {
-		return c.RebuildCtx(ctx, cuts, threads)
+		return c.Rebuild(ctx, cuts, threads)
 	}
-	return c.RowsCtx(ctx, targets, threads)
+	return c.Rows(ctx, targets, threads)
 }
 
 // Rows ensures valid rows for the disjoint-cut closure of targets (§III-C
 // N(S_cand)) and returns the shared Result plus reuse accounting. Only
 // stale rows of the closure are recomputed; everything else is served from
 // the cache. Row contents are bit-identical to a from-scratch
-// BuildDisjoint(g, s, cuts, targets, threads) for every thread count.
-func (c *Cache) Rows(targets []int32, threads int) Update {
-	upd, _ := c.RowsCtx(context.Background(), targets, threads)
-	return upd
-}
-
-// RowsCtx is Rows with cooperative cancellation, with the same contract
-// as RebuildCtx: on a non-nil error the recomputed rows of this call are
-// released again and the Update must be discarded, while previously valid
-// cached rows stay valid.
-func (c *Cache) RowsCtx(ctx context.Context, targets []int32, threads int) (Update, error) {
+// BuildDisjoint(ctx, g, s, cuts, targets, threads) for every thread count.
+// Cancellation follows Rebuild's contract: on a non-nil error the
+// recomputed rows of this call are released again and the Update must be
+// discarded, while previously valid cached rows stay valid.
+func (c *Cache) Rows(ctx context.Context, targets []int32, threads int) (Update, error) {
 	c.refreshPos()
 	workBefore := c.res.Work
 
@@ -397,7 +362,7 @@ func (c *Cache) runWaves(ctx context.Context, proc []int32, threads int) error {
 	rss, cutSets := c.simulators(workers)
 	var err error
 	for _, wave := range waves {
-		if err = par.ForEachCtx(ctx, threads, wave, func(w int, v int32) {
+		if err = par.ForEach(ctx, threads, wave, func(w int, v int32) {
 			b.processNode(rss[w], cutSets[w], v)
 		}); err != nil {
 			break

@@ -1,6 +1,7 @@
 package cpm
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -81,14 +82,14 @@ func runCacheSequence(t *testing.T, seed int64, threads int) []stepAcct {
 	rng := rand.New(rand.NewSource(seed))
 	g := randomGraph(rng, 7, 90, 6)
 	s := sim.New(g, sim.Options{Patterns: 256, Seed: seed, Threads: threads})
-	cuts := cut.NewSet(g, threads)
+	cuts, _ := cut.NewSet(context.Background(), g, threads)
 	cache := NewCache(g, s)
 
 	var acct []stepAcct
 
-	// Phase-1 equivalent: full build, compared against BuildDisjoint(nil).
-	upd := cache.Rebuild(cuts, threads)
-	ref := BuildDisjoint(g, s, cuts, nil, threads)
+	// Phase-1 equivalent: full build, compared against BuildDisjoint with nil targets.
+	upd, _ := cache.Rebuild(context.Background(), cuts, threads)
+	ref, _ := BuildDisjoint(context.Background(), g, s, cuts, nil, threads)
 	if upd.Work != ref.Work {
 		t.Fatalf("threads=%d: Rebuild work %d, fresh build work %d", threads, upd.Work, ref.Work)
 	}
@@ -130,15 +131,15 @@ func runCacheSequence(t *testing.T, seed int64, threads int) []stepAcct {
 			targets = live[:1]
 		}
 
-		u := cache.Rows(targets, threads)
-		refPart := BuildDisjoint(g, s, cuts, targets, threads)
+		u, _ := cache.Rows(context.Background(), targets, threads)
+		refPart, _ := BuildDisjoint(context.Background(), g, s, cuts, targets, threads)
 		for _, w := range targets {
 			compareRow(t, "rows", w, u.Res.Row(w), refPart.Row(w))
 		}
 		// The whole ensured closure must equal a full fresh build too (the
 		// partial reference frees its intermediates, so compare against a
 		// full one).
-		refFull := BuildDisjoint(g, s, cuts, nil, threads)
+		refFull, _ := BuildDisjoint(context.Background(), g, s, cuts, nil, threads)
 		for _, w := range Closure(cuts, targets) {
 			compareRow(t, "closure", w, u.Res.Row(w), refFull.Row(w))
 		}
@@ -191,9 +192,9 @@ func TestCacheOnGeneratedCircuit(t *testing.T) {
 	g := gen.MultU(4, 4).Sweep()
 	rng := rand.New(rand.NewSource(7))
 	s := sim.New(g, sim.Options{Patterns: 256, Seed: 7})
-	cuts := cut.NewSet(g, 0)
+	cuts, _ := cut.NewSet(context.Background(), g, 0)
 	cache := NewCache(g, s)
-	cache.Rebuild(cuts, 0)
+	cache.Rebuild(context.Background(), cuts, 0)
 	reused := 0
 	for step := 0; step < 8; step++ {
 		v, repl, ok := randomLAC(rng, g)
@@ -213,9 +214,9 @@ func TestCacheOnGeneratedCircuit(t *testing.T) {
 		if len(targets) == 0 {
 			break
 		}
-		u := cache.Rows(targets, 0)
+		u, _ := cache.Rows(context.Background(), targets, 0)
 		reused += u.Reused
-		ref := BuildDisjoint(g, s, cuts, nil, 0)
+		ref, _ := BuildDisjoint(context.Background(), g, s, cuts, nil, 0)
 		for _, w := range targets {
 			compareRow(t, "mult", w, u.Res.Row(w), ref.Row(w))
 		}
@@ -232,9 +233,9 @@ func TestCachePoolRecycles(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomGraph(rng, 7, 120, 6)
 	s := sim.New(g, sim.Options{Patterns: 256, Seed: 3})
-	cuts := cut.NewSet(g, 1)
+	cuts, _ := cut.NewSet(context.Background(), g, 1)
 	cache := NewCache(g, s)
-	cache.Rebuild(cuts, 1)
+	cache.Rebuild(context.Background(), cuts, 1)
 	ps0 := cache.Pool().Stats()
 	for step := 0; step < 6; step++ {
 		v, repl, ok := randomLAC(rng, g)
@@ -251,7 +252,7 @@ func TestCachePoolRecycles(t *testing.T) {
 				targets = append(targets, u)
 			}
 		}
-		cache.Rows(targets, 1)
+		cache.Rows(context.Background(), targets, 1)
 	}
 	ps1 := cache.Pool().Stats()
 	if ps1.Gets == ps0.Gets {

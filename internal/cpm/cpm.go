@@ -8,10 +8,11 @@
 //
 // Two builders are provided:
 //
-//   - BuildDisjoint — the enhanced-VECBEE/SEALS scheme used by the
-//     conventional flow and by both phases of the dual-phase framework.
-//     With a target set it computes the partial CPM restricted to
-//     N(S_cand) exactly as §III-C Example 2 describes.
+//   - BuildDisjoint — the enhanced-VECBEE/SEALS scheme, built from
+//     scratch. With a target set it computes the partial CPM restricted
+//     to N(S_cand) exactly as §III-C Example 2 describes. Every
+//     disjoint-cut flow of the engine gets the same rows from Cache,
+//     which keeps them across analyses and recomputes only stale ones.
 //   - BuildVECBEE — the original VECBEE baseline with a configurable depth
 //     limit l: exact full-TFO flip propagation for l=∞, and the
 //     "direct-fanout" approximation of Table II for l=1.
@@ -297,8 +298,8 @@ type disjointBuilder struct {
 	res     *Result
 	keep    []bool
 	refs    []int32       // atomic: still-unprocessed consumers per row; nil: keep every row
-	pool    *bitvec.Pool  // diff-vector allocator; nil: fall through to arena
-	arena   *bitvec.Arena // per-build slab backing when unpooled; nil: plain allocation
+	pool    *bitvec.Pool  // diff-vector allocator (cache builds); nil: carve from arena
+	arena   *bitvec.Arena // per-build slab backing of from-scratch builds
 	rowWork []int64       // per var: work of the node's row, recorded when non-nil (cache mode)
 }
 
@@ -308,21 +309,13 @@ func (b *disjointBuilder) newVec() bitvec.Vec {
 	if b.pool != nil {
 		return b.pool.Get()
 	}
-	if b.arena != nil {
-		return b.arena.Alloc()
-	}
-	return bitvec.NewWords(b.res.Words)
+	return b.arena.Alloc()
 }
 
-// release frees the row of v, recycling its vectors when pooled.
-func (b *disjointBuilder) release(v int32) {
-	if b.pool != nil {
-		for _, d := range b.res.rows[v].Diffs {
-			b.pool.Put(d)
-		}
-	}
-	b.res.rows[v] = Row{}
-}
+// release drops the row of v. Only from-scratch builds release rows (the
+// cache keeps every row), and their vectors live on the per-build arena,
+// so nothing is recycled.
+func (b *disjointBuilder) release(v int32) { b.res.rows[v] = Row{} }
 
 // processNode computes the CPM row of v. All of v's non-sink cut elements
 // must already have their rows computed (wave scheduling guarantees this).
@@ -423,17 +416,10 @@ func (b *disjointBuilder) processNode(rs *regionSimulator, cutSet map[int32]bool
 // cut-element dependency DAG — a node's row depends only on the rows of
 // its non-sink cut elements, read-only simulation values, and the shared
 // cut set — and the result is bit-identical for every thread count.
-func BuildDisjoint(g *aig.Graph, s *sim.Sim, cuts *cut.Set, targets []int32, threads int) *Result {
-	res, _ := BuildDisjointCtx(context.Background(), g, s, cuts, targets, threads)
-	return res
-}
-
-// BuildDisjointCtx is BuildDisjoint with cooperative cancellation: the
-// build checks ctx at every wave boundary and stops early once it is
-// cancelled, returning the partial result alongside ctx.Err(). A non-nil
-// error means the rows are incomplete and must be discarded; an
-// uncancelled build is bit-identical to BuildDisjoint.
-func BuildDisjointCtx(ctx context.Context, g *aig.Graph, s *sim.Sim, cuts *cut.Set, targets []int32, threads int) (*Result, error) {
+// The build checks ctx at every wave boundary and stops early once it is
+// cancelled, returning the partial result alongside ctx.Err(); a non-nil
+// error means the rows are incomplete and must be discarded.
+func BuildDisjoint(ctx context.Context, g *aig.Graph, s *sim.Sim, cuts *cut.Set, targets []int32, threads int) (*Result, error) {
 	res := &Result{Words: s.Words(), rows: make([]Row, g.NumVars())}
 
 	var procList []int32
@@ -502,7 +488,7 @@ func BuildDisjointCtx(ctx context.Context, g *aig.Graph, s *sim.Sim, cuts *cut.S
 		cutSets[w] = make(map[int32]bool)
 	}
 	for _, wave := range waves {
-		if err := par.ForEachCtx(ctx, threads, wave, func(w int, v int32) {
+		if err := par.ForEach(ctx, threads, wave, func(w int, v int32) {
 			b.processNode(rss[w], cutSets[w], v)
 		}); err != nil {
 			return res, err
@@ -631,14 +617,8 @@ func (b *vecbeeBuilder) processNode(rs *regionSimulator, depth map[int32]int, v 
 //
 // threads follows the pipeline-wide semantics of package par (≤0: all
 // CPUs, 1: serial); the result is bit-identical for every thread count.
-func BuildVECBEE(g *aig.Graph, s *sim.Sim, l int, targets []int32, threads int) *Result {
-	res, _ := BuildVECBEECtx(context.Background(), g, s, l, targets, threads)
-	return res
-}
-
-// BuildVECBEECtx is BuildVECBEE with cooperative cancellation, with the
-// same partial-result contract as BuildDisjointCtx.
-func BuildVECBEECtx(ctx context.Context, g *aig.Graph, s *sim.Sim, l int, targets []int32, threads int) (*Result, error) {
+// Cancellation follows the same partial-result contract as BuildDisjoint.
+func BuildVECBEE(ctx context.Context, g *aig.Graph, s *sim.Sim, l int, targets []int32, threads int) (*Result, error) {
 	res := &Result{Words: s.Words(), rows: make([]Row, g.NumVars())}
 	keep := make([]bool, g.NumVars())
 	if targets == nil {
@@ -695,7 +675,7 @@ func BuildVECBEECtx(ctx context.Context, g *aig.Graph, s *sim.Sim, l int, target
 		depths[w] = make(map[int32]int)
 	}
 	for _, wave := range waves {
-		if err := par.ForEachCtx(ctx, threads, wave, func(w int, v int32) {
+		if err := par.ForEach(ctx, threads, wave, func(w int, v int32) {
 			b.processNode(rss[w], depths[w], v)
 		}); err != nil {
 			return res, err

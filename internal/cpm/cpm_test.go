@@ -1,6 +1,7 @@
 package cpm
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -112,8 +113,8 @@ func TestDisjointCPMMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		g := randomGraph(rng, 6, 70, 6)
 		s := sim.New(g, sim.Options{Patterns: 192, Seed: int64(trial)})
-		cuts := cut.NewSet(g, 1)
-		res := BuildDisjoint(g, s, cuts, nil, 1)
+		cuts, _ := cut.NewSet(context.Background(), g, 1)
+		res, _ := BuildDisjoint(context.Background(), g, s, cuts, nil, 1)
 		for _, v := range g.Topo() {
 			if g.IsAnd(v) {
 				checkAgainstBruteForce(t, g, s, res, v)
@@ -127,7 +128,7 @@ func TestVECBEEInfiniteMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		g := randomGraph(rng, 6, 60, 5)
 		s := sim.New(g, sim.Options{Patterns: 128, Seed: int64(trial)})
-		res := BuildVECBEE(g, s, 0, nil, 1)
+		res, _ := BuildVECBEE(context.Background(), g, s, 0, nil, 1)
 		for _, v := range g.Topo() {
 			if g.IsAnd(v) {
 				checkAgainstBruteForce(t, g, s, res, v)
@@ -160,7 +161,7 @@ func TestVECBEEDepth1ExactOnTree(t *testing.T) {
 	g.AddPO(level[0], "root")
 	gg := g.Sweep()
 	s := sim.New(gg, sim.Options{Patterns: 256, Seed: 3})
-	res := BuildVECBEE(gg, s, 1, nil, 1)
+	res, _ := BuildVECBEE(context.Background(), gg, s, 1, nil, 1)
 	for _, v := range gg.Topo() {
 		if gg.IsAnd(v) {
 			checkAgainstBruteForce(t, gg, s, res, v)
@@ -176,7 +177,7 @@ func TestVECBEEDepthConvergence(t *testing.T) {
 	g := randomGraph(rng, 5, 40, 4)
 	s := sim.New(g, sim.Options{Patterns: 128, Seed: 9})
 	deep := int(g.Depth()) + 2
-	res := BuildVECBEE(g, s, deep, nil, 1)
+	res, _ := BuildVECBEE(context.Background(), g, s, deep, nil, 1)
 	for _, v := range g.Topo() {
 		if g.IsAnd(v) {
 			checkAgainstBruteForce(t, g, s, res, v)
@@ -197,7 +198,7 @@ func TestClosureExample2(t *testing.T) {
 	bl := g.And(q, r)
 	dl := g.And(al, bl)
 	g.AddPO(dl, "O1")
-	cuts := cut.NewSet(g, 1)
+	cuts, _ := cut.NewSet(context.Background(), g, 1)
 	got := Closure(cuts, []int32{al.Var(), bl.Var()})
 	want := map[int32]bool{al.Var(): true, bl.Var(): true, dl.Var(): true}
 	if len(got) != 3 {
@@ -216,8 +217,8 @@ func TestPartialMatchesFull(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		g := randomGraph(rng, 6, 80, 6)
 		s := sim.New(g, sim.Options{Patterns: 128, Seed: int64(trial)})
-		cuts := cut.NewSet(g, 1)
-		full := BuildDisjoint(g, s, cuts, nil, 1)
+		cuts, _ := cut.NewSet(context.Background(), g, 1)
+		full, _ := BuildDisjoint(context.Background(), g, s, cuts, nil, 1)
 
 		// Pick a handful of random targets.
 		var ands []int32
@@ -230,7 +231,7 @@ func TestPartialMatchesFull(t *testing.T) {
 			continue
 		}
 		targets := []int32{ands[0], ands[len(ands)/3], ands[len(ands)/2], ands[len(ands)-1]}
-		part := BuildDisjoint(g, s, cuts, targets, 1)
+		part, _ := BuildDisjoint(context.Background(), g, s, cuts, targets, 1)
 		for _, v := range targets {
 			fr, pr := full.Row(v), part.Row(v)
 			if len(fr.POs) != len(pr.POs) {
@@ -266,11 +267,11 @@ func BenchmarkBuildDisjointFull(b *testing.B) {
 	rng := rand.New(rand.NewSource(47))
 	g := randomGraph(rng, 24, 1500, 12)
 	s := sim.New(g, sim.Options{Patterns: 4096, Seed: 1})
-	cuts := cut.NewSet(g, 1)
+	cuts, _ := cut.NewSet(context.Background(), g, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BuildDisjoint(g, s, cuts, nil, 1)
+		BuildDisjoint(context.Background(), g, s, cuts, nil, 1)
 	}
 }
 
@@ -281,7 +282,7 @@ func BenchmarkBuildVECBEEInfinite(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BuildVECBEE(g, s, 0, nil, 1)
+		BuildVECBEE(context.Background(), g, s, 0, nil, 1)
 	}
 }
 
@@ -289,7 +290,7 @@ func BenchmarkBuildPartial(b *testing.B) {
 	rng := rand.New(rand.NewSource(47))
 	g := randomGraph(rng, 24, 1500, 12)
 	s := sim.New(g, sim.Options{Patterns: 4096, Seed: 1})
-	cuts := cut.NewSet(g, 1)
+	cuts, _ := cut.NewSet(context.Background(), g, 1)
 	var targets []int32
 	for _, v := range g.Topo() {
 		if g.IsAnd(v) {
@@ -302,7 +303,7 @@ func BenchmarkBuildPartial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BuildDisjoint(g, s, cuts, targets, 1)
+		BuildDisjoint(context.Background(), g, s, cuts, targets, 1)
 	}
 }
 
@@ -333,7 +334,7 @@ func TestBuildDisjointParallelMatchesSerial(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		g := randomGraph(rng, 6, 70, 5)
 		s := sim.New(g, sim.Options{Patterns: 256, Seed: int64(trial)})
-		cuts := cut.NewSet(g, 1)
+		cuts, _ := cut.NewSet(context.Background(), g, 1)
 		var targets []int32
 		for _, v := range g.Topo() {
 			if g.IsAnd(v) && rng.Intn(3) == 0 {
@@ -341,12 +342,12 @@ func TestBuildDisjointParallelMatchesSerial(t *testing.T) {
 			}
 		}
 		for _, threads := range []int{2, 8} {
-			full1 := BuildDisjoint(g, s, cuts, nil, 1)
-			fullN := BuildDisjoint(g, s, cuts, nil, threads)
+			full1, _ := BuildDisjoint(context.Background(), g, s, cuts, nil, 1)
+			fullN, _ := BuildDisjoint(context.Background(), g, s, cuts, nil, threads)
 			equalResults(t, "full", g, full1, fullN)
 			if len(targets) > 0 {
-				part1 := BuildDisjoint(g, s, cuts, targets, 1)
-				partN := BuildDisjoint(g, s, cuts, targets, threads)
+				part1, _ := BuildDisjoint(context.Background(), g, s, cuts, targets, 1)
+				partN, _ := BuildDisjoint(context.Background(), g, s, cuts, targets, threads)
 				equalResults(t, "partial", g, part1, partN)
 			}
 		}
@@ -368,12 +369,12 @@ func TestBuildVECBEEParallelMatchesSerial(t *testing.T) {
 		}
 		for _, l := range []int{0, 2, 5} {
 			for _, threads := range []int{2, 8} {
-				full1 := BuildVECBEE(g, s, l, nil, 1)
-				fullN := BuildVECBEE(g, s, l, nil, threads)
+				full1, _ := BuildVECBEE(context.Background(), g, s, l, nil, 1)
+				fullN, _ := BuildVECBEE(context.Background(), g, s, l, nil, threads)
 				equalResults(t, "full", g, full1, fullN)
 				if len(targets) > 0 {
-					part1 := BuildVECBEE(g, s, l, targets, 1)
-					partN := BuildVECBEE(g, s, l, targets, threads)
+					part1, _ := BuildVECBEE(context.Background(), g, s, l, targets, 1)
+					partN, _ := BuildVECBEE(context.Background(), g, s, l, targets, threads)
 					equalResults(t, "partial", g, part1, partN)
 				}
 			}

@@ -1,6 +1,7 @@
 package cpm
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -21,9 +22,9 @@ func TestRefreshMatchesRebuild(t *testing.T) {
 		rng := rand.New(rand.NewSource(53))
 		g := randomGraph(rng, 7, 90, 6)
 		s := sim.New(g, sim.Options{Patterns: 256, Seed: 53, Threads: threads})
-		cuts := cut.NewSet(g, threads)
+		cuts, _ := cut.NewSet(context.Background(), g, threads)
 		cache := NewCache(g, s)
-		cache.Rebuild(cuts, threads)
+		cache.Rebuild(context.Background(), cuts, threads)
 		reused := 0
 		for step := 0; step < 6; step++ {
 			v, repl, ok := randomLAC(rng, g)
@@ -44,11 +45,11 @@ func TestRefreshMatchesRebuild(t *testing.T) {
 			if len(live) == 0 {
 				break
 			}
-			upd := cache.Refresh(cuts, live, threads)
+			upd, _ := cache.Refresh(context.Background(), cuts, live, threads)
 			reused += upd.Reused
 
 			fresh := NewCache(g, s)
-			ref := fresh.Rebuild(cuts, threads)
+			ref, _ := fresh.Rebuild(context.Background(), cuts, threads)
 			for _, w := range live {
 				compareRow(t, "refresh", w, upd.Res.Row(w), ref.Res.Row(w))
 			}
@@ -73,9 +74,9 @@ func TestRefreshForeignCutsFallsBack(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	g := randomGraph(rng, 6, 60, 5)
 	s := sim.New(g, sim.Options{Patterns: 256, Seed: 59})
-	cuts := cut.NewSet(g, 1)
+	cuts, _ := cut.NewSet(context.Background(), g, 1)
 	cache := NewCache(g, s)
-	cache.Rebuild(cuts, 1)
+	cache.Rebuild(context.Background(), cuts, 1)
 
 	var live []int32
 	for _, u := range g.Topo() {
@@ -83,12 +84,12 @@ func TestRefreshForeignCutsFallsBack(t *testing.T) {
 			live = append(live, u)
 		}
 	}
-	rebuilt := cut.NewSet(g, 1)
-	upd := cache.Refresh(rebuilt, live, 1)
+	rebuilt, _ := cut.NewSet(context.Background(), g, 1)
+	upd, _ := cache.Refresh(context.Background(), rebuilt, live, 1)
 	if upd.Reused != 0 || upd.ReusedWork != 0 {
 		t.Fatalf("foreign cut set: %d rows / %d work reused, want full rebuild", upd.Reused, upd.ReusedWork)
 	}
-	ref := BuildDisjoint(g, s, rebuilt, nil, 1)
+	ref, _ := BuildDisjoint(context.Background(), g, s, rebuilt, nil, 1)
 	for _, w := range live {
 		compareRow(t, "fallback", w, upd.Res.Row(w), ref.Row(w))
 	}

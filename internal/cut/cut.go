@@ -116,18 +116,11 @@ func (s *Set) FullBuildWork() int64 {
 
 // NewSet computes the disjoint cuts of all nodes of g. threads follows the
 // pipeline-wide semantics of package par (≤0: all CPUs, 1: serial); the
-// result is identical for every thread count.
-func NewSet(g *aig.Graph, threads int) *Set {
-	s, _ := NewSetCtx(context.Background(), g, threads)
-	return s
-}
-
-// NewSetCtx is NewSet with cooperative cancellation: the build checks ctx
-// at wave boundaries (and per node in serial mode) and stops early once it
-// is cancelled, returning the partial set alongside ctx.Err(). A non-nil
-// error means the set is incomplete and must be discarded; an uncancelled
-// build is bit-identical to NewSet.
-func NewSetCtx(ctx context.Context, g *aig.Graph, threads int) (*Set, error) {
+// result is identical for every thread count. The build checks ctx at wave
+// boundaries (and per node in serial mode) and stops early once it is
+// cancelled, returning the partial set alongside ctx.Err(). A non-nil
+// error means the set is incomplete and must be discarded.
+func NewSet(ctx context.Context, g *aig.Graph, threads int) (*Set, error) {
 	s := &Set{
 		g:       g,
 		poWords: bitvec.Words(g.NumPOs()),
@@ -146,7 +139,7 @@ func NewSetCtx(ctx context.Context, g *aig.Graph, threads int) (*Set, error) {
 			}
 		}
 		sc := s.scratchFor(1)[0]
-		err := par.ForCtx(ctx, 1, len(rev), func(_, i int) { s.recompute(sc, rev[i]) })
+		err := par.For(ctx, 1, len(rev), func(_, i int) { s.recompute(sc, rev[i]) })
 		if err == nil {
 			s.markSynced()
 		}
@@ -159,7 +152,7 @@ func NewSetCtx(ctx context.Context, g *aig.Graph, threads int) (*Set, error) {
 	// Worker ids are stable per goroutine, so each worker owns its scratch.
 	scr := s.scratchFor(par.Workers(threads))
 	for _, level := range g.ReverseLevels() {
-		if err := par.ForEachCtx(ctx, threads, level, func(w int, v int32) { s.recompute(scr[w], v) }); err != nil {
+		if err := par.ForEach(ctx, threads, level, func(w int, v int32) { s.recompute(scr[w], v) }); err != nil {
 			return s, err
 		}
 	}

@@ -1,6 +1,7 @@
 package cut
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -45,7 +46,7 @@ func sortedCut(s *Set, v int32) []int32 {
 
 func TestFig2DisjointCut(t *testing.T) {
 	g, a, b, c, d, e, _ := fig2Graph(t)
-	s := NewSet(g, 1)
+	s, _ := NewSet(context.Background(), g, 1)
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestSingleFanoutCut(t *testing.T) {
 	y := g.And(x, p.Not())
 	z := g.And(y, q.Not())
 	g.AddPO(z, "o")
-	s := NewSet(g, 1)
+	s, _ := NewSet(context.Background(), g, 1)
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestIncrementalFig5(t *testing.T) {
 	if err := g.Check(); err != nil {
 		t.Fatal(err)
 	}
-	s := NewSet(g, 1)
+	s, _ := NewSet(context.Background(), g, 1)
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestIncrementalFig5(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatalf("after incremental update: %v", err)
 	}
-	fresh := NewSet(g, 1)
+	fresh, _ := NewSet(context.Background(), g, 1)
 	for _, v := range g.Topo() {
 		if !g.IsAnd(v) {
 			continue
@@ -213,7 +214,7 @@ func TestIncrementalRemovedMFFCTransitive(t *testing.T) {
 	if err := g.Check(); err != nil {
 		t.Fatal(err)
 	}
-	s := NewSet(g, 1)
+	s, _ := NewSet(context.Background(), g, 1)
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +255,7 @@ func TestIncrementalRemovedMFFCTransitive(t *testing.T) {
 	if !inSv {
 		t.Fatalf("c=%d not in recomputed set %v", cl.Var(), sv)
 	}
-	fresh := NewSet(g, 1)
+	fresh, _ := NewSet(context.Background(), g, 1)
 	for _, w := range g.Topo() {
 		if !g.IsAnd(w) {
 			continue
@@ -275,7 +276,7 @@ func TestValidateRandomGraphs(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 25; trial++ {
 		g := randomGraph(rng, 6, 60, 5)
-		s := NewSet(g, 1)
+		s, _ := NewSet(context.Background(), g, 1)
 		if err := s.Validate(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -286,7 +287,7 @@ func TestIncrementalRandomSequences(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 15; trial++ {
 		g := randomGraph(rng, 7, 80, 6)
-		s := NewSet(g, 1)
+		s, _ := NewSet(context.Background(), g, 1)
 		for step := 0; step < 12; step++ {
 			var cand []int32
 			for v := int32(1); v <= g.MaxVar(); v++ {
@@ -324,7 +325,7 @@ func TestIncrementalRandomSequences(t *testing.T) {
 				t.Fatalf("trial %d step %d: %v", trial, step, err)
 			}
 			// Cross-check against a fresh computation.
-			fresh := NewSet(g, 1)
+			fresh, _ := NewSet(context.Background(), g, 1)
 			for _, w := range g.Topo() {
 				if !g.IsAnd(w) {
 					continue
@@ -349,7 +350,7 @@ func BenchmarkNewSet(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		NewSet(g, 1)
+		NewSet(context.Background(), g, 1)
 	}
 }
 
@@ -361,7 +362,7 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		g := base.Clone()
-		s := NewSet(g, 1)
+		s, _ := NewSet(context.Background(), g, 1)
 		var v int32 = -1
 		for w := g.MaxVar(); w >= 1; w-- {
 			if g.IsAnd(w) {
@@ -382,9 +383,9 @@ func TestNewSetParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 20; trial++ {
 		g := randomGraph(rng, 6, 70, 5)
-		serial := NewSet(g, 1)
+		serial, _ := NewSet(context.Background(), g, 1)
 		for _, threads := range []int{2, 8} {
-			par := NewSet(g, threads)
+			par, _ := NewSet(context.Background(), g, threads)
 			for v := int32(1); v <= g.MaxVar(); v++ {
 				if !g.IsAnd(v) {
 					continue

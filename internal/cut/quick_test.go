@@ -1,6 +1,7 @@
 package cut
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -15,7 +16,7 @@ func TestQuickCutsAlwaysValid(t *testing.T) {
 	f := func(seed int64, pick, rpick uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng, 5, 40, 4)
-		s := NewSet(g, 1)
+		s, _ := NewSet(context.Background(), g, 1)
 		if err := s.Validate(); err != nil {
 			t.Logf("initial: %v", err)
 			return false
@@ -60,7 +61,7 @@ func TestQuickCutElementsInTFO(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng, 6, 50, 5)
-		s := NewSet(g, 1)
+		s, _ := NewSet(context.Background(), g, 1)
 		for _, v := range g.Topo() {
 			if !g.IsAnd(v) {
 				continue

@@ -15,7 +15,7 @@ import (
 func TestSyncTracking(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	g := randomGraph(rng, 6, 60, 5)
-	s := NewSet(g, 1)
+	s, _ := NewSet(context.Background(), g, 1)
 	if !s.InSync() {
 		t.Fatal("fresh set not in sync")
 	}
@@ -59,7 +59,7 @@ func TestCancelledBuildNotSynced(t *testing.T) {
 	g := randomGraph(rng, 7, 80, 6)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	s, err := NewSetCtx(ctx, g, 1)
+	s, err := NewSet(ctx, g, 1)
 	if err == nil {
 		t.Fatal("pre-cancelled build reported no error")
 	}
@@ -77,7 +77,7 @@ func TestFullBuildWorkMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 10; trial++ {
 		g := randomGraph(rng, 7, 80, 6)
-		s := NewSet(g, 1)
+		s, _ := NewSet(context.Background(), g, 1)
 		if got, want := s.FullBuildWork(), s.Work(); got != want {
 			t.Fatalf("trial %d: fresh set FullBuildWork %d != Work %d", trial, got, want)
 		}
@@ -113,7 +113,7 @@ func TestFullBuildWorkMatchesFresh(t *testing.T) {
 			}
 			cs := g.ReplaceWithLit(v, repl)
 			s.UpdateAfter(cs)
-			fresh := NewSet(g, 1)
+			fresh, _ := NewSet(context.Background(), g, 1)
 			if got, want := s.FullBuildWork(), fresh.Work(); got != want {
 				t.Fatalf("trial %d step %d: FullBuildWork %d, fresh cold build %d", trial, step, got, want)
 			}

@@ -1,6 +1,7 @@
 package equiv_test
 
 import (
+	"context"
 	"testing"
 
 	"dpals/internal/core"
@@ -13,7 +14,7 @@ func TestCertifierCexScreening(t *testing.T) {
 	orig := gen.MultU(4, 3)
 	opt := core.DefaultOptions(core.FlowDPSA, metric.MED, metric.ReferenceError(orig.NumPOs()))
 	opt.Patterns = 1 << 7
-	res, err := core.Run(orig, opt)
+	res, err := core.Run(context.Background(), orig, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestCertifierBudgetExhaustion(t *testing.T) {
 	orig := gen.MultU(4, 3)
 	opt := core.DefaultOptions(core.FlowDPSA, metric.MED, metric.ReferenceError(orig.NumPOs()))
 	opt.Patterns = 1 << 7
-	res, err := core.Run(orig, opt)
+	res, err := core.Run(context.Background(), orig, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

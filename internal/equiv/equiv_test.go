@@ -1,6 +1,7 @@
 package equiv_test
 
 import (
+	"context"
 	"testing"
 
 	"dpals/internal/aig"
@@ -96,7 +97,7 @@ func TestWCEAtMostExactOnSmall(t *testing.T) {
 	opt := core.DefaultOptions(core.FlowDPSA, metric.MED, R)
 	opt.Patterns = 1 << 9
 	opt.Exhaustive = true
-	res, err := core.Run(orig, opt)
+	res, err := core.Run(context.Background(), orig, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

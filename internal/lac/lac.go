@@ -116,7 +116,7 @@ type Generator struct {
 	// per-worker evaluators are indexed by stable par worker ids.
 	evs      []*metric.Evaluator // per-worker metric scratch
 	evState  *metric.State       // state the evaluators are bound to
-	lacBuf   []LAC               // all candidates of one EvaluateTargets call
+	lacBuf   []LAC               // all candidates of one Evaluate call
 	offs     [][2]int            // per target: [start, end) into lacBuf
 	tfoMark  []bool              // sasimi: TFO membership of the current target
 	tfoList  []int32             // sasimi: marked nodes, for O(cone) reset
@@ -335,7 +335,7 @@ func (gen *Generator) sasimiAppend(out []LAC, v int32, gain int) []LAC {
 	return out
 }
 
-// Memo carries per-node evaluation results across EvaluateTargetsMemoCtx
+// Memo carries per-node evaluation results across Evaluate
 // calls of one synthesis run, keyed by an explicit epoch. A candidate's
 // evaluated error depends on the *global* metric state — the error of the
 // whole circuit after applying it — so any applied LAC invalidates every
@@ -391,42 +391,31 @@ type NodeBest struct {
 	N    int // number of candidates evaluated
 }
 
-// EvaluateTargets evaluates every candidate LAC for every target that has a
-// CPM row and returns per-node bests, sorted by ascending error (ties:
-// larger gain first), plus a deterministic work estimate of the evaluation
-// in bitvec word operations (the counterpart of cut.Set.Work and
+// Evaluate evaluates every candidate LAC for every target that has a CPM
+// row and returns per-node bests, sorted by ascending error (ties: larger
+// gain first), plus a deterministic work estimate of the evaluation in
+// bitvec word operations (the counterpart of cut.Set.Work and
 // cpm.Result.Work, used by DP-SA's self-adaption). Candidate generation
 // runs serially (it walks shared graph traversal state); evaluation fans
 // out over `threads` workers with the pipeline-wide semantics of package
 // par (≤0: all CPUs, 1: serial). Results are bit-identical for every
 // thread count: each worker evaluates whole targets with private scratch
 // and writes only its target's slot.
-func EvaluateTargets(gen *Generator, res *cpm.Result, st *metric.State, targets []int32, threads int) ([]NodeBest, int64) {
-	bests, work, _ := EvaluateTargetsCtx(context.Background(), gen, res, st, targets, threads)
-	return bests, work
-}
-
-// EvaluateTargetsCtx is EvaluateTargets with cooperative cancellation: it
-// stops handing out targets once ctx is cancelled and returns ctx.Err()
-// alongside the partial (unsorted, incomplete) bests, which the caller
-// must discard. An uncancelled run is bit-identical to EvaluateTargets.
-func EvaluateTargetsCtx(ctx context.Context, gen *Generator, res *cpm.Result, st *metric.State, targets []int32, threads int) ([]NodeBest, int64, error) {
-	bests, work, _, _, err := EvaluateTargetsMemoCtx(ctx, gen, res, st, targets, threads, nil)
-	return bests, work, err
-}
-
-// EvaluateTargetsMemoCtx is EvaluateTargetsCtx with cross-call
-// memoization: targets whose memo entry is from the current epoch skip
-// both candidate generation and evaluation and reuse the stored NodeBest —
-// bit-identical by the Memo epoch contract — while every freshly evaluated
-// target is stored back. A nil memo disables memoization.
 //
-// The returned work includes reusedWork, the recorded work estimate of the
-// reused evaluations: an unchanged state implies an identical re-evaluation
-// cost, so charging it keeps the deterministic work profile — and with it
-// DP-SA's self-adaption trajectory — bit-identical to a memo-less run.
-// hits counts the targets served from the memo.
-func EvaluateTargetsMemoCtx(ctx context.Context, gen *Generator, res *cpm.Result, st *metric.State, targets []int32, threads int, memo *Memo) (bests []NodeBest, work, reusedWork int64, hits int, err error) {
+// With a non-nil memo, targets whose memo entry is from the current epoch
+// skip both candidate generation and evaluation and reuse the stored
+// NodeBest — bit-identical by the Memo epoch contract — while every freshly
+// evaluated target is stored back. The returned work includes reusedWork,
+// the recorded work estimate of the reused evaluations: an unchanged state
+// implies an identical re-evaluation cost, so charging it keeps the
+// deterministic work profile — and with it DP-SA's self-adaption
+// trajectory — bit-identical to a memo-less run. hits counts the targets
+// served from the memo.
+//
+// Evaluate stops handing out targets once ctx is cancelled and returns
+// ctx.Err() alongside the partial (unsorted, incomplete) bests, which the
+// caller must discard.
+func Evaluate(ctx context.Context, gen *Generator, res *cpm.Result, st *metric.State, targets []int32, threads int, memo *Memo) (bests []NodeBest, work, reusedWork int64, hits int, err error) {
 	// Candidate generation is serial (shared graph traversal state); all
 	// targets share one reused buffer, addressed by [start, end) offsets so
 	// growth during generation cannot invalidate earlier targets' slices.
@@ -451,7 +440,7 @@ func EvaluateTargetsMemoCtx(ctx context.Context, gen *Generator, res *cpm.Result
 		gen.evs = append(gen.evs, nil)
 	}
 	evs := gen.evs[:workers]
-	err = par.ForCtx(ctx, threads, len(targets), func(w, i int) {
+	err = par.For(ctx, threads, len(targets), func(w, i int) {
 		v := targets[i]
 		// Serve memo-fresh targets without touching the evaluator. The
 		// res.Has guard is belt-and-braces: a fresh stamp implies an

@@ -1,6 +1,7 @@
 package lac
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -130,8 +131,8 @@ func TestEstimatedErrorMatchesRealAfterApply(t *testing.T) {
 			gg := g.Clone()
 			s := sim.New(gg, sim.Options{Patterns: patterns, Seed: int64(trial)})
 			st := metric.NewState(kind, exact, metric.UnsignedWeights(gg.NumPOs()), s.Patterns())
-			cuts := cut.NewSet(gg, 1)
-			res := cpm.BuildDisjoint(gg, s, cuts, nil, 1)
+			cuts, _ := cut.NewSet(context.Background(), gg, 1)
+			res, _ := cpm.BuildDisjoint(context.Background(), gg, s, cuts, nil, 1)
 			gen := NewGenerator(gg, s, Options{Constants: true, SASIMI: true, MaxPerNode: 4})
 
 			var targets []int32
@@ -140,7 +141,7 @@ func TestEstimatedErrorMatchesRealAfterApply(t *testing.T) {
 					targets = append(targets, v)
 				}
 			}
-			bests, _ := EvaluateTargets(gen, res, st, targets, 2)
+			bests, _, _, _, _ := Evaluate(context.Background(), gen, res, st, targets, 2, nil)
 			if len(bests) == 0 {
 				continue
 			}
@@ -174,8 +175,8 @@ func TestEvaluateTargetsSorted(t *testing.T) {
 		s.POVal(o, exact[o])
 	}
 	st := metric.NewState(metric.MED, exact, metric.UnsignedWeights(g.NumPOs()), s.Patterns())
-	cuts := cut.NewSet(g, 1)
-	res := cpm.BuildDisjoint(g, s, cuts, nil, 1)
+	cuts, _ := cut.NewSet(context.Background(), g, 1)
+	res, _ := cpm.BuildDisjoint(context.Background(), g, s, cuts, nil, 1)
 	gen := NewGenerator(g, s, Options{Constants: true})
 	var targets []int32
 	for _, v := range g.Topo() {
@@ -183,14 +184,14 @@ func TestEvaluateTargetsSorted(t *testing.T) {
 			targets = append(targets, v)
 		}
 	}
-	bests, pwork := EvaluateTargets(gen, res, st, targets, 4)
+	bests, pwork, _, _, _ := Evaluate(context.Background(), gen, res, st, targets, 4, nil)
 	for i := 1; i < len(bests); i++ {
 		if bests[i-1].Best.Err > bests[i].Best.Err {
 			t.Fatalf("results not sorted at %d: %v > %v", i, bests[i-1].Best.Err, bests[i].Best.Err)
 		}
 	}
 	// Serial and parallel must agree, including the work estimate.
-	serial, swork := EvaluateTargets(gen, res, st, targets, 1)
+	serial, swork, _, _, _ := Evaluate(context.Background(), gen, res, st, targets, 1, nil)
 	if len(serial) != len(bests) {
 		t.Fatalf("serial/parallel length mismatch")
 	}

@@ -24,8 +24,8 @@ func memoBed(t *testing.T, seed int64) (gen *Generator, res *cpm.Result, st *met
 		s.POVal(o, exact[o])
 	}
 	st = metric.NewState(metric.MED, exact, metric.UnsignedWeights(g.NumPOs()), s.Patterns())
-	cuts := cut.NewSet(g, 1)
-	res = cpm.BuildDisjoint(g, s, cuts, nil, 1)
+	cuts, _ := cut.NewSet(context.Background(), g, 1)
+	res, _ = cpm.BuildDisjoint(context.Background(), g, s, cuts, nil, 1)
 	gen = NewGenerator(g, s, Options{Constants: true, SASIMI: true})
 	for _, v := range g.Topo() {
 		if g.IsAnd(v) {
@@ -41,12 +41,12 @@ func memoBed(t *testing.T, seed int64) (gen *Generator, res *cpm.Result, st *met
 func TestMemoHitsAreBitIdentical(t *testing.T) {
 	gen, res, st, targets := memoBed(t, 67)
 	ctx := context.Background()
-	plain, pwork, _, _, err := EvaluateTargetsMemoCtx(ctx, gen, res, st, targets, 1, nil)
+	plain, pwork, _, _, err := Evaluate(ctx, gen, res, st, targets, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	memo := NewMemo(int(gen.g.NumVars()))
-	first, fwork, frw, fhits, err := EvaluateTargetsMemoCtx(ctx, gen, res, st, targets, 1, memo)
+	first, fwork, frw, fhits, err := Evaluate(ctx, gen, res, st, targets, 1, memo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestMemoHitsAreBitIdentical(t *testing.T) {
 		t.Fatalf("memo pass work %d, memo-less %d", fwork, pwork)
 	}
 	for _, threads := range []int{1, 4} {
-		second, swork, srw, shits, err := EvaluateTargetsMemoCtx(ctx, gen, res, st, targets, threads, memo)
+		second, swork, srw, shits, err := Evaluate(ctx, gen, res, st, targets, threads, memo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,11 +87,11 @@ func TestMemoInvalidateDropsEverything(t *testing.T) {
 	gen, res, st, targets := memoBed(t, 71)
 	ctx := context.Background()
 	memo := NewMemo(int(gen.g.NumVars()))
-	if _, _, _, _, err := EvaluateTargetsMemoCtx(ctx, gen, res, st, targets, 1, memo); err != nil {
+	if _, _, _, _, err := Evaluate(ctx, gen, res, st, targets, 1, memo); err != nil {
 		t.Fatal(err)
 	}
 	memo.Invalidate()
-	_, _, rw, hits, err := EvaluateTargetsMemoCtx(ctx, gen, res, st, targets, 1, memo)
+	_, _, rw, hits, err := Evaluate(ctx, gen, res, st, targets, 1, memo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,24 +100,32 @@ func TestMemoInvalidateDropsEverything(t *testing.T) {
 	}
 }
 
-// TestNilMemoMatchesEvaluateTargets: the nil-memo path is the plain
-// evaluator — same bests, same work.
+// TestNilMemoMatchesEvaluateTargets: a nil memo disables memoization — a
+// repeated evaluation under an unchanged state recomputes every target,
+// reports no hits, and matches a memoized evaluation's bests and work.
 func TestNilMemoMatchesEvaluateTargets(t *testing.T) {
 	gen, res, st, targets := memoBed(t, 73)
-	plain, pwork := EvaluateTargets(gen, res, st, targets, 1)
-	viaMemo, mwork, rw, hits, err := EvaluateTargetsMemoCtx(context.Background(), gen, res, st, targets, 1, nil)
+	ctx := context.Background()
+	memo := NewMemo(int(gen.g.NumVars()))
+	withMemo, wwork, _, _, err := Evaluate(ctx, gen, res, st, targets, 1, memo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits != 0 || rw != 0 {
-		t.Fatalf("nil memo reported %d hits / %d reused work", hits, rw)
-	}
-	if mwork != pwork || len(viaMemo) != len(plain) {
-		t.Fatalf("nil-memo pass diverges: work %d vs %d, %d vs %d bests", mwork, pwork, len(viaMemo), len(plain))
-	}
-	for i := range plain {
-		if viaMemo[i] != plain[i] {
-			t.Fatalf("best[%d] = %+v, want %+v", i, viaMemo[i], plain[i])
+	for pass := 0; pass < 2; pass++ {
+		plain, pwork, rw, hits, err := Evaluate(ctx, gen, res, st, targets, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hits != 0 || rw != 0 {
+			t.Fatalf("pass %d: nil memo reported %d hits / %d reused work", pass, hits, rw)
+		}
+		if pwork != wwork || len(plain) != len(withMemo) {
+			t.Fatalf("pass %d: nil-memo pass diverges: work %d vs %d, %d vs %d bests", pass, pwork, wwork, len(plain), len(withMemo))
+		}
+		for i := range plain {
+			if plain[i] != withMemo[i] {
+				t.Fatalf("pass %d: best[%d] = %+v, want %+v", pass, i, plain[i], withMemo[i])
+			}
 		}
 	}
 }

@@ -30,13 +30,6 @@ type RunSpec struct {
 	Exhaustive bool        `json:"exhaustive,omitempty"`
 	SASIMI     bool        `json:"sasimi,omitempty"`
 	MaxIters   int         `json:"maxIters,omitempty"`
-	NoCPMCache bool        `json:"noCPMCache,omitempty"`
-	// NoWarmStart disables the cross-round phase-1 reuse (incremental cut
-	// carry-over, CPM row refresh, eval memo) and forces every
-	// comprehensive pass to rebuild cold. Warm and cold runs of the same
-	// spec must be bit-identical, so pairing a spec with its NoWarmStart
-	// twin is a differential check on the whole reuse layer.
-	NoWarmStart bool `json:"noWarmStart,omitempty"`
 
 	// WCE-constrained flow (Metric == metric.WCE): the certified bound,
 	// the certification amortization interval, and the per-call SAT
@@ -66,8 +59,6 @@ func (s RunSpec) Options() core.Options {
 	opt.Exhaustive = s.Exhaustive
 	opt.LACs = lac.Options{Constants: true, SASIMI: s.SASIMI}
 	opt.MaxIters = s.MaxIters
-	opt.NoCPMCache = s.NoCPMCache
-	opt.NoWarmStart = s.NoWarmStart
 	opt.WCEBound = s.WCEBound
 	opt.CertEvery = s.CertEvery
 	opt.CertConflictLimit = s.CertConflictLimit
@@ -134,7 +125,7 @@ func ExecuteTraced(g *aig.Graph, spec RunSpec) (out Outcome) {
 			out.Err = fmt.Errorf("oracle: engine panic: %v\n%s", r, debug.Stack())
 		}
 	}()
-	out.Result, out.Err = core.RunContext(ctx, g, opt)
+	out.Result, out.Err = core.Run(ctx, g, opt)
 	return out
 }
 

@@ -124,8 +124,8 @@ func TestExhaustiveModeExactCheck(t *testing.T) {
 	}
 }
 
-// TestDeterminismAcrossIrrelevantKnobs checks the metamorphic properties
-// that thread count and the CPM cache must not change any result bit.
+// TestDeterminismAcrossIrrelevantKnobs checks the metamorphic property
+// that the thread count must not change any result bit.
 func TestDeterminismAcrossIrrelevantKnobs(t *testing.T) {
 	g := gen.Random(7, 9, 7, 80)
 	base := RunSpec{Flow: core.FlowDPSA, Metric: metric.MED, Threshold: 8,
@@ -140,7 +140,6 @@ func TestDeterminismAcrossIrrelevantKnobs(t *testing.T) {
 	}{
 		{"threads-4", func(s *RunSpec) { s.Threads = 4 }},
 		{"threads-all", func(s *RunSpec) { s.Threads = 0 }},
-		{"no-cpm-cache", func(s *RunSpec) { s.NoCPMCache = true }},
 	}
 	for _, v := range variants {
 		spec := base

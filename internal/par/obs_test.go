@@ -19,7 +19,7 @@ func TestLaneSpansUnderRecordingTracer(t *testing.T) {
 
 	const n = 200
 	var count atomic.Int64
-	if err := ForCtx(ctx, 4, n, func(_, _ int) { count.Add(1) }); err != nil {
+	if err := For(ctx, 4, n, func(_, _ int) { count.Add(1) }); err != nil {
 		t.Fatal(err)
 	}
 	parent.End()
@@ -80,7 +80,7 @@ func TestLaneSpansClosedOnPanic(t *testing.T) {
 				err = p
 			}
 		}()
-		return ForCtx(ctx, 4, 100, func(_, i int) {
+		return For(ctx, 4, 100, func(_, i int) {
 			if i == 13 {
 				panic("boom")
 			}
@@ -107,7 +107,7 @@ func TestLaneSpansClosedOnPanic(t *testing.T) {
 // and the serial path must not open lanes even when recording.
 func TestNoLaneSpansWithoutRecording(t *testing.T) {
 	// No tracer installed at all.
-	if err := ForCtx(context.Background(), 4, 50, func(_, _ int) {}); err != nil {
+	if err := For(context.Background(), 4, 50, func(_, _ int) {}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -116,7 +116,7 @@ func TestNoLaneSpansWithoutRecording(t *testing.T) {
 	tr := obs.New()
 	parent := tr.Start("eval")
 	ctx := obs.WithSpan(obs.WithTracer(context.Background(), tr), parent)
-	if err := ForCtx(ctx, 1, 50, func(_, _ int) {}); err != nil {
+	if err := For(ctx, 1, 50, func(_, _ int) {}); err != nil {
 		t.Fatal(err)
 	}
 	parent.End()

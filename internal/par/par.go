@@ -23,10 +23,11 @@
 //     re-raised on the calling goroutine as an item-attributed *Panic —
 //     recoverable by the caller, instead of an unjoined WaitGroup killing
 //     the whole process.
-//   - ForCtx/ForEachCtx take a context and stop handing out items once it
-//     is cancelled, returning ctx.Err(). Per-item results computed before
-//     the cancel are valid; the overall output is partial and the caller
-//     must discard it (uncancelled runs are bit-identical to For).
+//   - For/ForEach take a context and stop handing out items once it is
+//     cancelled, returning ctx.Err(). Per-item results computed before the
+//     cancel are valid; the overall output is partial and the caller must
+//     discard it. Callers that cannot be cancelled pass
+//     context.Background() (or nil) and may ignore the error.
 //
 // When the context carries a recording obs span (obs.WithSpan), every
 // worker goroutine additionally opens a child span in its own lane —
@@ -56,7 +57,7 @@ func Workers(threads int) int {
 	return threads
 }
 
-// Panic carries a panic that escaped a For/ForCtx callback: the index of
+// Panic carries a panic that escaped a For callback: the index of
 // the item whose callback panicked, the original panic value, and the
 // stack of the panicking goroutine. For re-raises it on the calling
 // goroutine, so `recover()` there observes a *Panic and can attribute the
@@ -103,32 +104,13 @@ func call(fn func(worker, i int), worker, i int) (p *Panic) {
 // lifetime of one goroutine, making it safe to index per-worker scratch
 // allocated with one slot per worker (see ScratchSlots).
 //
+// Cancellation is cooperative: once ctx is cancelled, no new items are
+// handed out, in-flight callbacks finish, and For returns ctx.Err(). A
+// non-nil return means the run is partial — callers must discard the
+// output. A nil ctx is never cancelled.
+//
 // A panicking callback re-raises as a *Panic on the caller; see Panic.
-func For(threads, n int, fn func(worker, i int)) {
-	forCtx(nil, threads, n, fn)
-}
-
-// ForCtx is For with cooperative cancellation: once ctx is cancelled, no
-// new items are handed out, in-flight callbacks finish, and ForCtx
-// returns ctx.Err(). A non-nil return means the run is partial — callers
-// must discard the output. An uncancelled run is bit-identical to For and
-// returns nil.
-func ForCtx(ctx context.Context, threads, n int, fn func(worker, i int)) error {
-	return forCtx(ctx, threads, n, fn)
-}
-
-// ForEach is For over a slice: fn(worker, item) for every item.
-func ForEach[T any](threads int, items []T, fn func(worker int, item T)) {
-	For(threads, len(items), func(w, i int) { fn(w, items[i]) })
-}
-
-// ForEachCtx is ForCtx over a slice.
-func ForEachCtx[T any](ctx context.Context, threads int, items []T, fn func(worker int, item T)) error {
-	return ForCtx(ctx, threads, len(items), func(w, i int) { fn(w, items[i]) })
-}
-
-// forCtx is the shared implementation; a nil ctx is never cancelled.
-func forCtx(ctx context.Context, threads, n int, fn func(worker, i int)) error {
+func For(ctx context.Context, threads, n int, fn func(worker, i int)) error {
 	done := func() bool { return ctx != nil && ctx.Err() != nil }
 	workers := Workers(threads)
 	if workers > n {
@@ -205,6 +187,11 @@ func forCtx(ctx context.Context, threads, n int, fn func(worker, i int)) error {
 		return ctx.Err()
 	}
 	return nil
+}
+
+// ForEach is For over a slice: fn(worker, item) for every item.
+func ForEach[T any](ctx context.Context, threads int, items []T, fn func(worker int, item T)) error {
+	return For(ctx, threads, len(items), func(w, i int) { fn(w, items[i]) })
 }
 
 // ScratchSlots returns the number of per-worker scratch slots a caller

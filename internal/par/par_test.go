@@ -22,7 +22,7 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 	for _, threads := range []int{1, 2, 7, 0} {
 		const n = 1000
 		hits := make([]int32, n)
-		For(threads, n, func(_, i int) { atomic.AddInt32(&hits[i], 1) })
+		For(context.Background(), threads, n, func(_, i int) { atomic.AddInt32(&hits[i], 1) })
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("threads=%d: index %d processed %d times", threads, i, h)
@@ -33,7 +33,7 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 
 func TestForSerialRunsInOrder(t *testing.T) {
 	var order []int
-	For(1, 5, func(w, i int) {
+	For(context.Background(), 1, 5, func(w, i int) {
 		if w != 0 {
 			t.Errorf("serial run used worker %d", w)
 		}
@@ -55,7 +55,7 @@ func TestForWorkerIDsAreDistinctSlots(t *testing.T) {
 	// Each worker increments only its own slot; sums must add up to n and
 	// no out-of-range worker id may appear (panic would fail the test).
 	counts := make([]int64, slots)
-	For(threads, n, func(w, _ int) { atomic.AddInt64(&counts[w], 1) })
+	For(context.Background(), threads, n, func(w, _ int) { atomic.AddInt64(&counts[w], 1) })
 	var sum int64
 	for _, c := range counts {
 		sum += c
@@ -70,7 +70,7 @@ func TestForMoreWorkersThanItems(t *testing.T) {
 		t.Errorf("ScratchSlots(16, 3) = %d, want 3", got)
 	}
 	hits := make([]int32, 3)
-	For(16, 3, func(w, i int) {
+	For(context.Background(), 16, 3, func(w, i int) {
 		if w < 0 || w >= 3 {
 			t.Errorf("worker id %d out of range for 3 items", w)
 		}
@@ -84,8 +84,8 @@ func TestForMoreWorkersThanItems(t *testing.T) {
 }
 
 func TestForEmpty(t *testing.T) {
-	For(0, 0, func(_, _ int) { t.Error("fn called for n=0") })
-	ForEach(4, []int(nil), func(_ int, _ int) { t.Error("fn called for empty slice") })
+	For(context.Background(), 0, 0, func(_, _ int) { t.Error("fn called for n=0") })
+	ForEach(context.Background(), 4, []int(nil), func(_ int, _ int) { t.Error("fn called for empty slice") })
 	if got := ScratchSlots(8, 0); got != 1 {
 		t.Errorf("ScratchSlots(8, 0) = %d, want 1", got)
 	}
@@ -94,7 +94,7 @@ func TestForEmpty(t *testing.T) {
 func TestForEachPassesItems(t *testing.T) {
 	items := []string{"a", "b", "c", "d"}
 	seen := make([]int32, len(items))
-	ForEach(2, items, func(_ int, it string) {
+	ForEach(context.Background(), 2, items, func(_ int, it string) {
 		atomic.AddInt32(&seen[int(it[0]-'a')], 1)
 	})
 	for i, c := range seen {
@@ -130,7 +130,7 @@ func TestForCallbackPanicIsRecoverable(t *testing.T) {
 					t.Errorf("threads=%d: panic carries no stack", threads)
 				}
 			}()
-			For(threads, 64, func(_, i int) {
+			For(context.Background(), threads, 64, func(_, i int) {
 				if i == 13 {
 					panic("boom")
 				}
@@ -145,7 +145,7 @@ func TestForPanicStopsRemainingWork(t *testing.T) {
 	var processed int32
 	func() {
 		defer func() { recover() }()
-		For(4, 10000, func(_, i int) {
+		For(context.Background(), 4, 10000, func(_, i int) {
 			if i == 0 {
 				panic("first")
 			}
@@ -161,14 +161,14 @@ func TestForCtxCancellation(t *testing.T) {
 	for _, threads := range []int{1, 4, 0} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var processed int32
-		err := ForCtx(ctx, threads, 100000, func(_, i int) {
+		err := For(ctx, threads, 100000, func(_, i int) {
 			if atomic.AddInt32(&processed, 1) == 50 {
 				cancel()
 			}
 		})
 		cancel()
 		if err != context.Canceled {
-			t.Errorf("threads=%d: ForCtx = %v, want context.Canceled", threads, err)
+			t.Errorf("threads=%d: For = %v, want context.Canceled", threads, err)
 		}
 		if n := atomic.LoadInt32(&processed); n >= 100000 {
 			t.Errorf("threads=%d: all items ran despite cancellation", threads)
@@ -177,10 +177,10 @@ func TestForCtxCancellation(t *testing.T) {
 }
 
 func TestForCtxNilAndUncancelled(t *testing.T) {
-	if err := ForCtx(nil, 4, 100, func(_, i int) {}); err != nil {
+	if err := For(nil, 4, 100, func(_, i int) {}); err != nil {
 		t.Errorf("nil ctx: %v", err)
 	}
-	if err := ForCtx(context.Background(), 4, 100, func(_, i int) {}); err != nil {
+	if err := For(context.Background(), 4, 100, func(_, i int) {}); err != nil {
 		t.Errorf("background ctx: %v", err)
 	}
 }

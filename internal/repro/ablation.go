@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"time"
 
 	"dpals/internal/aig"
@@ -22,7 +23,7 @@ import (
 // times and the average |S_v| (nodes actually recomputed).
 func AblationCutUpdate(g *aig.Graph, steps int, seed int64) (inc, fresh time.Duration, avgSv float64) {
 	work := g.Sweep()
-	cuts := cut.NewSet(work, 1)
+	cuts, _ := cut.NewSet(context.Background(), work, 1)
 	svSum := 0
 	done := 0
 	for i := 0; i < steps; i++ {
@@ -46,7 +47,7 @@ func AblationCutUpdate(g *aig.Graph, steps int, seed int64) (inc, fresh time.Dur
 		svSum += len(sv)
 
 		t1 := time.Now()
-		cut.NewSet(work, 1)
+		cut.NewSet(context.Background(), work, 1)
 		fresh += time.Since(t1)
 		done++
 	}
@@ -63,7 +64,7 @@ func AblationCutUpdate(g *aig.Graph, steps int, seed int64) (inc, fresh time.Dur
 func AblationPartialCPM(g *aig.Graph, m int, patterns int, seed int64) (partial, full time.Duration, closure int) {
 	work := g.Sweep()
 	s := sim.New(work, sim.Options{Patterns: patterns, Seed: seed})
-	cuts := cut.NewSet(work, 1)
+	cuts, _ := cut.NewSet(context.Background(), work, 1)
 
 	// Candidate set: the m live AND nodes closest to the inputs (low ids),
 	// a deterministic stand-in for the top-M error ranking.
@@ -79,11 +80,11 @@ func AblationPartialCPM(g *aig.Graph, m int, patterns int, seed int64) (partial,
 	closure = len(cpm.Closure(cuts, targets))
 
 	t0 := time.Now()
-	cpm.BuildDisjoint(work, s, cuts, targets, 1)
+	cpm.BuildDisjoint(context.Background(), work, s, cuts, targets, 1)
 	partial = time.Since(t0)
 
 	t1 := time.Now()
-	cpm.BuildDisjoint(work, s, cuts, nil, 1)
+	cpm.BuildDisjoint(context.Background(), work, s, cuts, nil, 1)
 	full = time.Since(t1)
 	return partial, full, closure
 }
@@ -110,7 +111,7 @@ func AblationMSweep(b gen.Benchmark, ms []int, cfg Config) []AblationMRow {
 		opt.LACs = lac.Options{Constants: true}
 		opt.M = m
 		opt.MaxIters = cfg.CapIters
-		res, err := core.Run(b.Graph, opt)
+		res, err := core.Run(context.Background(), b.Graph, opt)
 		if err != nil {
 			panic("ablation: " + err.Error())
 		}
@@ -150,7 +151,7 @@ func AblationPatternsSweep(b gen.Benchmark, counts []int, cfg Config) []Ablation
 		opt.Threads = cfg.threads()
 		opt.LACs = lac.Options{Constants: true}
 		opt.MaxIters = cfg.CapIters
-		res, err := core.Run(b.Graph, opt)
+		res, err := core.Run(context.Background(), b.Graph, opt)
 		if err != nil {
 			panic("ablation: " + err.Error())
 		}

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"dpals/internal/core"
 	"dpals/internal/gen"
 	"dpals/internal/lac"
@@ -68,7 +69,7 @@ func Fig4(cfg Config) []Fig4Row {
 				row.Rate[k/10-1] = float64(hits) / float64(k)
 			}
 		}
-		if _, err := core.Run(b.Graph, opt); err != nil {
+		if _, err := core.Run(context.Background(), b.Graph, opt); err != nil {
 			panic("repro fig4: " + err.Error())
 		}
 		// Fill trailing entries when the flow stopped early: carry the

@@ -13,6 +13,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -117,7 +118,7 @@ func runOne(b gen.Benchmark, flow core.Flow, kind metric.Kind, thr float64, lacs
 	if !b.Small {
 		opt.MaxIters = cfg.CapIters
 	}
-	res, err := core.Run(b.Graph, opt)
+	res, err := core.Run(context.Background(), b.Graph, opt)
 	if err != nil {
 		panic(fmt.Sprintf("repro: %s/%v: %v", b.PaperName, flow, err))
 	}

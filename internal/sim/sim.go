@@ -7,6 +7,7 @@
 package sim
 
 import (
+	"context"
 	"math/rand"
 
 	"dpals/internal/aig"
@@ -244,7 +245,7 @@ func (s *Sim) Resimulate() {
 		return
 	}
 	chunk := (s.words + nw - 1) / nw
-	par.For(nw, nw, func(_, w int) {
+	par.For(context.Background(), nw, nw, func(_, w int) {
 		lo := w * chunk
 		hi := lo + chunk
 		if hi > s.words {
