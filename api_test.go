@@ -7,6 +7,7 @@ package dpals_test
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -52,6 +53,20 @@ func TestApproximateRejectsMismatchedWeights(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "weights") {
 		t.Fatalf("unhelpful error: %v", err)
+	}
+}
+
+// A NaN budget compares false with every error, so an unchecked NaN let
+// the run strip the circuit to nothing and report StopBudget. Every
+// non-finite threshold must be rejected up front.
+func TestApproximateRejectsNonFiniteThreshold(t *testing.T) {
+	c := dpals.NewMultiplier(4, 4, false)
+	for _, thr := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		res, err := dpals.Approximate(c, dpals.Options{Flow: dpals.DP, Metric: dpals.MED, Threshold: thr, Patterns: 256})
+		if err == nil {
+			t.Errorf("threshold %v accepted: %d gates, error %v, stop %q",
+				thr, res.Circuit.NumGates(), res.Error, res.Stats.StopReason)
+		}
 	}
 }
 

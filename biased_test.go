@@ -47,10 +47,14 @@ func TestBiasedDistributionFlow(t *testing.T) {
 
 func TestBiasedProbabilityValidation(t *testing.T) {
 	c := NewAdder(6)
-	if _, err := Approximate(c, Options{
-		Flow: DP, Metric: ER, Threshold: 0.1,
-		InputProbabilities: []float64{1.5},
-	}); err == nil {
-		t.Error("out-of-range probability accepted")
+	// NaN compares false with every bound, so a range check written as
+	// p < 0 || p > 1 lets it through and it silently pins the input to 0.
+	for _, p := range []float64{1.5, -0.25, math.NaN()} {
+		if _, err := Approximate(c, Options{
+			Flow: DP, Metric: ER, Threshold: 0.1,
+			InputProbabilities: []float64{0.5, p},
+		}); err == nil {
+			t.Errorf("out-of-range probability %v accepted", p)
+		}
 	}
 }

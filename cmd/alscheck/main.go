@@ -489,7 +489,7 @@ func parseFlows(s string) ([]core.Flow, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, core.Flow(f))
+		out = append(out, f)
 	}
 	return out, nil
 }
@@ -501,7 +501,7 @@ func parseMetrics(s string) ([]metric.Kind, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, metric.Kind(m))
+		out = append(out, m)
 	}
 	return out, nil
 }

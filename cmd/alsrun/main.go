@@ -180,17 +180,11 @@ func main() {
 
 	opt := dpals.Options{
 		Flow: flow, Metric: m, Threshold: thr,
+		WCEBound: bound, CertEvery: *certEvery, CertConflictLimit: *certConflicts,
 		Patterns: *patterns, Seed: *seed, Threads: *threads,
 		UseConstLACs: true, UseSASIMILACs: *sasimi,
 		DepthLimit: *depth, MaxIters: *maxIters,
 		TimeLimit: *timeLimit,
-	}
-	if m == dpals.WCE {
-		opt.WCEBound = bound
-		opt.CertEvery = *certEvery
-		opt.CertConflictLimit = *certConflicts
-	} else if *wceBound != 0 {
-		check(fmt.Errorf("-wce-bound requires -metric wce"))
 	}
 	res, err := dpals.ApproximateContext(ctx, c, opt)
 	check(err)

@@ -29,9 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
-	"time"
 
 	"dpals/internal/aig"
 	"dpals/internal/aiger"
@@ -40,7 +38,6 @@ import (
 	"dpals/internal/core"
 	"dpals/internal/equiv"
 	"dpals/internal/gen"
-	"dpals/internal/lac"
 	"dpals/internal/lutmap"
 	"dpals/internal/metric"
 	"dpals/internal/sim"
@@ -48,50 +45,46 @@ import (
 	"dpals/internal/verilog"
 )
 
-// Metric selects the statistical error metric.
-type Metric int
+// Metric selects the error metric.
+type Metric = metric.Kind
 
 // Supported error metrics.
 const (
 	// ER is the error rate: the fraction of input patterns for which any
 	// output bit differs from the exact circuit.
-	ER Metric = iota
+	ER = metric.ER
 	// MSE is the mean squared error of the numeric output value.
-	MSE
+	MSE = metric.MSE
 	// MED is the mean error distance (mean absolute numeric deviation).
-	MED
+	MED = metric.MED
 	// MHD is the mean Hamming distance: the average number of output bits
 	// that differ from the exact circuit per pattern.
-	MHD
+	MHD = metric.MHD
 	// WCE is the worst-case error: the maximum absolute numeric deviation
 	// over ALL inputs, with outputs read as unsigned LSB-first integers
 	// (Weights must be nil, ≤ 62 outputs). Unlike the statistical metrics
 	// above, WCE runs are SAT-certified: every returned circuit carries a
 	// formally proven bound in Stats.CertifiedWCE ≤ Options.WCEBound.
-	WCE
+	WCE = metric.WCE
 )
 
-func (m Metric) String() string { return metric.Kind(m).String() }
-
 // Flow selects the synthesis algorithm.
-type Flow int
+type Flow = core.Flow
 
 // Supported flows.
 const (
 	// Conventional: one LAC per iteration, full (comprehensive) error
 	// analysis every iteration — the enhanced-VECBEE baseline.
-	Conventional Flow = iota
+	Conventional = core.FlowConventional
 	// VECBEE: the original one-cut VECBEE baseline; see Options.DepthLimit.
-	VECBEE
+	VECBEE = core.FlowVECBEE
 	// AccALS: multiple LACs per iteration with validation and rollback.
-	AccALS
+	AccALS = core.FlowAccALS
 	// DP: the dual-phase framework (the paper's contribution).
-	DP
+	DP = core.FlowDP
 	// DPSA: DP plus the two self-adaption techniques.
-	DPSA
+	DPSA = core.FlowDPSA
 )
-
-func (f Flow) String() string { return core.Flow(f).String() }
 
 // ParseFlow parses a flow name as accepted by the command-line tools and
 // the alsd server: "conventional", "vecbee", "accals", "dp", "dpsa" (or
@@ -327,136 +320,24 @@ func BenchmarkSuite(scaled bool) []Benchmark {
 	return out
 }
 
-// Seed handling. Options.Seed = 0 is the zero value and therefore cannot
-// mean "seed the RNG with 0": it is a documented alias for DefaultSeed,
-// normalised exactly once at the API boundary (see Options.Resolved). Two
-// runs whose resolved options agree — in particular, Seed: 0 and
-// Seed: DefaultSeed — draw identical patterns and return bit-identical
-// results; any two distinct resolved seeds are independent runs.
+// Seed handling: the zero value of Options.Seed is an alias for
+// DefaultSeed, resolved once by Options.Resolved, so Seed: 0 and
+// Seed: DefaultSeed return bit-identical results.
 const (
 	// UseDefaultSeed is the zero value of Options.Seed: an alias for
 	// DefaultSeed, not a seed of its own.
-	UseDefaultSeed int64 = 0
+	UseDefaultSeed = core.UseDefaultSeed
 	// DefaultSeed is the simulation seed an unset (zero) Options.Seed
 	// resolves to.
-	DefaultSeed int64 = 1
+	DefaultSeed = core.DefaultSeed
 )
 
 // Options configures Approximate. Zero values select sensible defaults
-// (8192 patterns, seed DefaultSeed, constant LACs, all CPUs).
-type Options struct {
-	Flow      Flow
-	Metric    Metric
-	Threshold float64   // error budget: ER fraction, or absolute MSE/MED
-	Weights   []float64 // numeric PO weights; nil uses the circuit's recommendation
-
-	Patterns int // Monte-Carlo patterns (default 8192)
-	// Seed is the simulation RNG seed. The zero value (UseDefaultSeed) is
-	// an alias for DefaultSeed — see the constants above. Every non-zero
-	// seed is its own independent run.
-	Seed int64
-	// Threads is the worker count for the whole analysis pipeline
-	// (simulation, cuts, CPM, LAC evaluation): ≤0 uses all CPUs, 1 runs
-	// serially. Results are bit-identical for every value.
-	Threads int
-
-	// Exhaustive enumerates all 2^inputs patterns instead of sampling,
-	// making every error figure exact. Limited to ≤ 24 inputs.
-	Exhaustive bool
-
-	// InputProbabilities biases the input distribution: entry i is the
-	// probability that input i is 1 (missing entries default to 0.5).
-	// Error metrics are then measured under that workload distribution.
-	InputProbabilities []float64
-
-	UseConstLACs   bool // constant-0/1 replacements (default true if neither set)
-	UseSASIMILACs  bool // SASIMI signal substitution
-	MaxLACsPerNode int  // SASIMI candidates per node (default 8)
-
-	// WCEBound is the worst-case error budget for Metric == WCE: the run
-	// only emits circuits whose maximum absolute numeric deviation is
-	// SAT-certified ≤ WCEBound on every input. Ignored (and rejected when
-	// non-zero) for other metrics, which use Threshold instead.
-	WCEBound uint64
-	// CertEvery amortises SAT certification on the WCE path: a
-	// certification call covers up to CertEvery accepted LACs (plus one
-	// final call before emit). ≤ 0 selects the default of 8.
-	CertEvery int
-	// CertConflictLimit caps each SAT certification call at that many
-	// solver conflicts (0 = unlimited). A call that exhausts its budget
-	// counts as a failed certification and triggers rollback, keeping the
-	// emitted bound sound; the run then stops deterministically.
-	CertConflictLimit int64
-
-	DepthLimit int // VECBEE depth limit l (0 = ∞)
-	M, N       int // dual-phase parameters (0 = paper defaults)
-	MaxIters   int // cap on applied LACs (0 = unlimited)
-
-	// TimeLimit bounds the wall-clock time of the run (0 = unlimited).
-	// When it expires the run stops cooperatively — within one analysis
-	// wave — and returns the valid best-so-far circuit with
-	// Stats.StopReason = StopDeadline. Composes with ApproximateContext:
-	// whichever of the context and the limit fires first stops the run.
-	TimeLimit time.Duration
-}
-
-// Resolved returns o with every defaulted knob replaced by the value the
-// run will actually use: Patterns 8192 when unset, Seed DefaultSeed when
-// UseDefaultSeed, Threads all CPUs when ≤ 0, constant LACs when no LAC
-// kind is enabled, negative structural knobs (DepthLimit, M, N,
-// MaxIters, MaxLACsPerNode) clamped to their 0 "default" sentinel, and
-// the WCE certification knobs normalised (CertEvery defaults to 8 on the
-// WCE path; all three are inert — zeroed — for other metrics).
-// Approximate(c, o) ≡ Approximate(c, o.Resolved()) bit-identically — the
-// boundary normalises through this method — so resolved options are the
-// right identity for memoising results: two calls with equal resolved
-// options (and equal circuits and weights) return identical results,
-// Threads aside, which never changes results. The alsd server keys its
-// result cache on exactly this.
-func (o Options) Resolved() Options {
-	if o.Patterns <= 0 {
-		o.Patterns = 8192
-	}
-	if o.Seed == UseDefaultSeed {
-		o.Seed = DefaultSeed
-	}
-	if o.Threads <= 0 {
-		o.Threads = runtime.GOMAXPROCS(0)
-	}
-	if !o.UseConstLACs && !o.UseSASIMILACs {
-		o.UseConstLACs = true
-	}
-	if o.MaxLACsPerNode < 0 {
-		o.MaxLACsPerNode = 0
-	}
-	if o.DepthLimit < 0 {
-		o.DepthLimit = 0
-	}
-	if o.M < 0 {
-		o.M = 0
-	}
-	if o.N < 0 {
-		o.N = 0
-	}
-	if o.MaxIters < 0 {
-		o.MaxIters = 0
-	}
-	if o.Metric == WCE {
-		if o.CertEvery <= 0 {
-			o.CertEvery = 8
-		}
-		if o.CertConflictLimit < 0 {
-			o.CertConflictLimit = 0
-		}
-	} else {
-		// The certification knobs only exist on the WCE path; zeroing them
-		// here keeps resolved options a sound cache identity for the other
-		// metrics (WCEBound ≠ 0 is rejected at the boundary anyway).
-		o.CertEvery = 0
-		o.CertConflictLimit = 0
-	}
-	return o
-}
+// (8192 patterns, seed DefaultSeed, constant LACs, all CPUs), filled in by
+// Options.Resolved; Options.Validate checks the options against a circuit.
+// It is the engine's own options type, so every field is documented once,
+// on core.Options. Nil Weights use the circuit's recommendation.
+type Options = core.Options
 
 // StopReason tells why a synthesis run ended. Runs stopped by a context
 // or deadline still return a valid best-so-far result; StopReason is how
@@ -519,15 +400,12 @@ func ApproximateContext(ctx context.Context, c *Circuit, opt Options) (*Result, 
 	if c == nil || c.g == nil {
 		return nil, errors.New("dpals: nil circuit")
 	}
-	if opt.Weights != nil && len(opt.Weights) != c.NumOutputs() {
-		return nil, fmt.Errorf("dpals: %d weights for %d outputs", len(opt.Weights), c.NumOutputs())
+	// WCE is defined over the unsigned LSB-first interpretation only (the
+	// SAT certifier proves bounds on that reading), so it ignores the
+	// circuit's recommendation; explicit weights are rejected by Validate.
+	if opt.Weights == nil && opt.Metric != WCE {
+		opt.Weights = c.weights
 	}
-	// Normalise every defaulted knob exactly once, at the boundary: below
-	// here opt.Seed, opt.Patterns etc. are the values the run uses, with
-	// no second defaulting site that could disagree (the old code mapped
-	// Seed != 0 only, silently aliasing an explicit Seed: 0 to 1 without
-	// anything a caller — or a result cache — could observe).
-	opt = opt.Resolved()
 	// Snapshot the shared graph before any analysis touches it: Clone
 	// reads but never writes the receiver, whereas Sweep and techmap.Map
 	// warm the graph's lazily cached traversal state (topo order, levels,
@@ -535,42 +413,7 @@ func ApproximateContext(ctx context.Context, c *Circuit, opt Options) (*Result, 
 	// Everything below runs against the private clone, which maps and
 	// sweeps bit-identically to the original.
 	g := c.g.Clone()
-	iopt := core.DefaultOptions(core.Flow(opt.Flow), metric.Kind(opt.Metric), opt.Threshold)
-	iopt.Patterns = opt.Patterns
-	iopt.Seed = opt.Seed
-	iopt.Threads = opt.Threads
-	iopt.Exhaustive = opt.Exhaustive
-	iopt.InputProbabilities = opt.InputProbabilities
-	iopt.DepthLimit = opt.DepthLimit
-	iopt.M, iopt.N = opt.M, opt.N
-	iopt.MaxIters = opt.MaxIters
-	iopt.WCEBound = opt.WCEBound
-	iopt.CertEvery = opt.CertEvery
-	iopt.CertConflictLimit = opt.CertConflictLimit
-	iopt.TimeLimit = opt.TimeLimit
-	iopt.LACs = lac.Options{
-		Constants:  opt.UseConstLACs,
-		SASIMI:     opt.UseSASIMILACs,
-		MaxPerNode: opt.MaxLACsPerNode,
-	}
-	weights := opt.Weights
-	if weights == nil {
-		weights = c.weights
-	}
-	if opt.Metric == WCE {
-		// WCE is defined over the unsigned LSB-first interpretation only:
-		// the SAT certifier proves bounds on that reading, so a weighted
-		// reading would certify the wrong quantity. Reject explicit weights
-		// and ignore the circuit's recommendation rather than silently
-		// certifying something other than what was measured.
-		if opt.Weights != nil {
-			return nil, errors.New("dpals: Metric WCE uses the unsigned LSB-first output interpretation; Weights must be nil")
-		}
-		weights = nil
-	}
-	iopt.Weights = weights
-
-	res, err := core.Run(ctx, g, iopt)
+	res, err := core.Run(ctx, g, opt, core.Hooks{})
 	if err != nil {
 		return nil, err
 	}
@@ -578,7 +421,7 @@ func ApproximateContext(ctx context.Context, c *Circuit, opt Options) (*Result, 
 	mo := techmap.Map(g, lib)
 	ma := techmap.Map(res.Graph, lib)
 	out := &Result{
-		Circuit:  &Circuit{g: res.Graph, weights: weights},
+		Circuit:  &Circuit{g: res.Graph, weights: opt.Weights},
 		Error:    res.Error,
 		ADPRatio: techmap.ADPRatio(ma, mo),
 		Stats:    res.Stats,
@@ -606,8 +449,8 @@ func MeasureErrorBiased(orig, approx *Circuit, m Metric, weights []float64, patt
 	return measure(orig, approx, m, weights, sim.Options{Patterns: patterns, Seed: seed, Dist: sim.Biased{P: probs}})
 }
 
-// measure simulates orig and approx on the patterns so draws (8192 when
-// so.Patterns ≤ 0) and computes metric m over their outputs. Nil weights
+// measure simulates orig and approx on the patterns so draws
+// (core.DefaultPatterns when so.Patterns ≤ 0) and computes metric m over their outputs. Nil weights
 // select the circuit's recommendation, then (for numeric metrics) the
 // unsigned reading.
 func measure(orig, approx *Circuit, m Metric, weights []float64, so sim.Options) (float64, error) {
@@ -616,7 +459,7 @@ func measure(orig, approx *Circuit, m Metric, weights []float64, so sim.Options)
 			orig.NumInputs(), approx.NumInputs(), orig.NumOutputs(), approx.NumOutputs())
 	}
 	if so.Patterns <= 0 {
-		so.Patterns = 8192
+		so.Patterns = core.DefaultPatterns
 	}
 	sOrig := sim.New(orig.snap(), so)
 	sApprox := sim.New(approx.snap(), so)
@@ -631,10 +474,10 @@ func measure(orig, approx *Circuit, m Metric, weights []float64, so sim.Options)
 	if weights == nil {
 		weights = orig.weights
 	}
-	if weights == nil && metric.Kind(m).Numeric() {
+	if weights == nil && m.Numeric() {
 		weights = metric.UnsignedWeights(orig.NumOutputs())
 	}
-	return metric.Compute(metric.Kind(m), weights, eo, ea, sOrig.Patterns()), nil
+	return metric.Compute(m, weights, eo, ea, sOrig.Patterns()), nil
 }
 
 // ReferenceError returns the paper's reference error R = 2^(K/3) for a

@@ -195,9 +195,9 @@ func TestCones(t *testing.T) {
 func TestMFFC(t *testing.T) {
 	g := New("t")
 	a, b, c := g.AddPI("a"), g.AddPI("b"), g.AddPI("c")
-	x := g.And(a, b)   // shared: feeds y and external PO
-	y := g.And(x, c)   // in MFFC of z
-	z := g.And(y, b)   // root
+	x := g.And(a, b) // shared: feeds y and external PO
+	y := g.And(x, c) // in MFFC of z
+	z := g.And(y, b) // root
 	g.AddPO(z, "z")
 	g.AddPO(x, "xo") // x referenced by PO: not in MFFC of z
 	mffc := g.MFFC(z.Var())

@@ -17,9 +17,7 @@ import (
 // waves to interrupt, small enough for CI.
 func bigOpts(numPOs int) Options {
 	R := metric.ReferenceError(numPOs)
-	opt := DefaultOptions(FlowDPSA, metric.MSE, R*R)
-	opt.Patterns = 1024
-	opt.Seed = 7
+	opt := Options{Flow: FlowDPSA, Metric: metric.MSE, Threshold: R * R, Patterns: 1024, Seed: 7}
 	return opt
 }
 
@@ -38,7 +36,7 @@ func TestCancelMidSynthesisReturnsBestSoFar(t *testing.T) {
 	var cancelledAt time.Time
 	start := time.Now()
 	var firstIter time.Duration
-	opt.OnIteration = func(iter int, _ lac.NodeBest, _ []lac.NodeBest) {
+	onIter := func(iter int, _ lac.NodeBest, _ []lac.NodeBest) {
 		if iter == 1 {
 			firstIter = time.Since(start)
 		}
@@ -47,7 +45,7 @@ func TestCancelMidSynthesisReturnsBestSoFar(t *testing.T) {
 			cancel()
 		}
 	}
-	res, err := Run(ctx, g, opt)
+	res, err := Run(ctx, g, opt, Hooks{OnIteration: onIter})
 	latency := time.Since(cancelledAt)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -93,9 +91,8 @@ func TestCancelBeforeStart(t *testing.T) {
 	g := gen.MultU(6, 6)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	opt := DefaultOptions(FlowDPSA, metric.MSE, 100)
-	opt.Patterns = 512
-	res, err := Run(ctx, g, opt)
+	opt := Options{Flow: FlowDPSA, Metric: metric.MSE, Threshold: 100, Patterns: 512}
+	res, err := Run(ctx, g, opt, Hooks{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -122,7 +119,7 @@ func TestTimeLimitStopsEveryFlow(t *testing.T) {
 		opt.Flow = flow
 		opt.TimeLimit = 50 * time.Millisecond
 		start := time.Now()
-		res, err := Run(context.Background(), g, opt)
+		res, err := Run(context.Background(), g, opt, Hooks{})
 		elapsed := time.Since(start)
 		if err != nil {
 			t.Fatalf("%v: %v", flow, err)
@@ -150,9 +147,8 @@ func TestTimeLimitStopsEveryFlow(t *testing.T) {
 func TestStopReasonBudgetAndMaxIters(t *testing.T) {
 	g := gen.MultU(5, 5)
 	R := metric.ReferenceError(g.NumPOs())
-	opt := DefaultOptions(FlowDPSA, metric.MSE, R*R)
-	opt.Patterns = 512
-	res, err := Run(context.Background(), g, opt)
+	opt := Options{Flow: FlowDPSA, Metric: metric.MSE, Threshold: R * R, Patterns: 512}
+	res, err := Run(context.Background(), g, opt, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +157,7 @@ func TestStopReasonBudgetAndMaxIters(t *testing.T) {
 	}
 
 	opt.MaxIters = 2
-	res, err = Run(context.Background(), g, opt)
+	res, err = Run(context.Background(), g, opt, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,17 +176,17 @@ func TestRunContextUncancelledBitIdentical(t *testing.T) {
 	g := gen.MultU(6, 6)
 	R := metric.ReferenceError(g.NumPOs())
 	for _, threads := range []int{1, 4, 0} {
-		opt := DefaultOptions(FlowDPSA, metric.MSE, R*R)
-		opt.Patterns = 1024
-		opt.Seed = 7
-		opt.Threads = threads
-		opt.LACs = lac.Options{Constants: true, SASIMI: true}
-		plain, err := Run(context.Background(), g, opt)
+		opt := Options{
+			Flow: FlowDPSA, Metric: metric.MSE, Threshold: R * R,
+			Patterns: 1024, Seed: 7, Threads: threads, UseConstLACs: true,
+			UseSASIMILACs: true,
+		}
+		plain, err := Run(context.Background(), g, opt, Hooks{})
 		if err != nil {
 			t.Fatalf("Run(threads=%d): %v", threads, err)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
-		ctxed, err := Run(ctx, g, opt)
+		ctxed, err := Run(ctx, g, opt, Hooks{})
 		cancel()
 		if err != nil {
 			t.Fatalf("Run(cancellable, threads=%d): %v", threads, err)

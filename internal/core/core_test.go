@@ -38,13 +38,11 @@ func measure(t *testing.T, orig, approx *aig.Graph, kind metric.Kind, weights me
 
 func runFlow(t *testing.T, g *aig.Graph, flow Flow, kind metric.Kind, thr float64, tweak func(*Options)) *Result {
 	t.Helper()
-	opt := DefaultOptions(flow, kind, thr)
-	opt.Patterns = 1024
-	opt.Seed = 11
+	opt := Options{Flow: flow, Metric: kind, Threshold: thr, Patterns: 1024, Seed: 11}
 	if tweak != nil {
 		tweak(&opt)
 	}
-	res, err := Run(context.Background(), g, opt)
+	res, err := Run(context.Background(), g, opt, Hooks{})
 	if err != nil {
 		t.Fatalf("%v/%v: %v", flow, kind, err)
 	}
@@ -90,7 +88,7 @@ func TestAllFlowsRespectBoundER(t *testing.T) {
 	g := gen.MultU(6, 6)
 	for _, flow := range []Flow{FlowConventional, FlowDP, FlowDPSA, FlowAccALS} {
 		res := runFlow(t, g, flow, metric.ER, 0.05, func(o *Options) {
-			o.LACs = lac.Options{Constants: true, SASIMI: true, MaxPerNode: 4}
+			o.UseConstLACs, o.UseSASIMILACs, o.MaxLACsPerNode = true, true, 4
 		})
 		if res.Stats.Applied == 0 {
 			t.Errorf("%v: applied no LACs under 5%% ER with SASIMI", flow)
@@ -106,7 +104,7 @@ func TestAllFlowsRespectBoundMED(t *testing.T) {
 	for _, flow := range []Flow{FlowConventional, FlowDP, FlowDPSA} {
 		res := runFlow(t, g, flow, metric.MED, R, func(o *Options) {
 			o.Weights = w
-			o.LACs = lac.Options{Constants: true, SASIMI: true, MaxPerNode: 4}
+			o.UseConstLACs, o.UseSASIMILACs, o.MaxLACsPerNode = true, true, 4
 		})
 		t.Logf("%-12v applied=%3d err=%.4g (R=%.4g)", flow, res.Stats.Applied, res.Error, R)
 	}
@@ -149,7 +147,7 @@ func TestDPSASelfAdaption(t *testing.T) {
 	g := gen.MultU(7, 7)
 	R := metric.ReferenceError(g.NumPOs())
 	res := runFlow(t, g, FlowDPSA, metric.MSE, R*R, func(o *Options) {
-		o.LACs = lac.Options{Constants: true, SASIMI: true, MaxPerNode: 8}
+		o.UseConstLACs, o.UseSASIMILACs, o.MaxLACsPerNode = true, true, 8
 	})
 	if len(res.Stats.MTrace) == 0 {
 		t.Error("DP-SA recorded no self-adaption trace")
@@ -160,9 +158,8 @@ func TestDPSASelfAdaption(t *testing.T) {
 func TestOnIterationCallback(t *testing.T) {
 	g := gen.Adder(10)
 	var iters []int
-	opt := DefaultOptions(FlowConventional, metric.ER, 0.05)
-	opt.Patterns = 512
-	opt.OnIteration = func(iter int, chosen lac.NodeBest, bests []lac.NodeBest) {
+	opt := Options{Flow: FlowConventional, Metric: metric.ER, Threshold: 0.05, Patterns: 512}
+	onIter := func(iter int, chosen lac.NodeBest, bests []lac.NodeBest) {
 		iters = append(iters, iter)
 		if len(bests) == 0 {
 			t.Error("callback with empty bests")
@@ -171,7 +168,7 @@ func TestOnIterationCallback(t *testing.T) {
 			t.Errorf("callback chosen err %v exceeds bound", chosen.Best.Err)
 		}
 	}
-	res, err := Run(context.Background(), g, opt)
+	res, err := Run(context.Background(), g, opt, Hooks{OnIteration: onIter})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,15 +202,22 @@ func TestMaxItersCap(t *testing.T) {
 
 func TestErrorsOnBadOptions(t *testing.T) {
 	g := gen.Adder(4)
-	if _, err := Run(context.Background(), g, Options{Flow: FlowDP, Metric: metric.ER, Threshold: -1, LACs: lac.Options{Constants: true}}); err == nil {
-		t.Error("negative threshold accepted")
-	}
-	if _, err := Run(context.Background(), g, Options{Flow: FlowDP, Metric: metric.ER, Threshold: 0.1}); err == nil {
-		t.Error("no LAC kinds accepted")
+	for _, opt := range []Options{
+		{Flow: FlowDP, Metric: metric.ER, Threshold: -1},
+		{Flow: FlowDP, Metric: metric.ER, Threshold: math.NaN()},
+		{Flow: FlowDP, Metric: metric.MED, Threshold: math.Inf(1)},
+		{Flow: FlowDP, Metric: metric.MED, Threshold: math.Inf(-1)},
+		{Flow: FlowDPSA + 1, Metric: metric.ER, Threshold: 0.1},
+		{Flow: FlowDP, Metric: metric.WCE + 1, Threshold: 0.1},
+		{Flow: FlowDP, Metric: metric.MED, Threshold: 1, Weights: metric.Weights{1}},
+	} {
+		if _, err := Run(context.Background(), g, opt, Hooks{}); err == nil {
+			t.Errorf("%+v accepted", opt)
+		}
 	}
 	empty := aig.New("empty")
 	empty.AddPO(empty.AddPI("a"), "o")
-	if _, err := Run(context.Background(), empty, DefaultOptions(FlowDP, metric.ER, 0.1)); err == nil {
+	if _, err := Run(context.Background(), empty, Options{Flow: FlowDP, Metric: metric.ER, Threshold: 0.1}, Hooks{}); err == nil {
 		t.Error("AND-free circuit accepted")
 	}
 }
@@ -225,7 +229,7 @@ func TestSASIMISignedMultiplierMED(t *testing.T) {
 	R := metric.ReferenceError(g.NumPOs())
 	res := runFlow(t, g, FlowDPSA, metric.MED, 2*R, func(o *Options) {
 		o.Weights = w
-		o.LACs = lac.Options{Constants: true, SASIMI: true, MaxPerNode: 6}
+		o.UseConstLACs, o.UseSASIMILACs, o.MaxLACsPerNode = true, true, 6
 	})
 	before := g.Sweep().NumAnds()
 	t.Logf("sm6x5 MED≤%.3g: %d→%d ands (%.1f%%), %d LACs", 2*R, before, res.Graph.NumAnds(),

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"dpals/internal/gen"
-	"dpals/internal/lac"
 	"dpals/internal/metric"
 )
 
@@ -26,23 +25,22 @@ func TestFlowsDeterministicAcrossThreads(t *testing.T) {
 	}{
 		{"Conventional", FlowConventional, nil},
 		{"VECBEE", FlowVECBEE, func(o *Options) { o.DepthLimit = 3 }},
-		{"AccALS", FlowAccALS, func(o *Options) { o.AccTol = 0.5 }},
+		{"AccALS", FlowAccALS, nil},
 		{"DP", FlowDP, nil},
 		{"DP-SA", FlowDPSA, nil},
 	}
 	for _, tc := range flows {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(threads int) *Result {
-				opt := DefaultOptions(tc.flow, metric.MSE, R*R)
-				opt.Patterns = 1024
-				opt.Seed = 7
-				opt.Threads = threads
-				opt.MaxIters = 25
-				opt.LACs = lac.Options{Constants: true, SASIMI: true}
+				opt := Options{
+					Flow: tc.flow, Metric: metric.MSE, Threshold: R * R,
+					Patterns: 1024, Seed: 7, Threads: threads, MaxIters: 25,
+					UseConstLACs: true, UseSASIMILACs: true,
+				}
 				if tc.tweak != nil {
 					tc.tweak(&opt)
 				}
-				res, err := Run(context.Background(), g, opt)
+				res, err := Run(context.Background(), g, opt, Hooks{})
 				if err != nil {
 					t.Fatalf("Run(threads=%d): %v", threads, err)
 				}

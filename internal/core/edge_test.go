@@ -6,7 +6,6 @@ import (
 
 	"dpals/internal/aig"
 	"dpals/internal/gen"
-	"dpals/internal/lac"
 	"dpals/internal/metric"
 )
 
@@ -14,14 +13,16 @@ import (
 func TestDeterminism(t *testing.T) {
 	g := gen.MultU(6, 6)
 	R := metric.ReferenceError(g.NumPOs())
-	opt := DefaultOptions(FlowDPSA, metric.MSE, R*R)
-	opt.Patterns = 1024
-	opt.LACs = lac.Options{Constants: true, SASIMI: true, MaxPerNode: 4}
-	r1, err := Run(context.Background(), g, opt)
+	opt := Options{
+		Flow: FlowDPSA, Metric: metric.MSE, Threshold: R * R,
+		Patterns: 1024, UseConstLACs: true, UseSASIMILACs: true,
+		MaxLACsPerNode: 4,
+	}
+	r1, err := Run(context.Background(), g, opt, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(context.Background(), g, opt)
+	r2, err := Run(context.Background(), g, opt, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,10 +40,8 @@ func TestSeedsIndependentlyBounded(t *testing.T) {
 	g := gen.MultU(6, 6)
 	R := metric.ReferenceError(g.NumPOs())
 	for seed := int64(1); seed <= 3; seed++ {
-		opt := DefaultOptions(FlowDP, metric.MED, R)
-		opt.Patterns = 512
-		opt.Seed = seed
-		res, err := Run(context.Background(), g, opt)
+		opt := Options{Flow: FlowDP, Metric: metric.MED, Threshold: R, Patterns: 512, Seed: seed}
+		res, err := Run(context.Background(), g, opt, Hooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,10 +55,11 @@ func TestSeedsIndependentlyBounded(t *testing.T) {
 func TestSASIMIOnly(t *testing.T) {
 	g := gen.MultU(6, 6)
 	R := metric.ReferenceError(g.NumPOs())
-	opt := DefaultOptions(FlowDPSA, metric.MSE, R*R)
-	opt.Patterns = 512
-	opt.LACs = lac.Options{SASIMI: true, MaxPerNode: 6}
-	res, err := Run(context.Background(), g, opt)
+	opt := Options{
+		Flow: FlowDPSA, Metric: metric.MSE, Threshold: R * R,
+		Patterns: 512, UseSASIMILACs: true, MaxLACsPerNode: 6,
+	}
+	res, err := Run(context.Background(), g, opt, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,9 +79,8 @@ func TestConstantOutputCircuit(t *testing.T) {
 	g.AddPO(x, "y")
 	g.AddPO(aig.False, "zero")
 	g.AddPO(aig.True, "one")
-	opt := DefaultOptions(FlowConventional, metric.ER, 1.0) // everything allowed
-	opt.Patterns = 256
-	res, err := Run(context.Background(), g, opt)
+	opt := Options{Flow: FlowConventional, Metric: metric.ER, Threshold: 1.0, Patterns: 256} // everything allowed
+	res, err := Run(context.Background(), g, opt, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,9 +103,8 @@ func TestSingleChainCollapse(t *testing.T) {
 		x = g.And(x, a)
 	}
 	g.AddPO(x, "y")
-	opt := DefaultOptions(FlowDP, metric.ER, 1.0)
-	opt.Patterns = 128
-	res, err := Run(context.Background(), g, opt)
+	opt := Options{Flow: FlowDP, Metric: metric.ER, Threshold: 1.0, Patterns: 128}
+	res, err := Run(context.Background(), g, opt, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,9 +118,8 @@ func TestSingleChainCollapse(t *testing.T) {
 func TestTightThresholdNoOvershoot(t *testing.T) {
 	g := gen.Adder(8)
 	for _, thr := range []float64{1e-6, 1e-3, 0.005} {
-		opt := DefaultOptions(FlowDPSA, metric.ER, thr)
-		opt.Patterns = 2048
-		res, err := Run(context.Background(), g, opt)
+		opt := Options{Flow: FlowDPSA, Metric: metric.ER, Threshold: thr, Patterns: 2048}
+		res, err := Run(context.Background(), g, opt, Hooks{})
 		if err != nil {
 			t.Fatal(err)
 		}

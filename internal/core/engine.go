@@ -27,7 +27,9 @@ type Result struct {
 }
 
 // Run synthesises an approximate version of g under opt and returns the
-// result; g itself is never modified. Cancellation is cooperative: when
+// result; g itself is never modified. opt is resolved (Options.Resolved)
+// and validated against g (Options.Validate) first; hooks carries the
+// optional test and experiment callbacks. Cancellation is cooperative: when
 // ctx is cancelled (or opt.TimeLimit expires) the run stops at the next
 // checkpoint — an iteration boundary of the flow, or a wave boundary inside
 // a running analysis — and returns the valid best-so-far result instead of
@@ -38,7 +40,16 @@ type Result struct {
 // for every thread count. Errors are returned only for invalid
 // configurations, never for cancellation. A nil ctx behaves like
 // context.Background().
-func Run(ctx context.Context, g *aig.Graph, opt Options) (*Result, error) {
+func Run(ctx context.Context, g *aig.Graph, opt Options, hooks Hooks) (*Result, error) {
+	opt = opt.Resolved()
+	if err := opt.Validate(g.NumPIs(), g.NumPOs()); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	if opt.Metric == metric.WCE {
+		// The sampled metric and the candidate pruning share the budget
+		// machinery of every other flow: the certified bound is the budget.
+		opt.Threshold = float64(opt.WCEBound)
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -46,49 +57,6 @@ func Run(ctx context.Context, g *aig.Graph, opt Options) (*Result, error) {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opt.TimeLimit)
 		defer cancel()
-	}
-	if opt.Threshold < 0 {
-		return nil, errors.New("core: negative error threshold")
-	}
-	if !opt.LACs.Constants && !opt.LACs.SASIMI {
-		return nil, errors.New("core: no LAC kind enabled")
-	}
-	if opt.Metric == metric.WCE {
-		// The certification miter reads the outputs as one unsigned
-		// LSB-first number; arbitrary weights have no SAT counterpart here.
-		if opt.Weights != nil {
-			return nil, errors.New("core: WCE uses the unsigned LSB-first output interpretation; Weights must be nil")
-		}
-		if g.NumPOs() > 62 {
-			return nil, fmt.Errorf("core: WCE flow limited to 62 outputs, circuit has %d", g.NumPOs())
-		}
-		// The sampled metric and the candidate pruning share the budget
-		// machinery of every other flow: the threshold is the bound.
-		opt.Threshold = float64(opt.WCEBound)
-		if opt.CertEvery <= 0 {
-			opt.CertEvery = 8
-		}
-	} else if opt.WCEBound != 0 {
-		return nil, errors.New("core: WCEBound requires Metric == metric.WCE")
-	}
-	if opt.Patterns <= 0 {
-		opt.Patterns = 8192
-	}
-	// Self-adaption parameters (§III-D): the zero value silently degenerates
-	// DP-SA (Br=Bs=Et=0 makes every phase-2 check "strict" and stops it on
-	// the first error increase; RInc=0 freezes M). Normalise to the paper
-	// defaults, exactly like Patterns above.
-	if opt.RInc <= 0 {
-		opt.RInc = 0.25
-	}
-	if opt.Br <= 0 {
-		opt.Br = 0.025
-	}
-	if opt.Bs <= 0 {
-		opt.Bs = 0.25
-	}
-	if opt.Et <= 0 {
-		opt.Et = 0.5
 	}
 	// The observability layer rides on the context: a recording tracer,
 	// metrics registry, or progress renderer installed by the caller is
@@ -104,7 +72,7 @@ func Run(ctx context.Context, g *aig.Graph, opt Options) (*Result, error) {
 	run.SetInt("patterns", int64(opt.Patterns))
 	run.SetInt("threads", int64(opt.Threads))
 	init := run.Child("init")
-	e, err := newEngine(g, opt)
+	e, err := newEngine(g, opt, hooks)
 	if err != nil {
 		init.End()
 		run.End()
@@ -127,9 +95,6 @@ func Run(ctx context.Context, g *aig.Graph, opt Options) (*Result, error) {
 		e.runAccALS()
 	case FlowDP, FlowDPSA:
 		e.runDualPhase(opt.Flow == FlowDPSA)
-	default:
-		run.End()
-		return nil, fmt.Errorf("core: unknown flow %d", int(opt.Flow))
 	}
 	if e.stats.StopReason == "" {
 		// Flows record the reason at their exit checkpoint; a flow that
@@ -145,7 +110,7 @@ func Run(ctx context.Context, g *aig.Graph, opt Options) (*Result, error) {
 	out := e.g.Sweep()
 	sw.End()
 	finalErr := e.st.Error()
-	if opt.Fault.Fire(fault.MisreportError) {
+	if hooks.Fault.Fire(fault.MisreportError) {
 		// Seeded reporting bug: the circuit is faithful but the reported
 		// error is not — the oracle's recompute-on-the-returned-circuit
 		// cross-check must catch exactly this.
@@ -170,7 +135,8 @@ func Run(ctx context.Context, g *aig.Graph, opt Options) (*Result, error) {
 
 // engine holds the mutable synthesis state shared by all flows.
 type engine struct {
-	opt   Options
+	opt   Options // resolved and validated
+	hooks Hooks
 	ctx   context.Context // run-scoped; checked at iteration and wave boundaries
 	g     *aig.Graph
 	s     *sim.Sim
@@ -260,41 +226,29 @@ func (e *engine) observe() {
 	e.prog.Update(e.iter, e.g.NumAnds(), e.st.Error(), e.opt.Threshold)
 }
 
-// SimOptions builds the simulator configuration a run of g under opt uses
-// to draw its Monte-Carlo (or exhaustive) patterns. Exported so the
-// verification oracle (internal/oracle) can recompute the sampled error of
-// a returned circuit on exactly the patterns the run trained on.
-func SimOptions(g *aig.Graph, opt Options) (sim.Options, error) {
+// SimOptions builds the simulator configuration a run of g under the
+// resolved and validated opt uses to draw its Monte-Carlo (or exhaustive)
+// patterns. Exported so the verification oracle (internal/oracle) can
+// recompute the sampled error of a returned circuit on exactly the
+// patterns the run trained on.
+func SimOptions(g *aig.Graph, opt Options) sim.Options {
 	so := sim.Options{Patterns: opt.Patterns, Seed: opt.Seed, Threads: opt.Threads}
-	if opt.Exhaustive {
-		if g.NumPIs() > 24 {
-			return so, fmt.Errorf("core: exhaustive simulation infeasible for %d inputs (max 24)", g.NumPIs())
-		}
+	switch {
+	case opt.Exhaustive:
 		so.Patterns = 1 << g.NumPIs()
 		so.Dist = sim.Exhaustive{}
-		return so, nil
-	}
-	if len(opt.InputProbabilities) > 0 {
-		for _, p := range opt.InputProbabilities {
-			if p < 0 || p > 1 {
-				return so, fmt.Errorf("core: input probability %v out of [0,1]", p)
-			}
-		}
+	case len(opt.InputProbabilities) > 0:
 		so.Dist = sim.Biased{P: opt.InputProbabilities}
 	}
-	return so, nil
+	return so
 }
 
-func newEngine(orig *aig.Graph, opt Options) (*engine, error) {
+func newEngine(orig *aig.Graph, opt Options, hooks Hooks) (*engine, error) {
 	g := orig.Sweep() // private, compact working copy
 	if g.NumAnds() == 0 {
 		return nil, errors.New("core: circuit has no AND nodes to approximate")
 	}
-	simOpt, err := SimOptions(g, opt)
-	if err != nil {
-		return nil, err
-	}
-	s := sim.New(g, simOpt)
+	s := sim.New(g, SimOptions(g, opt))
 	exact := make([]bitvec.Vec, g.NumPOs())
 	for o := range exact {
 		exact[o] = bitvec.NewWords(s.Words())
@@ -307,11 +261,12 @@ func newEngine(orig *aig.Graph, opt Options) (*engine, error) {
 	st := metric.NewState(opt.Metric, exact, weights, s.Patterns())
 	e := &engine{
 		opt:       opt,
+		hooks:     hooks,
 		g:         g,
 		s:         s,
 		st:        st,
 		exact:     exact,
-		gen:       lac.NewGenerator(g, s, opt.LACs),
+		gen:       lac.NewGenerator(g, s, opt.lacOptions()),
 		poScratch: bitvec.NewWords(s.Words()),
 	}
 	e.nodesBefore = g.NumAnds()
@@ -342,7 +297,15 @@ func (e *engine) liveTargets() []int32 {
 
 // fire consults the run's fault plan (nil in every production run) at one
 // injection opportunity; see internal/fault.
-func (e *engine) fire(k fault.Kind) bool { return e.opt.Fault.Fire(k) }
+func (e *engine) fire(k fault.Kind) bool { return e.hooks.Fault.Fire(k) }
+
+// onIteration reports one applied LAC to the run's OnIteration hook, if
+// any.
+func (e *engine) onIteration(iter int, chosen lac.NodeBest, bests []lac.NodeBest) {
+	if e.hooks.OnIteration != nil {
+		e.hooks.OnIteration(iter, chosen, bests)
+	}
+}
 
 // apply commits a LAC: rewires the graph, incrementally resimulates, folds
 // the PO changes into the metric state, repairs the cuts and the SASIMI
@@ -472,8 +435,7 @@ func (e *engine) restore(sn snapshot) {
 	sp := e.cur.Child("rollback")
 	defer sp.End()
 	e.g = sn.g
-	simOpt, _ := SimOptions(e.g, e.opt) // validated at construction
-	e.s = sim.New(e.g, simOpt)
+	e.s = sim.New(e.g, SimOptions(e.g, e.opt))
 	weights := e.opt.Weights
 	if weights == nil && e.opt.Metric.Numeric() {
 		weights = metric.UnsignedWeights(e.g.NumPOs())
@@ -488,7 +450,7 @@ func (e *engine) restore(sn snapshot) {
 	if e.memo != nil {
 		e.memo.Invalidate() // evaluations reference the replaced state
 	}
-	e.gen = lac.NewGenerator(e.g, e.s, e.opt.LACs)
+	e.gen = lac.NewGenerator(e.g, e.s, e.opt.lacOptions())
 	if e.cert != nil {
 		keep := e.pending[:0]
 		for _, p := range e.pending {

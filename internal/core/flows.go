@@ -107,7 +107,7 @@ func (e *engine) comprehensive(parent *obs.Span) []lac.NodeBest {
 		return nil
 	}
 	if e.fire(fault.FlipDiffBit) {
-		res.FlipDiffBit(e.opt.Fault.Opportunities())
+		res.FlipDiffBit(e.hooks.Fault.Opportunities())
 	}
 	sp, ctx = e.step(p1, "eval")
 	bests, ew, rw, hits, err := lac.Evaluate(ctx, e.gen, res, e.st, targets, e.opt.Threads, e.memo)
@@ -145,9 +145,7 @@ func (e *engine) runConventional() {
 		}
 		chosen := bests[0]
 		e.apply(chosen.Best.LAC)
-		if e.opt.OnIteration != nil {
-			e.opt.OnIteration(e.iter, chosen, bests)
-		}
+		e.onIteration(e.iter, chosen, bests)
 		if e.wceCheckpoint(false) {
 			// Certification failed: the engine kept the longest certified
 			// prefix; re-proposing the violator would loop forever.
@@ -187,9 +185,7 @@ func (e *engine) runVECBEE() {
 				return
 			}
 		}
-		if e.opt.OnIteration != nil {
-			e.opt.OnIteration(e.iter, chosen, bests)
-		}
+		e.onIteration(e.iter, chosen, bests)
 		if e.wceCheckpoint(false) {
 			e.stats.StopReason = StopBudget
 			return
@@ -218,7 +214,7 @@ func (e *engine) vecbeeAnalysis() (bests []lac.NodeBest, ok bool) {
 		return nil, false
 	}
 	if e.fire(fault.FlipDiffBit) {
-		res.FlipDiffBit(e.opt.Fault.Opportunities())
+		res.FlipDiffBit(e.hooks.Fault.Opportunities())
 	}
 	sp, ctx = e.step(p1, "eval")
 	targets := e.liveTargets()
@@ -242,14 +238,6 @@ func (e *engine) vecbeeAnalysis() (bests []lac.NodeBest, ok bool) {
 // bound or deviates too much from the estimate, it rolls back and applies
 // only the single best LAC — the SEALS fallback the paper describes.
 func (e *engine) runAccALS() {
-	maxMulti := e.opt.MaxMulti
-	if maxMulti <= 0 {
-		maxMulti = 10
-	}
-	accTol := e.opt.AccTol
-	if accTol <= 0 {
-		accTol = 0.05
-	}
 	for {
 		if e.stopped() {
 			return
@@ -276,16 +264,14 @@ func (e *engine) runAccALS() {
 			}
 			sel = append(sel, nb)
 			est += inc
-			if len(sel) == maxMulti {
+			if len(sel) == accMaxMulti {
 				break
 			}
 		}
 		if len(sel) <= 1 {
 			chosen := bests[0]
 			e.apply(chosen.Best.LAC)
-			if e.opt.OnIteration != nil {
-				e.opt.OnIteration(e.iter, chosen, bests)
-			}
+			e.onIteration(e.iter, chosen, bests)
 			if e.wceCheckpoint(false) {
 				e.stats.StopReason = StopBudget
 				return
@@ -322,12 +308,10 @@ func (e *engine) runAccALS() {
 			e.iter -= len(recs)
 			chosen := bests[0]
 			e.apply(chosen.Best.LAC)
-			if e.opt.OnIteration != nil {
-				e.opt.OnIteration(e.iter, chosen, bests)
-			}
-		} else if e.opt.OnIteration != nil {
+			e.onIteration(e.iter, chosen, bests)
+		} else {
 			for _, r := range recs {
-				e.opt.OnIteration(r.iter, r.nb, bests)
+				e.onIteration(r.iter, r.nb, bests)
 			}
 		}
 		if e.wceCheckpoint(false) {
@@ -394,17 +378,17 @@ func (e *engine) runDualPhase(selfAdapt bool) {
 					// Step 1 dominates: growing M amortises the
 					// comprehensive pass over more phase-2 iterations
 					// without increasing the incremental cut work.
-					M = growInt(M, 1+e.opt.RInc)
+					M = growInt(M, 1+rInc)
 				case dCPM*2 > total:
 					// Step 2 dominates: shrink the candidate set so fewer
 					// CPM entries are rebuilt per iteration.
-					M = shrinkInt(M, 1-e.opt.RInc, 6)
+					M = shrinkInt(M, 1-rInc, 6)
 				case dEval*2 > total:
 					// Step 3 dominates: fewer LACs per target node. With
 					// constant LACs there are only two per node and nothing
 					// to reduce; shrinking M instead would buy more
 					// comprehensive passes, so leave the parameters alone.
-					if e.opt.LACs.SASIMI && e.gen.MaxPerNode() > 1 {
+					if e.opt.UseSASIMILACs && e.gen.MaxPerNode() > 1 {
 						e.gen.SetMaxPerNode(e.gen.MaxPerNode() / 2)
 						if e.memo != nil {
 							// Fewer candidates per node: memoized bests
@@ -445,9 +429,7 @@ func (e *engine) dualPhaseRound(round *obs.Span, M, N int, selfAdapt bool) (stop
 	E0 := e.st.Error() // error at the start of this dual-phase iteration
 	chosen := bests[0]
 	cs := e.apply(chosen.Best.LAC)
-	if e.opt.OnIteration != nil {
-		e.opt.OnIteration(e.iter, chosen, bests)
-	}
+	e.onIteration(e.iter, chosen, bests)
 	if e.wceCheckpoint(false) {
 		e.stats.StopReason = StopBudget
 		return true
@@ -514,7 +496,7 @@ func (e *engine) dualPhaseRound(round *obs.Span, M, N int, selfAdapt bool) (stop
 			return true
 		}
 		if e.fire(fault.FlipDiffBit) {
-			res.FlipDiffBit(e.opt.Fault.Opportunities())
+			res.FlipDiffBit(e.hooks.Fault.Opportunities())
 		}
 		// The memo is write-mostly here (an apply separates consecutive
 		// phase-2 evaluations, bumping the epoch): its value is that the
@@ -550,12 +532,12 @@ func (e *engine) dualPhaseRound(round *obs.Span, M, N int, selfAdapt bool) (stop
 			Eb := e.opt.Threshold
 			halt := false
 			switch {
-			case E <= e.opt.Br*Eb:
+			case E <= boundRelax*Eb:
 				// Far from the bound: unconstrained.
-			case E <= e.opt.Bs*Eb:
-				halt = er > e.opt.Et
+			case E <= boundStrict*Eb:
+				halt = er > errIncLimit
 			default:
-				halt = sumEr+er > e.opt.Et
+				halt = sumEr+er > errIncLimit
 			}
 			if halt {
 				break
@@ -564,9 +546,7 @@ func (e *engine) dualPhaseRound(round *obs.Span, M, N int, selfAdapt bool) (stop
 		cs2 := e.apply(cand.Best.LAC)
 		e.stats.Incremental++
 		sumEr += er
-		if e.opt.OnIteration != nil {
-			e.opt.OnIteration(e.iter, cand, bests2)
-		}
+		e.onIteration(e.iter, cand, bests2)
 		// Remove the target and its removed MFFC from S_cand.
 		gone := map[int32]bool{cand.Node: true}
 		for _, r := range cs2.Removed {

@@ -10,7 +10,6 @@ import (
 
 	"dpals/internal/aiger"
 	"dpals/internal/gen"
-	"dpals/internal/lac"
 	"dpals/internal/metric"
 	"dpals/internal/obs"
 )
@@ -46,7 +45,7 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 	}{
 		{"Conventional", FlowConventional, nil},
 		{"VECBEE", FlowVECBEE, func(o *Options) { o.DepthLimit = 3 }},
-		{"AccALS", FlowAccALS, func(o *Options) { o.AccTol = 0.5 }},
+		{"AccALS", FlowAccALS, nil},
 		{"DP", FlowDP, nil},
 		{"DP-SA", FlowDPSA, nil},
 	}
@@ -66,12 +65,11 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 		for _, mc := range metricCases {
 			t.Run(fc.name+"/"+mc.name, func(t *testing.T) {
 				run := func(threads int, traced bool) (*Result, []byte) {
-					opt := DefaultOptions(fc.flow, mc.kind, mc.threshold)
-					opt.Patterns = 512
-					opt.Seed = 7
-					opt.Threads = threads
-					opt.MaxIters = 10
-					opt.LACs = lac.Options{Constants: true, SASIMI: true}
+					opt := Options{
+						Flow: fc.flow, Metric: mc.kind, Threshold: mc.threshold,
+						Patterns: 512, Seed: 7, Threads: threads, MaxIters: 10,
+						UseConstLACs: true, UseSASIMILACs: true,
+					}
 					if mc.kind == metric.WCE {
 						opt.WCEBound = uint64(mc.threshold)
 						opt.CertEvery = 3
@@ -86,7 +84,7 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 						ctx = obs.WithMetrics(ctx, obs.NewMetrics())
 						ctx = obs.WithProgress(ctx, obs.NewProgress(io.Discard, time.Millisecond))
 					}
-					res, err := Run(ctx, g, opt)
+					res, err := Run(ctx, g, opt, Hooks{})
 					if err != nil {
 						t.Fatalf("Run(threads=%d traced=%v): %v", threads, traced, err)
 					}
@@ -153,7 +151,7 @@ func TestSpanTreeMatchesStats(t *testing.T) {
 		{"WCE", FlowDP, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opt := DefaultOptions(tc.flow, metric.MSE, R*R)
+			opt := Options{Flow: tc.flow, Metric: metric.MSE, Threshold: R * R}
 			if tc.wce {
 				opt.Metric = metric.WCE
 				opt.WCEBound = uint64(R)
@@ -164,7 +162,7 @@ func TestSpanTreeMatchesStats(t *testing.T) {
 			opt.Threads = 4
 			opt.MaxIters = 15
 			tr := obs.New()
-			res, err := Run(obs.WithTracer(context.Background(), tr), g, opt)
+			res, err := Run(obs.WithTracer(context.Background(), tr), g, opt, Hooks{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -248,10 +246,11 @@ func TestSpanTreeMatchesStats(t *testing.T) {
 func TestUntracedRunStillTimesSteps(t *testing.T) {
 	g := gen.MultU(6, 6)
 	R := metric.ReferenceError(g.NumPOs())
-	opt := DefaultOptions(FlowDPSA, metric.MSE, R*R)
-	opt.Patterns = 512
-	opt.MaxIters = 10
-	res, err := Run(context.Background(), g, opt)
+	opt := Options{
+		Flow: FlowDPSA, Metric: metric.MSE, Threshold: R * R,
+		Patterns: 512, MaxIters: 10,
+	}
+	res, err := Run(context.Background(), g, opt, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}

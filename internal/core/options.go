@@ -7,6 +7,9 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -26,7 +29,7 @@ const (
 	// compares against and the first phase of the dual-phase framework.
 	FlowConventional Flow = iota
 	// FlowVECBEE is the original VECBEE [19] with one-cut depth limit
-	// Options.DepthLimit (0 = ∞, fully accurate; 1 = direct fanout).
+	// Options.DepthLimit.
 	FlowVECBEE
 	// FlowAccALS is AccALS [14]: multiple LACs per iteration with
 	// post-apply validation and single-LAC (SEALS) fallback.
@@ -54,82 +57,203 @@ func (f Flow) String() string {
 	return "Flow(?)"
 }
 
-// Options configures a synthesis run. The zero value is not usable; start
-// from DefaultOptions.
+// Seed handling. Options.Seed = 0 is the zero value and therefore cannot
+// mean "seed the RNG with 0": it is a documented alias for DefaultSeed,
+// normalised exactly once, by Options.Resolved. Two runs whose resolved
+// options agree — in particular, Seed: 0 and Seed: DefaultSeed — draw
+// identical patterns and return bit-identical results; any two distinct
+// resolved seeds are independent runs.
+const (
+	// UseDefaultSeed is the zero value of Options.Seed: an alias for
+	// DefaultSeed, not a seed of its own.
+	UseDefaultSeed int64 = 0
+	// DefaultSeed is the simulation seed an unset (zero) Options.Seed
+	// resolves to.
+	DefaultSeed int64 = 1
+)
+
+// Defaults that Resolved fills in for unset options.
+const (
+	DefaultPatterns  = 8192 // Monte-Carlo patterns
+	DefaultCertEvery = 8    // WCE certification interval K
+)
+
+// Parameters the paper fixes to one value. The §III-D self-adaption
+// constants drive DP-SA; the AccALS ones are the baseline's batch size and
+// its allowed relative deviation of the real error from the estimate.
+const (
+	rInc        = 0.25  // r_inc: candidate-set growth factor
+	boundRelax  = 0.025 // B_r: relaxed bound ratio
+	boundStrict = 0.25  // B_s: strict bound ratio
+	errIncLimit = 0.5   // E_t: relative-error-increase threshold
+	accMaxMulti = 10    // AccALS: max LACs per iteration
+	accTol      = 0.05  // AccALS: allowed relative deviation, estimate vs real
+)
+
+// Options configures a synthesis run. It is the one options type from the
+// public API to the engine: dpals.Options is an alias of it. Zero values
+// select the defaults named on each field; Resolved fills them in and is
+// the only place that does, and Validate is the only place that checks
+// options against a circuit. Run does both.
 type Options struct {
 	Flow      Flow
 	Metric    metric.Kind
-	Threshold float64        // error upper bound E_b (ER: fraction; MSE/MED: absolute)
-	Weights   metric.Weights // PO weights; nil = unsigned binary, LSB-first
+	Threshold float64 // error budget E_b: ER fraction, or absolute MSE/MED/MHD
+	// Weights are the numeric PO weights; nil reads the outputs as an
+	// unsigned LSB-first number (dpals.Approximate first substitutes the
+	// circuit's recommended weights). Must be nil for Metric WCE.
+	Weights metric.Weights
 
-	Patterns int   // Monte-Carlo patterns
-	Seed     int64 // pattern RNG seed
-	// Threads is the worker count for the parallel analysis pipeline
+	Patterns int // Monte-Carlo patterns (default DefaultPatterns)
+	// Seed is the simulation RNG seed. The zero value (UseDefaultSeed) is
+	// an alias for DefaultSeed — see the constants above. Every non-zero
+	// seed is its own independent run.
+	Seed int64
+	// Threads is the worker count for the whole analysis pipeline
 	// (simulation, disjoint cuts, CPM construction, LAC evaluation), with
-	// the pipeline-wide semantics of package par: ≤0 selects all CPUs
-	// (runtime.GOMAXPROCS), 1 runs serially. Results are bit-identical for
-	// every value.
+	// the semantics of package par: ≤0 uses all CPUs, 1 runs serially.
+	// Results are bit-identical for every value.
 	Threads int
 
-	// Exhaustive simulates all 2^PIs input patterns instead of Monte-Carlo
-	// sampling, making every error figure exact. Only allowed for circuits
-	// with at most 24 primary inputs.
+	// Exhaustive enumerates all 2^inputs patterns instead of sampling,
+	// making every error figure exact. Limited to ≤ 24 inputs.
 	Exhaustive bool
 
 	// InputProbabilities biases the Monte-Carlo input distribution: entry
-	// i is the probability that input i reads 1 (missing entries: 0.5).
+	// i is the probability that input i is 1 (missing entries: 0.5).
+	// Error metrics are then measured under that workload distribution.
 	// Ignored in exhaustive mode.
 	InputProbabilities []float64
 
-	LACs lac.Options // which LAC kinds to generate
+	UseConstLACs   bool // constant-0/1 replacements (default true if neither set)
+	UseSASIMILACs  bool // SASIMI signal substitution
+	MaxLACsPerNode int  // SASIMI candidates per node (0: 8)
 
-	// VECBEE baseline.
-	DepthLimit int // l: 0 = ∞
-
-	// Dual-phase parameters. M ≤ 0 selects the paper defaults (60 for
-	// circuits under 4000 AND nodes, 150 otherwise); N ≤ 0 selects M/3.
-	M, N int
-
-	// Self-adaption parameters (§III-D), used by FlowDPSA. Values ≤ 0 are
-	// normalised to the paper defaults by Run, so the zero value behaves
-	// like DefaultOptions.
-	RInc float64 // candidate-set growth factor (≤0: 0.25)
-	Br   float64 // relaxed bound ratio (≤0: 0.025)
-	Bs   float64 // strict bound ratio (≤0: 0.25)
-	Et   float64 // relative-error-increase threshold (≤0: 0.5)
-
-	// AccALS parameters.
-	MaxMulti int     // max LACs per iteration (≤0: 10)
-	AccTol   float64 // allowed relative deviation estimate vs real (≤0: 0.05)
-
-	// WCE-constrained flow (Metric == metric.WCE). WCEBound is the
-	// worst-case error bound to certify: phase-1 analyses prune candidates
-	// by a sampled worst-case upper-bound estimate, and a SAT certification
-	// (equiv.WCEAtMost against the input circuit) amortized over every
-	// CertEvery accepted LACs — and always before emit — proves the bound,
-	// rolling back to the last certified state on violation. For WCE the
-	// error budget is WCEBound (Threshold is derived from it) and the
-	// outputs are read as an unsigned LSB-first number (Weights must be
-	// nil, ≤ 62 outputs).
+	// WCEBound is the worst-case error budget for Metric == WCE: the run
+	// only emits circuits whose maximum absolute numeric deviation is
+	// SAT-certified ≤ WCEBound on every input. Phase-1 analyses prune
+	// candidates by a sampled worst-case upper-bound estimate, and the
+	// sampled budget of the flow is WCEBound (Threshold is ignored).
+	// Rejected when non-zero for other metrics.
 	WCEBound uint64
-	// CertEvery is the certification amortization interval K: a SAT check
-	// runs after every K accepted LACs (≤0: 8). Smaller K certifies more
-	// often and rolls back less work per violation.
+	// CertEvery amortises SAT certification on the WCE path: a
+	// certification call covers up to CertEvery accepted LACs, plus one
+	// final call before emit (≤0: DefaultCertEvery). Smaller values
+	// certify more often and roll back less work per violation.
 	CertEvery int
-	// CertConflictLimit caps the SAT conflicts of each certification call
-	// (0 = unlimited). An exhausted budget counts as a failed certification
-	// — the engine rolls back — so limited runs stay deterministic.
+	// CertConflictLimit caps each SAT certification call at that many
+	// solver conflicts (0 = unlimited). A call that exhausts its budget
+	// counts as a failed certification and triggers rollback, keeping the
+	// emitted bound sound; the run then stops deterministically.
 	CertConflictLimit int64
 
-	// MaxIters caps the number of applied LACs (safety; ≤0 = unlimited).
-	MaxIters int
+	DepthLimit int // VECBEE depth limit l (0 = ∞, fully accurate; 1 = direct fanout)
+	// M and N are the dual-phase parameters: 0 selects the paper defaults
+	// (M = 60 for circuits under 4000 AND nodes, 150 otherwise; N = M/3).
+	M, N     int
+	MaxIters int // cap on applied LACs (0 = unlimited)
 
-	// TimeLimit bounds the wall-clock time of a run (0 = unlimited).
-	// Run derives a deadline-carrying context from it; when the
-	// limit expires the run stops cooperatively at the next checkpoint and
-	// returns the best-so-far result with Stats.StopReason = StopDeadline.
+	// TimeLimit bounds the wall-clock time of the run (0 = unlimited).
+	// When it expires the run stops cooperatively — within one analysis
+	// wave — and returns the valid best-so-far circuit with
+	// Stats.StopReason = StopDeadline. Composes with a context deadline:
+	// whichever fires first stops the run.
 	TimeLimit time.Duration
+}
 
+// Resolved returns o with every defaulted knob replaced by the value the
+// run will actually use: Patterns DefaultPatterns when unset, Seed
+// DefaultSeed when UseDefaultSeed, Threads all CPUs when ≤ 0, constant
+// LACs when no LAC kind is enabled, negative structural knobs
+// (MaxLACsPerNode, DepthLimit, M, N, MaxIters) clamped to their 0
+// "default" sentinel, and the WCE certification knobs normalised
+// (CertEvery defaults to DefaultCertEvery on the WCE path; both are inert
+// — zeroed — for other metrics). Run(o) ≡ Run(o.Resolved())
+// bit-identically, so resolved options are the right identity for
+// memoising results: two runs with equal resolved options (and equal
+// circuits) return identical results, Threads aside, which never changes
+// results. The alsd server keys its result cache on exactly this.
+func (o Options) Resolved() Options {
+	if o.Patterns <= 0 {
+		o.Patterns = DefaultPatterns
+	}
+	if o.Seed == UseDefaultSeed {
+		o.Seed = DefaultSeed
+	}
+	if o.Threads <= 0 {
+		o.Threads = runtime.GOMAXPROCS(0)
+	}
+	if !o.UseConstLACs && !o.UseSASIMILACs {
+		o.UseConstLACs = true
+	}
+	o.MaxLACsPerNode = max(o.MaxLACsPerNode, 0)
+	o.DepthLimit = max(o.DepthLimit, 0)
+	o.M, o.N = max(o.M, 0), max(o.N, 0)
+	o.MaxIters = max(o.MaxIters, 0)
+	if o.Metric == metric.WCE {
+		if o.CertEvery <= 0 {
+			o.CertEvery = DefaultCertEvery
+		}
+		o.CertConflictLimit = max(o.CertConflictLimit, 0)
+	} else {
+		// The certification knobs only exist on the WCE path; zeroing them
+		// keeps resolved options a sound cache identity for the other
+		// metrics (WCEBound ≠ 0 is rejected by Validate anyway).
+		o.CertEvery = 0
+		o.CertConflictLimit = 0
+	}
+	return o
+}
+
+// Validate checks o against a circuit with numPIs inputs and numPOs
+// outputs and returns the first problem found, or nil. It is the one home
+// of every option check: Run calls it, and so does the alsd server before
+// queueing a job, so a bad request fails fast instead of taking a worker.
+func (o Options) Validate(numPIs, numPOs int) error {
+	if o.Flow < FlowConventional || o.Flow > FlowDPSA {
+		return fmt.Errorf("unknown flow %d", int(o.Flow))
+	}
+	if o.Metric < metric.ER || o.Metric > metric.WCE {
+		return fmt.Errorf("unknown metric %d", int(o.Metric))
+	}
+	if !(o.Threshold >= 0) || math.IsInf(o.Threshold, 1) {
+		return fmt.Errorf("threshold %v out of range (want a finite value ≥ 0)", o.Threshold)
+	}
+	if o.Weights != nil && len(o.Weights) != numPOs {
+		return fmt.Errorf("%d weights for %d outputs", len(o.Weights), numPOs)
+	}
+	if o.Exhaustive && numPIs > 24 {
+		return fmt.Errorf("exhaustive simulation limited to 24 inputs, circuit has %d", numPIs)
+	}
+	for _, p := range o.InputProbabilities {
+		if !(p >= 0 && p <= 1) {
+			return fmt.Errorf("input probability %v out of [0,1]", p)
+		}
+	}
+	if o.Metric == metric.WCE {
+		// The certification miter reads the outputs as one unsigned
+		// LSB-first number; arbitrary weights have no SAT counterpart.
+		if o.Weights != nil {
+			return errors.New("metric WCE uses the unsigned LSB-first output interpretation; Weights must be nil")
+		}
+		if numPOs > 62 {
+			return fmt.Errorf("metric WCE limited to 62 outputs, circuit has %d", numPOs)
+		}
+	} else if o.WCEBound != 0 {
+		return errors.New("WCEBound requires metric WCE")
+	}
+	return nil
+}
+
+// lacOptions is the LAC generator configuration of a run.
+func (o Options) lacOptions() lac.Options {
+	return lac.Options{Constants: o.UseConstLACs, SASIMI: o.UseSASIMILACs, MaxPerNode: o.MaxLACsPerNode}
+}
+
+// Hooks are the test and experiment callbacks of a run. They are not
+// options — no production caller sets them — so they stay out of Options
+// and with it out of the public API and the alsd cache key.
+type Hooks struct {
 	// OnIteration, when non-nil, observes every applied LAC: the 1-based
 	// iteration number, the chosen candidate, and the full sorted
 	// evaluation of the iteration (phase-2 iterations only see the
@@ -140,28 +264,9 @@ type Options struct {
 	// into the run (see internal/fault): the engine consults the plan at
 	// its bookkeeping sites and corrupts its state exactly once. Used only
 	// by the alscheck differential-verification campaign to prove the
-	// oracle cross-checks detect real engine bugs; nil — the default and
-	// the only production value — is a faithful run. Plans are single-use:
+	// oracle cross-checks detect real engine bugs. Plans are single-use:
 	// never share one across runs.
 	Fault *fault.Plan
-}
-
-// DefaultOptions returns the paper's experimental configuration for the
-// given flow and metric.
-func DefaultOptions(flow Flow, kind metric.Kind, threshold float64) Options {
-	return Options{
-		Flow:      flow,
-		Metric:    kind,
-		Threshold: threshold,
-		Patterns:  8192,
-		Seed:      1,
-		Threads:   runtime.GOMAXPROCS(0),
-		LACs:      lac.Options{Constants: true},
-		RInc:      0.25,
-		Br:        0.025,
-		Bs:        0.25,
-		Et:        0.5,
-	}
 }
 
 // StopReason tells why a synthesis run ended. Every run ends for exactly

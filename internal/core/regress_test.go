@@ -1,67 +1,51 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"reflect"
 	"testing"
 
+	"dpals/internal/aiger"
 	"dpals/internal/gen"
 	"dpals/internal/lac"
 	"dpals/internal/metric"
 )
 
-// A hand-built Options with zero self-adaption parameters must behave
-// exactly like DefaultOptions: the zero values are normalized to the paper
-// defaults inside Run (like Patterns), not silently degenerate. Without
-// normalization, Et=0 stops phase 2 after the first error increase and
-// RInc=0 only ever grows M by +1 — a different (and much weaker) flow.
+// Run resolves its options itself, so a run with every knob left at its
+// zero (or negative "default") value must be bit-identical to a run with
+// the options Resolved fills in: same circuit, same error, same Stats —
+// the DP-SA M trajectory included, since self-adaption profiles the steps
+// with deterministic work estimates.
 func TestZeroValueDPSAMatchesDefaults(t *testing.T) {
 	g := gen.MultU(7, 7)
 	R := metric.ReferenceError(g.NumPOs())
-	thr := R * R
+	opt := Options{Flow: FlowDPSA, Metric: metric.MSE, Threshold: R * R, Patterns: 1024, M: -1}
 
-	def := DefaultOptions(FlowDPSA, metric.MSE, thr)
-	def.Patterns = 1024
-	def.Seed = 11
-
-	zero := Options{
-		Flow:      FlowDPSA,
-		Metric:    metric.MSE,
-		Threshold: thr,
-		Patterns:  1024,
-		Seed:      11,
-		Threads:   def.Threads,
-		LACs:      lac.Options{Constants: true},
-	}
-
-	rd, err := Run(context.Background(), g, def)
+	rz, err := Run(context.Background(), g, opt, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rz, err := Run(context.Background(), g, zero)
+	rd, err := Run(context.Background(), g, opt.Resolved(), Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The phase partition is the sharp signal: un-normalized Et=0 stops
-	// phase 2 on the first error increase, trading cheap phase-2 iterations
-	// for full comprehensive analyses (on the seed: 30+36 instead of 9+57).
-	if rz.Error != rd.Error || rz.Stats.Applied != rd.Stats.Applied ||
-		rz.Stats.Comprehensive != rd.Stats.Comprehensive || rz.Stats.Incremental != rd.Stats.Incremental ||
-		rz.Graph.NumAnds() != rd.Graph.NumAnds() {
-		t.Errorf("zero-value DP-SA degenerates: zero {err=%v applied=%d phases=%d+%d ands=%d}, defaults {err=%v applied=%d phases=%d+%d ands=%d}",
-			rz.Error, rz.Stats.Applied, rz.Stats.Comprehensive, rz.Stats.Incremental, rz.Graph.NumAnds(),
-			rd.Error, rd.Stats.Applied, rd.Stats.Comprehensive, rd.Stats.Incremental, rd.Graph.NumAnds())
+	if len(rd.Stats.MTrace) == 0 {
+		t.Fatal("DP-SA recorded no self-adaption trace")
 	}
-	// Self-adaption profiles the steps with the deterministic work
-	// estimates, so even the tuned M trajectory must match exactly.
-	if len(rz.Stats.MTrace) != len(rd.Stats.MTrace) {
-		t.Errorf("M traces diverge: zero %v, defaults %v", rz.Stats.MTrace, rd.Stats.MTrace)
-	} else {
-		for i := range rz.Stats.MTrace {
-			if rz.Stats.MTrace[i] != rd.Stats.MTrace[i] {
-				t.Errorf("M traces diverge: zero %v, defaults %v", rz.Stats.MTrace, rd.Stats.MTrace)
-				break
-			}
-		}
+	if rz.Error != rd.Error || !reflect.DeepEqual(normalizeStats(rz.Stats), normalizeStats(rd.Stats)) {
+		t.Errorf("Run(opt) diverges from Run(opt.Resolved()):\n opt:      err=%v %+v\n resolved: err=%v %+v",
+			rz.Error, rz.Stats, rd.Error, rd.Stats)
+	}
+	var bz, bd bytes.Buffer
+	if err := aiger.Write(&bz, rz.Graph); err != nil {
+		t.Fatal(err)
+	}
+	if err := aiger.Write(&bd, rd.Graph); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bz.Bytes(), bd.Bytes()) {
+		t.Error("Run(opt) and Run(opt.Resolved()) emit different circuits")
 	}
 }
 
@@ -73,24 +57,20 @@ func TestZeroValueDPSAMatchesDefaults(t *testing.T) {
 func TestAccALSRollbackIterationNumbering(t *testing.T) {
 	g := gen.MultU(6, 6)
 	R := metric.ReferenceError(g.NumPOs())
-	opt := DefaultOptions(FlowAccALS, metric.MSE, 4*R*R)
-	opt.Patterns = 1024
-	opt.Seed = 11
-	// A vanishing estimate-deviation tolerance forces every multi-LAC batch
-	// to roll back to the single-LAC fallback.
-	opt.AccTol = 1e-15
-	opt.MaxIters = 30
-
+	opt := Options{
+		Flow: FlowAccALS, Metric: metric.MSE, Threshold: 4 * R * R,
+		Patterns: 1024, Seed: 11, MaxIters: 30,
+	}
 	var iters []int
-	opt.OnIteration = func(iter int, chosen lac.NodeBest, bests []lac.NodeBest) {
+	onIter := func(iter int, chosen lac.NodeBest, bests []lac.NodeBest) {
 		iters = append(iters, iter)
 	}
-	res, err := Run(context.Background(), g, opt)
+	res, err := Run(context.Background(), g, opt, Hooks{OnIteration: onIter})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.Rollbacks == 0 {
-		t.Fatal("test did not force a rollback; tighten AccTol or loosen the threshold")
+		t.Fatal("test did not force a rollback; change the circuit, seed or threshold")
 	}
 	if len(iters) != res.Stats.Applied {
 		t.Errorf("callback fired %d times for %d applied LACs: %v", len(iters), res.Stats.Applied, iters)

@@ -63,12 +63,12 @@ func matchCold(bests []lac.NodeBest, cpmWork, evalWork int64, ref coldPass) stri
 func diffEngine(t *testing.T, g *aig.Graph, flow Flow, threads int) *engine {
 	t.Helper()
 	R := metric.ReferenceError(g.NumPOs())
-	opt := DefaultOptions(flow, metric.MSE, R*R)
-	opt.Patterns = 1024
-	opt.Seed = 7
-	opt.Threads = threads
-	opt.LACs = lac.Options{Constants: true, SASIMI: true}
-	e, err := newEngine(g, opt)
+	opt := Options{
+		Flow: flow, Metric: metric.MSE, Threshold: R * R,
+		Patterns: 1024, Seed: 7, Threads: threads, UseConstLACs: true,
+		UseSASIMILACs: true,
+	}
+	e, err := newEngine(g, opt.Resolved(), Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func checkDualPhaseRounds(t *testing.T, e *engine, where string) {
 	const M, N = 8, 2
 	var first []lac.NodeBest
 	var atFirst Stats
-	e.opt.OnIteration = func(_ int, _ lac.NodeBest, bests []lac.NodeBest) {
+	e.hooks.OnIteration = func(_ int, _ lac.NodeBest, bests []lac.NodeBest) {
 		if first == nil {
 			first, atFirst = bests, e.stats
 		}
@@ -199,7 +199,7 @@ func checkSinglePhasePasses(t *testing.T, e *engine, where string) {
 	at := e.stats
 	var last *lac.NodeBest // identifies the pass an AccALS batch came from
 	passes := 0
-	e.opt.OnIteration = func(_ int, _ lac.NodeBest, bests []lac.NodeBest) {
+	e.hooks.OnIteration = func(_ int, _ lac.NodeBest, bests []lac.NodeBest) {
 		if &bests[0] != last {
 			last = &bests[0]
 			passes++
@@ -227,13 +227,12 @@ func checkSinglePhasePasses(t *testing.T, e *engine, where string) {
 func TestWarmReuseReportsNonzeroCounters(t *testing.T) {
 	g := gen.MultU(6, 6)
 	R := metric.ReferenceError(g.NumPOs())
-	opt := DefaultOptions(FlowDPSA, metric.MSE, R*R)
-	opt.Patterns = 1024
-	opt.Seed = 7
-	opt.MaxIters = 25
-	opt.M = 8
-	opt.LACs = lac.Options{Constants: true, SASIMI: true}
-	res, err := Run(context.Background(), g, opt)
+	opt := Options{
+		Flow: FlowDPSA, Metric: metric.MSE, Threshold: R * R,
+		Patterns: 1024, Seed: 7, MaxIters: 25, M: 8, UseConstLACs: true,
+		UseSASIMILACs: true,
+	}
+	res, err := Run(context.Background(), g, opt, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,11 +268,9 @@ func TestWarmReuseReportsNonzeroCounters(t *testing.T) {
 func TestComprehensiveCancelKeepsPreviousCuts(t *testing.T) {
 	g := gen.MultU(6, 6)
 	R := metric.ReferenceError(g.NumPOs())
-	opt := DefaultOptions(FlowDPSA, metric.MSE, R*R)
-	opt.Patterns = 512
-	opt.Seed = 3
+	opt := Options{Flow: FlowDPSA, Metric: metric.MSE, Threshold: R * R, Patterns: 512, Seed: 3}
 	mk := func() (*engine, context.CancelFunc) {
-		e, err := newEngine(g, opt)
+		e, err := newEngine(g, opt.Resolved(), Hooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,10 +324,8 @@ func TestComprehensiveCancelKeepsPreviousCuts(t *testing.T) {
 func TestRollbackThenComprehensiveRebuildsCold(t *testing.T) {
 	g := gen.MultU(6, 6)
 	R := metric.ReferenceError(g.NumPOs())
-	opt := DefaultOptions(FlowDPSA, metric.MSE, R*R)
-	opt.Patterns = 512
-	opt.Seed = 3
-	e, err := newEngine(g, opt)
+	opt := Options{Flow: FlowDPSA, Metric: metric.MSE, Threshold: R * R, Patterns: 512, Seed: 3}
+	e, err := newEngine(g, opt.Resolved(), Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}

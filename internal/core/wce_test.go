@@ -10,12 +10,10 @@ import (
 )
 
 func wceOptions(flow Flow, bound uint64) Options {
-	opt := DefaultOptions(flow, metric.WCE, float64(bound))
-	opt.WCEBound = bound
-	opt.Patterns = 512
-	opt.Threads = 1
-	opt.MaxIters = 20
-	return opt
+	return Options{
+		Flow: flow, Metric: metric.WCE, Threshold: float64(bound),
+		WCEBound: bound, Patterns: 512, Threads: 1, MaxIters: 20,
+	}
 }
 
 func TestWCERejectsBadOptions(t *testing.T) {
@@ -23,18 +21,17 @@ func TestWCERejectsBadOptions(t *testing.T) {
 
 	opt := wceOptions(FlowDP, 3)
 	opt.Weights = metric.UnsignedWeights(g.NumPOs())
-	if _, err := Run(context.Background(), g, opt); err == nil {
+	if _, err := Run(context.Background(), g, opt, Hooks{}); err == nil {
 		t.Error("explicit weights accepted on the WCE path")
 	}
 
 	wide := gen.Adder(63) // 64 POs
-	if _, err := Run(context.Background(), wide, wceOptions(FlowDP, 3)); err == nil {
+	if _, err := Run(context.Background(), wide, wceOptions(FlowDP, 3), Hooks{}); err == nil {
 		t.Error("a 64-output circuit accepted on the WCE path")
 	}
 
-	med := DefaultOptions(FlowDP, metric.MED, 2)
-	med.WCEBound = 3
-	if _, err := Run(context.Background(), gen.Adder(4), med); err == nil {
+	med := Options{Flow: FlowDP, Metric: metric.MED, Threshold: 2, WCEBound: 3}
+	if _, err := Run(context.Background(), gen.Adder(4), med, Hooks{}); err == nil {
 		t.Error("WCEBound accepted for a non-WCE metric")
 	}
 }
@@ -46,7 +43,7 @@ func TestWCEAllFlowsCertifiedWithinBound(t *testing.T) {
 	g := gen.MultU(4, 3)
 	const bound = 6
 	for _, flow := range []Flow{FlowConventional, FlowVECBEE, FlowAccALS, FlowDP, FlowDPSA} {
-		res, err := Run(context.Background(), g, wceOptions(flow, bound))
+		res, err := Run(context.Background(), g, wceOptions(flow, bound), Hooks{})
 		if err != nil {
 			t.Fatalf("%v: %v", flow, err)
 		}
@@ -76,7 +73,7 @@ func TestWCECertEveryAmortisation(t *testing.T) {
 	for _, every := range []int{1, 3, 8} {
 		opt := wceOptions(FlowDP, 6)
 		opt.CertEvery = every
-		res, err := Run(context.Background(), g, opt)
+		res, err := Run(context.Background(), g, opt, Hooks{})
 		if err != nil {
 			t.Fatalf("CertEvery %d: %v", every, err)
 		}

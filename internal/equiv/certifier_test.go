@@ -12,9 +12,11 @@ import (
 
 func TestCertifierCexScreening(t *testing.T) {
 	orig := gen.MultU(4, 3)
-	opt := core.DefaultOptions(core.FlowDPSA, metric.MED, metric.ReferenceError(orig.NumPOs()))
-	opt.Patterns = 1 << 7
-	res, err := core.Run(context.Background(), orig, opt)
+	opt := core.Options{
+		Flow: core.FlowDPSA, Metric: metric.MED, Threshold: metric.ReferenceError(orig.NumPOs()),
+		Patterns: 1 << 7,
+	}
+	res, err := core.Run(context.Background(), orig, opt, core.Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,9 +73,11 @@ func TestCertifierCexScreening(t *testing.T) {
 
 func TestCertifierBudgetExhaustion(t *testing.T) {
 	orig := gen.MultU(4, 3)
-	opt := core.DefaultOptions(core.FlowDPSA, metric.MED, metric.ReferenceError(orig.NumPOs()))
-	opt.Patterns = 1 << 7
-	res, err := core.Run(context.Background(), orig, opt)
+	opt := core.Options{
+		Flow: core.FlowDPSA, Metric: metric.MED, Threshold: metric.ReferenceError(orig.NumPOs()),
+		Patterns: 1 << 7,
+	}
+	res, err := core.Run(context.Background(), orig, opt, core.Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,10 +94,11 @@ func TestWCEAtMostExactOnSmall(t *testing.T) {
 	// with the exhaustively measured one.
 	orig := gen.MultU(5, 4)
 	R := metric.ReferenceError(orig.NumPOs())
-	opt := core.DefaultOptions(core.FlowDPSA, metric.MED, R)
-	opt.Patterns = 1 << 9
-	opt.Exhaustive = true
-	res, err := core.Run(context.Background(), orig, opt)
+	opt := core.Options{
+		Flow: core.FlowDPSA, Metric: metric.MED, Threshold: R,
+		Patterns: 1 << 9, Exhaustive: true,
+	}
+	res, err := core.Run(context.Background(), orig, opt, core.Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@
 // the differential-verification harness (internal/oracle, cmd/alscheck)
 // detects real engine bugs. A fault plan names one kind of bookkeeping
 // mutation and the single opportunity at which to apply it; the engine
-// consults the plan at the matching sites (core.Options.Fault) and mutates
+// consults the plan at the matching sites (core.Hooks.Fault) and mutates
 // its state exactly once. A campaign then asserts that the oracle
 // cross-checks flag the corrupted run — if a seeded fault escapes every
 // check, the harness has a blind spot.

@@ -71,10 +71,10 @@ func ALU(w int) *aig.Graph {
 	shr := b.ShiftRight(a, 1)
 
 	// 8:1 mux tree on op.
-	m0 := b.Mux(op[0], diff, sum)  // 00x
-	m1 := b.Mux(op[0], orW, andW)  // 01x
-	m2 := b.Mux(op[0], shl, xorW)  // 10x
-	m3 := b.Mux(op[0], c, shr)     // 11x
+	m0 := b.Mux(op[0], diff, sum) // 00x
+	m1 := b.Mux(op[0], orW, andW) // 01x
+	m2 := b.Mux(op[0], shl, xorW) // 10x
+	m3 := b.Mux(op[0], c, shr)    // 11x
 	lo := b.Mux(op[1], m1, m0)
 	hi := b.Mux(op[1], m3, m2)
 	res := b.Mux(op[2], hi, lo)

@@ -49,23 +49,15 @@ type RunSpec struct {
 	FaultNth int        `json:"faultNth,omitempty"`
 }
 
-// Options builds the core.Options for this spec. The returned Options
-// carries a fresh single-use fault plan when the spec seeds one.
+// Options builds the resolved core.Options for this spec — the options
+// the run actually uses, so SimOptions of them draws its patterns.
 func (s RunSpec) Options() core.Options {
-	opt := core.DefaultOptions(s.Flow, s.Metric, s.Threshold)
-	opt.Patterns = s.Patterns
-	opt.Seed = s.Seed
-	opt.Threads = s.Threads
-	opt.Exhaustive = s.Exhaustive
-	opt.LACs = lac.Options{Constants: true, SASIMI: s.SASIMI}
-	opt.MaxIters = s.MaxIters
-	opt.WCEBound = s.WCEBound
-	opt.CertEvery = s.CertEvery
-	opt.CertConflictLimit = s.CertConflictLimit
-	if s.Fault != fault.None && s.Fault != "" {
-		opt.Fault = fault.New(s.Fault, s.FaultNth)
-	}
-	return opt
+	return core.Options{
+		Flow: s.Flow, Metric: s.Metric, Threshold: s.Threshold,
+		Patterns: s.Patterns, Seed: s.Seed, Threads: s.Threads, Exhaustive: s.Exhaustive,
+		UseConstLACs: true, UseSASIMILACs: s.SASIMI, MaxIters: s.MaxIters,
+		WCEBound: s.WCEBound, CertEvery: s.CertEvery, CertConflictLimit: s.CertConflictLimit,
+	}.Resolved()
 }
 
 // Outcome bundles a run's result with its per-iteration evaluation
@@ -99,15 +91,18 @@ func fold(h, v uint64) uint64 {
 // state inconsistent — is recovered into Outcome.Err; for fault-seeded
 // runs the campaign counts that as a detection.
 func ExecuteTraced(g *aig.Graph, spec RunSpec) (out Outcome) {
-	opt := spec.Options()
-	out.Plan = opt.Fault
+	var hooks core.Hooks
+	if spec.Fault != fault.None && spec.Fault != "" {
+		hooks.Fault = fault.New(spec.Fault, spec.FaultNth)
+	}
+	out.Plan = hooks.Fault
 	ctx := context.Background()
 	var cancel context.CancelFunc
 	if spec.CancelAfter > 0 {
 		ctx, cancel = context.WithCancel(ctx)
 		defer cancel()
 	}
-	opt.OnIteration = func(iter int, chosen lac.NodeBest, bests []lac.NodeBest) {
+	hooks.OnIteration = func(iter int, chosen lac.NodeBest, bests []lac.NodeBest) {
 		h := fold(fold(fnvOffset, uint64(iter)), uint64(chosen.Node))
 		h = fold(h, math.Float64bits(chosen.Best.Err))
 		h = fold(h, uint64(chosen.Best.NewLit))
@@ -125,7 +120,7 @@ func ExecuteTraced(g *aig.Graph, spec RunSpec) (out Outcome) {
 			out.Err = fmt.Errorf("oracle: engine panic: %v\n%s", r, debug.Stack())
 		}
 	}()
-	out.Result, out.Err = core.Run(ctx, g, opt)
+	out.Result, out.Err = core.Run(ctx, g, spec.Options(), hooks)
 	return out
 }
 
@@ -188,11 +183,7 @@ func Verify(orig *aig.Graph, spec RunSpec, res *core.Result) []Violation {
 		return out // every later check needs matching interfaces
 	}
 	opt := spec.Options()
-	simOpt, err := core.SimOptions(orig, opt)
-	if err != nil {
-		return append(out, Violation{Check: "sim-options", Detail: err.Error()})
-	}
-	recomputed, err := SampledError(orig, res.Graph, spec.Metric, opt.Weights, simOpt)
+	recomputed, err := SampledError(orig, res.Graph, spec.Metric, opt.Weights, core.SimOptions(orig, opt))
 	if err != nil {
 		return append(out, Violation{Check: "recompute", Detail: err.Error()})
 	}

@@ -10,7 +10,6 @@ import (
 	"dpals/internal/cpm"
 	"dpals/internal/cut"
 	"dpals/internal/gen"
-	"dpals/internal/lac"
 	"dpals/internal/metric"
 	"dpals/internal/sim"
 	"dpals/internal/techmap"
@@ -104,14 +103,12 @@ func AblationMSweep(b gen.Benchmark, ms []int, cfg Config) []AblationMRow {
 	thr := thresholds(metric.MSE, b.Graph.NumPOs())[1]
 	var rows []AblationMRow
 	for _, m := range ms {
-		opt := core.DefaultOptions(core.FlowDP, metric.MSE, thr)
-		opt.Patterns = cfg.patterns()
-		opt.Seed = cfg.seed()
-		opt.Threads = cfg.threads()
-		opt.LACs = lac.Options{Constants: true}
-		opt.M = m
-		opt.MaxIters = cfg.CapIters
-		res, err := core.Run(context.Background(), b.Graph, opt)
+		opt := core.Options{
+			Flow: core.FlowDP, Metric: metric.MSE, Threshold: thr,
+			Patterns: cfg.patterns(), Seed: cfg.seed(), Threads: cfg.threads(),
+			M: m, MaxIters: cfg.CapIters,
+		}
+		res, err := core.Run(context.Background(), b.Graph, opt, core.Hooks{})
 		if err != nil {
 			panic("ablation: " + err.Error())
 		}
@@ -145,13 +142,11 @@ func AblationPatternsSweep(b gen.Benchmark, counts []int, cfg Config) []Ablation
 	thr := thresholds(metric.MSE, b.Graph.NumPOs())[1]
 	var rows []AblationPatternsRow
 	for _, p := range counts {
-		opt := core.DefaultOptions(core.FlowDPSA, metric.MSE, thr)
-		opt.Patterns = p
-		opt.Seed = cfg.seed()
-		opt.Threads = cfg.threads()
-		opt.LACs = lac.Options{Constants: true}
-		opt.MaxIters = cfg.CapIters
-		res, err := core.Run(context.Background(), b.Graph, opt)
+		opt := core.Options{
+			Flow: core.FlowDPSA, Metric: metric.MSE, Threshold: thr,
+			Patterns: p, Seed: cfg.seed(), Threads: cfg.threads(), MaxIters: cfg.CapIters,
+		}
+		res, err := core.Run(context.Background(), b.Graph, opt, core.Hooks{})
 		if err != nil {
 			panic("ablation: " + err.Error())
 		}

@@ -21,7 +21,6 @@ import (
 
 	"dpals/internal/core"
 	"dpals/internal/gen"
-	"dpals/internal/lac"
 	"dpals/internal/metric"
 	"dpals/internal/techmap"
 )
@@ -103,22 +102,20 @@ func adjustLarge(name string, thr float64) float64 {
 
 // runOne synthesises one circuit with one flow and returns the ADP ratio
 // and runtime.
-func runOne(b gen.Benchmark, flow core.Flow, kind metric.Kind, thr float64, lacs lac.Options, cfg Config, depth int) (adp float64, rt time.Duration, applied int) {
-	opt := core.DefaultOptions(flow, kind, thr)
-	opt.Patterns = cfg.patterns()
-	opt.Seed = cfg.seed()
-	opt.Threads = cfg.threads()
-	opt.LACs = lacs
-	opt.DepthLimit = depth
+func runOne(b gen.Benchmark, flow core.Flow, kind metric.Kind, thr float64, sasimi bool, cfg Config, depth int) (adp float64, rt time.Duration, applied int) {
 	// The paper's reference error R = 2^(K/3) reads the K outputs as one
 	// unsigned binary number; the harness therefore always uses unsigned
-	// LSB-first weights (per-circuit signed weights remain available
+	// LSB-first weights (nil; per-circuit signed weights remain available
 	// through the public API).
-	opt.Weights = nil
+	opt := core.Options{
+		Flow: flow, Metric: kind, Threshold: thr,
+		Patterns: cfg.patterns(), Seed: cfg.seed(), Threads: cfg.threads(),
+		UseConstLACs: true, UseSASIMILACs: sasimi, DepthLimit: depth,
+	}
 	if !b.Small {
 		opt.MaxIters = cfg.CapIters
 	}
-	res, err := core.Run(context.Background(), b.Graph, opt)
+	res, err := core.Run(context.Background(), b.Graph, opt, core.Hooks{})
 	if err != nil {
 		panic(fmt.Sprintf("repro: %s/%v: %v", b.PaperName, flow, err))
 	}
@@ -130,9 +127,9 @@ func runOne(b gen.Benchmark, flow core.Flow, kind metric.Kind, thr float64, lacs
 
 // avgOver runs one flow over several thresholds and averages ADP ratio and
 // sums... the paper averages both ADP and runtime over the thresholds.
-func avgOver(b gen.Benchmark, flow core.Flow, kind metric.Kind, thrs []float64, lacs lac.Options, cfg Config, depth int) (adp float64, rt time.Duration) {
+func avgOver(b gen.Benchmark, flow core.Flow, kind metric.Kind, thrs []float64, sasimi bool, cfg Config, depth int) (adp float64, rt time.Duration) {
 	for _, thr := range thrs {
-		a, r, _ := runOne(b, flow, kind, thr, lacs, cfg, depth)
+		a, r, _ := runOne(b, flow, kind, thr, sasimi, cfg, depth)
 		adp += a
 		rt += r
 	}

@@ -56,3 +56,24 @@ func TestCacheKeyCoversEveryOption(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheKeyGolden pins the content address of a fixed circuit under a
+// default ER job and a WCE job. The keys index results already held in
+// caches, so any change here — a renamed option type, a reordered hash
+// input, a different default — silently moves the whole "alsd-key-v2"
+// address space; bump that tag instead of updating these values.
+func TestCacheKeyGolden(t *testing.T) {
+	c := dpals.NewMultiplier(4, 4, false)
+	for _, tc := range []struct {
+		name string
+		opt  dpals.Options
+		want string
+	}{
+		{"er-default", dpals.Options{Metric: dpals.ER, Threshold: 0.05}, "91f92cfc9a9124ceecbe1890fa0ed059be09eee60121b4cd8aa35ae72994a3fb"},
+		{"wce", dpals.Options{Flow: dpals.DP, Metric: dpals.WCE, WCEBound: 8, CertConflictLimit: 1000, Patterns: 1024, Seed: 7}, "1e020eb6164ac64ecda6a7f17d10aa49265e84949d2102684b4c7b262c34b0ff"},
+	} {
+		if got := cacheKey(c, tc.opt); got != tc.want {
+			t.Errorf("%s: cacheKey = %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}

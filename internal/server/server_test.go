@@ -308,6 +308,7 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		{"circuit": circuitAIGER(t, dpals.NewAdder(3)), "threshold": 0.05, "flow": "nope"},
 		{"circuit": circuitAIGER(t, dpals.NewAdder(3)), "threshold": 0.05, "metric": "nope"},
 		{"circuit": circuitAIGER(t, dpals.NewAdder(3)), "threshold": 0.05, "weights": []float64{1}},
+		{"circuit": circuitAIGER(t, dpals.NewAdder(3)), "threshold": 0.05, "input_probabilities": []float64{1.5}},
 	}
 	for i, body := range cases {
 		if code, _ := submit(t, ts, body); code != http.StatusBadRequest {
