@@ -13,8 +13,10 @@
 package lac
 
 import (
+	"cmp"
 	"context"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -40,7 +42,7 @@ func (l LAC) IsConst() bool { return l.NewLit.Var() == 0 }
 // value flips exactly on the set bits of tv ⊕ nv ⊕ inv, where inv is a
 // word-level complement mask (all-ones when NewLit is complemented). For
 // constant LACs nv is the simulator's all-zero constant vector. Feeding
-// the operands straight into metric.Evaluator.EvalLACXor scores the
+// the operands straight into metric.State.EvalLACXor scores the
 // candidate without writing a diff vector; padding bits that inv sets
 // past the pattern count are harmless because CPM rows are masked.
 func (l LAC) DiffOperands(s *sim.Sim) (tv, nv bitvec.Vec, inv uint64) {
@@ -76,24 +78,21 @@ type Options struct {
 	// of LACs for each target node") lowers this value when step 3
 	// dominates the runtime. Default 8.
 	MaxPerNode int
-	// SampleWords bounds the number of 64-bit words used for the
-	// similarity ranking scan (the exact diff mask is still computed over
-	// all patterns during evaluation). Default 8 (512 patterns).
-	SampleWords int
-	// WindowSize is the half-width of the popcount-sorted neighbourhood
-	// scanned for similar signals. Default 32.
-	WindowSize int
 }
+
+const (
+	// sampleWords bounds the number of 64-bit words used for the
+	// similarity ranking scan (the exact diff mask is still computed over
+	// all patterns during evaluation): 512 patterns.
+	sampleWords = 8
+	// windowSize is the half-width of the popcount-sorted neighbourhood
+	// scanned for similar signals.
+	windowSize = 32
+)
 
 func (o Options) withDefaults() Options {
 	if o.MaxPerNode <= 0 {
 		o.MaxPerNode = 8
-	}
-	if o.SampleWords <= 0 {
-		o.SampleWords = 8
-	}
-	if o.WindowSize <= 0 {
-		o.WindowSize = 32
 	}
 	return o
 }
@@ -112,16 +111,13 @@ type Generator struct {
 	rank    map[int32]int
 
 	// Reused scratch. Candidate generation is serial by contract (it walks
-	// shared graph traversal state), so these need no locking; the
-	// per-worker evaluators are indexed by stable par worker ids.
-	evs      []*metric.Evaluator // per-worker metric scratch
-	evState  *metric.State       // state the evaluators are bound to
-	lacBuf   []LAC               // all candidates of one Evaluate call
-	offs     [][2]int            // per target: [start, end) into lacBuf
-	tfoMark  []bool              // sasimi: TFO membership of the current target
-	tfoList  []int32             // sasimi: marked nodes, for O(cone) reset
-	tfoStack []int32             // sasimi: DFS stack
-	scored   []scoredCand        // sasimi: similarity-ranked neighbourhood
+	// shared graph traversal state), so these need no locking.
+	lacBuf   []LAC        // all candidates of one Evaluate call
+	offs     [][2]int     // per target: [start, end) into lacBuf
+	tfoMark  []bool       // sasimi: TFO membership of the current target
+	tfoList  []int32      // sasimi: marked nodes, for O(cone) reset
+	tfoStack []int32      // sasimi: DFS stack
+	scored   []scoredCand // sasimi: similarity-ranked neighbourhood
 }
 
 type scoredCand struct {
@@ -166,7 +162,7 @@ func (gen *Generator) Reindex() {
 			gen.signals = append(gen.signals, v)
 		}
 	}
-	sw := gen.sampleWords()
+	sw := min(sampleWords, gen.s.Words())
 	gen.pops = gen.pops[:0]
 	for _, v := range gen.signals {
 		gen.pops = append(gen.pops, samplePop(gen.s.Val(v), sw))
@@ -175,7 +171,7 @@ func (gen *Generator) Reindex() {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool { return gen.pops[idx[a]] < gen.pops[idx[b]] })
+	slices.SortFunc(idx, func(a, b int) int { return cmp.Compare(gen.pops[a], gen.pops[b]) })
 	sigs := make([]int32, len(idx))
 	pops := make([]int, len(idx))
 	gen.rank = make(map[int32]int, len(idx))
@@ -185,14 +181,6 @@ func (gen *Generator) Reindex() {
 		gen.rank[sigs[i]] = i
 	}
 	gen.signals, gen.pops = sigs, pops
-}
-
-func (gen *Generator) sampleWords() int {
-	sw := gen.opt.SampleWords
-	if sw > gen.s.Words() {
-		sw = gen.s.Words()
-	}
-	return sw
 }
 
 func samplePop(v bitvec.Vec, words int) int {
@@ -268,7 +256,7 @@ func (gen *Generator) markTFO(v int32) {
 func (gen *Generator) sasimiAppend(out []LAC, v int32, gain int) []LAC {
 	g := gen.g
 	s := gen.s
-	sw := gen.sampleWords()
+	sw := min(sampleWords, gen.s.Words())
 	sampleBits := sw * 64
 	if p := s.Patterns(); sampleBits > p {
 		sampleBits = p
@@ -301,7 +289,7 @@ func (gen *Generator) sasimiAppend(out []LAC, v int32, gain int) []LAC {
 		}
 	}
 	// Same-polarity neighbourhood: similar popcount.
-	for off := 1; off <= gen.opt.WindowSize; off++ {
+	for off := 1; off <= windowSize; off++ {
 		consider(r - off)
 		consider(r + off)
 	}
@@ -309,11 +297,11 @@ func (gen *Generator) sasimiAppend(out []LAC, v int32, gain int) []LAC {
 	// scan that neighbourhood too.
 	cpop := sampleBits - gen.pops[r]
 	ci := sort.SearchInts(gen.pops, cpop)
-	for off := 0; off <= gen.opt.WindowSize; off++ {
+	for off := 0; off <= windowSize; off++ {
 		consider(ci - off - 1)
 		consider(ci + off)
 	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].dist < cands[b].dist })
+	slices.SortFunc(cands, func(a, b scoredCand) int { return cmp.Compare(a.dist, b.dist) })
 	gen.scored = cands[:0]
 	base := len(out)
 	for _, c := range cands {
@@ -399,8 +387,8 @@ type NodeBest struct {
 // runs serially (it walks shared graph traversal state); evaluation fans
 // out over `threads` workers with the pipeline-wide semantics of package
 // par (≤0: all CPUs, 1: serial). Results are bit-identical for every
-// thread count: each worker evaluates whole targets with private scratch
-// and writes only its target's slot.
+// thread count: each worker evaluates whole targets (scoring only reads
+// the metric state) and writes only its target's slot.
 //
 // With a non-nil memo, targets whose memo entry is from the current epoch
 // skip both candidate generation and evaluation and reuse the stored
@@ -431,18 +419,9 @@ func Evaluate(ctx context.Context, gen *Generator, res *cpm.Result, st *metric.S
 	}
 	var hits64 int64
 	out := make([]NodeBest, len(targets))
-	workers := par.ScratchSlots(threads, len(targets))
-	if gen.evState != st {
-		gen.evs = gen.evs[:0]
-		gen.evState = st
-	}
-	for len(gen.evs) < workers {
-		gen.evs = append(gen.evs, nil)
-	}
-	evs := gen.evs[:workers]
-	err = par.For(ctx, threads, len(targets), func(w, i int) {
+	err = par.For(ctx, threads, len(targets), func(_, i int) {
 		v := targets[i]
-		// Serve memo-fresh targets without touching the evaluator. The
+		// Serve memo-fresh targets without scoring anything. The
 		// res.Has guard is belt-and-braces: a fresh stamp implies an
 		// unchanged state, under which every analysis produces a row for v.
 		if memo.fresh(v) && res.Has(v) {
@@ -452,10 +431,6 @@ func Evaluate(ctx context.Context, gen *Generator, res *cpm.Result, st *metric.S
 			atomic.AddInt64(&hits64, 1)
 			return
 		}
-		if evs[w] == nil {
-			evs[w] = st.NewEvaluator()
-		}
-		ev := evs[w]
 		cl := gen.lacBuf[gen.offs[i][0]:gen.offs[i][1]]
 		nb := NodeBest{Node: v, Best: Eval{Err: -1}}
 		row := res.Row(v)
@@ -463,7 +438,7 @@ func Evaluate(ctx context.Context, gen *Generator, res *cpm.Result, st *metric.S
 		wk := int64(len(cl)) * int64(len(row.POs)) * int64(gen.s.Words())
 		for _, cand := range cl {
 			tv, nv, inv := cand.DiffOperands(gen.s)
-			e := ev.EvalLACXor(tv, nv, inv, row)
+			e := st.EvalLACXor(tv, nv, inv, row)
 			nb.N++
 			if nb.Best.Err < 0 || e < nb.Best.Err ||
 				(e == nb.Best.Err && cand.Gain > nb.Best.Gain) {

@@ -1,9 +1,12 @@
 package lac
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"dpals/internal/aig"
@@ -201,6 +204,48 @@ func TestEvaluateTargetsSorted(t *testing.T) {
 	for i := range serial {
 		if serial[i].Node != bests[i].Node || serial[i].Best.Err != bests[i].Best.Err {
 			t.Fatalf("serial/parallel mismatch at %d", i)
+		}
+	}
+}
+
+// SASIMI ranking sorts with slices.SortFunc, which is not stable: on equal
+// distances the order it leaves decides which substitutions survive the
+// MaxPerNode cut. It must therefore order scoredCand (and Reindex's
+// popcount index) exactly as the reflection-based sort.Slice did, which
+// runs the same pattern-defeating quicksort; a Go release that changed
+// either would change synthesis results.
+func TestSortFuncMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	iters := 20000
+	if testing.Short() {
+		iters = 2000
+	}
+	for it := 0; it < iters; it++ {
+		n := rng.Intn(300)
+		keys := rng.Intn(12) + 1 // few distinct keys: many ties
+		cands := make([]scoredCand, n)
+		for i := range cands {
+			cands[i] = scoredCand{node: int32(i), compl: rng.Intn(2) == 0, dist: rng.Intn(keys)}
+		}
+		old := slices.Clone(cands)
+		sort.Slice(old, func(a, b int) bool { return old[a].dist < old[b].dist })
+		slices.SortFunc(cands, func(a, b scoredCand) int { return cmp.Compare(a.dist, b.dist) })
+		if !slices.Equal(old, cands) {
+			t.Fatalf("iteration %d (n=%d): scoredCand order differs from sort.Slice", it, n)
+		}
+
+		pops := make([]int, n)
+		for i := range pops {
+			pops[i] = rng.Intn(keys)
+		}
+		idxOld, idx := make([]int, n), make([]int, n)
+		for i := range idx {
+			idxOld[i], idx[i] = i, i
+		}
+		sort.Slice(idxOld, func(a, b int) bool { return pops[idxOld[a]] < pops[idxOld[b]] })
+		slices.SortFunc(idx, func(a, b int) int { return cmp.Compare(pops[a], pops[b]) })
+		if !slices.Equal(idxOld, idx) {
+			t.Fatalf("iteration %d (n=%d): popcount index order differs from sort.Slice", it, n)
 		}
 	}
 }

@@ -119,7 +119,10 @@ func HoeffdingDelta(rang float64, n int, alpha float64) float64 {
 }
 
 // State tracks the error of an evolving approximate circuit against a fixed
-// exact reference.
+// exact reference. Candidate evaluation (EvalLAC, EvalLACXor) only reads
+// the state and keeps its scratch on the stack, so any number of
+// goroutines may evaluate concurrently as long as none mutates the state
+// (CommitPO) meanwhile.
 type State struct {
 	kind     Kind
 	weights  Weights
@@ -138,32 +141,9 @@ type State struct {
 
 	// wceMax caches max |dev| over all patterns for WCE. CommitPO keeps it
 	// current (rescanning when a pattern at the max shrinks), so Error stays
-	// a pure read and concurrent Evaluators remain safe.
+	// a pure read and concurrent evaluation remains safe.
 	wceMax   float64
 	wceDirty bool
-
-	def *Evaluator // lazily created default evaluator for EvalLAC
-}
-
-// Evaluator holds per-worker scratch for candidate evaluation. Multiple
-// evaluators over one State may run concurrently as long as the State is
-// not mutated (no CommitPO) during evaluation.
-type Evaluator struct {
-	st      *State
-	delta   []float64
-	dMism   []int32
-	touched []int32
-	onStack []bool
-}
-
-// NewEvaluator returns an independent evaluation scratch for this state.
-func (st *State) NewEvaluator() *Evaluator {
-	return &Evaluator{
-		st:      st,
-		delta:   make([]float64, st.patterns),
-		dMism:   make([]int32, st.patterns),
-		onStack: make([]bool, st.patterns),
-	}
 }
 
 // NewState builds the tracking state. exact are the reference PO value
@@ -228,20 +208,12 @@ func (st *State) flipDelta(o int, curBit bool) float64 {
 
 // EvalLAC returns the error the circuit would have after a LAC whose target
 // value-change mask is D (patterns where the target node's value flips) and
-// whose change propagation row is row. The circuit state is unchanged.
-// Row PO indices must be unique — guaranteed for rows built by package cpm,
-// whose cut elements partition the reachable POs. For concurrent
-// evaluation, use per-worker Evaluators via NewEvaluator.
+// whose change propagation row is row. The circuit state is unchanged, and
+// concurrent calls are safe. Row PO indices must be unique — guaranteed
+// for rows built by package cpm, whose cut elements partition the
+// reachable POs.
 func (st *State) EvalLAC(D bitvec.Vec, row *cpm.Row) float64 {
-	if st.def == nil {
-		st.def = st.NewEvaluator()
-	}
-	return st.def.EvalLAC(D, row)
-}
-
-// EvalLAC is the worker-scratch variant of State.EvalLAC.
-func (ev *Evaluator) EvalLAC(D bitvec.Vec, row *cpm.Row) float64 {
-	return ev.evalFlips(D, nil, 0, row)
+	return st.EvalLACXor(D, nil, 0, row)
 }
 
 // EvalLACXor is EvalLAC with the value-change mask supplied unmaterialised:
@@ -250,22 +222,15 @@ func (ev *Evaluator) EvalLAC(D bitvec.Vec, row *cpm.Row) float64 {
 // A nil b stands for the all-zero vector (constant-0 replacement). Padding
 // bits that inv turns on past the logical length never contribute: the CPM
 // row vectors they are ANDed with are masked.
-func (ev *Evaluator) EvalLACXor(a, b bitvec.Vec, inv uint64, row *cpm.Row) float64 {
-	return ev.evalFlips(a, b, inv, row)
-}
-
-// evalFlips scores the LAC whose value-change mask is a⊕b⊕inv (nil b = zero
-// vector). The per-bit scan visits rows in PO order, words ascending, bits
-// ascending — the float fold over ev.touched below inherits that insertion
-// order, which is what keeps results bit-identical across thread counts.
+//
 // The inner loops are specialised per metric kind (the fused "diff-score"
 // half of the resimulate→diff→popcount pipeline): MHD folds whole words
-// with popcounts and never touches per-pattern scratch, ER counts mismatch
-// deltas, MSE/MED accumulate weighted deviations.
-func (ev *Evaluator) evalFlips(a, b bitvec.Vec, inv uint64, row *cpm.Row) float64 {
-	st := ev.st
+// with popcounts, while ER, MSE, MED and WCE walk the patterns one
+// 64-pattern word at a time (foldMism, foldDev).
+func (st *State) EvalLACXor(a, b bitvec.Vec, inv uint64, row *cpm.Row) float64 {
 	x := float64(st.patterns)
-	if st.kind == MHD {
+	switch st.kind {
+	case MHD:
 		// Mean Hamming distance is linear in the per-(pattern, PO) flips:
 		// a flip on an agreeing bit adds one mismatch, on a disagreeing
 		// bit removes one. Both counts come from word-level popcounts, so
@@ -291,132 +256,128 @@ func (ev *Evaluator) evalFlips(a, b bitvec.Vec, inv uint64, row *cpm.Row) float6
 			sum += int64(plus - minus)
 		}
 		return float64(sum) / x
-	}
-	ev.touched = ev.touched[:0]
-	numeric := st.kind.Numeric()
-	for ri, o := range row.POs {
-		p := row.Diffs[ri]
-		if numeric {
-			ev.scanDelta(a, b, p, st.cur[o], inv, st.weights[o])
-		} else {
-			ev.scanMism(a, b, p, st.cur[o], st.exact[o], inv)
-		}
-	}
-	// Fold.
-	var out float64
-	switch st.kind {
 	case ER:
-		cnt := st.errCount
-		for _, i := range ev.touched {
-			was := st.mism[i] > 0
-			now := st.mism[i]+ev.dMism[i] > 0
+		return float64(st.foldMism(a, b, inv, row)) / x
+	case WCE:
+		return st.foldDev(a, b, inv, row)
+	default:
+		return st.foldDev(a, b, inv, row) / x
+	}
+}
+
+// foldMism is the ER kernel: the number of mismatching patterns after the
+// flips. Per word, the flips of every row PO add +1 (agreeing bit) or −1
+// (disagreeing bit) to a stack array of per-pattern mismatch deltas; the
+// patterns any PO touched are then folded against st.mism and their
+// deltas zeroed for the next word.
+func (st *State) foldMism(a, b bitvec.Vec, inv uint64, row *cpm.Row) int {
+	var dm [64]int32
+	cnt := st.errCount
+	for wi := 0; wi < len(a); wi++ {
+		d := a[wi] ^ inv
+		if b != nil {
+			d ^= b[wi]
+		}
+		var touched uint64
+		for ri, o := range row.POs {
+			w := d & row.Diffs[ri][wi]
+			if w == 0 {
+				continue
+			}
+			touched |= w
+			agree := ^(st.cur[o][wi] ^ st.exact[o][wi])
+			for m := w & agree; m != 0; m &= m - 1 {
+				dm[bits.TrailingZeros64(m)]++
+			}
+			for m := w &^ agree; m != 0; m &= m - 1 {
+				dm[bits.TrailingZeros64(m)]--
+			}
+		}
+		mism := st.mism[wi<<6:]
+		for ; touched != 0; touched &= touched - 1 {
+			i := bits.TrailingZeros64(touched)
+			was, now := mism[i] > 0, mism[i]+dm[i] > 0
 			if was && !now {
 				cnt--
 			} else if !was && now {
 				cnt++
 			}
+			dm[i] = 0
 		}
-		out = float64(cnt) / x
-	case MSE:
-		sum := st.errSum
-		for _, i := range ev.touched {
-			nd := st.dev[i] + ev.delta[i]
-			sum += nd*nd - st.dev[i]*st.dev[i]
-		}
-		out = sum / x
-	case MED:
-		sum := st.errSum
-		for _, i := range ev.touched {
-			nd := st.dev[i] + ev.delta[i]
-			sum += math.Abs(nd) - math.Abs(st.dev[i])
-		}
-		out = sum / x
-	case WCE:
-		// Upper bound on the post-apply sampled max: touched patterns are
-		// scored exactly, untouched ones are bounded by the current max.
+	}
+	return cnt
+}
+
+// foldDev is the MSE/MED/WCE kernel: Σ dev² (MSE) or Σ |dev| (MED) after
+// the flips, or for WCE an upper bound on the post-apply sampled max
+// (touched patterns are scored exactly, untouched ones are bounded by the
+// current max). Per word, the flips of every row PO add ±w_o (sign from
+// the current bit) to a stack array of per-pattern deviation deltas, in
+// row order; the touched patterns are then folded in ascending order and
+// their deltas zeroed for the next word.
+//
+// So each pattern's delta is summed in row-PO order. WCE (a max) does not
+// depend on the fold order, and neither do MSE and MED while every partial
+// sum is an integer below 2^53 — true for the unsigned and two's-complement
+// weights. Other weights round in this fixed order, so results are still
+// identical at every thread count.
+func (st *State) foldDev(a, b bitvec.Vec, inv uint64, row *cpm.Row) float64 {
+	var delta [64]float64
+	out := st.errSum
+	if st.kind == WCE {
 		out = st.wceMax
-		for _, i := range ev.touched {
-			if nd := math.Abs(st.dev[i] + ev.delta[i]); nd > out {
-				out = nd
+	}
+	for wi := 0; wi < len(a); wi++ {
+		d := a[wi] ^ inv
+		if b != nil {
+			d ^= b[wi]
+		}
+		var touched uint64
+		for ri, o := range row.POs {
+			w := d & row.Diffs[ri][wi]
+			if w == 0 {
+				continue
+			}
+			touched |= w
+			wo, cur := st.weights[o], st.cur[o][wi]
+			for m := w &^ cur; m != 0; m &= m - 1 {
+				delta[bits.TrailingZeros64(m)] += wo
+			}
+			for m := w & cur; m != 0; m &= m - 1 {
+				delta[bits.TrailingZeros64(m)] -= wo
+			}
+		}
+		if touched == 0 {
+			continue
+		}
+		dev := st.dev[wi<<6:]
+		switch st.kind {
+		case MSE:
+			for ; touched != 0; touched &= touched - 1 {
+				i := bits.TrailingZeros64(touched)
+				nd := dev[i] + delta[i]
+				out += nd*nd - dev[i]*dev[i]
+				delta[i] = 0
+			}
+		case MED:
+			for ; touched != 0; touched &= touched - 1 {
+				i := bits.TrailingZeros64(touched)
+				nd := dev[i] + delta[i]
+				out += math.Abs(nd) - math.Abs(dev[i])
+				delta[i] = 0
+			}
+		case WCE:
+			for ; touched != 0; touched &= touched - 1 {
+				i := bits.TrailingZeros64(touched)
+				if nd := math.Abs(dev[i] + delta[i]); nd > out {
+					out = nd
+				}
+				delta[i] = 0
 			}
 		}
 	}
-	// Reset scratch.
-	for _, i := range ev.touched {
-		ev.onStack[i] = false
-		if numeric {
-			ev.delta[i] = 0
-		} else {
-			ev.dMism[i] = 0
-		}
-	}
-	ev.touched = ev.touched[:0]
 	return out
 }
-
-// scanMism is the ER inner loop: record the mismatch-count delta of every
-// flipped (pattern, PO) bit.
-func (ev *Evaluator) scanMism(a, b, p, curW, exW bitvec.Vec, inv uint64) {
-	for wi := 0; wi < len(a); wi++ {
-		w := a[wi]
-		if b != nil {
-			w ^= b[wi]
-		}
-		w = (w ^ inv) & p[wi]
-		if w == 0 {
-			continue
-		}
-		base := wi << 6
-		agree := ^(curW[wi] ^ exW[wi])
-		for w != 0 {
-			bit := trailing(w)
-			i := base + bit
-			if !ev.onStack[i] {
-				ev.onStack[i] = true
-				ev.touched = append(ev.touched, int32(i))
-			}
-			if agree>>uint(bit)&1 != 0 {
-				ev.dMism[i]++
-			} else {
-				ev.dMism[i]--
-			}
-			w &= w - 1
-		}
-	}
-}
-
-// scanDelta is the MSE/MED inner loop: accumulate the signed deviation
-// delta (±wo per flip, sign from the current bit) of every flipped bit.
-func (ev *Evaluator) scanDelta(a, b, p, curW bitvec.Vec, inv uint64, wo float64) {
-	for wi := 0; wi < len(a); wi++ {
-		w := a[wi]
-		if b != nil {
-			w ^= b[wi]
-		}
-		w = (w ^ inv) & p[wi]
-		if w == 0 {
-			continue
-		}
-		base := wi << 6
-		cw := curW[wi]
-		for w != 0 {
-			bit := trailing(w)
-			i := base + bit
-			if !ev.onStack[i] {
-				ev.onStack[i] = true
-				ev.touched = append(ev.touched, int32(i))
-			}
-			if cw>>uint(bit)&1 != 0 {
-				ev.delta[i] -= wo
-			} else {
-				ev.delta[i] += wo
-			}
-			w &= w - 1
-		}
-	}
-}
-
-func trailing(b uint64) int { return bits.TrailingZeros64(b) }
 
 // CommitPO records that PO o's value vector is now newVal, updating the
 // per-pattern state incrementally from the changed bits.
@@ -431,7 +392,7 @@ func (st *State) CommitPO(o int, newVal bitvec.Vec) {
 		base := wi << 6
 		cw, ew := curW[wi], exW[wi]
 		for d != 0 {
-			bit := trailing(d & -d)
+			bit := bits.TrailingZeros64(d)
 			i := base + bit
 			curBit := cw>>uint(bit)&1 != 0
 			exBit := ew>>uint(bit)&1 != 0

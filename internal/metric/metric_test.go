@@ -180,28 +180,3 @@ func TestEvalLACNoEffect(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkEvalLAC(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	nPO, words := 32, 128
-	exact := randVecs(rng, nPO, words)
-	st := NewState(MSE, exact, UnsignedWeights(nPO), words*64)
-	D := bitvec.NewWords(words)
-	for w := range D {
-		D[w] = rng.Uint64() & rng.Uint64() & rng.Uint64()
-	}
-	row := &cpm.Row{}
-	for o := 0; o < nPO; o++ {
-		p := bitvec.NewWords(words)
-		for w := range p {
-			p[w] = rng.Uint64() & rng.Uint64()
-		}
-		row.POs = append(row.POs, int32(o))
-		row.Diffs = append(row.Diffs, p)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.EvalLAC(D, row)
-	}
-}

@@ -84,10 +84,12 @@ type Metrics struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	samples  []Sample
+	latest   bool // retain only the most recent sample (NewLatestMetrics)
 	rt       []metrics.Sample
 }
 
-// NewMetrics returns an empty registry whose clock starts now.
+// NewMetrics returns an empty registry whose clock starts now. It retains
+// every sample, for Samples and WriteJSONL.
 func NewMetrics() *Metrics {
 	m := &Metrics{
 		epoch:    time.Now(),
@@ -98,6 +100,16 @@ func NewMetrics() *Metrics {
 	for i, rm := range runtimeMetricNames {
 		m.rt[i].Name = rm.name
 	}
+	return m
+}
+
+// NewLatestMetrics returns a registry that retains only its most recent
+// sample, so its memory stays bounded however many iterations sample it:
+// the registry of a long-lived process (alsd), which serves LastSample
+// and never the history.
+func NewLatestMetrics() *Metrics {
+	m := NewMetrics()
+	m.latest = true
 	return m
 }
 
@@ -162,6 +174,9 @@ func (m *Metrics) TakeSample(iter int) {
 			vals[rm.key] = histogramTotal(m.rt[i].Value.Float64Histogram())
 		}
 	}
+	if m.latest {
+		m.samples = m.samples[:0]
+	}
 	m.samples = append(m.samples, Sample{
 		Iter:   iter,
 		AtNS:   time.Since(m.epoch).Nanoseconds(),
@@ -190,7 +205,8 @@ func histogramTotal(h *metrics.Float64Histogram) float64 {
 	return total
 }
 
-// Samples returns a copy of every sample taken so far.
+// Samples returns a copy of every retained sample: every sample taken so
+// far, or for a NewLatestMetrics registry at most the last one.
 func (m *Metrics) Samples() []Sample {
 	if m == nil {
 		return nil

@@ -356,6 +356,23 @@ func TestMetricsSampling(t *testing.T) {
 	}
 }
 
+// TestLatestMetricsRetainsOneSample: a NewLatestMetrics registry keeps
+// only its most recent sample, which LastSample returns.
+func TestLatestMetricsRetainsOneSample(t *testing.T) {
+	m := NewLatestMetrics()
+	for i := 1; i <= 5; i++ {
+		m.Gauge("error").Set(float64(i))
+		m.TakeSample(i)
+	}
+	ss := m.Samples()
+	if len(ss) != 1 || ss[0].Iter != 5 || ss[0].Values["error"] != 5 {
+		t.Fatalf("samples = %+v, want only iteration 5", ss)
+	}
+	if last, ok := m.LastSample(); !ok || last.Iter != 5 {
+		t.Fatalf("last sample = %+v ok=%v", last, ok)
+	}
+}
+
 // TestWriteSummaryTable: the per-span-name aggregation must include every
 // name with its count.
 func TestWriteSummaryTable(t *testing.T) {

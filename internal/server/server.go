@@ -39,7 +39,7 @@ type Config struct {
 	// for every value, so this is purely a capacity knob.
 	ThreadsPerJob int
 	ProgressEvery time.Duration // SSE progress cadence (≤0: 100ms)
-	Metrics       *obs.Metrics  // served under /debug/obs; nil allocates one
+	Metrics       *obs.Metrics  // served under /debug/obs; nil allocates one retaining only the last sample
 }
 
 // Server owns the worker pool, queue, cache and limiter. Create with New,
@@ -88,7 +88,7 @@ func New(cfg Config) *Server {
 		cfg.ProgressEvery = 100 * time.Millisecond
 	}
 	if cfg.Metrics == nil {
-		cfg.Metrics = obs.NewMetrics()
+		cfg.Metrics = obs.NewLatestMetrics()
 	}
 	s := &Server{
 		cfg:     cfg,
