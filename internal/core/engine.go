@@ -470,19 +470,26 @@ type pendingLAC struct {
 	iter int
 }
 
-// certifyAt runs one SAT certification of the current circuit at bound t,
+// certifyAt runs one SAT certification of the current circuit at bound t
+// — in the tightening session sess if non-nil, else on a fresh miter —
 // recording the "cert" span and the certification counters. A
 // conflict-budget exhaustion (or any solver error) counts as a failed
 // certification, keeping limited runs deterministic. This is also the
 // skip-wce-cert fault site: the seeded bug claims success without proving
 // anything.
-func (e *engine) certifyAt(t uint64) bool {
+func (e *engine) certifyAt(t uint64, sess *equiv.Session) bool {
 	if e.fire(fault.SkipWCECert) {
 		return true
 	}
 	sp := e.cur.Child("cert")
 	sp.SetInt("bound", int64(t))
-	ok, err := e.cert.CheckAt(e.g, t)
+	var ok bool
+	var err error
+	if sess != nil {
+		ok, err = sess.CheckAt(t)
+	} else {
+		ok, err = e.cert.CheckAt(e.g, t)
+	}
 	sp.SetInt("sat_calls", int64(e.cert.Calls))
 	sp.End()
 	e.stats.CertTime += sp.Duration()
@@ -524,7 +531,7 @@ func (e *engine) wceCheckpoint(force bool) bool {
 	if !force && len(e.pending) < e.opt.CertEvery {
 		return false
 	}
-	if e.certifyAt(e.opt.WCEBound) {
+	if e.certifyAt(e.opt.WCEBound, nil) {
 		e.markCertified(e.opt.WCEBound)
 		return false
 	}
@@ -552,7 +559,7 @@ func (e *engine) wceReplay() {
 			continue // earlier rewiring made this substitution cyclic
 		}
 		e.apply(l)
-		if e.certifyAt(e.opt.WCEBound) {
+		if e.certifyAt(e.opt.WCEBound, nil) {
 			e.markCertified(e.opt.WCEBound)
 			continue
 		}
@@ -567,7 +574,8 @@ func (e *engine) wceReplay() {
 // back and the last certified state is emitted. Completed runs force a
 // final checkpoint, then tighten CertifiedWCE by binary search between the
 // sampled maximum (a genuine lower bound on the true worst case) and the
-// proven bound — with an unlimited conflict budget the result is the exact
+// proven bound, every probe in one incremental equiv.Session on the final
+// circuit — with an unlimited conflict budget the result is the exact
 // worst-case error; with a limited one, inconclusive probes keep the
 // current proven bound.
 func (e *engine) finalizeWCE() {
@@ -591,9 +599,10 @@ func (e *engine) finalizeWCE() {
 			lo = hi
 		}
 	}
+	sess := e.cert.Session(e.g)
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		if e.certifyAt(mid) {
+		if e.certifyAt(mid, sess) {
 			hi = mid
 		} else {
 			lo = mid + 1

@@ -100,20 +100,28 @@ func Equivalent(a, b *aig.Graph) (bool, []bool, error) {
 
 // buildWCEMiter constructs a single-output circuit that is 1 exactly when
 // |orig(x) − approx(x)| > t, reading both output vectors as unsigned
-// LSB-first integers.
-func buildWCEMiter(orig, approx *aig.Graph, t uint64) *aig.Graph {
+// LSB-first integers. With freeThr the threshold is not the constant t but
+// a word of K = orig.NumPOs() further primary inputs (LSB first) after
+// orig's, so one miter serves every bound.
+func buildWCEMiter(orig, approx *aig.Graph, t uint64, freeThr bool) *aig.Graph {
 	g := aig.New("wce-miter")
 	b := &gen.Builder{G: g}
 	pis := make([]aig.Lit, orig.NumPIs())
 	for i := range pis {
 		pis[i] = g.AddPI(fmt.Sprintf("x%d", i))
 	}
+	var thr gen.Word
+	if freeThr {
+		thr = b.Input("t", orig.NumPOs())
+	}
 	ao := gen.Word(aig.AppendGraph(g, orig, pis))
 	aa := gen.Word(aig.AppendGraph(g, approx, pis))
 	d0, borrow := b.Sub(ao, aa) // orig − approx (mod 2^K), borrow ⇒ approx > orig
 	d1, _ := b.Sub(aa, ao)
 	abs := b.Mux(borrow, d1, d0)
-	thr := b.Const(t, len(abs))
+	if !freeThr {
+		thr = b.Const(t, len(abs))
+	}
 	viol := b.LtU(thr, abs) // t < |diff|
 	g.AddPO(viol, "violation")
 	return g
@@ -131,23 +139,33 @@ func WCEAtMost(orig, approx *aig.Graph, t uint64) (bool, []bool, error) {
 // certification (roll back), which keeps runs deterministic.
 var ErrBudget = errors.New("equiv: certification conflict budget exhausted")
 
+// checkWCE rejects circuit pairs the WCE miter cannot compare.
+func checkWCE(orig, approx *aig.Graph) error {
+	if orig.NumPIs() != approx.NumPIs() || orig.NumPOs() != approx.NumPOs() {
+		return errors.New("equiv: interface mismatch")
+	}
+	if orig.NumPOs() > 63 {
+		return errors.New("equiv: WCE certification limited to ≤ 63 outputs")
+	}
+	return nil
+}
+
+// maxDiff is 2^K − 1, the largest |orig − approx| over K outputs. A
+// threshold at or above it is trivially satisfied; this also guards the
+// miter, whose threshold word is only K bits wide — encoding a larger t
+// there would silently truncate it mod 2^K and report a spurious violation.
+func maxDiff(g *aig.Graph) uint64 { return uint64(1)<<uint(g.NumPOs()) - 1 }
+
 // wceAtMost is WCEAtMost with a conflict budget (0 = unlimited); hitting
 // the budget returns ErrBudget.
 func wceAtMost(orig, approx *aig.Graph, t uint64, limit int64) (bool, []bool, error) {
-	if orig.NumPIs() != approx.NumPIs() || orig.NumPOs() != approx.NumPOs() {
-		return false, nil, errors.New("equiv: interface mismatch")
+	if err := checkWCE(orig, approx); err != nil {
+		return false, nil, err
 	}
-	if orig.NumPOs() > 63 {
-		return false, nil, errors.New("equiv: WCE certification limited to ≤ 63 outputs")
-	}
-	// |orig − approx| ≤ 2^K − 1 always; a threshold at or above that is
-	// trivially satisfied. This also guards the miter construction, whose
-	// threshold word is only K bits wide — encoding a larger t there would
-	// silently truncate it mod 2^K and report a spurious violation.
-	if maxDiff := uint64(1)<<uint(orig.NumPOs()) - 1; t >= maxDiff {
+	if t >= maxDiff(orig) {
 		return true, nil, nil
 	}
-	m := buildWCEMiter(orig, approx, t)
+	m := buildWCEMiter(orig, approx, t, false)
 	s := sat.New()
 	s.MaxConflicts = limit
 	piVars := make([]int, m.NumPIs())
@@ -158,12 +176,18 @@ func wceAtMost(orig, approx *aig.Graph, t uint64, limit int64) (bool, []bool, er
 	if !s.AddClause(outs[0]) {
 		return true, nil, nil
 	}
-	switch s.Solve() {
+	return wceVerdict(s, s.Solve(), piVars, limit)
+}
+
+// wceVerdict turns the solve of a violation miter into WCEAtMost's
+// result: Unsat certifies, Sat yields the counterexample on xVars.
+func wceVerdict(s *sat.Solver, st sat.Status, xVars []int, limit int64) (bool, []bool, error) {
+	switch st {
 	case sat.Unsat:
 		return true, nil, nil
 	case sat.Sat:
-		cex := make([]bool, len(piVars))
-		for i, v := range piVars {
+		cex := make([]bool, len(xVars))
+		for i, v := range xVars {
 			cex[i] = s.Model(v)
 		}
 		return false, cex, nil
@@ -172,6 +196,48 @@ func wceAtMost(orig, approx *aig.Graph, t uint64, limit int64) (bool, []bool, er
 		return false, nil, ErrBudget
 	}
 	return false, nil, errors.New("equiv: solver limit reached")
+}
+
+// wceSession checks one approximation at many bounds on one solver: the
+// miter is encoded once with a free threshold word, and each bound is a
+// set of assumption literals fixing that word, so every check reuses the
+// clauses learnt by the earlier ones.
+type wceSession struct {
+	s       *sat.Solver
+	xVars   []int // solver variables of orig's inputs
+	thrVars []int // solver variables of the threshold word, LSB first
+	assume  []sat.Lit
+	maxDiff uint64
+}
+
+func newWCESession(orig, approx *aig.Graph) (*wceSession, error) {
+	if err := checkWCE(orig, approx); err != nil {
+		return nil, err
+	}
+	m := buildWCEMiter(orig, approx, 0, true)
+	s := sat.New()
+	piVars := make([]int, m.NumPIs())
+	for i := range piVars {
+		piVars[i] = s.NewVar()
+	}
+	// A false return means no threshold admits a violation; every later
+	// Solve then reports Unsat, which certifies.
+	s.AddClause(tseitin(s, m, piVars)[0])
+	n := orig.NumPIs()
+	return &wceSession{s: s, xVars: piVars[:n], thrVars: piVars[n:], maxDiff: maxDiff(orig)}, nil
+}
+
+// atMost is wceAtMost on the session's circuits.
+func (w *wceSession) atMost(t uint64, limit int64) (bool, []bool, error) {
+	if t >= w.maxDiff {
+		return true, nil, nil
+	}
+	w.assume = w.assume[:0]
+	for i, v := range w.thrVars {
+		w.assume = append(w.assume, sat.MkLit(v, t>>uint(i)&1 == 0))
+	}
+	w.s.MaxConflicts = limit
+	return wceVerdict(w.s, w.s.Solve(w.assume...), w.xVars, limit)
 }
 
 // evalOutputs evaluates g on one input assignment and returns the PO
@@ -252,16 +318,29 @@ func NewCertifier(orig *aig.Graph) *Certifier { return &Certifier{orig: orig} }
 
 // CheckAt reports whether approx's worst-case error against the reference
 // is at most t. Cached counterexamples are screened by simulation first;
-// only then does a (conflict-limited) SAT call decide.
+// only then does a (conflict-limited) SAT call on a fresh miter decide.
 func (c *Certifier) CheckAt(approx *aig.Graph, t uint64) (bool, error) {
+	if c.screen(approx, t) {
+		return false, nil
+	}
+	return c.record(wceAtMost(c.orig, approx, t, c.Limit))
+}
+
+// screen reports whether a cached counterexample already shows approx
+// exceeding t, counting the hit.
+func (c *Certifier) screen(approx *aig.Graph, t uint64) bool {
 	for i := range c.cexs {
 		av := evalOutputs(approx, c.cexs[i].pi)
 		if absDiff(c.cexs[i].origVal, av) > t {
 			c.CexHits++
-			return false, nil
+			return true
 		}
 	}
-	ok, cex, err := wceAtMost(c.orig, approx, t, c.Limit)
+	return false
+}
+
+// record counts one solver call and caches its counterexample.
+func (c *Certifier) record(ok bool, cex []bool, err error) (bool, error) {
 	c.Calls++
 	if err != nil {
 		return false, err
@@ -275,17 +354,59 @@ func (c *Certifier) CheckAt(approx *aig.Graph, t uint64) (bool, error) {
 	return ok, nil
 }
 
+// Session is a run of checks of one fixed approximation at varying bounds:
+// the binary search that tightens a proven bound. The first check that
+// reaches the solver encodes the miter with the bound as free inputs;
+// later checks only change the assumptions fixing them, and so reuse the
+// clauses learnt before. Every check is screened by the cached
+// counterexamples and counted exactly like CheckAt.
+type Session struct {
+	c      *Certifier
+	approx *aig.Graph
+	w      *wceSession
+}
+
+// Session opens a tightening session on approx, which must not change
+// while the session is in use.
+func (c *Certifier) Session(approx *aig.Graph) *Session {
+	return &Session{c: c, approx: approx}
+}
+
+// CheckAt reports whether the session's approximation has worst-case
+// error at most t against the reference.
+func (s *Session) CheckAt(t uint64) (bool, error) {
+	if s.c.screen(s.approx, t) {
+		return false, nil
+	}
+	if s.w == nil {
+		w, err := newWCESession(s.c.orig, s.approx)
+		if err != nil {
+			return s.c.record(false, nil, err)
+		}
+		s.w = w
+	}
+	return s.c.record(s.w.atMost(t, s.c.Limit))
+}
+
 // WorstCaseError computes the exact worst-case numeric error by binary
-// search over WCEAtMost. The search range is [0, 2^POs − 1].
+// search over [0, 2^POs − 1], every probe solved in one incremental
+// session.
 func WorstCaseError(orig, approx *aig.Graph) (uint64, error) {
 	if orig.NumPOs() > 62 {
 		return 0, errors.New("equiv: too many outputs for exact WCE")
 	}
-	lo, hi := uint64(0), uint64(1)<<uint(orig.NumPOs())-1
+	lo, hi := uint64(0), maxDiff(orig)
+	if lo == hi {
+		return 0, nil
+	}
+	w, err := newWCESession(orig, approx)
+	if err != nil {
+		return 0, err
+	}
 	// Invariant: WCE > lo−1 (i.e. not certified at lo−1), WCE ≤ hi.
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		ok, _, err := WCEAtMost(orig, approx, mid)
+		ok, _, err := w.atMost(mid, 0)
 		if err != nil {
 			return 0, err
 		}

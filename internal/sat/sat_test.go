@@ -69,36 +69,10 @@ func TestAssumptions(t *testing.T) {
 	}
 }
 
-// pigeonhole(n): n+1 pigeons in n holes — classically UNSAT and a good
-// stress for clause learning.
-func pigeonhole(s *Solver, n int) {
-	vars := make([][]int, n+1)
-	for p := 0; p <= n; p++ {
-		vars[p] = make([]int, n)
-		for h := 0; h < n; h++ {
-			vars[p][h] = s.NewVar()
-		}
-	}
-	for p := 0; p <= n; p++ {
-		lits := make([]Lit, n)
-		for h := 0; h < n; h++ {
-			lits[h] = MkLit(vars[p][h], false)
-		}
-		s.AddClause(lits...)
-	}
-	for h := 0; h < n; h++ {
-		for p1 := 0; p1 <= n; p1++ {
-			for p2 := p1 + 1; p2 <= n; p2++ {
-				s.AddClause(MkLit(vars[p1][h], true), MkLit(vars[p2][h], true))
-			}
-		}
-	}
-}
-
 func TestPigeonholeUnsat(t *testing.T) {
 	for n := 2; n <= 5; n++ {
 		s := New()
-		pigeonhole(s, n)
+		pigeonholeInstance(n)(s)
 		if got := s.Solve(); got != Unsat {
 			t.Fatalf("PHP(%d) = %v, want UNSAT", n, got)
 		}
@@ -172,9 +146,49 @@ func TestRandom3SATAgainstBruteForce(t *testing.T) {
 
 func TestConflictLimit(t *testing.T) {
 	s := New()
-	pigeonhole(s, 7)
+	pigeonholeInstance(7)(s)
 	s.MaxConflicts = 10
 	if got := s.Solve(); got != Unknown && got != Unsat {
 		t.Fatalf("limited solve = %v", got)
+	}
+}
+
+// TestSolveAfterSatHonoursAssumptions: a Sat result leaves its model on
+// the trail for Model to read; the next call must start from level 0, not
+// place its assumptions on top of that model. On a∨b the first call sets
+// a=0, b=1; assuming ¬b must then give a=1, not a spurious Unsat.
+func TestSolveAfterSatHonoursAssumptions(t *testing.T) {
+	s := New()
+	a, b := s.NewVar(), s.NewVar()
+	s.AddClause(MkLit(a, false), MkLit(b, false))
+	if s.Solve() != Sat {
+		t.Fatal("a∨b must be SAT")
+	}
+	if s.Model(a) || !s.Model(b) {
+		t.Fatalf("first model a=%v b=%v, want a=0 b=1", s.Model(a), s.Model(b))
+	}
+	if got := s.Solve(MkLit(b, true)); got != Sat {
+		t.Fatalf("Solve(¬b) after Sat = %v, want Sat", got)
+	}
+	if !s.Model(a) || s.Model(b) {
+		t.Fatalf("model under ¬b: a=%v b=%v, want a=1 b=0", s.Model(a), s.Model(b))
+	}
+}
+
+// TestConflictBudgetPerCall: MaxConflicts is a budget per Solve call, so a
+// reused solver's second budgeted call runs as many conflicts as its first.
+func TestConflictBudgetPerCall(t *testing.T) {
+	const budget = 50
+	s := New()
+	pigeonholeInstance(7)(s)
+	s.MaxConflicts = budget
+	for call := 1; call <= 2; call++ {
+		before := s.conflicts
+		if got := s.Solve(); got != Unknown {
+			t.Fatalf("call %d: PHP(7) with %d conflicts = %v, want Unknown", call, budget, got)
+		}
+		if n := s.conflicts - before; n != budget {
+			t.Fatalf("call %d ran %d conflicts, want the full budget %d", call, n, budget)
+		}
 	}
 }
