@@ -239,7 +239,7 @@ var statsFieldKeys = map[string]string{
 	"applied": "Applied", "comprehensive": "Comprehensive", "incremental": "Incremental",
 	"rollbacks": "Rollbacks", "runtime_ns": "Runtime",
 	"cut_time_ns": "CutTime", "cpm_time_ns": "CPMTime", "eval_time_ns": "EvalTime",
-	"phase1_time_ns": "Phase1Time", "phase2_time_ns": "Phase2Time", "phase1_warm_time_ns": "Phase1WarmTime",
+	"phase1_time_ns": "Phase1Time", "phase2_time_ns": "Phase2Time",
 	"cut_work": "CutWork", "cpm_work": "CPMWork", "eval_work": "EvalWork",
 	"cpm_rows_reused": "CPMRowsReused", "cpm_rows_recomputed": "CPMRowsRecomputed",
 	"warm_comprehensive": "WarmComprehensive", "eval_memo_hits": "EvalMemoHits", "cut_updates_incremental": "CutUpdates",

@@ -188,11 +188,12 @@ func TestNotSetAllBiasedMask(t *testing.T) {
 
 // BenchmarkKernels is the microbench family behind the fused-kernel claim:
 // each fused kernel is benchmarked next to the unfused multi-pass sequence
-// it replaces, at the dual-phase benchmark's vector size (1024 patterns =
-// 16 words). CI runs this family in the bench smoke and uploads the output
-// as results/BENCH_kernels.txt; EXPERIMENTS.md records the methodology.
+// it replaces, at 1024 patterns (16 words), the pattern count of bench/'s
+// large-const and small-sasimi workloads. CI runs this family in the bench
+// smoke and uploads the output as results/BENCH_kernels.txt;
+// EXPERIMENTS.md records the methodology.
 func BenchmarkKernels(b *testing.B) {
-	const words = 16 // 1024 patterns, as in BenchmarkDualPhase
+	const words = 16 // 1024 patterns
 	rng := rand.New(rand.NewSource(1))
 	a, bv, c := randVec(rng, words), randVec(rng, words), randVec(rng, words)
 	a.Mask(biasedPatterns)

@@ -40,9 +40,6 @@ func (e *engine) comprehensive(parent *obs.Span) []lac.NodeBest {
 	defer func() {
 		p1.End()
 		e.stats.Phase1Time += p1.Duration()
-		if warm {
-			e.stats.Phase1WarmTime += p1.Duration()
-		}
 	}()
 	if warm {
 		// The cuts are already exact for the current graph; charge the

@@ -321,11 +321,8 @@ type Stats struct {
 	// per-iteration analyses of the conventional, VECBEE and AccALS
 	// baselines, which are all phase-1-style); Phase2Time covers the
 	// incremental phase-2 loops of the dual-phase flows, applies included.
-	// Phase1WarmTime is the slice of Phase1Time spent in warm-started
-	// passes (see WarmComprehensive).
-	Phase1Time     time.Duration `json:"phase1_time_ns"`
-	Phase2Time     time.Duration `json:"phase2_time_ns"`
-	Phase1WarmTime time.Duration `json:"phase1_warm_time_ns,omitempty"`
+	Phase1Time time.Duration `json:"phase1_time_ns"`
+	Phase2Time time.Duration `json:"phase2_time_ns"`
 
 	// Deterministic work of the three steps.
 	CutWork  int64 `json:"cut_work"`

@@ -252,12 +252,6 @@ func TestWarmReuseReportsNonzeroCounters(t *testing.T) {
 	if r := st.Phase1ReuseRate(); r <= 0 || r > 1 {
 		t.Errorf("Phase1ReuseRate = %v, want in (0,1]", r)
 	}
-	if st.Phase1WarmTime <= 0 {
-		t.Error("Phase1WarmTime not recorded")
-	}
-	if st.Phase1WarmTime > st.Phase1Time {
-		t.Errorf("Phase1WarmTime %v exceeds total Phase1Time %v", st.Phase1WarmTime, st.Phase1Time)
-	}
 }
 
 // TestComprehensiveCancelKeepsPreviousCuts is the regression test for the
