@@ -17,7 +17,8 @@ import (
 )
 
 // Pre-fix, SetWeights accepted a slice of any length and a mismatched
-// vector silently mis-scored MED/MSE (or panicked inside metric).
+// vector silently mis-scored MED/MSE (or panicked inside metric), and it
+// accepted non-finite weights.
 func TestSetWeightsValidatesLength(t *testing.T) {
 	c := dpals.NewAdder(4) // 8 inputs, 5 outputs
 	if err := c.SetWeights([]float64{1, 2}); err == nil {
@@ -25,6 +26,14 @@ func TestSetWeightsValidatesLength(t *testing.T) {
 	}
 	if err := c.SetWeights(make([]float64, c.NumOutputs()+1)); err == nil {
 		t.Fatalf("SetWeights accepted %d weights for %d outputs", c.NumOutputs()+1, c.NumOutputs())
+	}
+	// A NaN weight scores every LAC NaN, which compares false against the
+	// budget: DP-SA used to apply LACs until the circuit was empty and
+	// report error NaN. Infinite weights are rejected with it.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := c.SetWeights([]float64{1, 2, bad, 8, 16}); err == nil {
+			t.Errorf("SetWeights accepted weight %v", bad)
+		}
 	}
 	w := []float64{1, 2, 4, 8, 16}
 	if err := c.SetWeights(w); err != nil {

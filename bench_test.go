@@ -97,8 +97,8 @@ func BenchmarkAblationCutUpdate(b *testing.B) {
 	g := gen.MultU(10, 10)
 	for i := 0; i < b.N; i++ {
 		inc, fresh, avgSv := repro.AblationCutUpdate(g, 20, 1)
-		if inc > 0 {
-			b.ReportMetric(float64(fresh)/float64(inc), "speedup_x")
+		if inc.Time > 0 {
+			b.ReportMetric(float64(fresh.Time)/float64(inc.Time), "speedup_x")
 		}
 		b.ReportMetric(avgSv, "avg_Sv_nodes")
 	}
@@ -110,8 +110,8 @@ func BenchmarkAblationPartialCPM(b *testing.B) {
 	g := gen.MultU(10, 10)
 	for i := 0; i < b.N; i++ {
 		partial, full, closure := repro.AblationPartialCPM(g, 60, 2048, 1)
-		if partial > 0 {
-			b.ReportMetric(float64(full)/float64(partial), "speedup_x")
+		if partial.Time > 0 {
+			b.ReportMetric(float64(full.Time)/float64(partial.Time), "speedup_x")
 		}
 		b.ReportMetric(float64(closure), "closure_nodes")
 	}

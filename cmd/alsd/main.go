@@ -1,7 +1,7 @@
 // Command alsd is the approximate-logic-synthesis daemon: it serves
 // circuit+constraint jobs over HTTP/JSON on a bounded worker pool with a
 // content-addressed result cache, per-tenant rate limiting, SSE progress
-// streaming, /debug/obs + pprof, and graceful drain on SIGTERM.
+// streaming, /statsz counters, pprof, and graceful drain on SIGTERM.
 //
 // Quickstart:
 //

@@ -51,9 +51,8 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file (taken after the run)")
 	statsOut := flag.String("stats", "", "write run statistics (dpals.Stats: step times, work counters, MTrace, reuse rates) as JSON to this file")
 	traceOut := flag.String("trace", "", "record a span trace of the run and write it to this file (Chrome/Perfetto trace.json; .jsonl extension selects the flat JSONL event log)")
-	metricsOut := flag.String("metrics", "", "sample engine and runtime metrics each iteration and write them as JSONL to this file")
 	progress := flag.Bool("progress", false, "render a live progress line (iteration, gates, error, ETA) on stderr")
-	pprofHTTP := flag.String("pprof-http", "", "serve net/http/pprof and /debug/obs (live span stack + metrics) on this address, e.g. :6060")
+	pprofHTTP := flag.String("pprof-http", "", "serve net/http/pprof and /debug/obs (live span stack) on this address, e.g. :6060")
 	flag.Parse()
 
 	if flag.NArg() != 1 {
@@ -106,19 +105,14 @@ func main() {
 	}
 
 	// Observability: a recording tracer when -trace or -pprof-http asks for
-	// one, a metrics registry for -metrics/-pprof-http, a live progress line
-	// for -progress. All hooks are nil-safe in the engine, so leaving them
-	// out keeps the default run on the exact same code path.
+	// one, a live progress line for -progress. Both hooks are nil-safe in
+	// the engine, so leaving them out keeps the default run on the exact
+	// same code path.
 	ctx := context.Background()
 	var tracer *obs.Tracer
 	if *traceOut != "" || *pprofHTTP != "" {
 		tracer = obs.New()
 		ctx = obs.WithTracer(ctx, tracer)
-	}
-	var mets *obs.Metrics
-	if *metricsOut != "" || *pprofHTTP != "" {
-		mets = obs.NewMetrics()
-		ctx = obs.WithMetrics(ctx, mets)
 	}
 	var prog *obs.Progress
 	if *progress {
@@ -126,7 +120,7 @@ func main() {
 		ctx = obs.WithProgress(ctx, prog)
 	}
 	if *pprofHTTP != "" {
-		http.Handle("/debug/obs", obs.Handler(tracer, mets))
+		http.Handle("/debug/obs", obs.Handler(tracer))
 		go func() {
 			if err := http.ListenAndServe(*pprofHTTP, nil); err != nil {
 				fmt.Fprintln(os.Stderr, "alsrun: pprof server:", err)
@@ -135,10 +129,10 @@ func main() {
 		fmt.Printf("pprof : http://%s/debug/pprof/ (+ /debug/obs)\n", *pprofHTTP)
 	}
 
-	// flushObs writes the trace and metrics files. It runs once, on whichever
-	// exit path comes first — the normal end of the run or the hard-abort
-	// signal path — so even an aborted run leaves truncated-but-parseable
-	// artifacts (still-open spans are exported with their current duration).
+	// flushObs writes the trace file. It runs once, on whichever exit path
+	// comes first — the normal end of the run or the hard-abort signal
+	// path — so even an aborted run leaves a truncated-but-parseable trace
+	// (still-open spans are exported with their current duration).
 	var flushOnce sync.Once
 	flushObs := func() {
 		flushOnce.Do(func() {
@@ -151,11 +145,6 @@ func main() {
 					return tracer.WritePerfetto(f)
 				}); err != nil {
 					fmt.Fprintln(os.Stderr, "alsrun: trace:", err)
-				}
-			}
-			if mets != nil && *metricsOut != "" {
-				if err := writeTo(*metricsOut, mets.WriteJSONL); err != nil {
-					fmt.Fprintln(os.Stderr, "alsrun: metrics:", err)
 				}
 			}
 		})
@@ -240,12 +229,6 @@ func main() {
 		fmt.Printf("trace : %s\n", *traceOut)
 		if err := tracer.WriteSummary(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "alsrun: trace summary:", err)
-		}
-	}
-	if mets != nil && *metricsOut != "" {
-		fmt.Printf("metrics: %s\n", *metricsOut)
-		if err := mets.WriteSummary(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "alsrun: metrics summary:", err)
 		}
 	}
 

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"os"
 	"os/exec"
@@ -68,18 +67,17 @@ func parseTrace(t *testing.T, path string) []map[string]any {
 	return trace.TraceEvents
 }
 
-// TestRunWritesObservabilityArtifacts: a traced, metered, progress-enabled
-// run must exit zero and leave parseable artifacts whose phase spans cover
+// TestRunWritesObservabilityArtifacts: a traced, progress-enabled run
+// must exit zero and leave parseable artifacts whose phase spans cover
 // the run.
 func TestRunWritesObservabilityArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	trace := filepath.Join(dir, "trace.json")
-	mets := filepath.Join(dir, "metrics.jsonl")
 	stats := filepath.Join(dir, "stats.json")
 
 	cmd := exec.Command(binPath,
 		"-flow", "dpsa", "-metric", "mse", "-max-iters", "12", "-threads", "2",
-		"-trace", trace, "-metrics", mets, "-stats", stats, "-progress",
+		"-trace", trace, "-stats", stats, "-progress",
 		aagPath)
 	out, err := cmd.CombinedOutput()
 	if err != nil {
@@ -97,24 +95,6 @@ func TestRunWritesObservabilityArtifacts(t *testing.T) {
 		if names[want] == 0 {
 			t.Errorf("trace has no %q span (got %v)", want, names)
 		}
-	}
-
-	mf, err := os.Open(mets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mf.Close()
-	sc := bufio.NewScanner(mf)
-	lines := 0
-	for sc.Scan() {
-		var s map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &s); err != nil {
-			t.Fatalf("metrics line %d: %v", lines, err)
-		}
-		lines++
-	}
-	if lines == 0 {
-		t.Fatal("metrics log is empty")
 	}
 
 	data, err := os.ReadFile(stats)
@@ -142,16 +122,16 @@ func TestRunWritesObservabilityArtifacts(t *testing.T) {
 
 // TestSIGINTWritesTruncatedTrace: one SIGINT stops the run cooperatively —
 // exit 0, best-so-far result, stop_reason cancelled — and the trace and
-// metrics artifacts must still be written and parseable.
+// stats artifacts must still be written and parseable. A cancelled run's
+// root span carries the cancellation latency.
 func TestSIGINTWritesTruncatedTrace(t *testing.T) {
 	dir := t.TempDir()
 	trace := filepath.Join(dir, "trace.json")
-	mets := filepath.Join(dir, "metrics.jsonl")
 	stats := filepath.Join(dir, "stats.json")
 
 	cmd := exec.Command(binPath,
 		"-flow", "dp", "-metric", "mse",
-		"-trace", trace, "-metrics", mets, "-stats", stats,
+		"-trace", trace, "-stats", stats,
 		aagPath)
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
@@ -165,7 +145,7 @@ func TestSIGINTWritesTruncatedTrace(t *testing.T) {
 		t.Fatalf("alsrun after SIGINT: %v", err)
 	}
 
-	parseTrace(t, trace)
+	events := parseTrace(t, trace)
 
 	data, err := os.ReadFile(stats)
 	if err != nil {
@@ -181,6 +161,20 @@ func TestSIGINTWritesTruncatedTrace(t *testing.T) {
 	// "budget" acceptable.
 	if s.StopReason != "cancelled" && s.StopReason != "budget" {
 		t.Fatalf("stop_reason %q, want cancelled", s.StopReason)
+	}
+	runs := 0
+	for _, e := range events {
+		if e["name"] != "run" {
+			continue
+		}
+		runs++
+		lat, ok := e["args"].(map[string]any)["cancel_latency_ns"].(float64)
+		if cancelled := s.StopReason == "cancelled"; ok != cancelled || (ok && lat <= 0) {
+			t.Fatalf("run span cancel_latency_ns = %v (present %v), stop_reason %q", lat, ok, s.StopReason)
+		}
+	}
+	if runs != 1 {
+		t.Fatalf("trace has %d run spans, want 1", runs)
 	}
 }
 

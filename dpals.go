@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"dpals/internal/aig"
@@ -163,7 +164,7 @@ func (c *Circuit) Depth() int { return int(c.snap().Depth()) }
 func (c *Circuit) Weights() []float64 { return c.weights }
 
 // SetWeights overrides the numeric PO weights used by MSE/MED. A non-nil
-// w must have exactly one weight per primary output; nil restores the
+// w must have exactly one finite weight per primary output; nil restores the
 // plain unsigned LSB-first interpretation. The slice is copied, so the
 // caller may reuse it.
 func (c *Circuit) SetWeights(w []float64) error {
@@ -173,6 +174,11 @@ func (c *Circuit) SetWeights(w []float64) error {
 	}
 	if len(w) != c.NumOutputs() {
 		return fmt.Errorf("dpals: %d weights for %d outputs", len(w), c.NumOutputs())
+	}
+	for _, x := range w {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("dpals: output weight %v is not finite", x)
+		}
 	}
 	c.weights = append([]float64(nil), w...)
 	return nil

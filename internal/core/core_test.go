@@ -202,6 +202,11 @@ func TestMaxItersCap(t *testing.T) {
 
 func TestErrorsOnBadOptions(t *testing.T) {
 	g := gen.Adder(4)
+	weightsWith := func(x float64) metric.Weights {
+		w := metric.UnsignedWeights(g.NumPOs())
+		w[2] = x
+		return w
+	}
 	for _, opt := range []Options{
 		{Flow: FlowDP, Metric: metric.ER, Threshold: -1},
 		{Flow: FlowDP, Metric: metric.ER, Threshold: math.NaN()},
@@ -210,6 +215,9 @@ func TestErrorsOnBadOptions(t *testing.T) {
 		{Flow: FlowDPSA + 1, Metric: metric.ER, Threshold: 0.1},
 		{Flow: FlowDP, Metric: metric.WCE + 1, Threshold: 0.1},
 		{Flow: FlowDP, Metric: metric.MED, Threshold: 1, Weights: metric.Weights{1}},
+		{Flow: FlowDPSA, Metric: metric.MSE, Threshold: 1, Weights: weightsWith(math.NaN())},
+		{Flow: FlowDPSA, Metric: metric.MED, Threshold: 1, Weights: weightsWith(math.Inf(1))},
+		{Flow: FlowDPSA, Metric: metric.MED, Threshold: 1, Weights: weightsWith(math.Inf(-1))},
 	} {
 		if _, err := Run(context.Background(), g, opt, Hooks{}); err == nil {
 			t.Errorf("%+v accepted", opt)

@@ -58,12 +58,12 @@ func Run(ctx context.Context, g *aig.Graph, opt Options, hooks Hooks) (*Result, 
 		ctx, cancel = context.WithTimeout(ctx, opt.TimeLimit)
 		defer cancel()
 	}
-	// The observability layer rides on the context: a recording tracer,
-	// metrics registry, or progress renderer installed by the caller is
-	// picked up here; otherwise the shared no-op tracer provides the span
-	// timestamps the Stats *Time fields are derived from. Either way the
-	// code path is the same and tracing never writes engine state, so a
-	// traced run is bit-identical to an untraced one.
+	// The observability layer rides on the context: a recording tracer or
+	// progress renderer installed by the caller is picked up here;
+	// otherwise the shared no-op tracer provides the span timestamps the
+	// Stats *Time fields are derived from. Either way the code path is the
+	// same and tracing never writes engine state, so a traced run is
+	// bit-identical to an untraced one.
 	tr := obs.FromContext(ctx)
 	run := tr.Start("run")
 	run.SetStr("flow", opt.Flow.String())
@@ -83,7 +83,6 @@ func Run(ctx context.Context, g *aig.Graph, opt Options, hooks Hooks) (*Result, 
 	init.End()
 	e.ctx = ctx
 	e.root, e.cur = run, run
-	e.metrics = obs.MetricsFrom(ctx)
 	e.prog = obs.ProgressFrom(ctx)
 	start := time.Now()
 	switch opt.Flow {
@@ -120,15 +119,12 @@ func Run(ctx context.Context, g *aig.Graph, opt Options, hooks Hooks) (*Result, 
 	run.SetInt("ands_after", int64(out.NumAnds()))
 	run.SetFloat("error", finalErr)
 	run.SetStr("stop_reason", string(e.stats.StopReason))
-	run.End()
-	if e.metrics != nil {
-		if !e.cancelAt.IsZero() {
-			// Cancellation latency: first observation of the dead context
-			// to the end of the best-so-far wind-down.
-			e.metrics.Gauge("cancel_latency_s").Set(time.Since(e.cancelAt).Seconds())
-		}
-		e.sampleMetrics()
+	if !e.cancelAt.IsZero() {
+		// Cancellation latency: first observation of the dead context to
+		// the end of the best-so-far wind-down.
+		run.SetInt("cancel_latency_ns", time.Since(e.cancelAt).Nanoseconds())
 	}
+	run.End()
 	e.prog.Done()
 	return &Result{Graph: out, Error: finalErr, Stats: e.stats}, nil
 }
@@ -169,11 +165,10 @@ type engine struct {
 	// Observability (see internal/obs). root is the run-level span — never
 	// nil, since the no-op tracer still hands out timestamp-only spans the
 	// Stats *Time fields are derived from. cur is the span new apply
-	// spans nest under; flows point it at their current phase. metrics and
-	// prog are nil unless the caller installed them in the context.
+	// spans nest under; flows point it at their current phase. prog is nil
+	// unless the caller installed it in the context.
 	root     *obs.Span
 	cur      *obs.Span
-	metrics  *obs.Metrics
 	prog     *obs.Progress
 	cancelAt time.Time // first observation of a cancelled/expired context
 }
@@ -188,42 +183,6 @@ func (e *engine) step(parent *obs.Span, name string) (*obs.Span, context.Context
 		return sp, obs.WithSpan(e.ctx, sp)
 	}
 	return sp, e.ctx
-}
-
-// sampleMetrics publishes the engine's iteration-boundary gauges and takes
-// one metrics sample. Reads engine state only; called with e.metrics
-// non-nil.
-func (e *engine) sampleMetrics() {
-	m := e.metrics
-	m.Gauge("error").Set(e.st.Error())
-	m.Gauge("ands").Set(float64(e.g.NumAnds()))
-	m.Gauge("applied").Set(float64(e.stats.Applied))
-	m.Gauge("phase1_analyses").Set(float64(e.stats.Comprehensive))
-	m.Gauge("phase1_warm").Set(float64(e.stats.WarmComprehensive))
-	m.Gauge("phase1_reuse_rate").Set(e.stats.Phase1ReuseRate())
-	m.Gauge("phase2_iters").Set(float64(e.stats.Incremental))
-	m.Gauge("cpm_rows_reused").Set(float64(e.stats.CPMRowsReused))
-	m.Gauge("cpm_rows_recomputed").Set(float64(e.stats.CPMRowsRecomputed))
-	m.Gauge("eval_memo_hits").Set(float64(e.stats.EvalMemoHits))
-	if e.cache != nil {
-		ps := e.cache.Arena().Stats()
-		m.Gauge("pool_gets").Set(float64(ps.Gets))
-		m.Gauge("pool_puts").Set(float64(ps.Puts))
-		m.Gauge("pool_misses").Set(float64(ps.Misses))
-		m.Gauge("pool_high_water").Set(float64(ps.HighWater))
-		m.Gauge("pool_hit_rate").Set(ps.HitRate())
-	}
-	m.TakeSample(e.iter)
-}
-
-// observe is the engine's iteration-boundary observation hook: metrics
-// sample plus live progress line. Nil-safe on both, so apply calls it
-// unconditionally.
-func (e *engine) observe() {
-	if e.metrics != nil {
-		e.sampleMetrics()
-	}
-	e.prog.Update(e.iter, e.g.NumAnds(), e.st.Error(), e.opt.Threshold)
 }
 
 // SimOptions builds the simulator configuration a run of g under the
@@ -370,7 +329,7 @@ func (e *engine) apply(l lac.LAC) aig.ChangeSet {
 	sp.SetFloat("error", e.st.Error())
 	sp.SetInt("ands", int64(e.g.NumAnds()))
 	sp.End()
-	e.observe()
+	e.prog.Update(e.iter, e.g.NumAnds(), e.st.Error(), e.opt.Threshold)
 	return cs
 }
 
@@ -397,7 +356,7 @@ func (e *engine) cancelled() bool {
 		} else {
 			e.stats.StopReason = StopCancelled
 		}
-		e.cancelAt = time.Now() // cancel-latency metric origin
+		e.cancelAt = time.Now() // origin of the run span's cancel_latency_ns
 	}
 	return true
 }

@@ -502,7 +502,9 @@ func (e *engine) dualPhaseRound(round *obs.Span, M, N int, selfAdapt bool) (stop
 		sp, ctx = e.step(p2, "eval")
 		bests2, ew, rw, hits, err := lac.Evaluate(ctx, e.gen, res, e.st, scand, e.opt.Threads, e.memo)
 		sp.SetInt("targets", int64(len(scand)))
+		sp.SetInt("lacs_best", int64(len(bests2)))
 		sp.SetInt("work", ew)
+		sp.SetInt("memo_hits", int64(hits))
 		sp.End()
 		e.stats.EvalTime += sp.Duration()
 		e.stats.EvalWork += ew

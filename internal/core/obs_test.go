@@ -29,8 +29,8 @@ func normalizeStats(s Stats) Stats {
 }
 
 // TestTracingDoesNotPerturbResults is the central guarantee of the
-// observability layer: attaching a recording tracer, a metrics registry
-// and a progress renderer must leave the synthesis result — circuit bytes
+// observability layer: attaching a recording tracer and a progress
+// renderer must leave the synthesis result — circuit bytes
 // and deterministic Stats — bit-identical to an unobserved run, for every
 // flow, every metric, and every thread count. The WCE case runs the SAT
 // certifier under a conflict cap, which keeps limited runs deterministic.
@@ -81,7 +81,6 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 					ctx := context.Background()
 					if traced {
 						ctx = obs.WithTracer(ctx, obs.New())
-						ctx = obs.WithMetrics(ctx, obs.NewMetrics())
 						ctx = obs.WithProgress(ctx, obs.NewProgress(io.Discard, time.Millisecond))
 					}
 					res, err := Run(ctx, g, opt, Hooks{})
@@ -213,6 +212,28 @@ func TestSpanTreeMatchesStats(t *testing.T) {
 			}
 			if got, want := sumSpans(spans, "cert"), res.Stats.CertTime; got != want {
 				t.Errorf("cert spans sum %v, Stats.CertTime %v", got, want)
+			}
+			// Counter parity: every eval span, phase 1 or 2, carries the
+			// same attributes, and its memo hits sum to Stats.EvalMemoHits.
+			var memoHits int64
+			for _, sp := range spans {
+				if sp.Name != "eval" || sp.Lane != 0 {
+					continue
+				}
+				attrs := map[string]any{}
+				for _, a := range sp.Attrs {
+					attrs[a.Key] = a.Value
+				}
+				for _, key := range []string{"targets", "lacs_best", "work", "memo_hits"} {
+					if _, ok := attrs[key]; !ok {
+						t.Errorf("eval span %d lacks attribute %q", sp.ID, key)
+					}
+				}
+				h, _ := attrs["memo_hits"].(int64)
+				memoHits += h
+			}
+			if memoHits != res.Stats.EvalMemoHits {
+				t.Errorf("eval spans sum %d memo hits, Stats.EvalMemoHits %d", memoHits, res.Stats.EvalMemoHits)
 			}
 			if res.Stats.Phase1Time == 0 {
 				t.Error("Phase1Time is zero on a completed run")

@@ -222,6 +222,11 @@ func (o Options) Validate(numPIs, numPOs int) error {
 	if o.Weights != nil && len(o.Weights) != numPOs {
 		return fmt.Errorf("%d weights for %d outputs", len(o.Weights), numPOs)
 	}
+	for _, w := range o.Weights {
+		if math.IsNaN(w) || math.IsInf(w, 0) {
+			return fmt.Errorf("output weight %v is not finite", w)
+		}
+	}
 	if o.Exhaustive && numPIs > 24 {
 		return fmt.Errorf("exhaustive simulation limited to 24 inputs, circuit has %d", numPIs)
 	}

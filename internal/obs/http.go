@@ -8,11 +8,10 @@ import (
 
 // DebugState is one snapshot served by Handler: the currently open spans
 // (the live "span stack" — a forest when par workers are running, sorted
-// ancestors-first) and the most recent metrics sample, if any.
+// ancestors-first).
 type DebugState struct {
-	AtNS    int64      `json:"at_ns"` // monotonic offset from the tracer epoch
-	Active  []SpanData `json:"active"`
-	Metrics *Sample    `json:"metrics,omitempty"`
+	AtNS   int64      `json:"at_ns"` // monotonic offset from the tracer epoch
+	Active []SpanData `json:"active"`
 }
 
 // Handler serves the live observability state of a run — the /debug/obs
@@ -20,15 +19,12 @@ type DebugState struct {
 // DebugState as JSON; with ?stream=<duration> it streams one JSON line
 // per interval (minimum 50ms) until the client disconnects, so `curl
 // -N :6060/debug/obs?stream=250ms` tails the span stack of a running
-// synthesis. Both t and m may be nil; the matching fields are then empty.
-func Handler(t *Tracer, m *Metrics) http.Handler {
+// synthesis. t may be nil; the span list is then empty.
+func Handler(t *Tracer) http.Handler {
 	state := func() DebugState {
 		st := DebugState{Active: t.ActiveSpans()}
 		if t != nil {
 			st.AtNS = time.Since(t.epoch).Nanoseconds()
-		}
-		if s, ok := m.LastSample(); ok {
-			st.Metrics = &s
 		}
 		return st
 	}

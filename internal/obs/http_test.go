@@ -8,17 +8,13 @@ import (
 	"testing"
 )
 
-// TestHandlerSnapshot: a plain GET returns the open spans and the last
-// metrics sample as JSON.
+// TestHandlerSnapshot: a plain GET returns the open spans as JSON.
 func TestHandlerSnapshot(t *testing.T) {
 	tr := New()
 	root := tr.Start("run")
 	root.Child("phase1") // left open: must show in the live state
-	m := NewMetrics()
-	m.Gauge("error").Set(0.5)
-	m.TakeSample(3)
 
-	srv := httptest.NewServer(Handler(tr, m))
+	srv := httptest.NewServer(Handler(tr))
 	defer srv.Close()
 
 	resp, err := srv.Client().Get(srv.URL)
@@ -36,18 +32,14 @@ func TestHandlerSnapshot(t *testing.T) {
 	if st.Active[0].Name != "run" || !st.Active[0].Open {
 		t.Fatalf("first active span %+v, want open run", st.Active[0])
 	}
-	if st.Metrics == nil || st.Metrics.Iter != 3 || st.Metrics.Values["error"] != 0.5 {
-		t.Fatalf("metrics in state = %+v", st.Metrics)
-	}
 	if st.AtNS <= 0 {
 		t.Fatal("missing timestamp")
 	}
 }
 
-// TestHandlerNilTolerant: the endpoint must work with no tracer and no
-// metrics installed (alsrun -pprof-http without -trace/-metrics).
+// TestHandlerNilTolerant: the endpoint must work with no tracer installed.
 func TestHandlerNilTolerant(t *testing.T) {
-	srv := httptest.NewServer(Handler(nil, nil))
+	srv := httptest.NewServer(Handler(nil))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL)
 	if err != nil {
@@ -58,7 +50,7 @@ func TestHandlerNilTolerant(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Active) != 0 || st.Metrics != nil {
+	if len(st.Active) != 0 {
 		t.Fatalf("nil state not empty: %+v", st)
 	}
 }
@@ -68,7 +60,7 @@ func TestHandlerNilTolerant(t *testing.T) {
 func TestHandlerStream(t *testing.T) {
 	tr := New()
 	tr.Start("run")
-	srv := httptest.NewServer(Handler(tr, nil))
+	srv := httptest.NewServer(Handler(tr))
 	defer srv.Close()
 
 	resp, err := srv.Client().Get(srv.URL + "?stream=50ms")

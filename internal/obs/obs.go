@@ -1,13 +1,14 @@
 // Package obs is the observability layer of the synthesis engine: a
-// hierarchical span tracer, a metrics registry sampled at iteration
-// boundaries, a live progress renderer, and exporters that render one run
-// as a Chrome/Perfetto trace, a JSONL event log, or a human summary table.
+// hierarchical span tracer, a live progress renderer, and exporters that
+// render one run as a Chrome/Perfetto trace, a JSONL event log, or a human
+// summary table. Span attributes carry the per-step counters; the run's
+// totals live in core.Stats.
 //
 // The engine is instrumented unconditionally, but observation is opt-in
 // and must never perturb results:
 //
-//   - Every API is nil-safe. Methods on a nil *Tracer, *Span, *Metrics or
-//     *Progress are no-ops, so instrumentation sites never branch.
+//   - Every API is nil-safe. Methods on a nil *Tracer, *Span or *Progress
+//     are no-ops, so instrumentation sites never branch.
 //   - FromContext returns a shared no-op tracer when none is installed.
 //     Its spans carry timestamps (the engine derives the step and phase
 //     times of core.Stats from span durations — one code path whether or
@@ -288,7 +289,6 @@ type ctxKey int
 const (
 	tracerKey ctxKey = iota
 	spanKey
-	metricsKey
 	progressKey
 )
 
@@ -328,24 +328,6 @@ func SpanFrom(ctx context.Context) *Span {
 	}
 	sp, _ := ctx.Value(spanKey).(*Span)
 	return sp
-}
-
-// WithMetrics installs a metrics registry. Installing nil is a no-op.
-func WithMetrics(ctx context.Context, m *Metrics) context.Context {
-	if m == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, metricsKey, m)
-}
-
-// MetricsFrom returns the metrics registry installed in ctx, or nil (all
-// *Metrics methods are nil-safe).
-func MetricsFrom(ctx context.Context) *Metrics {
-	if ctx == nil {
-		return nil
-	}
-	m, _ := ctx.Value(metricsKey).(*Metrics)
-	return m
 }
 
 // WithProgress installs a live progress renderer. Installing nil is a

@@ -40,17 +40,6 @@ func TestNilSafety(t *testing.T) {
 		t.Error("nil tracer snapshot not nil")
 	}
 
-	var m *Metrics
-	m.Counter("c").Add(1)
-	m.Gauge("g").Set(1)
-	m.TakeSample(0)
-	if m.Samples() != nil {
-		t.Error("nil metrics samples not nil")
-	}
-	if _, ok := m.LastSample(); ok {
-		t.Error("nil metrics has a last sample")
-	}
-
 	var p *Progress
 	p.Update(1, 2, 0.5, 1)
 	p.Done()
@@ -294,85 +283,6 @@ func TestJSONLParsesBack(t *testing.T) {
 	}
 }
 
-// TestMetricsSampling: counters, gauges and the runtime metrics must all
-// appear in samples; the JSONL log must parse back.
-func TestMetricsSampling(t *testing.T) {
-	m := NewMetrics()
-	m.Counter("iters").Add(3)
-	m.Counter("iters").Add(2)
-	m.Gauge("error").Set(0.25)
-	m.TakeSample(1)
-	m.Gauge("error").Set(0.5)
-	m.TakeSample(2)
-
-	ss := m.Samples()
-	if len(ss) != 2 {
-		t.Fatalf("%d samples, want 2", len(ss))
-	}
-	if ss[0].Values["iters"] != 5 || ss[0].Values["error"] != 0.25 {
-		t.Fatalf("sample 0 = %v", ss[0].Values)
-	}
-	if ss[1].Values["error"] != 0.5 {
-		t.Fatalf("sample 1 error = %v", ss[1].Values["error"])
-	}
-	for _, key := range []string{"heap_objects_bytes", "gc_cycles", "goroutines", "gc_pause_total_s", "heap_allocs_total_bytes"} {
-		if _, ok := ss[0].Values[key]; !ok {
-			t.Fatalf("runtime metric %s missing from sample", key)
-		}
-	}
-	if ss[0].Values["heap_objects_bytes"] <= 0 {
-		t.Fatal("heap_objects_bytes not positive")
-	}
-	if ss[1].AtNS < ss[0].AtNS {
-		t.Fatal("sample timestamps not monotonic")
-	}
-	last, ok := m.LastSample()
-	if !ok || last.Iter != 2 {
-		t.Fatalf("last sample = %+v ok=%v", last, ok)
-	}
-
-	var buf bytes.Buffer
-	if err := m.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(&buf)
-	n := 0
-	for sc.Scan() {
-		var s Sample
-		if err := json.Unmarshal(sc.Bytes(), &s); err != nil {
-			t.Fatalf("metrics line %d: %v", n, err)
-		}
-		n++
-	}
-	if n != 2 {
-		t.Fatalf("%d metric lines, want 2", n)
-	}
-	var sum bytes.Buffer
-	if err := m.WriteSummary(&sum); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sum.String(), "error") || !strings.Contains(sum.String(), "iter 2") {
-		t.Fatalf("summary missing fields:\n%s", sum.String())
-	}
-}
-
-// TestLatestMetricsRetainsOneSample: a NewLatestMetrics registry keeps
-// only its most recent sample, which LastSample returns.
-func TestLatestMetricsRetainsOneSample(t *testing.T) {
-	m := NewLatestMetrics()
-	for i := 1; i <= 5; i++ {
-		m.Gauge("error").Set(float64(i))
-		m.TakeSample(i)
-	}
-	ss := m.Samples()
-	if len(ss) != 1 || ss[0].Iter != 5 || ss[0].Values["error"] != 5 {
-		t.Fatalf("samples = %+v, want only iteration 5", ss)
-	}
-	if last, ok := m.LastSample(); !ok || last.Iter != 5 {
-		t.Fatalf("last sample = %+v ok=%v", last, ok)
-	}
-}
-
 // TestWriteSummaryTable: the per-span-name aggregation must include every
 // name with its count.
 func TestWriteSummaryTable(t *testing.T) {
@@ -475,19 +385,17 @@ func TestContextPlumbing(t *testing.T) {
 	if got := FromContext(ctx); got != nop {
 		t.Fatal("missing tracer is not the shared nop")
 	}
-	if SpanFrom(ctx) != nil || MetricsFrom(ctx) != nil || ProgressFrom(ctx) != nil {
+	if SpanFrom(ctx) != nil || ProgressFrom(ctx) != nil {
 		t.Fatal("absent values not nil")
 	}
 
 	tr := New()
-	m := NewMetrics()
 	p := NewProgress(&bytes.Buffer{}, 0)
 	sp := tr.Start("run")
 	ctx = WithTracer(ctx, tr)
 	ctx = WithSpan(ctx, sp)
-	ctx = WithMetrics(ctx, m)
 	ctx = WithProgress(ctx, p)
-	if FromContext(ctx) != tr || SpanFrom(ctx) != sp || MetricsFrom(ctx) != m || ProgressFrom(ctx) != p {
+	if FromContext(ctx) != tr || SpanFrom(ctx) != sp || ProgressFrom(ctx) != p {
 		t.Fatal("context round-trip failed")
 	}
 	// Installing nil keeps the previous value.

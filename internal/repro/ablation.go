@@ -15,12 +15,20 @@ import (
 	"dpals/internal/techmap"
 )
 
+// AblationSide is one side of an isolated ablation: its wall time and the
+// deterministic work it performed, in the unit of the matching Stats
+// counter (CutWork for cuts, CPMWork for CPM builds).
+type AblationSide struct {
+	Time time.Duration
+	Work int64
+}
+
 // AblationCutUpdate measures the paper's §III-B claim in isolation: the
 // cost of repairing disjoint cuts incrementally after a LAC versus
-// recomputing them from scratch, averaged over a sequence of constant-LAC
-// replacements on the given circuit. It returns (incremental, fresh) total
-// times and the average |S_v| (nodes actually recomputed).
-func AblationCutUpdate(g *aig.Graph, steps int, seed int64) (inc, fresh time.Duration, avgSv float64) {
+// recomputing them from scratch, summed over a sequence of constant-LAC
+// replacements on the given circuit. It returns the incremental and fresh
+// sides and the average |S_v| (nodes actually recomputed).
+func AblationCutUpdate(g *aig.Graph, steps int, seed int64) (inc, fresh AblationSide, avgSv float64) {
 	work := g.Sweep()
 	cuts, _ := cut.NewSet(context.Background(), work, 1)
 	svSum := 0
@@ -40,14 +48,17 @@ func AblationCutUpdate(g *aig.Graph, steps int, seed int64) (inc, fresh time.Dur
 		v := live[int(uint64(i)*2654435761+uint64(seed))%len(live)]
 		cs := work.ReplaceWithLit(v, aig.False)
 
+		w0 := cuts.Work()
 		t0 := time.Now()
 		sv := cuts.UpdateAfter(cs)
-		inc += time.Since(t0)
+		inc.Time += time.Since(t0)
+		inc.Work += cuts.Work() - w0
 		svSum += len(sv)
 
 		t1 := time.Now()
-		cut.NewSet(context.Background(), work, 1)
-		fresh += time.Since(t1)
+		rebuilt, _ := cut.NewSet(context.Background(), work, 1)
+		fresh.Time += time.Since(t1)
+		fresh.Work += rebuilt.Work()
 		done++
 	}
 	if done > 0 {
@@ -59,8 +70,8 @@ func AblationCutUpdate(g *aig.Graph, steps int, seed int64) (inc, fresh time.Dur
 // AblationPartialCPM measures §III-C in isolation: building the CPM
 // restricted to N(S_cand) for a candidate set of size m versus building
 // the full CPM, on one analysis of the given circuit. It returns the two
-// times and the closure size |N(S_cand)|.
-func AblationPartialCPM(g *aig.Graph, m int, patterns int, seed int64) (partial, full time.Duration, closure int) {
+// sides and the closure size |N(S_cand)|.
+func AblationPartialCPM(g *aig.Graph, m int, patterns int, seed int64) (partial, full AblationSide, closure int) {
 	work := g.Sweep()
 	s := sim.New(work, sim.Options{Patterns: patterns, Seed: seed})
 	cuts, _ := cut.NewSet(context.Background(), work, 1)
@@ -78,13 +89,13 @@ func AblationPartialCPM(g *aig.Graph, m int, patterns int, seed int64) (partial,
 	}
 	closure = len(cpm.Closure(cuts, targets))
 
-	t0 := time.Now()
-	cpm.BuildDisjoint(context.Background(), work, s, cuts, targets, 1)
-	partial = time.Since(t0)
-
-	t1 := time.Now()
-	cpm.BuildDisjoint(context.Background(), work, s, cuts, nil, 1)
-	full = time.Since(t1)
+	build := func(targets []int32) AblationSide {
+		t0 := time.Now()
+		res, _ := cpm.BuildDisjoint(context.Background(), work, s, cuts, targets, 1)
+		return AblationSide{Time: time.Since(t0), Work: res.Work}
+	}
+	partial = build(targets)
+	full = build(nil)
 	return partial, full, closure
 }
 

@@ -39,7 +39,6 @@ type Config struct {
 	// for every value, so this is purely a capacity knob.
 	ThreadsPerJob int
 	ProgressEvery time.Duration // SSE progress cadence (≤0: 100ms)
-	Metrics       *obs.Metrics  // served under /debug/obs; nil allocates one retaining only the last sample
 }
 
 // Server owns the worker pool, queue, cache and limiter. Create with New,
@@ -49,7 +48,6 @@ type Server struct {
 	queue   *jobQueue
 	cache   *cache
 	limiter *rateLimiter
-	metrics *obs.Metrics
 
 	drainCtx    context.Context
 	cancelDrain context.CancelFunc
@@ -87,15 +85,11 @@ func New(cfg Config) *Server {
 	if cfg.ProgressEvery <= 0 {
 		cfg.ProgressEvery = 100 * time.Millisecond
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = obs.NewLatestMetrics()
-	}
 	s := &Server{
 		cfg:     cfg,
 		queue:   newJobQueue(cfg.QueueDepth),
 		cache:   newCache(cfg.CacheEntries, cfg.CacheBytes),
 		limiter: newRateLimiter(cfg.RatePerSec, cfg.Burst),
-		metrics: cfg.Metrics,
 	}
 	s.drainCtx, s.cancelDrain = context.WithCancel(context.Background())
 	s.wg.Add(cfg.Workers)
@@ -123,16 +117,12 @@ func (s *Server) Drain() {
 //	POST /v1/jobs        submit a job (add ?stream=sse for live progress)
 //	GET  /healthz        liveness + drain state
 //	GET  /statsz         queue/cache/job counters as JSON
-//	     /debug/obs      observability snapshot (internal/obs)
 //	     /debug/pprof/*  runtime profiles
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/jobs", s.handleJobs)
 	mux.HandleFunc("/healthz", s.handleHealth)
 	mux.HandleFunc("/statsz", s.handleStats)
-	obsHandler := obs.Handler(nil, s.metrics)
-	mux.Handle("/debug/obs", obsHandler)
-	mux.Handle("/debug/obs/", obsHandler)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -173,7 +163,6 @@ func (s *Server) runJob(j *job) {
 		defer prog.Done()
 		ctx = obs.WithProgress(ctx, prog)
 	}
-	ctx = obs.WithMetrics(ctx, s.metrics)
 
 	s.jobsRunning.Add(1)
 	defer s.jobsRunning.Add(-1)

@@ -32,7 +32,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-func circuitAIGER(t *testing.T, c *dpals.Circuit) string {
+func circuitAIGER(t testing.TB, c *dpals.Circuit) string {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := c.WriteAIGER(&buf); err != nil {
@@ -68,7 +68,7 @@ func submit(t *testing.T, ts *httptest.Server, body map[string]any, kv ...string
 	return resp.StatusCode, &jr
 }
 
-func smallJob(t *testing.T, seed int64) map[string]any {
+func smallJob(t testing.TB, seed int64) map[string]any {
 	return map[string]any{
 		"circuit":   circuitAIGER(t, dpals.NewMultiplier(3, 3, false)),
 		"flow":      "dp",
@@ -325,33 +325,9 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	}
 }
 
-// The daemon's metrics registry lives as long as the process and every
-// job samples it once per applied LAC, so it must retain O(1) samples —
-// /debug/obs only ever reads the last one — however many jobs ran.
-func TestServerMetricsRetainBoundedSamples(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	applied := 0
-	for seed := int64(1); seed <= 4; seed++ {
-		code, r := submit(t, ts, smallJob(t, seed))
-		if code != http.StatusOK || r.Cache != "miss" {
-			t.Fatalf("seed %d: status %d cache %q, want 200/miss", seed, code, r.Cache)
-		}
-		applied += r.Applied
-	}
-	if applied < 4 {
-		t.Fatalf("the jobs applied %d LACs in all; too few to exercise the sampler", applied)
-	}
-	if n := len(s.metrics.Samples()); n > 1 {
-		t.Fatalf("registry retains %d samples after %d applied LACs, want at most 1", n, applied)
-	}
-	if _, ok := s.metrics.LastSample(); !ok {
-		t.Fatal("registry has no last sample for /debug/obs")
-	}
-}
-
 func TestServerHealthAndDebugEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	for _, path := range []string{"/healthz", "/statsz", "/debug/obs", "/debug/pprof/"} {
+	for _, path := range []string{"/healthz", "/statsz", "/debug/pprof/"} {
 		resp, err := ts.Client().Get(ts.URL + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
