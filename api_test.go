@@ -241,3 +241,57 @@ func TestConcurrentReadersDuringApproximate(t *testing.T) {
 		}
 	}
 }
+
+// ReadCircuit picks the parser from the header, so every format the
+// library writes reads back without a file name to go by.
+func TestReadCircuitSniffsFormat(t *testing.T) {
+	c := dpals.NewAdder(3)
+	for _, tc := range []struct {
+		name  string
+		write func(*dpals.Circuit, *bytes.Buffer) error
+	}{
+		{"blif", func(c *dpals.Circuit, b *bytes.Buffer) error { return c.WriteBLIF(b) }},
+		{"aag", func(c *dpals.Circuit, b *bytes.Buffer) error { return c.WriteAIGER(b) }},
+		{"aig", func(c *dpals.Circuit, b *bytes.Buffer) error { return c.WriteAIGERBinary(b) }},
+	} {
+		var buf bytes.Buffer
+		if err := tc.write(c, &buf); err != nil {
+			t.Fatalf("%s: write: %v", tc.name, err)
+		}
+		back, err := dpals.ReadCircuit(&buf)
+		if err != nil {
+			t.Fatalf("%s: ReadCircuit: %v", tc.name, err)
+		}
+		if eq, _, err := dpals.ProveEquivalent(c, back); err != nil || !eq {
+			t.Fatalf("%s: read-back circuit not equivalent (err %v)", tc.name, err)
+		}
+	}
+}
+
+// WCE is defined over the unsigned LSB-first reading. A signed multiplier
+// recommends signed weights, which MeasureError used to apply to WCE with
+// nil weights and so disagreed with the certified bound of the same run.
+func TestMeasureWCEUsesUnsignedReading(t *testing.T) {
+	c := dpals.NewMultiplier(4, 4, true)
+	res, err := dpals.Approximate(c, dpals.Options{
+		Flow: dpals.DP, Metric: dpals.WCE, WCEBound: 300, Exhaustive: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := dpals.MeasureErrorExact(c, res.Circuit, dpals.WCE, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wce, err := dpals.WorstCaseError(c, res.Circuit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exact != float64(wce) || res.Stats.CertifiedWCE != wce || res.Error != exact {
+		t.Fatalf("MeasureErrorExact %v, WorstCaseError %d, CertifiedWCE %d, Result.Error %v: want all equal",
+			exact, wce, res.Stats.CertifiedWCE, res.Error)
+	}
+	if _, err := dpals.MeasureError(c, res.Circuit, dpals.WCE, c.Weights(), 256, 1); err == nil {
+		t.Fatal("MeasureError accepted explicit weights for WCE")
+	}
+}

@@ -145,11 +145,10 @@ type campaign struct {
 // by -cert-stats (a CI artifact: trends in SAT-call counts and rollbacks
 // across nightly sweeps).
 type certSummary struct {
-	Runs      int   `json:"wce_runs"`
-	Calls     int   `json:"cert_calls"`
-	CexHits   int   `json:"cert_cex_hits"`
-	Rollbacks int   `json:"cert_rollbacks"`
-	TimeNS    int64 `json:"cert_time_ns"`
+	Runs      int `json:"wce_runs"`
+	Calls     int `json:"cert_calls"`
+	CexHits   int `json:"cert_cex_hits"`
+	Rollbacks int `json:"cert_rollbacks"`
 }
 
 // noteCert folds one WCE run's certification stats into the summary.
@@ -161,7 +160,6 @@ func (c *campaign) noteCert(spec oracle.RunSpec, res *core.Result) {
 	c.cert.Calls += res.Stats.CertCalls
 	c.cert.CexHits += res.Stats.CertCexHits
 	c.cert.Rollbacks += res.Stats.CertRollbacks
-	c.cert.TimeNS += res.Stats.CertTime.Nanoseconds()
 }
 
 // circuitFor derives a varied but reproducible random circuit from the

@@ -5,9 +5,9 @@
 //	alsrun -flow dpsa -metric mse -threshold 1e4 -o out.blif in.blif
 //	alsrun -flow dp -metric er -threshold 0.01 -sasimi in.aag
 //
-// Input format is chosen by extension (.aag = ASCII AIGER, anything else =
-// BLIF). When -threshold is not given, the paper's median threshold for
-// the metric is used (R = 2^(POs/3): MED→R, MSE→R², ER→1%).
+// The input format is read from the file header (ASCII or binary AIGER,
+// anything else BLIF). When -threshold is not given, the paper's median
+// threshold for the metric is used (R = 2^(POs/3): MED→R, MSE→R², ER→1%).
 package main
 
 import (
@@ -49,14 +49,14 @@ func main() {
 	timeLimit := flag.Duration("time-limit", 0, "wall-clock budget; on expiry the best-so-far circuit is written (0 = unlimited)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file (taken after the run)")
-	statsOut := flag.String("stats", "", "write run statistics (dpals.Stats: step times, work counters, MTrace, reuse rates) as JSON to this file")
+	statsOut := flag.String("stats", "", "write run statistics (dpals.Stats: runtime, work counters, MTrace, reuse rates) as JSON to this file")
 	traceOut := flag.String("trace", "", "record a span trace of the run and write it to this file (Chrome/Perfetto trace.json; .jsonl extension selects the flat JSONL event log)")
 	progress := flag.Bool("progress", false, "render a live progress line (iteration, gates, error, ETA) on stderr")
 	pprofHTTP := flag.String("pprof-http", "", "serve net/http/pprof and /debug/obs (live span stack) on this address, e.g. :6060")
 	flag.Parse()
 
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: alsrun [flags] <circuit.blif|circuit.aag>")
+		fmt.Fprintln(os.Stderr, "usage: alsrun [flags] <circuit.blif|circuit.aag|circuit.aig>")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -199,19 +199,15 @@ func main() {
 	fmt.Printf("        %d LACs applied (%d comprehensive + %d incremental analyses, %d rollbacks) in %v\n",
 		res.Stats.Applied, res.Stats.Comprehensive, res.Stats.Incremental, res.Stats.Rollbacks, res.Stats.Runtime)
 	if m == dpals.WCE {
-		fmt.Printf("        certified WCE ≤ %d (budget %d): %d SAT calls, %d cex-cache hits, %d rollbacks, %v certifying\n",
+		fmt.Printf("        certified WCE ≤ %d (budget %d): %d SAT calls, %d cex-cache hits, %d rollbacks\n",
 			res.Stats.CertifiedWCE, bound, res.Stats.CertCalls, res.Stats.CertCexHits,
-			res.Stats.CertRollbacks, res.Stats.CertTime)
+			res.Stats.CertRollbacks)
 	}
 	if res.Stats.StopReason == dpals.StopCancelled || res.Stats.StopReason == dpals.StopDeadline {
 		fmt.Printf("        stopped early (%s): result is the valid best-so-far circuit\n", res.Stats.StopReason)
 	}
-	fmt.Printf("        step times: cuts %v, CPM %v, evaluation %v\n",
-		res.Stats.CutTime, res.Stats.CPMTime, res.Stats.EvalTime)
-	if res.Stats.Phase1Time+res.Stats.Phase2Time > 0 {
-		fmt.Printf("        phase times: phase 1 %v, phase 2 %v\n",
-			res.Stats.Phase1Time, res.Stats.Phase2Time)
-	}
+	fmt.Printf("        step work: cuts %d, CPM %d, evaluation %d words\n",
+		res.Stats.CutWork, res.Stats.CPMWork, res.Stats.EvalWork)
 	if res.Stats.CPMRowsReused+res.Stats.CPMRowsRecomputed > 0 {
 		fmt.Printf("        CPM rows: %d reused, %d recomputed (%.1f%% reuse)\n",
 			res.Stats.CPMRowsReused, res.Stats.CPMRowsRecomputed, 100*res.Stats.ReuseRate())
@@ -325,10 +321,7 @@ func load(path string) (*dpals.Circuit, error) {
 		return nil, err
 	}
 	defer f.Close()
-	if strings.HasSuffix(path, ".aag") {
-		return dpals.ReadAIGER(f)
-	}
-	return dpals.ReadBLIF(f)
+	return dpals.ReadCircuit(f)
 }
 
 func check(err error) {

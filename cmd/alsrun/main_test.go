@@ -105,7 +105,7 @@ func TestRunWritesObservabilityArtifacts(t *testing.T) {
 	if err := json.Unmarshal(data, &s); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"phase1_time_ns", "phase2_time_ns", "cut_time_ns", "stop_reason", "pool_gets"} {
+	for _, key := range []string{"runtime_ns", "cut_work", "stop_reason", "pool_gets"} {
 		if _, ok := s[key]; !ok {
 			t.Errorf("stats JSON missing %q", key)
 		}
@@ -115,8 +115,23 @@ func TestRunWritesObservabilityArtifacts(t *testing.T) {
 			t.Errorf("stats JSON has key %q outside the -stats schema", key)
 		}
 	}
-	if s["phase1_time_ns"].(float64) <= 0 {
-		t.Error("phase1_time_ns not positive")
+	if s["runtime_ns"].(float64) <= 0 || s["cut_work"].(float64) <= 0 {
+		t.Errorf("runtime_ns %v, cut_work %v: want both positive", s["runtime_ns"], s["cut_work"])
+	}
+}
+
+// TestBinaryAIGERRoundTrip: a circuit alsrun writes with -o x.aig must be
+// readable by alsrun itself — the input format follows the file header,
+// not the extension.
+func TestBinaryAIGERRoundTrip(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "x.aig")
+	for _, args := range [][]string{
+		{"-max-iters", "3", "-patterns", "512", "-o", out, aagPath},
+		{"-max-iters", "3", "-patterns", "512", out},
+	} {
+		if b, err := exec.Command(binPath, args...).CombinedOutput(); err != nil {
+			t.Fatalf("alsrun %v: %v\n%s", args, err, b)
+		}
 	}
 }
 
@@ -228,17 +243,15 @@ func TestDoubleSIGINTAbortStillFlushes(t *testing.T) {
 }
 
 // statsFieldKeys is the -stats schema's mapping from JSON key to the
-// dpals.Stats field it reports (durations in nanoseconds).
+// dpals.Stats field it reports (Runtime in nanoseconds).
 var statsFieldKeys = map[string]string{
 	"applied": "Applied", "comprehensive": "Comprehensive", "incremental": "Incremental",
 	"rollbacks": "Rollbacks", "runtime_ns": "Runtime",
-	"cut_time_ns": "CutTime", "cpm_time_ns": "CPMTime", "eval_time_ns": "EvalTime",
-	"phase1_time_ns": "Phase1Time", "phase2_time_ns": "Phase2Time",
 	"cut_work": "CutWork", "cpm_work": "CPMWork", "eval_work": "EvalWork",
 	"cpm_rows_reused": "CPMRowsReused", "cpm_rows_recomputed": "CPMRowsRecomputed",
 	"warm_comprehensive": "WarmComprehensive", "eval_memo_hits": "EvalMemoHits", "cut_updates_incremental": "CutUpdates",
 	"certified_wce": "CertifiedWCE", "cert_calls": "CertCalls", "cert_cex_hits": "CertCexHits",
-	"cert_rollbacks": "CertRollbacks", "cert_time_ns": "CertTime",
+	"cert_rollbacks": "CertRollbacks",
 }
 
 // derivedKeys are the rest of the -stats schema: the run header, the

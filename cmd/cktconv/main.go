@@ -23,13 +23,7 @@ func main() {
 
 	f, err := os.Open(in)
 	check(err)
-	var c *dpals.Circuit
-	switch {
-	case strings.HasSuffix(in, ".aag"), strings.HasSuffix(in, ".aig"):
-		c, err = dpals.ReadAIGER(f)
-	default:
-		c, err = dpals.ReadBLIF(f)
-	}
+	c, err := dpals.ReadCircuit(f)
 	f.Close()
 	check(err)
 

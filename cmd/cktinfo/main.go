@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"dpals"
 	"dpals/internal/repro"
@@ -40,8 +39,5 @@ func load(path string) (*dpals.Circuit, error) {
 		return nil, err
 	}
 	defer f.Close()
-	if strings.HasSuffix(path, ".aag") {
-		return dpals.ReadAIGER(f)
-	}
-	return dpals.ReadBLIF(f)
+	return dpals.ReadCircuit(f)
 }

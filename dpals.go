@@ -25,6 +25,7 @@
 package dpals
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -34,13 +35,13 @@ import (
 
 	"dpals/internal/aig"
 	"dpals/internal/aiger"
-	"dpals/internal/bitvec"
 	"dpals/internal/blif"
 	"dpals/internal/core"
 	"dpals/internal/equiv"
 	"dpals/internal/gen"
 	"dpals/internal/lutmap"
 	"dpals/internal/metric"
+	"dpals/internal/oracle"
 	"dpals/internal/sim"
 	"dpals/internal/techmap"
 	"dpals/internal/verilog"
@@ -228,13 +229,27 @@ func ReadBLIF(r io.Reader) (*Circuit, error) {
 	return &Circuit{g: g}, nil
 }
 
-// ReadAIGER parses an ASCII AIGER (aag) model.
+// ReadAIGER parses an AIGER model, ASCII (aag) or binary (aig).
 func ReadAIGER(r io.Reader) (*Circuit, error) {
 	g, err := aiger.Read(r)
 	if err != nil {
 		return nil, err
 	}
 	return &Circuit{g: g}, nil
+}
+
+// ReadCircuit parses a circuit in any supported input format, chosen by
+// its header rather than a file name: "aag " or "aig " starts an AIGER
+// model, anything else is read as BLIF.
+func ReadCircuit(r io.Reader) (*Circuit, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	if bytes.HasPrefix(data, []byte("aag ")) || bytes.HasPrefix(data, []byte("aig ")) {
+		return ReadAIGER(bytes.NewReader(data))
+	}
+	return ReadBLIF(bytes.NewReader(data))
 }
 
 // Generators ----------------------------------------------------------------
@@ -456,9 +471,11 @@ func MeasureErrorBiased(orig, approx *Circuit, m Metric, weights []float64, patt
 }
 
 // measure simulates orig and approx on the patterns so draws
-// (core.DefaultPatterns when so.Patterns ≤ 0) and computes metric m over their outputs. Nil weights
-// select the circuit's recommendation, then (for numeric metrics) the
-// unsigned reading.
+// (core.DefaultPatterns when so.Patterns ≤ 0) and computes metric m over
+// their outputs. Nil weights select the circuit's recommendation, then
+// (for numeric metrics) the unsigned reading. WCE is defined over the
+// unsigned reading only, as in ApproximateContext: it ignores the
+// recommendation and rejects explicit weights.
 func measure(orig, approx *Circuit, m Metric, weights []float64, so sim.Options) (float64, error) {
 	if orig.NumInputs() != approx.NumInputs() || orig.NumOutputs() != approx.NumOutputs() {
 		return 0, fmt.Errorf("dpals: interface mismatch (%d/%d inputs, %d/%d outputs)",
@@ -467,23 +484,13 @@ func measure(orig, approx *Circuit, m Metric, weights []float64, so sim.Options)
 	if so.Patterns <= 0 {
 		so.Patterns = core.DefaultPatterns
 	}
-	sOrig := sim.New(orig.snap(), so)
-	sApprox := sim.New(approx.snap(), so)
-	eo := make([]bitvec.Vec, orig.NumOutputs())
-	ea := make([]bitvec.Vec, orig.NumOutputs())
-	for o := range eo {
-		eo[o] = bitvec.NewWords(sOrig.Words())
-		sOrig.POVal(o, eo[o])
-		ea[o] = bitvec.NewWords(sApprox.Words())
-		sApprox.POVal(o, ea[o])
-	}
-	if weights == nil {
+	switch {
+	case m == WCE && weights != nil:
+		return 0, errors.New("dpals: metric WCE uses the unsigned LSB-first output interpretation; weights must be nil")
+	case m != WCE && weights == nil:
 		weights = orig.weights
 	}
-	if weights == nil && m.Numeric() {
-		weights = metric.UnsignedWeights(orig.NumOutputs())
-	}
-	return metric.Compute(m, weights, eo, ea, sOrig.Patterns()), nil
+	return oracle.SampledError(orig.snap(), approx.snap(), m, weights, so)
 }
 
 // ReferenceError returns the paper's reference error R = 2^(K/3) for a

@@ -2,7 +2,7 @@
 // flow, the dual-phase flow (DP) and its self-adaptive variant (DP-SA) on
 // the same budget, and show where the dual-phase framework wins — far
 // fewer comprehensive analyses at equal circuit quality — together with
-// the per-step runtime profile the self-adaption reasons about.
+// the per-step work profile the self-adaption tunes from.
 package main
 
 import (
@@ -34,13 +34,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		total := res.Stats.CutTime + res.Stats.CPMTime + res.Stats.EvalTime
+		total := res.Stats.CutWork + res.Stats.CPMWork + res.Stats.EvalWork
 		prof := "-"
 		if total > 0 {
 			prof = fmt.Sprintf("%2.0f%% / %2.0f%% / %2.0f%%",
-				100*float64(res.Stats.CutTime)/float64(total),
-				100*float64(res.Stats.CPMTime)/float64(total),
-				100*float64(res.Stats.EvalTime)/float64(total))
+				100*float64(res.Stats.CutWork)/float64(total),
+				100*float64(res.Stats.CPMWork)/float64(total),
+				100*float64(res.Stats.EvalWork)/float64(total))
 		}
 		fmt.Printf("%-14v %8d %7.1f%% %8.3g %7d %7d %10v   %s\n",
 			flow, res.Circuit.NumGates(), 100*res.ADPRatio, res.Error,

@@ -58,14 +58,11 @@ func Run(ctx context.Context, g *aig.Graph, opt Options, hooks Hooks) (*Result, 
 		ctx, cancel = context.WithTimeout(ctx, opt.TimeLimit)
 		defer cancel()
 	}
-	// The observability layer rides on the context: a recording tracer or
-	// progress renderer installed by the caller is picked up here;
-	// otherwise the shared no-op tracer provides the span timestamps the
-	// Stats *Time fields are derived from. Either way the code path is the
-	// same and tracing never writes engine state, so a traced run is
-	// bit-identical to an untraced one.
-	tr := obs.FromContext(ctx)
-	run := tr.Start("run")
+	// The observability layer rides on the context: a tracer or progress
+	// renderer installed by the caller is picked up here. Without a tracer
+	// run is nil and so is every span below it. Tracing never writes
+	// engine state, so a traced run is bit-identical to an untraced one.
+	run := obs.FromContext(ctx).Start("run")
 	run.SetStr("flow", opt.Flow.String())
 	run.SetStr("metric", opt.Metric.String())
 	run.SetFloat("threshold", opt.Threshold)
@@ -162,11 +159,10 @@ type engine struct {
 	pending  []pendingLAC
 	certWCE  uint64
 
-	// Observability (see internal/obs). root is the run-level span — never
-	// nil, since the no-op tracer still hands out timestamp-only spans the
-	// Stats *Time fields are derived from. cur is the span new apply
-	// spans nest under; flows point it at their current phase. prog is nil
-	// unless the caller installed it in the context.
+	// Observability (see internal/obs). root is the run-level span, nil
+	// unless the caller installed a tracer in the context. cur is the span
+	// new apply spans nest under; flows point it at their current phase.
+	// prog is nil unless the caller installed it in the context.
 	root     *obs.Span
 	cur      *obs.Span
 	prog     *obs.Progress
@@ -174,15 +170,12 @@ type engine struct {
 }
 
 // step opens a child span named name under parent and returns it together
-// with the context analysis calls should run under: when the span records,
-// the context carries it so par workers open their lane spans beneath it;
-// otherwise the run context passes through untouched.
+// with the context analysis calls should run under: the context carries
+// the span so par workers open their lane spans beneath it (an untraced
+// run's nil span leaves the run context untouched).
 func (e *engine) step(parent *obs.Span, name string) (*obs.Span, context.Context) {
 	sp := parent.Child(name)
-	if sp.Recording() {
-		return sp, obs.WithSpan(e.ctx, sp)
-	}
-	return sp, e.ctx
+	return sp, obs.WithSpan(e.ctx, sp)
 }
 
 // SimOptions builds the simulator configuration a run of g under the
@@ -308,7 +301,6 @@ func (e *engine) apply(l lac.LAC) aig.ChangeSet {
 			e.stats.CutUpdates++
 		}
 		cu.End()
-		e.stats.CutTime += cu.Duration()
 		e.stats.CutWork += e.cuts.Work() - w0
 		if e.cache != nil && !e.fire(fault.SkipCPMInvalidate) {
 			e.cache.Invalidate(cs, changed, sv)
@@ -451,7 +443,6 @@ func (e *engine) certifyAt(t uint64, sess *equiv.Session) bool {
 	}
 	sp.SetInt("sat_calls", int64(e.cert.Calls))
 	sp.End()
-	e.stats.CertTime += sp.Duration()
 	e.stats.CertCalls = e.cert.Calls
 	e.stats.CertCexHits = e.cert.CexHits
 	return err == nil && ok

@@ -36,11 +36,8 @@ import (
 // candidates".
 func (e *engine) comprehensive(parent *obs.Span) []lac.NodeBest {
 	p1 := parent.Child("phase1")
+	defer p1.End()
 	warm := e.warmStart()
-	defer func() {
-		p1.End()
-		e.stats.Phase1Time += p1.Duration()
-	}()
 	if warm {
 		// The cuts are already exact for the current graph; charge the
 		// deterministic cost a cold build would have reported so the DP-SA
@@ -49,7 +46,6 @@ func (e *engine) comprehensive(parent *obs.Span) []lac.NodeBest {
 		charged := e.cuts.FullBuildWork()
 		sp.SetInt("charged_work", charged)
 		sp.End()
-		e.stats.CutTime += sp.Duration()
 		e.stats.CutWork += charged
 		e.stats.CutSkipped += charged
 		e.stats.WarmComprehensive++
@@ -58,7 +54,6 @@ func (e *engine) comprehensive(parent *obs.Span) []lac.NodeBest {
 		cuts, err := cut.NewSet(ctx, e.g, e.opt.Threads)
 		sp.SetInt("work", cuts.Work())
 		sp.End()
-		e.stats.CutTime += sp.Duration()
 		e.stats.CutWork += cuts.Work()
 		if err != nil {
 			// Cancelled mid-build: the set is incomplete and must not be
@@ -99,29 +94,38 @@ func (e *engine) comprehensive(parent *obs.Span) []lac.NodeBest {
 	sp.SetInt("rows_recomputed", int64(upd.Recomputed))
 	sp.SetInt("work", upd.Work)
 	sp.End()
-	e.stats.CPMTime += sp.Duration()
 	if err != nil {
 		return nil
 	}
-	if e.fire(fault.FlipDiffBit) {
-		res.FlipDiffBit(e.hooks.Fault.Opportunities())
-	}
-	sp, ctx = e.step(p1, "eval")
-	bests, ew, rw, hits, err := lac.Evaluate(ctx, e.gen, res, e.st, targets, e.opt.Threads, e.memo)
-	sp.SetInt("targets", int64(len(targets)))
-	sp.SetInt("lacs_best", int64(len(bests)))
-	sp.SetInt("work", ew)
-	sp.SetInt("memo_hits", int64(hits))
-	sp.End()
-	e.stats.EvalTime += sp.Duration()
-	e.stats.EvalWork += ew // includes rw: charged cold-equivalent
-	e.stats.EvalSkipped += rw
-	e.stats.EvalMemoHits += int64(hits)
+	bests, err := e.evaluate(p1, res, targets)
 	if err != nil {
 		return nil
 	}
 	e.stats.Comprehensive++
 	return bests
+}
+
+// evaluate is step (3) of every analysis: it scores the candidate LACs of
+// targets against the CPM res in an "eval" span under parent and returns
+// the per-node bests sorted by ascending error. Work is charged at its
+// cold-equivalent cost, memo-served evaluations included (e.memo is nil
+// outside the dual-phase flows). It is also the flip-diff-bit fault site:
+// one opportunity per analysis.
+func (e *engine) evaluate(parent *obs.Span, res *cpm.Result, targets []int32) ([]lac.NodeBest, error) {
+	if e.fire(fault.FlipDiffBit) {
+		res.FlipDiffBit(e.hooks.Fault.Opportunities())
+	}
+	sp, ctx := e.step(parent, "eval")
+	bests, work, reused, hits, err := lac.Evaluate(ctx, e.gen, res, e.st, targets, e.opt.Threads, e.memo)
+	sp.SetInt("targets", int64(len(targets)))
+	sp.SetInt("lacs_best", int64(len(bests)))
+	sp.SetInt("work", work)
+	sp.SetInt("memo_hits", int64(hits))
+	sp.End()
+	e.stats.EvalWork += work
+	e.stats.EvalSkipped += reused
+	e.stats.EvalMemoHits += int64(hits)
+	return bests, err
 }
 
 // runConventional is the flow of Fig. 3(a): every iteration performs a
@@ -196,31 +200,17 @@ func (e *engine) runVECBEE() {
 // cancelled mid-analysis (the partial result must be discarded).
 func (e *engine) vecbeeAnalysis() (bests []lac.NodeBest, ok bool) {
 	p1 := e.root.Child("phase1")
-	defer func() {
-		p1.End()
-		e.stats.Phase1Time += p1.Duration()
-	}()
+	defer p1.End()
 	sp, ctx := e.step(p1, "cpm")
 	res, err := cpm.BuildVECBEE(ctx, e.g, e.s, e.opt.DepthLimit, nil, e.opt.Threads)
 	sp.SetInt("work", res.Work)
 	sp.End()
-	e.stats.CPMTime += sp.Duration()
 	e.stats.CPMWork += res.Work
 	if err != nil {
 		e.cancelled()
 		return nil, false
 	}
-	if e.fire(fault.FlipDiffBit) {
-		res.FlipDiffBit(e.hooks.Fault.Opportunities())
-	}
-	sp, ctx = e.step(p1, "eval")
-	targets := e.liveTargets()
-	bests, ew, _, _, err := lac.Evaluate(ctx, e.gen, res, e.st, targets, e.opt.Threads, nil)
-	sp.SetInt("targets", int64(len(targets)))
-	sp.SetInt("work", ew)
-	sp.End()
-	e.stats.EvalTime += sp.Duration()
-	e.stats.EvalWork += ew
+	bests, err = e.evaluate(p1, res, e.liveTargets())
 	if err != nil {
 		e.cancelled()
 		return nil, false
@@ -455,7 +445,6 @@ func (e *engine) dualPhaseRound(round *obs.Span, M, N int, selfAdapt bool) (stop
 	defer func() {
 		p2.SetInt("iters", int64(e.stats.Incremental-iters0))
 		p2.End()
-		e.stats.Phase2Time += p2.Duration()
 	}()
 	sumEr := 0.0
 	for it := 0; it < N && !e.reachedCap(); it++ {
@@ -487,29 +476,15 @@ func (e *engine) dualPhaseRound(round *obs.Span, M, N int, selfAdapt bool) (stop
 		sp.SetInt("rows_recomputed", int64(upd.Recomputed))
 		sp.SetInt("work", upd.Work)
 		sp.End()
-		e.stats.CPMTime += sp.Duration()
 		if err != nil {
 			e.cancelled()
 			return true
-		}
-		if e.fire(fault.FlipDiffBit) {
-			res.FlipDiffBit(e.hooks.Fault.Opportunities())
 		}
 		// The memo is write-mostly here (an apply separates consecutive
 		// phase-2 evaluations, bumping the epoch): its value is that the
 		// final evaluation of a round that exits *without* applying stays
 		// fresh into the next comprehensive pass.
-		sp, ctx = e.step(p2, "eval")
-		bests2, ew, rw, hits, err := lac.Evaluate(ctx, e.gen, res, e.st, scand, e.opt.Threads, e.memo)
-		sp.SetInt("targets", int64(len(scand)))
-		sp.SetInt("lacs_best", int64(len(bests2)))
-		sp.SetInt("work", ew)
-		sp.SetInt("memo_hits", int64(hits))
-		sp.End()
-		e.stats.EvalTime += sp.Duration()
-		e.stats.EvalWork += ew
-		e.stats.EvalSkipped += rw
-		e.stats.EvalMemoHits += int64(hits)
+		bests2, err := e.evaluate(p2, res, scand)
 		if err != nil {
 			e.cancelled()
 			return true

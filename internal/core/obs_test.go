@@ -14,17 +14,10 @@ import (
 	"dpals/internal/obs"
 )
 
-// normalizeStats zeroes every time.Duration field — the wall-clock
-// figures, which legitimately differ between runs; everything else must be
-// bit-identical. It walks the fields by reflection, so a newly added
-// counter is compared and a newly added duration is not.
+// normalizeStats zeroes Runtime, the one wall-clock field, which
+// legitimately differs between runs; everything else must be bit-identical.
 func normalizeStats(s Stats) Stats {
-	v := reflect.ValueOf(&s).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		if f := v.Field(i); f.Type() == reflect.TypeOf(time.Duration(0)) {
-			f.SetInt(0)
-		}
-	}
+	s.Runtime = 0
 	return s
 }
 
@@ -113,30 +106,10 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 	}
 }
 
-// sumSpans returns the summed duration of all main-lane spans with one of
-// the names. Worker lane spans share their parent step's name and run
-// concurrently inside it, so they are excluded from wall-clock sums.
-func sumSpans(spans []obs.SpanData, names ...string) time.Duration {
-	var total time.Duration
-	for _, sp := range spans {
-		if sp.Lane != 0 {
-			continue
-		}
-		for _, n := range names {
-			if sp.Name == n {
-				total += sp.Dur
-			}
-		}
-	}
-	return total
-}
-
-// TestSpanTreeMatchesStats: the trace and the Stats must be two views of
-// the same measurements — per-step span durations sum exactly to
-// CutTime/CPMTime/EvalTime, per-phase spans exactly to
-// Phase1Time/Phase2Time, certification spans exactly to CertTime (single
-// timing code path) — and the tree must be well-formed: no dangling
-// parents, no spans left open.
+// TestSpanTreeMatchesStats: the span tree must be well-formed — one root,
+// no dangling parents, no spans left open — and its counters must agree
+// with the Stats: every eval span, in every flow, carries the same
+// attributes, and their memo hits sum to Stats.EvalMemoHits.
 func TestSpanTreeMatchesStats(t *testing.T) {
 	g := gen.MultU(6, 6)
 	R := metric.ReferenceError(g.NumPOs())
@@ -147,6 +120,7 @@ func TestSpanTreeMatchesStats(t *testing.T) {
 	}{
 		{"DP-SA", FlowDPSA, false},
 		{"Conventional", FlowConventional, false},
+		{"VECBEE", FlowVECBEE, false},
 		{"WCE", FlowDP, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -193,26 +167,6 @@ func TestSpanTreeMatchesStats(t *testing.T) {
 				}
 			}
 
-			// Exact, not approximate: the Stats *Time fields are
-			// accumulated from these same span durations.
-			if got, want := sumSpans(spans, "cuts", "cuts.update", "cuts.warm"), res.Stats.CutTime; got != want {
-				t.Errorf("cut spans sum %v, Stats.CutTime %v", got, want)
-			}
-			if got, want := sumSpans(spans, "cpm", "cpm.warm"), res.Stats.CPMTime; got != want {
-				t.Errorf("cpm spans sum %v, Stats.CPMTime %v", got, want)
-			}
-			if got, want := sumSpans(spans, "eval"), res.Stats.EvalTime; got != want {
-				t.Errorf("eval spans sum %v, Stats.EvalTime %v", got, want)
-			}
-			if got, want := sumSpans(spans, "phase1"), res.Stats.Phase1Time; got != want {
-				t.Errorf("phase1 spans sum %v, Stats.Phase1Time %v", got, want)
-			}
-			if got, want := sumSpans(spans, "phase2"), res.Stats.Phase2Time; got != want {
-				t.Errorf("phase2 spans sum %v, Stats.Phase2Time %v", got, want)
-			}
-			if got, want := sumSpans(spans, "cert"), res.Stats.CertTime; got != want {
-				t.Errorf("cert spans sum %v, Stats.CertTime %v", got, want)
-			}
 			// Counter parity: every eval span, phase 1 or 2, carries the
 			// same attributes, and its memo hits sum to Stats.EvalMemoHits.
 			var memoHits int64
@@ -235,14 +189,8 @@ func TestSpanTreeMatchesStats(t *testing.T) {
 			if memoHits != res.Stats.EvalMemoHits {
 				t.Errorf("eval spans sum %d memo hits, Stats.EvalMemoHits %d", memoHits, res.Stats.EvalMemoHits)
 			}
-			if res.Stats.Phase1Time == 0 {
-				t.Error("Phase1Time is zero on a completed run")
-			}
-			if tc.flow == FlowDPSA && res.Stats.Incremental > 0 && res.Stats.Phase2Time == 0 {
-				t.Error("Phase2Time is zero despite phase-2 iterations")
-			}
-			if tc.wce && (res.Stats.CertCalls == 0 || res.Stats.CertTime == 0) {
-				t.Errorf("WCE run recorded %d cert calls in %v", res.Stats.CertCalls, res.Stats.CertTime)
+			if tc.wce && res.Stats.CertCalls == 0 {
+				t.Error("WCE run recorded no cert calls")
 			}
 
 			// Worker lane spans from the parallel pipeline appear under
@@ -258,27 +206,5 @@ func TestSpanTreeMatchesStats(t *testing.T) {
 				t.Error("no worker lane spans recorded at Threads=4")
 			}
 		})
-	}
-}
-
-// TestUntracedRunStillTimesSteps: without any tracer the engine must still
-// produce non-zero step and phase times via the no-op tracer's
-// timestamps — the one-code-path property that fixed the -stats drift.
-func TestUntracedRunStillTimesSteps(t *testing.T) {
-	g := gen.MultU(6, 6)
-	R := metric.ReferenceError(g.NumPOs())
-	opt := Options{
-		Flow: FlowDPSA, Metric: metric.MSE, Threshold: R * R,
-		Patterns: 512, MaxIters: 10,
-	}
-	res, err := Run(context.Background(), g, opt, Hooks{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.CutTime+res.Stats.CPMTime+res.Stats.EvalTime == 0 {
-		t.Error("step times all zero on an untraced run")
-	}
-	if res.Stats.Phase1Time == 0 {
-		t.Error("Phase1Time zero on an untraced run")
 	}
 }

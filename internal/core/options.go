@@ -297,39 +297,24 @@ const (
 // to the command line: dpals.Stats is an alias of it, and alsrun -stats
 // writes it with the JSON tags below.
 //
-// The *Time fields are the summed durations of the matching obs spans —
-// the single timing code path shared with trace exports, so a -stats dump
-// and a trace summary can never disagree. The *Work fields are their
-// deterministic analogue: work estimates in bitvec word operations, as
-// self-reported by cut.Set.Work, cpm.Result.Work and lac.Evaluate. Unlike
-// wall-clock times they are identical between runs regardless of Threads,
-// machine, or load, so DP-SA's self-adaption (§III-D) profiles the steps
-// with them, keeping the whole flow bit-deterministic.
+// Every field except Runtime is deterministic: identical between runs
+// regardless of Threads, machine, or load. The *Work fields profile the
+// three analysis steps in bitvec word operations, as self-reported by
+// cut.Set.Work, cpm.Result.Work and lac.Evaluate; DP-SA's self-adaption
+// (§III-D) tunes from them, keeping the whole flow bit-deterministic.
+// Per-step and per-phase wall times are span durations: record them with
+// alsrun -trace (or an obs.Tracer on the context).
 type Stats struct {
 	Applied       int `json:"applied"`       // LACs applied in total
 	Comprehensive int `json:"comprehensive"` // comprehensive (phase-1) analyses
 	Incremental   int `json:"incremental"`   // incremental (phase-2) iterations
 	Rollbacks     int `json:"rollbacks"`     // AccALS/VECBEE reverted iterations
 
-	Runtime time.Duration `json:"runtime_ns"`
+	Runtime time.Duration `json:"runtime_ns"` // wall time of the flow
 
-	// Runtime of the three error-analysis steps of Fig. 3: (1) obtaining
-	// or updating disjoint cuts ("cuts", "cuts.update", "cuts.warm" spans),
-	// (2) calculating the CPM ("cpm", "cpm.warm"), (3) calculating the
-	// error increases of the LACs ("eval").
-	CutTime  time.Duration `json:"cut_time_ns"`
-	CPMTime  time.Duration `json:"cpm_time_ns"`
-	EvalTime time.Duration `json:"eval_time_ns"`
-
-	// Wall-clock time of the two phases, from the "phase1" and "phase2"
-	// spans. Phase1Time covers every comprehensive analysis (including the
-	// per-iteration analyses of the conventional, VECBEE and AccALS
-	// baselines, which are all phase-1-style); Phase2Time covers the
-	// incremental phase-2 loops of the dual-phase flows, applies included.
-	Phase1Time time.Duration `json:"phase1_time_ns"`
-	Phase2Time time.Duration `json:"phase2_time_ns"`
-
-	// Deterministic work of the three steps.
+	// Deterministic work of the three error-analysis steps of Fig. 3:
+	// (1) obtaining or updating disjoint cuts, (2) calculating the CPM,
+	// (3) calculating the error increases of the LACs.
 	CutWork  int64 `json:"cut_work"`
 	CPMWork  int64 `json:"cpm_work"`
 	EvalWork int64 `json:"eval_work"`
@@ -385,13 +370,11 @@ type Stats struct {
 	// new SAT work). CertCalls counts SAT certification calls, CertCexHits
 	// the certifications refuted by a cached counterexample without solver
 	// work, CertRollbacks the checkpoint failures that triggered the
-	// rollback-and-replay path, and CertTime the summed duration of the
-	// "cert" obs spans.
-	CertifiedWCE  uint64        `json:"certified_wce,omitempty"`
-	CertCalls     int           `json:"cert_calls,omitempty"`
-	CertCexHits   int           `json:"cert_cex_hits,omitempty"`
-	CertRollbacks int           `json:"cert_rollbacks,omitempty"`
-	CertTime      time.Duration `json:"cert_time_ns,omitempty"`
+	// rollback-and-replay path.
+	CertifiedWCE  uint64 `json:"certified_wce,omitempty"`
+	CertCalls     int    `json:"cert_calls,omitempty"`
+	CertCexHits   int    `json:"cert_cex_hits,omitempty"`
+	CertRollbacks int    `json:"cert_rollbacks,omitempty"`
 
 	// StopReason tells why the run ended (budget, max-iters, cancelled,
 	// deadline). Always set by Run.

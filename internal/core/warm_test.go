@@ -11,7 +11,6 @@ import (
 	"dpals/internal/gen"
 	"dpals/internal/lac"
 	"dpals/internal/metric"
-	"dpals/internal/obs"
 )
 
 // coldPass is the from-scratch reference of one comprehensive pass over
@@ -72,9 +71,7 @@ func diffEngine(t *testing.T, g *aig.Graph, flow Flow, threads int) *engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := obs.FromContext(context.Background()).Start("run")
 	e.ctx = context.Background()
-	e.root, e.cur = run, run
 	return e
 }
 
@@ -269,9 +266,7 @@ func TestComprehensiveCancelKeepsPreviousCuts(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
-		run := obs.FromContext(ctx).Start("run")
 		e.ctx = ctx
-		e.root, e.cur = run, run
 		e.incCuts = true
 		return e, cancel
 	}
@@ -323,9 +318,7 @@ func TestRollbackThenComprehensiveRebuildsCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := obs.FromContext(context.Background()).Start("run")
 	e.ctx = context.Background()
-	e.root, e.cur = run, run
 	e.incCuts = true
 	e.memo = lac.NewMemo(e.g.NumVars())
 

@@ -9,11 +9,9 @@
 //
 //   - Every API is nil-safe. Methods on a nil *Tracer, *Span or *Progress
 //     are no-ops, so instrumentation sites never branch.
-//   - FromContext returns a shared no-op tracer when none is installed.
-//     Its spans carry timestamps (the engine derives the step and phase
-//     times of core.Stats from span durations — one code path whether or
-//     not anyone is watching) but record nothing: no attribute storage, no
-//     span retention, no locking.
+//   - FromContext returns nil when no tracer is installed, so an untraced
+//     run opens no spans at all: the wall time of a step exists only as a
+//     span duration, and only when someone is recording.
 //   - Tracing reads engine state; it never writes it. The synthesis
 //     trajectory is driven exclusively by deterministic quantities
 //     (pattern bits, Stats work estimates), so a traced run is bit-identical
@@ -60,13 +58,8 @@ type SpanData struct {
 // Tracer records a span tree with monotonic timestamps. A Tracer is safe
 // for concurrent use: child spans may be opened and closed from any
 // goroutine (package par does, one per worker).
-//
-// New returns a recording tracer; the no-op tracer handed out by
-// FromContext when none is installed timestamps spans (so callers can
-// derive step durations from them) but retains nothing.
 type Tracer struct {
-	epoch  time.Time // monotonic origin; span offsets are relative to it
-	record bool
+	epoch time.Time // monotonic origin; span offsets are relative to it
 
 	nextID atomic.Uint64
 
@@ -75,18 +68,10 @@ type Tracer struct {
 	active map[uint64]*Span
 }
 
-// New returns a recording tracer whose clock starts now.
+// New returns a tracer whose clock starts now.
 func New() *Tracer {
-	return &Tracer{epoch: time.Now(), record: true, active: make(map[uint64]*Span)}
+	return &Tracer{epoch: time.Now(), active: make(map[uint64]*Span)}
 }
-
-// nop is the shared non-recording tracer: spans are timestamped but
-// nothing is retained. FromContext hands it out when no tracer is
-// installed, so instrumented code has exactly one code path.
-var nop = &Tracer{epoch: time.Now()}
-
-// Recording reports whether spans of this tracer are retained.
-func (t *Tracer) Recording() bool { return t != nil && t.record }
 
 // Span is one live node of the span tree. Create children with Child (or
 // ChildLane for worker lanes), set typed attributes, and End exactly once
@@ -100,7 +85,6 @@ type Span struct {
 	t0     time.Time
 
 	ended atomic.Bool
-	dur   time.Duration
 
 	mu    sync.Mutex
 	attrs []Attr
@@ -114,11 +98,9 @@ func (t *Tracer) newSpan(name string, parent uint64, lane int) *Span {
 		return nil
 	}
 	sp := &Span{t: t, id: t.nextID.Add(1), parent: parent, lane: lane, name: name, t0: time.Now()}
-	if t.record {
-		t.mu.Lock()
-		t.active[sp.id] = sp
-		t.mu.Unlock()
-	}
+	t.mu.Lock()
+	t.active[sp.id] = sp
+	t.mu.Unlock()
 	return sp
 }
 
@@ -140,10 +122,6 @@ func (sp *Span) ChildLane(name string, lane int) *Span {
 	return sp.t.newSpan(name, sp.id, lane)
 }
 
-// Recording reports whether attributes and the span itself are retained —
-// the guard par uses to skip per-worker spans entirely on the no-op path.
-func (sp *Span) Recording() bool { return sp != nil && sp.t.Recording() }
-
 // Name returns the span's name ("" for nil).
 func (sp *Span) Name() string {
 	if sp == nil {
@@ -152,17 +130,17 @@ func (sp *Span) Name() string {
 	return sp.name
 }
 
-// SetInt attaches an integer attribute. No-op unless recording.
+// SetInt attaches an integer attribute. No-op on a nil span.
 func (sp *Span) SetInt(key string, v int64) { sp.setAttr(key, v) }
 
-// SetFloat attaches a float attribute. No-op unless recording.
+// SetFloat attaches a float attribute. No-op on a nil span.
 func (sp *Span) SetFloat(key string, v float64) { sp.setAttr(key, v) }
 
-// SetStr attaches a string attribute. No-op unless recording.
+// SetStr attaches a string attribute. No-op on a nil span.
 func (sp *Span) SetStr(key, v string) { sp.setAttr(key, v) }
 
 func (sp *Span) setAttr(key string, v any) {
-	if !sp.Recording() {
+	if sp == nil {
 		return
 	}
 	sp.mu.Lock()
@@ -183,26 +161,12 @@ func (sp *Span) End() {
 	if sp == nil || !sp.ended.CompareAndSwap(false, true) {
 		return
 	}
-	sp.dur = time.Since(sp.t0)
+	dur := time.Since(sp.t0)
 	t := sp.t
-	if !t.record {
-		return
-	}
 	t.mu.Lock()
 	delete(t.active, sp.id)
-	t.done = append(t.done, sp.data(sp.dur, false))
+	t.done = append(t.done, sp.data(dur, false))
 	t.mu.Unlock()
-}
-
-// Duration returns the span's duration: final after End, running before.
-func (sp *Span) Duration() time.Duration {
-	if sp == nil {
-		return 0
-	}
-	if sp.ended.Load() {
-		return sp.dur
-	}
-	return time.Since(sp.t0)
 }
 
 // data snapshots the span; callers hold no tracer lock, sp.mu guards attrs.
@@ -229,7 +193,7 @@ func (sp *Span) data(dur time.Duration, open bool) SpanData {
 // signal handler — that is how an aborted alsrun still writes a valid
 // (truncated-but-parseable) trace.
 func (t *Tracer) Snapshot() []SpanData {
-	if t == nil || !t.record {
+	if t == nil {
 		return nil
 	}
 	now := time.Now()
@@ -253,7 +217,7 @@ func (t *Tracer) Snapshot() []SpanData {
 // it is a forest rather than a stack; sorting by start keeps ancestors
 // before their descendants.
 func (t *Tracer) ActiveSpans() []SpanData {
-	if t == nil || !t.record {
+	if t == nil {
 		return nil
 	}
 	now := time.Now()
@@ -300,16 +264,14 @@ func WithTracer(ctx context.Context, t *Tracer) context.Context {
 	return context.WithValue(ctx, tracerKey, t)
 }
 
-// FromContext returns the tracer installed in ctx, or the shared no-op
-// tracer — never nil, so instrumented code has a single code path and
-// span durations exist whether or not anyone is recording.
+// FromContext returns the tracer installed in ctx, or nil — whose spans
+// are nil, so an untraced run opens none.
 func FromContext(ctx context.Context) *Tracer {
-	if ctx != nil {
-		if t, ok := ctx.Value(tracerKey).(*Tracer); ok {
-			return t
-		}
+	if ctx == nil {
+		return nil
 	}
-	return nop
+	t, _ := ctx.Value(tracerKey).(*Tracer)
+	return t
 }
 
 // WithSpan installs sp as the current parent span: package par opens its

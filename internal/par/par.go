@@ -29,11 +29,11 @@
 //     discard it. Callers that cannot be cancelled pass
 //     context.Background() (or nil) and may ignore the error.
 //
-// When the context carries a recording obs span (obs.WithSpan), every
+// When the context carries an obs span (obs.WithSpan), every
 // worker goroutine additionally opens a child span in its own lane —
 // the thread-per-worker tracks of a Perfetto trace — closed by defer even
-// when the callback panics. Without a recording span (every production
-// run) no span is created and the fan-out is unchanged.
+// when the callback panics. Without one (every untraced run) no span is
+// created and the fan-out is unchanged.
 package par
 
 import (
@@ -130,13 +130,12 @@ func For(ctx context.Context, threads, n int, fn func(worker, i int)) error {
 		}
 		return nil
 	}
-	// When a recording span rides on ctx (the engine installs its current
+	// When a span rides on ctx (the engine installs its current
 	// analysis-step span there), each worker opens one child span in its
 	// own Perfetto lane — the thread-per-worker tracks of the trace. The
 	// defer closes the lane even when the callback panics, so a trace
 	// flushed after a par.Panic re-raise has no dangling worker spans. On
-	// the production no-trace path parent is nil (or non-recording) and no
-	// span is created.
+	// the production no-trace path parent is nil and no span is created.
 	parent := obs.SpanFrom(ctx)
 	var (
 		next int64
@@ -150,7 +149,7 @@ func For(ctx context.Context, threads, n int, fn func(worker, i int)) error {
 		go func(worker int) {
 			defer wg.Done()
 			processed := 0
-			if parent.Recording() {
+			if parent != nil {
 				lane := parent.ChildLane(parent.Name(), worker+1)
 				defer func() {
 					lane.SetInt("items", int64(processed))

@@ -5,12 +5,12 @@ import (
 	"time"
 
 	"dpals/internal/aig"
-	"dpals/internal/bitvec"
 	"dpals/internal/core"
 	"dpals/internal/cpm"
 	"dpals/internal/cut"
 	"dpals/internal/gen"
 	"dpals/internal/metric"
+	"dpals/internal/oracle"
 	"dpals/internal/sim"
 	"dpals/internal/techmap"
 )
@@ -161,7 +161,11 @@ func AblationPatternsSweep(b gen.Benchmark, counts []int, cfg Config) []Ablation
 		if err != nil {
 			panic("ablation: " + err.Error())
 		}
-		valid := measureMSE(b.Graph, res.Graph, 1<<16, cfg.seed()+12345)
+		valid, err := oracle.SampledError(b.Graph, res.Graph, metric.MSE, nil,
+			sim.Options{Patterns: 1 << 16, Seed: cfg.seed() + 12345})
+		if err != nil {
+			panic("ablation: " + err.Error())
+		}
 		rows = append(rows, AblationPatternsRow{
 			Patterns: p, TrainErr: res.Error, ValidErr: valid,
 			Runtime: res.Stats.Runtime, Violated: valid > thr,
@@ -171,20 +175,6 @@ func AblationPatternsSweep(b gen.Benchmark, counts []int, cfg Config) []Ablation
 			p, res.Error, valid, thr, rnd(res.Stats.Runtime))
 	}
 	return rows
-}
-
-func measureMSE(orig, approx *aig.Graph, patterns int, seed int64) float64 {
-	so := sim.New(orig, sim.Options{Patterns: patterns, Seed: seed})
-	sa := sim.New(approx, sim.Options{Patterns: patterns, Seed: seed})
-	eo := make([]bitvec.Vec, orig.NumPOs())
-	ea := make([]bitvec.Vec, orig.NumPOs())
-	for o := range eo {
-		eo[o] = bitvec.NewWords(so.Words())
-		so.POVal(o, eo[o])
-		ea[o] = bitvec.NewWords(sa.Words())
-		sa.POVal(o, ea[o])
-	}
-	return metric.Compute(metric.MSE, metric.UnsignedWeights(orig.NumPOs()), eo, ea, so.Patterns())
 }
 
 func adpRatio(orig, approx *aig.Graph) float64 {
