@@ -2,7 +2,6 @@ package cpm
 
 import (
 	"context"
-	"sort"
 
 	"dpals/internal/aig"
 	"dpals/internal/bitvec"
@@ -85,12 +84,11 @@ type Cache struct {
 	res   *Result
 	arena *bitvec.Arena
 
-	valid   []bool  // per var: row is up to date
-	pos     []int32 // topo position per var, refreshed per build
-	rowWork []int64 // per var: work of the row's last recompute (Update.ReusedWork)
+	valid   []bool     // per var: row is up to date
+	idx     *topoIndex // refreshed per build
+	rowWork []int64    // per var: work of the row's last recompute (Update.ReusedWork)
 
-	rss     []*regionSimulator // persistent per-worker scratch
-	cutSets []map[int32]bool
+	rss []*regionSimulator // persistent per-worker scratch
 
 	// epoch-stamped scratch (avoids per-call maps and clears)
 	mark      []uint32
@@ -111,7 +109,7 @@ func NewCache(g *aig.Graph, s *sim.Sim) *Cache {
 		res:     &Result{Words: s.Words(), rows: make([]Row, n)},
 		arena:   bitvec.NewArena(s.Words()),
 		valid:   make([]bool, n),
-		pos:     make([]int32, n),
+		idx:     &topoIndex{pos: make([]int32, n)},
 		rowWork: make([]int64, n),
 		mark:    make([]uint32, n),
 		lvl:     make([]int32, n),
@@ -135,32 +133,14 @@ func (c *Cache) releaseRow(v int32) {
 	c.valid[v] = false
 }
 
-func (c *Cache) nextEpoch() uint32 {
-	c.epoch++
-	if c.epoch == 0 {
-		for i := range c.mark {
-			c.mark[i] = 0
-		}
-		c.epoch = 1
-	}
-	return c.epoch
-}
-
-func (c *Cache) refreshPos() {
-	for i, v := range c.g.Topo() {
-		c.pos[v] = int32(i)
-	}
-}
-
 // simulators returns (growing if needed) the first `workers` persistent
-// region simulators. They share c.pos, whose contents refreshPos updates in
+// region simulators. They share c.idx, which Rebuild and Rows refresh in
 // place, so they stay consistent after structural edits.
-func (c *Cache) simulators(workers int) ([]*regionSimulator, []map[int32]bool) {
+func (c *Cache) simulators(workers int) []*regionSimulator {
 	for len(c.rss) < workers {
-		c.rss = append(c.rss, newRegionSimulator(c.g, c.s, c.pos))
-		c.cutSets = append(c.cutSets, make(map[int32]bool))
+		c.rss = append(c.rss, newRegionSimulator(c.g, c.s, c.idx))
 	}
-	return c.rss[:workers], c.cutSets[:workers]
+	return c.rss[:workers]
 }
 
 // Rebuild performs the comprehensive (phase-1) build: every live AND row is
@@ -182,10 +162,10 @@ func (c *Cache) Rebuild(ctx context.Context, cuts *cut.Set, threads int) (Update
 			c.valid[int32(v)] = false
 		}
 	}
-	c.refreshPos()
+	c.idx.refresh(c.g)
 	workBefore := c.res.Work
 	proc := c.recompute[:0]
-	for _, v := range c.g.Topo() {
+	for _, v := range c.idx.topo {
 		if c.g.IsAnd(v) {
 			proc = append(proc, v)
 		}
@@ -208,7 +188,7 @@ func (c *Cache) Rebuild(ctx context.Context, cuts *cut.Set, threads int) (Update
 // (S_v). Must be called after the simulator and the cut set have been
 // brought up to date.
 func (c *Cache) Invalidate(cs aig.ChangeSet, changed, cutsRecomputed []int32) {
-	ep := c.nextEpoch()
+	ep := nextEpoch(&c.epoch, c.mark)
 	q := c.queue[:0]
 	push := func(v int32) {
 		if c.mark[v] != ep {
@@ -259,6 +239,10 @@ func (c *Cache) Invalidate(cs aig.ChangeSet, changed, cutsRecomputed []int32) {
 	c.queue = q[:0]
 }
 
+// Refresh brings the cache up to date for one analysis over cuts. When cuts
+// is the set the cache was last built against, it serves Rows(targets);
+// for any other set it falls back to a comprehensive Rebuild, whose rows
+// cover every target. Either way the rows equal a from-scratch build.
 func (c *Cache) Refresh(ctx context.Context, cuts *cut.Set, targets []int32, threads int) (Update, error) {
 	if cuts != c.cuts {
 		return c.Rebuild(ctx, cuts, threads)
@@ -275,12 +259,12 @@ func (c *Cache) Refresh(ctx context.Context, cuts *cut.Set, targets []int32, thr
 // recomputed rows of this call are released again and the Update must be
 // discarded, while previously valid cached rows stay valid.
 func (c *Cache) Rows(ctx context.Context, targets []int32, threads int) (Update, error) {
-	c.refreshPos()
+	c.idx.refresh(c.g)
 	workBefore := c.res.Work
 
 	// Closure of targets under disjoint-cut membership (sinks excluded) —
 	// Closure with epoch-stamped scratch instead of per-call maps.
-	ep := c.nextEpoch()
+	ep := nextEpoch(&c.epoch, c.mark)
 	need := c.queue[:0]
 	for _, v := range targets {
 		if c.mark[v] != ep {
@@ -332,7 +316,9 @@ func (c *Cache) runWaves(ctx context.Context, proc []int32, threads int) error {
 	if len(proc) == 0 {
 		return nil
 	}
-	sort.Slice(proc, func(i, j int) bool { return c.pos[proc[i]] > c.pos[proc[j]] })
+	workers := par.ScratchSlots(threads, len(proc))
+	rss := c.simulators(workers)
+	rss[0].orderByPos(proc, true)
 	for _, v := range proc {
 		c.inSet[v] = true
 	}
@@ -358,12 +344,10 @@ func (c *Cache) runWaves(ctx context.Context, proc []int32, threads int) error {
 		waves[c.lvl[v]] = append(waves[c.lvl[v]], v)
 	}
 	b := &disjointBuilder{g: c.g, s: c.s, cuts: c.cuts, res: c.res, arena: c.arena, rowWork: c.rowWork}
-	workers := par.ScratchSlots(threads, len(proc))
-	rss, cutSets := c.simulators(workers)
 	var err error
 	for _, wave := range waves {
 		if err = par.ForEach(ctx, threads, wave, func(w int, v int32) {
-			b.processNode(rss[w], cutSets[w], v)
+			b.processNode(rss[w], v)
 		}); err != nil {
 			break
 		}

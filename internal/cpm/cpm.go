@@ -20,7 +20,8 @@ package cpm
 
 import (
 	"context"
-	"sort"
+	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"dpals/internal/aig"
@@ -118,29 +119,41 @@ func Closure(cuts *cut.Set, targets []int32) []int32 {
 	return out
 }
 
+// topoIndex maps every variable to its topological position and back. It
+// is shared read-only by all workers' region simulators; their owner
+// refreshes it after structural edits, so workers never touch the graph's
+// lazily built topological order.
+type topoIndex struct {
+	pos  []int32 // topo position per var
+	topo []int32 // var per topo position: g.Topo()
+}
+
+// refresh re-reads the topological order of g into idx, in place.
+func (idx *topoIndex) refresh(g *aig.Graph) {
+	idx.topo = g.Topo()
+	for i, v := range idx.topo {
+		idx.pos[v] = int32(i)
+	}
+}
+
 // regionSimulator performs flip-resimulation of the bounded region between
 // a node and a boundary, reusing scratch vectors across calls.
 type regionSimulator struct {
 	g     *aig.Graph
 	s     *sim.Sim
 	words int
-	pos   []int32 // topo position per var (for sorting regions)
+	idx   *topoIndex
 
 	inRegion []uint32
 	epoch    uint32
+	boundary []uint32 // stamped with bEpoch: the next collectBounded's stop set
+	bEpoch   uint32
+	posBits  []uint64      // one bit per topo position; all zero between calls
 	arena    *bitvec.Arena // backs scratch and local; never reset
 	scratch  []bitvec.Vec
 	region   []int32
 	stack    []int32    // region-collection DFS scratch
 	local    bitvec.Vec // scratch for one element-local diff at a time
-}
-
-// sort.Interface over rs.region by topological position, so propagate can
-// sort with zero allocations (sort.Slice allocates its closure per call).
-func (rs *regionSimulator) Len() int           { return len(rs.region) }
-func (rs *regionSimulator) Less(i, j int) bool { return rs.pos[rs.region[i]] < rs.pos[rs.region[j]] }
-func (rs *regionSimulator) Swap(i, j int) {
-	rs.region[i], rs.region[j] = rs.region[j], rs.region[i]
 }
 
 // localDiff returns the worker-private scratch vector used to hold the
@@ -153,25 +166,47 @@ func (rs *regionSimulator) localDiff() bitvec.Vec {
 	return rs.local
 }
 
-// topoPositions returns the topological position of every variable,
-// shared read-only by all workers' region simulators.
-func topoPositions(g *aig.Graph) []int32 {
-	pos := make([]int32, g.NumVars())
-	for i, v := range g.Topo() {
-		pos[v] = int32(i)
-	}
-	return pos
-}
-
-func newRegionSimulator(g *aig.Graph, s *sim.Sim, pos []int32) *regionSimulator {
+func newRegionSimulator(g *aig.Graph, s *sim.Sim, idx *topoIndex) *regionSimulator {
 	return &regionSimulator{
 		g:        g,
 		s:        s,
 		words:    s.Words(),
-		pos:      pos,
+		idx:      idx,
 		inRegion: make([]uint32, g.NumVars()),
+		boundary: make([]uint32, g.NumVars()),
+		posBits:  make([]uint64, (g.NumVars()+63)/64),
 		arena:    bitvec.NewArena(s.Words()),
 		scratch:  make([]bitvec.Vec, g.NumVars()),
+	}
+}
+
+// orderByPos reorders nodes in place by ascending topological position,
+// descending when desc is set, without comparisons: it sets one bit per
+// node in posBits, indexed by position, then walks the set bits from the
+// lowest to the highest touched word. Positions are unique, so the order
+// is exactly that of a comparison sort by pos; a node whose (stale)
+// position collides with another's would be dropped, so that panics.
+func (rs *regionSimulator) orderByPos(nodes []int32, desc bool) {
+	pos, set := rs.idx.pos, rs.posBits
+	lo, hi := len(set), 0
+	for _, v := range nodes {
+		w := int(pos[v] >> 6)
+		set[w] |= 1 << (pos[v] & 63)
+		lo, hi = min(lo, w), max(hi, w)
+	}
+	k := 0
+	for w := lo; w <= hi; w++ {
+		for b := set[w]; b != 0; b &= b - 1 {
+			nodes[k] = rs.idx.topo[w<<6|bits.TrailingZeros64(b)]
+			k++
+		}
+		set[w] = 0
+	}
+	if k != len(nodes) {
+		panic("cpm: nodes share a topological position")
+	}
+	if desc {
+		slices.Reverse(nodes)
 	}
 }
 
@@ -193,29 +228,44 @@ func (rs *regionSimulator) ensureScratch(v int32) bitvec.Vec {
 	return rs.scratch[v]
 }
 
+// nextEpoch advances the epoch stamp of marks and returns it, clearing
+// marks when the counter wraps so that no stale stamp can match.
+func nextEpoch(epoch *uint32, marks []uint32) uint32 {
+	*epoch++
+	if *epoch == 0 {
+		clear(marks)
+		*epoch = 1
+	}
+	return *epoch
+}
+
 // beginRegion starts a fresh region rooted at n.
 func (rs *regionSimulator) beginRegion(n int32) {
-	rs.epoch++
-	if rs.epoch == 0 {
-		for i := range rs.inRegion {
-			rs.inRegion[i] = 0
-		}
-		rs.epoch = 1
-	}
 	rs.region = rs.region[:0]
-	rs.inRegion[n] = rs.epoch
+	rs.inRegion[n] = nextEpoch(&rs.epoch, rs.inRegion)
+}
+
+// markBoundary makes the non-sink elements of a disjoint cut the stop set
+// of the next collectBounded.
+func (rs *regionSimulator) markBoundary(elems []int32) {
+	ep := nextEpoch(&rs.bEpoch, rs.boundary)
+	for _, e := range elems {
+		if !cut.IsSink(e) {
+			rs.boundary[e] = ep
+		}
+	}
 }
 
 // collectBounded gathers the transitive fanout of n, stopping at (but
-// including) nodes in boundary.
-func (rs *regionSimulator) collectBounded(n int32, boundary map[int32]bool) {
+// including) the nodes of the last markBoundary.
+func (rs *regionSimulator) collectBounded(n int32) {
 	rs.beginRegion(n)
 	g := rs.g
 	stack := append(rs.stack[:0], n)
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if v != n && boundary[v] {
+		if v != n && rs.boundary[v] == rs.bEpoch {
 			continue
 		}
 		for _, f := range g.Fanouts(v) {
@@ -259,7 +309,7 @@ func (rs *regionSimulator) collectDepth(n int32, l int, depth map[int32]int) (fr
 // propagate flips node n and simulates the collected region in topological
 // order. After the call flipVal returns in-region values.
 func (rs *regionSimulator) propagate(n int32) {
-	sort.Sort(rs) // rs.region by topo position; see the sort.Interface methods
+	rs.orderByPos(rs.region, false)
 	g := rs.g
 	sn := rs.ensureScratch(n)
 	sn.Not(rs.s.Val(n))
@@ -309,7 +359,7 @@ func (b *disjointBuilder) release(v int32) { b.res.rows[v] = Row{} }
 
 // processNode computes the CPM row of v. All of v's non-sink cut elements
 // must already have their rows computed (wave scheduling guarantees this).
-func (b *disjointBuilder) processNode(rs *regionSimulator, cutSet map[int32]bool, v int32) {
+func (b *disjointBuilder) processNode(rs *regionSimulator, v int32) {
 	elems := b.cuts.Cut(v)
 	if len(elems) == 0 {
 		if b.rowWork != nil {
@@ -320,15 +370,8 @@ func (b *disjointBuilder) processNode(rs *regionSimulator, cutSet map[int32]bool
 	// Flip-simulate the region bounded by the node cut elements. Sink
 	// elements leave their whole PO cone inside the region, so the
 	// diff at the PO driver is available directly.
-	for k := range cutSet {
-		delete(cutSet, k)
-	}
-	for _, e := range elems {
-		if !cut.IsSink(e) {
-			cutSet[e] = true
-		}
-	}
-	rs.collectBounded(v, cutSet)
+	rs.markBoundary(elems)
+	rs.collectBounded(v)
 	rs.propagate(v)
 	// Work accounting: one words-wide pass per region node simulated and
 	// per diff vector assembled; folded in with one atomic add per node.
@@ -438,8 +481,14 @@ func BuildDisjoint(ctx context.Context, g *aig.Graph, s *sim.Sim, cuts *cut.Set,
 		}
 	}
 
-	pos := topoPositions(g)
-	sort.Slice(procList, func(i, j int) bool { return pos[procList[i]] > pos[procList[j]] })
+	workers := par.ScratchSlots(threads, len(procList))
+	rss := make([]*regionSimulator, workers)
+	idx := &topoIndex{pos: make([]int32, g.NumVars())}
+	idx.refresh(g)
+	for w := range rss {
+		rss[w] = newRegionSimulator(g, s, idx)
+	}
+	rss[0].orderByPos(procList, true)
 
 	// Wave schedule over the exact dependency DAG: lvl(v) is one more than
 	// the deepest non-sink cut element. Cut elements lie strictly in v's
@@ -470,16 +519,9 @@ func BuildDisjoint(ctx context.Context, g *aig.Graph, s *sim.Sim, cuts *cut.Set,
 	// keep the slabs reachable, so the arena needs no owner beyond b.
 	b := &disjointBuilder{g: g, s: s, cuts: cuts, res: res, keep: keep, refs: refs,
 		arena: bitvec.NewArena(res.Words)}
-	workers := par.ScratchSlots(threads, len(procList))
-	rss := make([]*regionSimulator, workers)
-	cutSets := make([]map[int32]bool, workers)
-	for w := range rss {
-		rss[w] = newRegionSimulator(g, s, pos)
-		cutSets[w] = make(map[int32]bool)
-	}
 	for _, wave := range waves {
 		if err := par.ForEach(ctx, threads, wave, func(w int, v int32) {
-			b.processNode(rss[w], cutSets[w], v)
+			b.processNode(rss[w], v)
 		}); err != nil {
 			return res, err
 		}
@@ -587,7 +629,7 @@ func (b *vecbeeBuilder) processNode(rs *regionSimulator, depth map[int32]int, v 
 		for o := range acc {
 			oIdx = append(oIdx, o)
 		}
-		sort.Slice(oIdx, func(a, b int) bool { return oIdx[a] < oIdx[b] })
+		slices.Sort(oIdx)
 		for _, o := range oIdx {
 			row.POs = append(row.POs, o)
 			row.Diffs = append(row.Diffs, acc[o])
@@ -656,12 +698,13 @@ func BuildVECBEE(ctx context.Context, g *aig.Graph, s *sim.Sim, l int, targets [
 	for _, wave := range waves {
 		numNodes += len(wave)
 	}
-	pos := topoPositions(g)
+	idx := &topoIndex{pos: make([]int32, g.NumVars())}
+	idx.refresh(g)
 	workers := par.ScratchSlots(threads, numNodes)
 	rss := make([]*regionSimulator, workers)
 	depths := make([]map[int32]int, workers)
 	for w := range rss {
-		rss[w] = newRegionSimulator(g, s, pos)
+		rss[w] = newRegionSimulator(g, s, idx)
 		depths[w] = make(map[int32]int)
 	}
 	for _, wave := range waves {
