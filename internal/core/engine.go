@@ -401,7 +401,9 @@ func (e *engine) restore(sn snapshot) {
 	if e.memo != nil {
 		e.memo.Invalidate() // evaluations reference the replaced state
 	}
-	e.gen = lac.NewGenerator(e.g, e.s, e.opt.lacOptions())
+	lo := e.opt.lacOptions()
+	lo.MaxPerNode = e.gen.MaxPerNode() // DP-SA's tuned budget survives, like M and N
+	e.gen = lac.NewGenerator(e.g, e.s, lo)
 	if e.cert != nil {
 		keep := e.pending[:0]
 		for _, p := range e.pending {

@@ -350,3 +350,24 @@ func TestRollbackThenComprehensiveRebuildsCold(t *testing.T) {
 		}
 	}
 }
+
+// TestRollbackKeepsMaxPerNode: DP-SA's step-3 rule halves the per-node
+// SASIMI budget, and a rollback must not silently undo it while M and N
+// survive.
+func TestRollbackKeepsMaxPerNode(t *testing.T) {
+	g := gen.MultU(6, 6)
+	R := metric.ReferenceError(g.NumPOs())
+	opt := Options{Flow: FlowDPSA, Metric: metric.MSE, Threshold: R * R, Patterns: 512, Seed: 3, UseSASIMILACs: true}
+	e, err := newEngine(g, opt.Resolved(), Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.ctx = context.Background()
+	sn := e.snapshot()
+	e.gen.SetMaxPerNode(e.gen.MaxPerNode() / 2)
+	want := e.gen.MaxPerNode()
+	e.restore(sn)
+	if got := e.gen.MaxPerNode(); got != want {
+		t.Fatalf("MaxPerNode after rollback = %d, want the tuned %d", got, want)
+	}
+}

@@ -13,10 +13,8 @@
 package lac
 
 import (
-	"cmp"
 	"context"
 	"math/bits"
-	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -105,19 +103,22 @@ type Generator struct {
 	s   *sim.Sim
 	opt Options
 
-	// popcount-sorted signal index for SASIMI similarity search
-	signals []int32 // PIs and live AND nodes, sorted by sampled popcount
-	pops    []int   // parallel: sampled popcount
-	rank    map[int32]int
+	// SASIMI similarity index: signals in (sampled popcount, list
+	// position) order, where the list is the PIs and then the live ANDs in
+	// topological order. rank is its inverse per var, -1 if not indexed.
+	signals []int32
+	pops    []int   // parallel to signals: sampled popcount
+	rank    []int32 // per var
+	buckets []int32 // Reindex's counting-sort buckets
 
 	// Reused scratch. Candidate generation is serial by contract (it walks
 	// shared graph traversal state), so these need no locking.
 	lacBuf   []LAC        // all candidates of one Evaluate call
 	offs     [][2]int     // per target: [start, end) into lacBuf
-	tfoMark  []bool       // sasimi: TFO membership of the current target
-	tfoList  []int32      // sasimi: marked nodes, for O(cone) reset
+	mark     []uint32     // sasimi: per var, stamped with epoch when in the TFO or scanned
+	epoch    uint32       // sasimi: current target's stamp
 	tfoStack []int32      // sasimi: DFS stack
-	scored   []scoredCand // sasimi: similarity-ranked neighbourhood
+	scored   []scoredCand // sasimi: best MaxPerNode candidates, in (dist, scan index) order
 }
 
 type scoredCand struct {
@@ -145,42 +146,60 @@ func (gen *Generator) SetMaxPerNode(n int) {
 	gen.opt.MaxPerNode = n
 }
 
-// Reindex rebuilds the similarity index from the current simulation values.
-// Cheap (one popcount per signal); call after every applied LAC or once per
-// iteration.
+// Reindex rebuilds the similarity index from the current simulation values
+// with a stable counting sort by sampled popcount, so the order is total
+// and independent of any sort implementation. Linear in the signal count
+// and allocation-free once the buffers have grown; call after every
+// applied LAC or once per iteration.
 func (gen *Generator) Reindex() {
 	if !gen.opt.SASIMI {
 		return
 	}
-	g := gen.g
-	gen.signals = gen.signals[:0]
-	for _, v := range g.PIs() {
-		gen.signals = append(gen.signals, v)
-	}
-	for _, v := range g.Topo() {
-		if g.IsAnd(v) {
-			gen.signals = append(gen.signals, v)
+	g, s := gen.g, gen.s
+	sw := min(sampleWords, s.Words())
+	each := func(f func(v int32)) {
+		for _, v := range g.PIs() {
+			f(v)
+		}
+		for _, v := range g.Topo() {
+			if g.IsAnd(v) {
+				f(v)
+			}
 		}
 	}
-	sw := min(sampleWords, gen.s.Words())
-	gen.pops = gen.pops[:0]
-	for _, v := range gen.signals {
-		gen.pops = append(gen.pops, samplePop(gen.s.Val(v), sw))
+	gen.rank = resize(gen.rank, g.NumVars())
+	for i := range gen.rank {
+		gen.rank[i] = -1
 	}
-	idx := make([]int, len(gen.signals))
-	for i := range idx {
-		idx[i] = i
+	// buckets[p+1] counts popcount p; rank parks each signal's popcount
+	// until its position is known.
+	start := resize(gen.buckets, sw*64+2)
+	clear(start)
+	n := 0
+	each(func(v int32) {
+		p := int32(samplePop(s.Val(v), sw))
+		gen.rank[v] = p
+		start[p+1]++
+		n++
+	})
+	for p := 1; p < len(start); p++ {
+		start[p] += start[p-1]
 	}
-	slices.SortFunc(idx, func(a, b int) int { return cmp.Compare(gen.pops[a], gen.pops[b]) })
-	sigs := make([]int32, len(idx))
-	pops := make([]int, len(idx))
-	gen.rank = make(map[int32]int, len(idx))
-	for i, j := range idx {
-		sigs[i] = gen.signals[j]
-		pops[i] = gen.pops[j]
-		gen.rank[sigs[i]] = i
+	gen.signals, gen.pops, gen.buckets = resize(gen.signals, n), resize(gen.pops, n), start
+	each(func(v int32) {
+		p := gen.rank[v]
+		i := start[p]
+		start[p]++
+		gen.signals[i], gen.pops[i], gen.rank[v] = v, int(p), i
+	})
+}
+
+// resize returns s with length n, reusing its backing array when it fits.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	gen.signals, gen.pops = sigs, pops
+	return s[:n]
 }
 
 func samplePop(v bitvec.Vec, words int) int {
@@ -221,28 +240,28 @@ func (gen *Generator) appendCandidates(out []LAC, v int32) []LAC {
 	return out
 }
 
-// markTFO marks v's transitive-fanout cone (v included) in gen.tfoMark,
-// resetting the marks of the previous call first — substituting a signal
-// from the cone would create a cycle.
+// markTFO starts a new epoch and stamps v's transitive-fanout cone (v
+// included) with it: substituting a signal from the cone would create a
+// cycle. sasimiAppend also stamps every signal it scans, so the stamp
+// doubles as its dedup mark.
 func (gen *Generator) markTFO(v int32) {
 	g := gen.g
-	for _, u := range gen.tfoList {
-		gen.tfoMark[u] = false
+	if n := g.NumVars(); len(gen.mark) < n {
+		gen.mark = append(gen.mark, make([]uint32, n*2-len(gen.mark))...)
 	}
-	gen.tfoList = gen.tfoList[:0]
-	if n := g.NumVars(); len(gen.tfoMark) < n {
-		gen.tfoMark = make([]bool, n*2)
+	gen.epoch++
+	if gen.epoch == 0 { // wrapped: clear and restart
+		clear(gen.mark)
+		gen.epoch = 1
 	}
-	gen.tfoMark[v] = true
-	gen.tfoList = append(gen.tfoList, v)
+	gen.mark[v] = gen.epoch
 	stack := append(gen.tfoStack[:0], v)
 	for len(stack) > 0 {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, w := range g.Fanouts(x) {
-			if !gen.tfoMark[w] && !g.IsDead(w) {
-				gen.tfoMark[w] = true
-				gen.tfoList = append(gen.tfoList, w)
+			if gen.mark[w] != gen.epoch && !g.IsDead(w) {
+				gen.mark[w] = gen.epoch
 				stack = append(stack, w)
 			}
 		}
@@ -252,7 +271,10 @@ func (gen *Generator) markTFO(v int32) {
 
 // sasimiAppend scans the popcount-sorted neighbourhood of v for the most
 // similar signals (direct or complemented) outside v's transitive fanout
-// and appends them to out.
+// and appends them to out. The result equals stable-sorting every scanned
+// candidate by distance, in scan order, keeping each node's first
+// occurrence and cutting to MaxPerNode; a node scanned twice has the same
+// distance both times, so dropping repeats at scan time is equivalent.
 func (gen *Generator) sasimiAppend(out []LAC, v int32, gain int) []LAC {
 	g := gen.g
 	s := gen.s
@@ -262,31 +284,44 @@ func (gen *Generator) sasimiAppend(out []LAC, v int32, gain int) []LAC {
 		sampleBits = p
 	}
 
-	r, ok := gen.rank[v]
-	if !ok {
+	if int(v) >= len(gen.rank) || gen.rank[v] < 0 {
 		return out
 	}
+	r := int(gen.rank[v])
 	gen.markTFO(v)
-	cands := gen.scored[:0]
+	k := gen.opt.MaxPerNode
+	best := gen.scored[:0]
 	vv := s.Val(v)
 	consider := func(i int) {
 		if i < 0 || i >= len(gen.signals) {
 			return
 		}
 		u := gen.signals[i]
-		if u == v || gen.tfoMark[u] || g.IsDead(u) {
+		if gen.mark[u] == gen.epoch || g.IsDead(u) {
 			return
 		}
+		gen.mark[u] = gen.epoch
 		d := 0
 		uv := s.Val(u)
 		for w := 0; w < sw; w++ {
 			d += popcount(vv[w] ^ uv[w])
 		}
-		if d <= sampleBits-d {
-			cands = append(cands, scoredCand{u, false, d})
-		} else {
-			cands = append(cands, scoredCand{u, true, sampleBits - d})
+		c := scoredCand{u, false, d}
+		if d > sampleBits-d {
+			c = scoredCand{u, true, sampleBits - d}
 		}
+		// Bounded insertion: a candidate enters only strictly below the
+		// k-th distance, behind every kept one of equal distance.
+		if len(best) < k {
+			best = append(best, c)
+		} else if c.dist >= best[k-1].dist {
+			return
+		}
+		j := len(best) - 1
+		for ; j > 0 && best[j-1].dist > c.dist; j-- {
+			best[j] = best[j-1]
+		}
+		best[j] = c
 	}
 	// Same-polarity neighbourhood: similar popcount.
 	for off := 1; off <= windowSize; off++ {
@@ -301,25 +336,10 @@ func (gen *Generator) sasimiAppend(out []LAC, v int32, gain int) []LAC {
 		consider(ci - off - 1)
 		consider(ci + off)
 	}
-	slices.SortFunc(cands, func(a, b scoredCand) int { return cmp.Compare(a.dist, b.dist) })
-	gen.scored = cands[:0]
-	base := len(out)
-	for _, c := range cands {
-		dup := false
-		for _, prev := range out[base:] { // ≤ MaxPerNode entries: linear dedup
-			if prev.NewLit.Var() == c.node {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
+	for _, c := range best {
 		out = append(out, LAC{Target: v, NewLit: aig.MakeLit(c.node, c.compl), Gain: gain})
-		if len(out)-base >= gen.opt.MaxPerNode {
-			break
-		}
 	}
+	gen.scored = best[:0]
 	return out
 }
 

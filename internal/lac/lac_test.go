@@ -3,7 +3,9 @@ package lac
 import (
 	"cmp"
 	"context"
+	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -13,6 +15,7 @@ import (
 	"dpals/internal/bitvec"
 	"dpals/internal/cpm"
 	"dpals/internal/cut"
+	"dpals/internal/gen"
 	"dpals/internal/metric"
 	"dpals/internal/sim"
 )
@@ -208,44 +211,178 @@ func TestEvaluateTargetsSorted(t *testing.T) {
 	}
 }
 
-// SASIMI ranking sorts with slices.SortFunc, which is not stable: on equal
-// distances the order it leaves decides which substitutions survive the
-// MaxPerNode cut. It must therefore order scoredCand (and Reindex's
-// popcount index) exactly as the reflection-based sort.Slice did, which
-// runs the same pattern-defeating quicksort; a Go release that changed
-// either would change synthesis results.
-func TestSortFuncMatchesSortSlice(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	iters := 20000
-	if testing.Short() {
-		iters = 2000
+// refIndex is the reference similarity index: the PIs and then the live
+// ANDs in topological order, stable-sorted by sampled popcount.
+func refIndex(g *aig.Graph, s *sim.Sim) (sigs []int32, pops []int) {
+	sigs = slices.Clone(g.PIs())
+	for _, v := range g.Topo() {
+		if g.IsAnd(v) {
+			sigs = append(sigs, v)
+		}
 	}
-	for it := 0; it < iters; it++ {
-		n := rng.Intn(300)
-		keys := rng.Intn(12) + 1 // few distinct keys: many ties
-		cands := make([]scoredCand, n)
-		for i := range cands {
-			cands[i] = scoredCand{node: int32(i), compl: rng.Intn(2) == 0, dist: rng.Intn(keys)}
-		}
-		old := slices.Clone(cands)
-		sort.Slice(old, func(a, b int) bool { return old[a].dist < old[b].dist })
-		slices.SortFunc(cands, func(a, b scoredCand) int { return cmp.Compare(a.dist, b.dist) })
-		if !slices.Equal(old, cands) {
-			t.Fatalf("iteration %d (n=%d): scoredCand order differs from sort.Slice", it, n)
-		}
+	sw := min(sampleWords, s.Words())
+	pop := func(v int32) int { return samplePop(s.Val(v), sw) }
+	slices.SortStableFunc(sigs, func(a, b int32) int { return cmp.Compare(pop(a), pop(b)) })
+	for _, v := range sigs {
+		pops = append(pops, pop(v))
+	}
+	return sigs, pops
+}
 
-		pops := make([]int, n)
-		for i := range pops {
-			pops[i] = rng.Intn(keys)
+// refCandidates is the reference SASIMI ranking of target v: every window
+// candidate in scan order, stable-sorted by distance, deduplicated by node
+// (first occurrence kept). The generator must emit its first MaxPerNode.
+func refCandidates(g *aig.Graph, s *sim.Sim, sigs []int32, pops []int, v int32) []aig.Lit {
+	r := slices.Index(sigs, v)
+	if r < 0 {
+		return nil
+	}
+	sw := min(sampleWords, s.Words())
+	sampleBits := min(sw*64, s.Patterns())
+	var cands []scoredCand
+	consider := func(i int) {
+		if i < 0 || i >= len(sigs) || g.IsDead(sigs[i]) || g.InTFO(v, sigs[i]) {
+			return
 		}
-		idxOld, idx := make([]int, n), make([]int, n)
-		for i := range idx {
-			idxOld[i], idx[i] = i, i
+		u := sigs[i]
+		d := 0
+		for w := 0; w < sw; w++ {
+			d += bits.OnesCount64(s.Val(v)[w] ^ s.Val(u)[w])
 		}
-		sort.Slice(idxOld, func(a, b int) bool { return pops[idxOld[a]] < pops[idxOld[b]] })
-		slices.SortFunc(idx, func(a, b int) int { return cmp.Compare(pops[a], pops[b]) })
-		if !slices.Equal(idxOld, idx) {
-			t.Fatalf("iteration %d (n=%d): popcount index order differs from sort.Slice", it, n)
+		if d <= sampleBits-d {
+			cands = append(cands, scoredCand{u, false, d})
+		} else {
+			cands = append(cands, scoredCand{u, true, sampleBits - d})
 		}
+	}
+	for off := 1; off <= windowSize; off++ {
+		consider(r - off)
+		consider(r + off)
+	}
+	ci := sort.SearchInts(pops, sampleBits-pops[r])
+	for off := 0; off <= windowSize; off++ {
+		consider(ci - off - 1)
+		consider(ci + off)
+	}
+	slices.SortStableFunc(cands, func(a, b scoredCand) int { return cmp.Compare(a.dist, b.dist) })
+	var lits []aig.Lit
+	for _, c := range cands {
+		if !slices.ContainsFunc(lits, func(l aig.Lit) bool { return l.Var() == c.node }) {
+			lits = append(lits, aig.MakeLit(c.node, c.compl))
+		}
+	}
+	return lits
+}
+
+// checkSASIMIOrder requires the generator's index to equal refIndex (with
+// rank its inverse) and CandidatesFor to equal the prefix of
+// refCandidates, for every AND at several MaxPerNode bounds.
+func checkSASIMIOrder(t *testing.T, label string, g *aig.Graph, s *sim.Sim, lg *Generator) {
+	t.Helper()
+	sigs, pops := refIndex(g, s)
+	if !slices.Equal(lg.signals, sigs) || !slices.Equal(lg.pops, pops) {
+		t.Fatalf("%s: Reindex order differs from the stable popcount sort", label)
+	}
+	inv := make([]int32, g.NumVars())
+	for v := range inv {
+		inv[v] = -1
+	}
+	for i, v := range sigs {
+		inv[v] = int32(i)
+	}
+	if !slices.Equal(lg.rank, inv) {
+		t.Fatalf("%s: rank is not the inverse of the signal order", label)
+	}
+	defer lg.SetMaxPerNode(lg.MaxPerNode())
+	for _, v := range g.Topo() {
+		if !g.IsAnd(v) {
+			continue
+		}
+		ref := refCandidates(g, s, sigs, pops, v)
+		for _, k := range []int{1, 3, 8} {
+			lg.SetMaxPerNode(k)
+			var got []aig.Lit
+			for _, c := range lg.CandidatesFor(v) {
+				got = append(got, c.NewLit)
+			}
+			if want := ref[:min(k, len(ref))]; !slices.Equal(got, want) {
+				t.Fatalf("%s: node %d, MaxPerNode %d: candidates %v, want %v", label, v, k, got, want)
+			}
+		}
+	}
+}
+
+// TestSASIMIOrderMatchesStableReference pins both SASIMI orders to their
+// total definitions — (popcount, list position) for the signal index and
+// (distance, scan index) for a target's candidates — on the generated
+// small suite, after each step of a random applied-LAC sequence, and on
+// tie-heavy random graphs, so synthesis results do not depend on any sort
+// implementation.
+func TestSASIMIOrderMatchesStableReference(t *testing.T) {
+	suite := gen.SmallSuite(true)
+	if testing.Short() {
+		suite = suite[:4]
+	}
+	for _, b := range suite {
+		g := b.Graph.Sweep()
+		s := sim.New(g, sim.Options{Patterns: 512, Seed: 1})
+		checkSASIMIOrder(t, b.PaperName, g, s, NewGenerator(g, s, Options{SASIMI: true}))
+	}
+
+	rng := rand.New(rand.NewSource(71))
+	g := gen.ALU(8).Sweep()
+	s := sim.New(g, sim.Options{Patterns: 1024, Seed: 71})
+	lg := NewGenerator(g, s, Options{SASIMI: true})
+	for step := 0; step < 12; step++ {
+		var cands []LAC
+		for _, v := range g.Topo() {
+			if g.IsAnd(v) {
+				cands = append(cands, lg.CandidatesFor(v)...)
+			}
+		}
+		if len(cands) == 0 {
+			break
+		}
+		l := cands[rng.Intn(len(cands))]
+		s.ResimulateFrom(g.ReplaceWithLit(l.Target, l.NewLit).Rewired)
+		lg.Reindex()
+		checkSASIMIOrder(t, fmt.Sprintf("ALU(8) step %d", step), g, s, lg)
+	}
+
+	// Few patterns: popcounts lie in [0, 64] and distances in [0, 32], so
+	// both orders are decided mostly by their tie-breaks.
+	for trial := 0; trial < 20; trial++ {
+		g := randomGraph(rng, 4+rng.Intn(6), 60+rng.Intn(200), 6)
+		s := sim.New(g, sim.Options{Patterns: 64, Seed: int64(trial)})
+		checkSASIMIOrder(t, fmt.Sprintf("tie-heavy trial %d", trial), g, s, NewGenerator(g, s, Options{SASIMI: true}))
+	}
+}
+
+var sinkLACs int
+
+// BenchmarkSASIMICandidates rebuilds the similarity index and generates
+// the SASIMI candidates of every AND of the 9×8 signed multiplier at 1024
+// patterns, through the shared buffer Evaluate uses; steady state
+// allocates nothing.
+func BenchmarkSASIMICandidates(b *testing.B) {
+	g := gen.MultS(9, 8)
+	s := sim.New(g, sim.Options{Patterns: 1024, Seed: 1})
+	lg := NewGenerator(g, s, Options{SASIMI: true})
+	var ands []int32
+	for _, v := range g.Topo() {
+		if g.IsAnd(v) {
+			ands = append(ands, v)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lg.Reindex()
+		out := lg.lacBuf[:0]
+		for _, v := range ands {
+			out = lg.appendCandidates(out, v)
+		}
+		lg.lacBuf = out
+		sinkLACs += len(out)
 	}
 }
