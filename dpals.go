@@ -39,7 +39,6 @@ import (
 	"dpals/internal/core"
 	"dpals/internal/equiv"
 	"dpals/internal/gen"
-	"dpals/internal/lutmap"
 	"dpals/internal/metric"
 	"dpals/internal/oracle"
 	"dpals/internal/sim"
@@ -194,10 +193,6 @@ func (c *Circuit) Delay() float64 { return techmap.Map(c.snap(), techmap.Generic
 // ADP returns the area-delay product under the built-in library.
 func (c *Circuit) ADP() float64 { return techmap.Map(c.snap(), techmap.GenericLibrary()).ADP() }
 
-// LUTs returns the k-input LUT count of the circuit under the built-in
-// FPGA-style mapper — an alternative area model for ALS results.
-func (c *Circuit) LUTs(k int) int { return lutmap.Map(c.snap(), lutmap.Options{K: k}).LUTs }
-
 // WriteBLIF writes the circuit in BLIF format.
 func (c *Circuit) WriteBLIF(w io.Writer) error { return blif.Write(w, c.snap()) }
 
@@ -305,17 +300,6 @@ func NewKoggeStoneAdder(n int) *Circuit { return &Circuit{g: gen.KoggeStoneAdder
 // NewWallaceMultiplier returns an n×m unsigned multiplier with Wallace-tree
 // reduction (same function as NewMultiplier(n, m, false)).
 func NewWallaceMultiplier(n, m int) *Circuit { return &Circuit{g: gen.WallaceMultiplier(n, m)} }
-
-// NewDivider returns an n-by-n unsigned restoring divider (quotient and
-// remainder outputs).
-func NewDivider(n int) *Circuit { return &Circuit{g: gen.Divider(n)} }
-
-// NewMinMax returns an n-bit two-input sorter (min and max outputs).
-func NewMinMax(n int) *Circuit { return &Circuit{g: gen.MinMax(n)} }
-
-// NewFIR returns a FIR filter over `taps` w-bit samples with constant
-// coefficients 1..taps.
-func NewFIR(taps, w int) *Circuit { return &Circuit{g: gen.FIR(taps, w)} }
 
 // Benchmark is one circuit of the paper's Table I (or its stand-in).
 type Benchmark struct {

@@ -147,23 +147,3 @@ func TestNilCircuit(t *testing.T) {
 		t.Error("nil circuit accepted")
 	}
 }
-
-// Approximation must reduce the FPGA-style LUT count too, not just the
-// cell-based area model.
-func TestLUTCountShrinks(t *testing.T) {
-	c := NewMultiplier(7, 7, false)
-	before := c.LUTs(6)
-	if before <= 0 {
-		t.Fatalf("LUT count %d", before)
-	}
-	R := ReferenceError(c)
-	res, err := Approximate(c, Options{Flow: DPSA, Metric: MSE, Threshold: R * R, Patterns: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := res.Circuit.LUTs(6)
-	if after >= before {
-		t.Errorf("LUTs %d → %d: no reduction", before, after)
-	}
-	t.Logf("6-LUTs %d → %d (gates %d → %d)", before, after, c.NumGates(), res.Circuit.NumGates())
-}

@@ -6,10 +6,11 @@ import (
 	"dpals/internal/aig"
 )
 
-// Alternative arithmetic architectures. ALS papers routinely contrast
-// architectures of the same function (ripple vs parallel-prefix adders,
-// array vs Wallace multipliers) because approximation opportunities differ
-// with structure; these generators extend the suite accordingly.
+// Alternative arithmetic architectures: the same function as Adder and
+// MultU built from a different structure (parallel-prefix carries, a
+// Wallace reduction tree). They are not part of Suite: the equivalence
+// checkers' tests use them as equivalents that structural hashing cannot
+// merge with Adder and MultU, so only the SAT proof can show they match.
 
 // KoggeStoneAdder returns an n-bit parallel-prefix (Kogge-Stone) adder
 // with an (n+1)-bit sum: same function as Adder(n), logarithmic depth.
@@ -112,66 +113,5 @@ func WallaceMultiplier(n, m int) *aig.Graph {
 	}
 	sum, _ := b.AddCarry(r0, r1, aig.False)
 	b.Output("p", sum)
-	return b.G.Sweep()
-}
-
-// Divider returns an n-by-n unsigned restoring divider producing an n-bit
-// quotient and an n-bit remainder. Division by zero yields an all-ones
-// quotient and remainder == dividend, as the restoring recurrence does
-// naturally... the quotient bits saturate because every trial subtraction
-// succeeds against a zero divisor; the outputs remain well-defined.
-func Divider(n int) *aig.Graph {
-	b := NewBuilder(fmt.Sprintf("div%d", n))
-	num := b.Input("a", n)
-	den := b.Input("b", n)
-
-	rem := b.Const(0, n+1)
-	denE := b.ZeroExtend(den, n+1)
-	q := make(Word, n)
-	for i := n - 1; i >= 0; i-- {
-		rem = b.ShiftLeft(rem, 1)
-		rem[0] = num[i]
-		diff, borrow := b.Sub(rem, denE)
-		fits := borrow.Not()
-		rem = b.Mux(fits, diff, rem)
-		q[i] = fits
-	}
-	b.Output("q", q)
-	b.Output("r", rem[:n])
-	return b.G.Sweep()
-}
-
-// MinMax returns an n-bit two-input sorter: min and max of two unsigned
-// words (the building block of median/sorting networks in image kernels).
-func MinMax(n int) *aig.Graph {
-	b := NewBuilder(fmt.Sprintf("minmax%d", n))
-	x := b.Input("a", n)
-	y := b.Input("b", n)
-	lt := b.LtU(x, y)
-	b.Output("min", b.Mux(lt, x, y))
-	b.Output("max", b.Mux(lt, y, x))
-	return b.G.Sweep()
-}
-
-// FIR returns a taps-point FIR filter with constant coefficients: the dot
-// product of the last `taps` w-bit unsigned samples with small constant
-// weights 1, 2, 3, … (shift-add structure typical of filter datapaths).
-func FIR(taps, w int) *aig.Graph {
-	b := NewBuilder(fmt.Sprintf("fir%dx%d", taps, w))
-	outW := w + 2*bitsFor(taps) + 2
-	acc := b.Const(0, outW)
-	for i := 0; i < taps; i++ {
-		s := b.Input(fmt.Sprintf("x%d", i), w)
-		se := b.ZeroExtend(s, outW)
-		coef := i + 1
-		term := b.Const(0, outW)
-		for bit := 0; coef>>bit != 0; bit++ {
-			if coef>>bit&1 == 1 {
-				term = b.AddTrunc(term, b.ShiftLeft(se, bit))
-			}
-		}
-		acc = b.AddTrunc(acc, term)
-	}
-	b.Output("y", acc)
 	return b.G.Sweep()
 }

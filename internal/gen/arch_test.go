@@ -55,64 +55,3 @@ func TestWallaceMatchesArrayRandom(t *testing.T) {
 		}
 	}
 }
-
-func TestDividerExhaustive(t *testing.T) {
-	g := Divider(5)
-	if err := g.Check(); err != nil {
-		t.Fatal(err)
-	}
-	for a := uint64(0); a < 32; a++ {
-		for b := uint64(1); b < 32; b++ {
-			out := evalOne(t, g, map[string]uint64{"a": a, "b": b})
-			if out["q"] != a/b || out["r"] != a%b {
-				t.Fatalf("div(%d,%d) = %d rem %d, want %d rem %d", a, b, out["q"], out["r"], a/b, a%b)
-			}
-		}
-	}
-	// Division by zero: saturated quotient, remainder == dividend.
-	for a := uint64(0); a < 32; a += 7 {
-		out := evalOne(t, g, map[string]uint64{"a": a, "b": 0})
-		if out["q"] != 31 || out["r"] != a {
-			t.Fatalf("div(%d,0) = %d rem %d", a, out["q"], out["r"])
-		}
-	}
-}
-
-func TestMinMaxExhaustive(t *testing.T) {
-	g := MinMax(4)
-	for a := uint64(0); a < 16; a++ {
-		for b := uint64(0); b < 16; b++ {
-			out := evalOne(t, g, map[string]uint64{"a": a, "b": b})
-			wmin, wmax := a, b
-			if b < a {
-				wmin, wmax = b, a
-			}
-			if out["min"] != wmin || out["max"] != wmax {
-				t.Fatalf("minmax(%d,%d) = %d/%d", a, b, out["min"], out["max"])
-			}
-		}
-	}
-}
-
-func TestFIRRandom(t *testing.T) {
-	g := FIR(4, 6)
-	if err := g.Check(); err != nil {
-		t.Fatal(err)
-	}
-	r := rng(91)
-	for i := 0; i < 200; i++ {
-		ins := map[string]uint64{}
-		want := uint64(0)
-		for tap := 0; tap < 4; tap++ {
-			v := r.bits(6)
-			ins[fmtTap(tap)] = v
-			want += v * uint64(tap+1)
-		}
-		out := evalOne(t, g, ins)
-		if out["y"] != want {
-			t.Fatalf("fir = %d, want %d", out["y"], want)
-		}
-	}
-}
-
-func fmtTap(i int) string { return "x" + string(rune('0'+i)) }

@@ -3,8 +3,41 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"testing"
+
+	"dpals"
+	"dpals/internal/gen"
 )
+
+// jobFixture is the committed request body that CI's alsd-smoke job and
+// README's quick start submit with curl.
+const jobFixture = "../../testdata/alsd/mult3x3-dp.json"
+
+// TestCommittedJobFixture keeps the committed request body valid: it must
+// decode as the handler decodes it, pass parseJob, and carry the 3×3
+// unsigned multiplier as a DP job under a 5% error rate, as its name and
+// the documents that use it say.
+func TestCommittedJobFixture(t *testing.T) {
+	data, err := os.ReadFile(jobFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var req JobRequest
+	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&req); err != nil {
+		t.Fatalf("decode %s: %v", jobFixture, err)
+	}
+	c, opt, err := parseJob(&req)
+	if err != nil {
+		t.Fatalf("parseJob rejects %s: %v", jobFixture, err)
+	}
+	if got, want := c.Graph().StructuralDigest(), gen.MultU(3, 3).StructuralDigest(); got != want {
+		t.Errorf("circuit digest %x, want gen.MultU(3, 3)'s %x", got, want)
+	}
+	if opt.Flow != dpals.DP || opt.Metric != dpals.ER || opt.Threshold != 0.05 {
+		t.Errorf("flow %v, metric %v, threshold %v; want DP, ER, 0.05", opt.Flow, opt.Metric, opt.Threshold)
+	}
+}
 
 // FuzzParseJob drives the request path from raw body bytes to a cache
 // key: decode exactly as the handler does, then parseJob. Whatever the
@@ -33,6 +66,11 @@ func FuzzParseJob(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	fixture, err := os.ReadFile(jobFixture)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fixture)
 	for _, bad := range []string{
 		``, `{`, `null`, `[]`, `{"circuit": 7}`,
 		`{"circuit": "aag 1 1 0 1 0\n2\n2\n", "threshold": -1}`,
