@@ -37,19 +37,18 @@ type LAC struct {
 func (l LAC) IsConst() bool { return l.NewLit.Var() == 0 }
 
 // DiffOperands returns the unmaterialised form of DiffMask: the target's
-// value flips exactly on the set bits of tv ⊕ nv ⊕ inv, where inv is a
-// word-level complement mask (all-ones when NewLit is complemented). For
-// constant LACs nv is the simulator's all-zero constant vector. Feeding
-// the operands straight into metric.State.EvalLACXor scores the
-// candidate without writing a diff vector; padding bits that inv sets
+// value flips exactly on the set bits of val(target) ⊕ val(NewLit's var)
+// ⊕ Inv, where Inv is all-ones when NewLit is complemented. For constant
+// LACs the second operand is the simulator's all-zero constant vector.
+// Feeding the operands straight into metric.State.ScoreBatch scores the
+// candidate without writing a diff vector; padding bits that Inv sets
 // past the pattern count are harmless because CPM rows are masked.
-func (l LAC) DiffOperands(s *sim.Sim) (tv, nv bitvec.Vec, inv uint64) {
-	tv = s.Val(l.Target)
-	nv = s.Val(l.NewLit.Var())
+func (l LAC) DiffOperands(s *sim.Sim) metric.Operands {
+	op := metric.Operands{A: s.Val(l.Target), B: s.Val(l.NewLit.Var())}
 	if l.NewLit.IsCompl() {
-		inv = ^uint64(0)
+		op.Inv = ^uint64(0)
 	}
-	return tv, nv, inv
+	return op
 }
 
 // DiffMask writes into dst the patterns under which the target's value
@@ -113,12 +112,21 @@ type Generator struct {
 
 	// Reused scratch. Candidate generation is serial by contract (it walks
 	// shared graph traversal state), so these need no locking.
-	lacBuf   []LAC        // all candidates of one Evaluate call
-	offs     [][2]int     // per target: [start, end) into lacBuf
-	mark     []uint32     // sasimi: per var, stamped with epoch when in the TFO or scanned
-	epoch    uint32       // sasimi: current target's stamp
-	tfoStack []int32      // sasimi: DFS stack
-	scored   []scoredCand // sasimi: best MaxPerNode candidates, in (dist, scan index) order
+	lacBuf   []LAC          // all candidates of one Evaluate call
+	offs     [][2]int       // per target: [start, end) into lacBuf
+	batches  []batchScratch // Evaluate: per-worker ScoreBatch buffers
+	mark     []uint32       // sasimi: per var, stamped with epoch when in the TFO or scanned
+	epoch    uint32         // sasimi: current target's stamp
+	tfoStack []int32        // sasimi: DFS stack
+	scored   []scoredCand   // sasimi: best MaxPerNode candidates, in (dist, scan index) order
+}
+
+// batchScratch holds one worker's buffers for scoring a target's
+// candidates with metric.State.ScoreBatch.
+type batchScratch struct {
+	ops   []metric.Operands
+	errs  []float64
+	masks []uint64
 }
 
 type scoredCand struct {
@@ -439,7 +447,8 @@ func Evaluate(ctx context.Context, gen *Generator, res *cpm.Result, st *metric.S
 	}
 	var hits64 int64
 	out := make([]NodeBest, len(targets))
-	err = par.For(ctx, threads, len(targets), func(_, i int) {
+	gen.batches = resize(gen.batches, par.ScratchSlots(threads, len(targets)))
+	err = par.For(ctx, threads, len(targets), func(w, i int) {
 		v := targets[i]
 		// Serve memo-fresh targets without scoring anything. The
 		// res.Has guard is belt-and-braces: a fresh stamp implies an
@@ -452,14 +461,21 @@ func Evaluate(ctx context.Context, gen *Generator, res *cpm.Result, st *metric.S
 			return
 		}
 		cl := gen.lacBuf[gen.offs[i][0]:gen.offs[i][1]]
-		nb := NodeBest{Node: v, Best: Eval{Err: -1}}
+		nb := NodeBest{Node: v, Best: Eval{Err: -1}, N: len(cl)}
 		row := res.Row(v)
-		// One words-wide fused diff–score pass per row entry, per candidate.
+		// Charged as one words-wide fused diff–score pass per row entry,
+		// per candidate: the cost of scoring each candidate alone, which
+		// the batch never exceeds.
 		wk := int64(len(cl)) * int64(len(row.POs)) * int64(gen.s.Words())
+		b := &gen.batches[w]
+		b.ops = b.ops[:0]
 		for _, cand := range cl {
-			tv, nv, inv := cand.DiffOperands(gen.s)
-			e := st.EvalLACXor(tv, nv, inv, row)
-			nb.N++
+			b.ops = append(b.ops, cand.DiffOperands(gen.s))
+		}
+		b.errs, b.masks = resize(b.errs, len(cl)), resize(b.masks, len(cl))
+		st.ScoreBatch(row, b.ops, b.errs, b.masks)
+		for c, cand := range cl {
+			e := b.errs[c]
 			if nb.Best.Err < 0 || e < nb.Best.Err ||
 				(e == nb.Best.Err && cand.Gain > nb.Best.Gain) {
 				nb.Best = Eval{LAC: cand, Err: e}

@@ -211,6 +211,108 @@ func TestEvaluateTargetsSorted(t *testing.T) {
 	}
 }
 
+// TestEvaluateMatchesSingleCandidateScores: scoring a target's candidates
+// in one batch must pick exactly what scoring each candidate alone picks —
+// node, LAC, error bits and candidate count — on the generated small suite
+// with constant and SASIMI candidates, for every metric, at 1 and 2
+// threads, with and without a memo. The charged work must stay the
+// per-candidate cost Σ len(cl)·len(row.POs)·words.
+func TestEvaluateMatchesSingleCandidateScores(t *testing.T) {
+	suite := gen.SmallSuite(true)
+	if testing.Short() {
+		suite = suite[:4]
+	}
+	ctx := context.Background()
+	for bi, b := range suite {
+		g := b.Graph.Sweep()
+		s := sim.New(g, sim.Options{Patterns: 1024, Seed: int64(bi + 1)})
+		exact := make([]bitvec.Vec, g.NumPOs())
+		for o := range exact {
+			exact[o] = bitvec.NewWords(s.Words())
+			s.POVal(o, exact[o])
+		}
+		// Apply a few constant LACs so the error state is nontrivial.
+		rng := rand.New(rand.NewSource(int64(bi + 1)))
+		for k := 0; k < 3; k++ {
+			topo := g.Topo()
+			v := topo[rng.Intn(len(topo))]
+			if g.IsAnd(v) {
+				s.ResimulateFrom(g.ReplaceWithLit(v, aig.False.NotIf(k%2 == 1)).Rewired)
+			}
+		}
+		approx := make([]bitvec.Vec, g.NumPOs())
+		for o := range approx {
+			approx[o] = bitvec.NewWords(s.Words())
+			s.POVal(o, approx[o])
+		}
+		weights := metric.Weights(b.Weights)
+		if weights == nil {
+			weights = metric.UnsignedWeights(g.NumPOs())
+		}
+		cuts, _ := cut.NewSet(ctx, g, 1)
+		res, _ := cpm.BuildDisjoint(ctx, g, s, cuts, nil, 1)
+		lg := NewGenerator(g, s, Options{Constants: true, SASIMI: true})
+		var targets []int32
+		for _, v := range g.Topo() {
+			if g.IsAnd(v) {
+				targets = append(targets, v)
+			}
+		}
+		for _, kind := range []metric.Kind{metric.ER, metric.MSE, metric.MED, metric.MHD, metric.WCE} {
+			st := metric.NewState(kind, exact, weights, s.Patterns())
+			for o := range approx {
+				st.CommitPO(o, approx[o])
+			}
+			want := map[int32]NodeBest{}
+			var wantWork int64
+			for _, v := range targets {
+				if !res.Has(v) {
+					continue
+				}
+				row := res.Row(v)
+				cl := lg.CandidatesFor(v)
+				nb := NodeBest{Node: v, N: len(cl), Best: Eval{Err: -1}}
+				for _, c := range cl {
+					var e [1]float64
+					st.ScoreBatch(row, []metric.Operands{c.DiffOperands(s)}, e[:], make([]uint64, 1))
+					if nb.Best.Err < 0 || e[0] < nb.Best.Err || (e[0] == nb.Best.Err && c.Gain > nb.Best.Gain) {
+						nb.Best = Eval{LAC: c, Err: e[0]}
+					}
+				}
+				if nb.N > 0 {
+					want[v] = nb
+				}
+				wantWork += int64(len(cl)) * int64(len(row.POs)) * int64(s.Words())
+			}
+			for _, threads := range []int{1, 2} {
+				memo := NewMemo(g.NumVars())
+				for pass, m := range []*Memo{nil, memo, memo} {
+					got, work, _, hits, err := Evaluate(ctx, lg, res, st, targets, threads, m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("%s %v threads %d pass %d", b.PaperName, kind, threads, pass)
+					if work != wantWork {
+						t.Fatalf("%s: work %d, want %d", label, work, wantWork)
+					}
+					if pass == 2 && hits != len(want) {
+						t.Fatalf("%s: %d memo hits, want %d", label, hits, len(want))
+					}
+					if len(got) != len(want) {
+						t.Fatalf("%s: %d bests, want %d", label, len(got), len(want))
+					}
+					for _, nb := range got {
+						w := want[nb.Node]
+						if nb.Best.LAC != w.Best.LAC || math.Float64bits(nb.Best.Err) != math.Float64bits(w.Best.Err) || nb.N != w.N {
+							t.Fatalf("%s: node %d best %+v (N %d), want %+v (N %d)", label, nb.Node, nb.Best, nb.N, w.Best, w.N)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // refIndex is the reference similarity index: the PIs and then the live
 // ANDs in topological order, stable-sorted by sampled popcount.
 func refIndex(g *aig.Graph, s *sim.Sim) (sigs []int32, pops []int) {

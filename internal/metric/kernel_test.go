@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -11,10 +12,10 @@ import (
 	"dpals/internal/cpm"
 )
 
-// refEvalFlips is the per-bit scatter kernel the word-major fold replaced,
-// kept as the reference: it visits row POs in order, words and bits
-// ascending, accumulates each flipped pattern's delta in pattern-sized
-// scratch, and folds the touched patterns in first-touch order.
+// refEvalFlips is the per-bit scatter reference for one candidate: it
+// visits row POs in order, words and bits ascending, accumulates each
+// flipped pattern's delta in pattern-sized scratch, and folds the touched
+// patterns in first-touch order.
 func refEvalFlips(st *State, a, b bitvec.Vec, inv uint64, row *cpm.Row) float64 {
 	x := float64(st.patterns)
 	if st.kind == MHD {
@@ -103,25 +104,23 @@ func flipWord(a, b bitvec.Vec, inv uint64, wi int) uint64 {
 	return w
 }
 
-// kernelFixture is a metric state pushed into a nontrivial position by
-// random PO commits, plus random candidate operands and rows.
-type kernelFixture struct {
-	st    *State
-	cands []kernelCand
+// batchFixture is a metric state pushed into a nontrivial position by
+// random PO commits, plus one random row and a batch of candidates that
+// share it, as all the candidates of one target do.
+type batchFixture struct {
+	st  *State
+	row *cpm.Row
+	ops []Operands
 }
 
-type kernelCand struct {
-	a, b bitvec.Vec
-	inv  uint64
-	row  *cpm.Row
-}
-
-// newKernelFixture draws nPO outputs over patterns patterns (not
-// necessarily a multiple of 64). Rows list a random subset of the POs in
-// random order, with diff vectors masked to the pattern count like every
-// CPM row; candidates mix sparse and dense masks, a nil b (constant
-// replacement) and complemented operands.
-func newKernelFixture(rng *rand.Rand, kind Kind, weights Weights, nPO, patterns, nCands int) kernelFixture {
+// newBatchFixture draws nPO outputs over patterns patterns (not
+// necessarily a multiple of 64). The row lists a random subset of the POs
+// in random order, with diff vectors masked to the pattern count like
+// every CPM row. The batch holds up to maxCands candidates mixing
+// complementary constant pairs (nil B, Inv zero and all-ones), sparse
+// SASIMI-like substitutions (direct and complemented), dense random masks
+// and duplicates of earlier candidates.
+func newBatchFixture(rng *rand.Rand, kind Kind, weights Weights, nPO, patterns, maxCands int) batchFixture {
 	words := bitvec.Words(patterns)
 	exact := randVecs(rng, nPO, words)
 	for _, e := range exact {
@@ -136,45 +135,71 @@ func newKernelFixture(rng *rand.Rand, kind Kind, weights Weights, nPO, patterns,
 		}
 		st.CommitPO(o, nv)
 	}
-	f := kernelFixture{st: st}
-	for c := 0; c < nCands; c++ {
-		var k kernelCand
-		k.a = randVecs(rng, 1, words)[0]
-		if rng.Intn(3) > 0 {
-			k.b = randVecs(rng, 1, words)[0]
-			if rng.Intn(2) == 0 { // similar signal: sparse difference
-				for w := range k.b {
-					k.b[w] = k.a[w] ^ (rng.Uint64() & rng.Uint64() & rng.Uint64())
-				}
-			}
+	f := batchFixture{st: st, row: &cpm.Row{}}
+	for _, o := range rng.Perm(nPO) {
+		if rng.Intn(3) == 0 {
+			continue
 		}
+		p := randVecs(rng, 1, words)[0]
 		if rng.Intn(2) == 0 {
-			k.inv = ^uint64(0)
-		}
-		k.row = &cpm.Row{}
-		for _, o := range rng.Perm(nPO) {
-			if rng.Intn(3) == 0 {
-				continue
+			for w := range p {
+				p[w] &= rng.Uint64()
 			}
-			p := randVecs(rng, 1, words)[0]
-			if rng.Intn(2) == 0 {
-				for w := range p {
-					p[w] &= rng.Uint64()
-				}
-			}
-			p.Mask(patterns)
-			k.row.POs = append(k.row.POs, int32(o))
-			k.row.Diffs = append(k.row.Diffs, p)
 		}
-		f.cands = append(f.cands, k)
+		p.Mask(patterns)
+		f.row.POs = append(f.row.POs, int32(o))
+		f.row.Diffs = append(f.row.Diffs, p)
 	}
+	target := randVecs(rng, 1, words)[0]
+	target.Mask(patterns)
+	n := rng.Intn(maxCands + 1)
+	for len(f.ops) < n {
+		switch rng.Intn(4) {
+		case 0: // constant 0 and constant 1
+			f.ops = append(f.ops, Operands{A: target}, Operands{A: target, Inv: ^uint64(0)})
+		case 1: // similar signal, possibly complemented: sparse flips
+			b := bitvec.NewWords(words)
+			for w := range b {
+				b[w] = target[w] ^ (rng.Uint64() & rng.Uint64() & rng.Uint64())
+			}
+			op := Operands{A: target, B: b}
+			if rng.Intn(2) == 0 {
+				for w := range b {
+					b[w] = ^b[w]
+				}
+				b.Mask(patterns)
+				op.Inv = ^uint64(0)
+			}
+			f.ops = append(f.ops, op)
+		case 2: // unrelated signal: dense flips
+			op := Operands{A: target, B: randVecs(rng, 1, words)[0]}
+			if rng.Intn(2) == 0 {
+				op.Inv = ^uint64(0)
+			}
+			f.ops = append(f.ops, op)
+		case 3:
+			if len(f.ops) > 0 {
+				f.ops = append(f.ops, f.ops[rng.Intn(len(f.ops))])
+			}
+		}
+	}
+	f.ops = f.ops[:n]
 	return f
 }
 
-// The word-major kernel must return exactly (==) what the per-bit scatter
-// kernel returns, for every metric, on unsigned and two's-complement
-// weights and a pattern count with a partial last word.
-func TestEvalFlipsMatchesScatterReference(t *testing.T) {
+// score runs ScoreBatch on ops with freshly sized buffers.
+func (f batchFixture) score(ops []Operands) []float64 {
+	out := make([]float64, len(ops))
+	f.st.ScoreBatch(f.row, ops, out, make([]uint64, len(ops)))
+	return out
+}
+
+// Every batch score must equal (==) what the per-bit scatter kernel
+// returns for that candidate alone, for every metric, on unsigned and
+// two's-complement weights and a pattern count with a partial last word.
+// A score must also not depend on its batch: it has the same bits scored
+// alone, in the batch and in the reversed batch.
+func TestScoreBatchMatchesScatterReference(t *testing.T) {
 	const nPO, patterns = 12, 1000
 	rng := rand.New(rand.NewSource(21))
 	for _, ws := range []struct {
@@ -185,13 +210,21 @@ func TestEvalFlipsMatchesScatterReference(t *testing.T) {
 		{"twoscomplement", TwosComplementWeights(nPO)},
 	} {
 		for _, kind := range []Kind{ER, MSE, MED, WCE, MHD} {
-			for trial := 0; trial < 6; trial++ {
-				f := newKernelFixture(rng, kind, ws.weights, nPO, patterns, 40)
-				for ci, c := range f.cands {
-					got := f.st.EvalLACXor(c.a, c.b, c.inv, c.row)
-					want := refEvalFlips(f.st, c.a, c.b, c.inv, c.row)
-					if got != want {
-						t.Fatalf("%s %v trial %d cand %d: word-major %v, scatter reference %v", ws.name, kind, trial, ci, got, want)
+			for trial := 0; trial < 40; trial++ {
+				f := newBatchFixture(rng, kind, ws.weights, nPO, patterns, 10)
+				got := f.score(f.ops)
+				rev := slices.Clone(f.ops)
+				slices.Reverse(rev)
+				gotRev := f.score(rev)
+				for c, op := range f.ops {
+					want := refEvalFlips(f.st, op.A, op.B, op.Inv, f.row)
+					if got[c] != want {
+						t.Fatalf("%s %v trial %d cand %d of %d: batch %v, scatter reference %v", ws.name, kind, trial, c, len(f.ops), got[c], want)
+					}
+					alone := f.score(f.ops[c : c+1])[0]
+					reversed := gotRev[len(f.ops)-1-c]
+					if math.Float64bits(alone) != math.Float64bits(got[c]) || math.Float64bits(reversed) != math.Float64bits(got[c]) {
+						t.Fatalf("%s %v trial %d cand %d: batch %v, alone %v, reversed batch %v", ws.name, kind, trial, c, got[c], alone, reversed)
 					}
 				}
 			}
@@ -199,15 +232,18 @@ func TestEvalFlipsMatchesScatterReference(t *testing.T) {
 	}
 }
 
-// EvalLACXor only reads the state, so concurrent calls must agree with a
-// serial pass (and, under -race, must not race).
-func TestEvalLACXorConcurrent(t *testing.T) {
+// ScoreBatch only reads the state, so concurrent calls, each with its own
+// buffers, must agree with a serial pass (and, under -race, must not
+// race).
+func TestScoreBatchConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for _, kind := range []Kind{ER, MSE, MED, WCE, MHD} {
-		f := newKernelFixture(rng, kind, TwosComplementWeights(8), 8, 300, 32)
-		want := make([]float64, len(f.cands))
-		for i, c := range f.cands {
-			want[i] = f.st.EvalLACXor(c.a, c.b, c.inv, c.row)
+		var fs []batchFixture
+		var want [][]float64
+		for len(fs) < 16 {
+			f := newBatchFixture(rng, kind, TwosComplementWeights(8), 8, 300, 10)
+			fs = append(fs, f)
+			want = append(want, f.score(f.ops))
 		}
 		var wg sync.WaitGroup
 		errs := make(chan string, 4)
@@ -215,10 +251,13 @@ func TestEvalLACXorConcurrent(t *testing.T) {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
+				out, masks := make([]float64, 10), make([]uint64, 10)
 				for r := 0; r < 8; r++ {
-					for i := range f.cands {
-						c := f.cands[(i+g)%len(f.cands)]
-						if got := f.st.EvalLACXor(c.a, c.b, c.inv, c.row); got != want[(i+g)%len(f.cands)] {
+					for i := range fs {
+						k := (i + g) % len(fs)
+						f := fs[k]
+						f.st.ScoreBatch(f.row, f.ops, out, masks)
+						if !slices.Equal(out[:len(f.ops)], want[k]) {
 							errs <- kind.String()
 							return
 						}
@@ -229,38 +268,56 @@ func TestEvalLACXorConcurrent(t *testing.T) {
 		wg.Wait()
 		close(errs)
 		for k := range errs {
-			t.Fatalf("%s: a concurrent EvalLACXor disagreed with the serial pass", k)
+			t.Fatalf("%s: a concurrent ScoreBatch disagreed with the serial pass", k)
 		}
 	}
 }
 
-// BenchmarkEvalLAC scores one candidate with a dense 32-PO row over 8192
-// patterns, per metric.
-func BenchmarkEvalLAC(b *testing.B) {
+// BenchmarkScoreBatch scores batches against a dense 32-PO row over 8192
+// patterns, per metric: one sparse candidate, a complementary constant
+// pair, and eight sparse substitutions of one target. ns/cand is the time
+// per scored candidate.
+func BenchmarkScoreBatch(b *testing.B) {
+	const nPO, words = 32, 128
 	for _, kind := range []Kind{ER, MED, MSE, WCE} {
-		b.Run(kind.String(), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(5))
-			nPO, words := 32, 128
-			exact := randVecs(rng, nPO, words)
-			st := NewState(kind, exact, UnsignedWeights(nPO), words*64)
-			D := bitvec.NewWords(words)
-			for w := range D {
-				D[w] = rng.Uint64() & rng.Uint64() & rng.Uint64()
+		rng := rand.New(rand.NewSource(5))
+		exact := randVecs(rng, nPO, words)
+		st := NewState(kind, exact, UnsignedWeights(nPO), words*64)
+		row := &cpm.Row{}
+		for o := 0; o < nPO; o++ {
+			p := bitvec.NewWords(words)
+			for w := range p {
+				p[w] = rng.Uint64() & rng.Uint64()
 			}
-			row := &cpm.Row{}
-			for o := 0; o < nPO; o++ {
-				p := bitvec.NewWords(words)
-				for w := range p {
-					p[w] = rng.Uint64() & rng.Uint64()
+			row.POs = append(row.POs, int32(o))
+			row.Diffs = append(row.Diffs, p)
+		}
+		target := randVecs(rng, 1, words)[0]
+		sparse := func() Operands {
+			v := bitvec.NewWords(words)
+			for w := range v {
+				v[w] = target[w] ^ (rng.Uint64() & rng.Uint64() & rng.Uint64())
+			}
+			return Operands{A: target, B: v}
+		}
+		batches := []struct {
+			name string
+			ops  []Operands
+		}{
+			{"1", []Operands{sparse()}},
+			{"const2", []Operands{{A: target}, {A: target, Inv: ^uint64(0)}}},
+			{"sparse8", []Operands{sparse(), sparse(), sparse(), sparse(), sparse(), sparse(), sparse(), sparse()}},
+		}
+		for _, bt := range batches {
+			b.Run(kind.String()+"/"+bt.name, func(b *testing.B) {
+				out, masks := make([]float64, len(bt.ops)), make([]uint64, len(bt.ops))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					st.ScoreBatch(row, bt.ops, out, masks)
 				}
-				row.POs = append(row.POs, int32(o))
-				row.Diffs = append(row.Diffs, p)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st.EvalLAC(D, row)
-			}
-		})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(bt.ops)), "ns/cand")
+			})
+		}
 	}
 }

@@ -5,9 +5,10 @@
 // A State tracks, per pattern, the deviation of the current approximate
 // circuit from the exact reference: a signed numeric deviation for MSE/MED
 // and a PO-mismatch count for ER. Candidate LACs are evaluated without
-// touching the circuit: given the LAC's value-change mask D and the
-// target's CPM row, the new error is folded from only the flipped
-// (pattern, PO) pairs, which makes a single-LAC estimate exact with respect
+// touching the circuit: given each LAC's value-change mask D and the
+// target's CPM row, State.ScoreBatch folds the new errors of all of a
+// target's candidates from only the flipped (pattern, PO) pairs, in one
+// pass over the row. This makes a single-LAC estimate exact with respect
 // to the sampled patterns — the property the dual-phase framework relies
 // on (papers [19], [20]).
 package metric
@@ -119,10 +120,10 @@ func HoeffdingDelta(rang float64, n int, alpha float64) float64 {
 }
 
 // State tracks the error of an evolving approximate circuit against a fixed
-// exact reference. Candidate evaluation (EvalLAC, EvalLACXor) only reads
-// the state and keeps its scratch on the stack, so any number of
-// goroutines may evaluate concurrently as long as none mutates the state
-// (CommitPO) meanwhile.
+// exact reference. Candidate evaluation (ScoreBatch) only reads the state
+// and keeps its scratch on the stack or in caller-owned buffers, so any
+// number of goroutines may evaluate concurrently as long as none mutates
+// the state (CommitPO) meanwhile.
 type State struct {
 	kind     Kind
 	weights  Weights
@@ -206,177 +207,254 @@ func (st *State) flipDelta(o int, curBit bool) float64 {
 	return st.weights[o]
 }
 
-// EvalLAC returns the error the circuit would have after a LAC whose target
-// value-change mask is D (patterns where the target node's value flips) and
-// whose change propagation row is row. The circuit state is unchanged, and
-// concurrent calls are safe. Row PO indices must be unique — guaranteed
-// for rows built by package cpm, whose cut elements partition the
-// reachable POs.
-func (st *State) EvalLAC(D bitvec.Vec, row *cpm.Row) float64 {
-	return st.EvalLACXor(D, nil, 0, row)
+// Operands is a candidate LAC's value-change mask in unmaterialised form:
+// the target's value flips exactly on the set bits of A ⊕ B ⊕ Inv, where
+// Inv is a word-level complement mask (zero or all-ones) and a nil B
+// stands for the all-zero vector (constant replacement). Scoring needs no
+// scratch diff vector at all. Padding bits that Inv turns on past the
+// pattern count never contribute: the CPM row vectors they are ANDed
+// with are masked.
+type Operands struct {
+	A, B bitvec.Vec
+	Inv  uint64
 }
 
-// EvalLACXor is EvalLAC with the value-change mask supplied unmaterialised:
-// the mask is a ⊕ b ⊕ inv, where inv is a word-level complement mask (zero
-// or all-ones), so scoring a candidate needs no scratch diff vector at all.
-// A nil b stands for the all-zero vector (constant-0 replacement). Padding
-// bits that inv turns on past the logical length never contribute: the CPM
-// row vectors they are ANDed with are masked.
+// ScoreBatch scores every candidate LAC of one target: out[c] is the
+// error the circuit would have after the LAC whose value-change mask is
+// ops[c], given the target's change propagation row. out and masks (the
+// per-call scratch) must hold at least len(ops) entries. The circuit
+// state is unchanged, and concurrent calls with distinct out and masks
+// are safe. Row PO indices must be unique — guaranteed for rows built by
+// package cpm, whose cut elements partition the reachable POs.
 //
-// The inner loops are specialised per metric kind (the fused "diff-score"
-// half of the resimulate→diff→popcount pipeline): MHD folds whole words
-// with popcounts, while ER, MSE, MED and WCE walk the patterns one
-// 64-pattern word at a time (foldMism, foldDev).
-func (st *State) EvalLACXor(a, b bitvec.Vec, inv uint64, row *cpm.Row) float64 {
-	x := float64(st.patterns)
+// A LAC flips its target on a pattern wholesale or not at all, and where
+// it does, the POs that flip are the row's, whichever the candidate. So
+// each pattern's delta, and the term it adds to the error, depend only on
+// the row and the state; a candidate only selects which terms it sums.
+// The kernel therefore walks the row once, one 64-pattern word at a time,
+// under the union of the candidates' mask words: addFlips sums each
+// pattern's delta over the row POs, in row-PO order, into a stack array.
+// Each candidate then folds the terms of its own touched patterns, in
+// ascending order, into a local that stays in a register: nd² − dev²
+// (MSE), |nd| − |dev| (MED), the change of the mismatch indicator (ER) or
+// the delta itself (MHD), summed from errSum/errCount/mismSum, or for WCE
+// |nd|, maxed from wceMax. Where no two candidates flip the same touched
+// pattern of a word (a constant pair never does), each fold computes its
+// terms inline, next to the running sum's dependency chain; otherwise
+// every touched pattern's term is computed once into g and the folds read
+// it. Touched patterns are scored exactly and untouched ones are bounded
+// by the current max, so WCE yields an upper bound on the post-apply
+// sampled max.
+//
+// Each score is therefore the same floating-point operations, in the same
+// order, as folding that candidate alone, so a score never depends on its
+// batch. WCE (a max) does not depend on the fold order at all, and
+// neither do MSE and MED while every partial sum is an integer below
+// 2^53 — true for the unsigned and two's-complement weights. Other
+// weights round in this fixed order, so results are still identical at
+// every thread count.
+func (st *State) ScoreBatch(row *cpm.Row, ops []Operands, out []float64, masks []uint64) {
+	if len(ops) == 0 {
+		return
+	}
+	out, masks = out[:len(ops)], masks[:len(ops)]
+	start := st.errSum
 	switch st.kind {
-	case MHD:
-		// Mean Hamming distance is linear in the per-(pattern, PO) flips:
-		// a flip on an agreeing bit adds one mismatch, on a disagreeing
-		// bit removes one. Both counts come from word-level popcounts, so
-		// the whole evaluation is branch-free per word and exact.
-		sum := st.mismSum
-		for ri, o := range row.POs {
-			p := row.Diffs[ri]
-			curW, exW := st.cur[o], st.exact[o]
-			plus, minus := 0, 0
-			for wi := 0; wi < len(a); wi++ {
-				w := a[wi]
-				if b != nil {
-					w ^= b[wi]
-				}
-				w = (w ^ inv) & p[wi]
-				if w == 0 {
-					continue
-				}
-				agree := ^(curW[wi] ^ exW[wi])
-				plus += bits.OnesCount64(w & agree)
-				minus += bits.OnesCount64(w &^ agree)
-			}
-			sum += int64(plus - minus)
-		}
-		return float64(sum) / x
 	case ER:
-		return float64(st.foldMism(a, b, inv, row)) / x
+		start = float64(st.errCount)
+	case MHD:
+		start = float64(st.mismSum)
 	case WCE:
-		return st.foldDev(a, b, inv, row)
-	default:
-		return st.foldDev(a, b, inv, row) / x
+		start = st.wceMax
 	}
-}
-
-// foldMism is the ER kernel: the number of mismatching patterns after the
-// flips. Per word, the flips of every row PO add +1 (agreeing bit) or −1
-// (disagreeing bit) to a stack array of per-pattern mismatch deltas; the
-// patterns any PO touched are then folded against st.mism and their
-// deltas zeroed for the next word.
-func (st *State) foldMism(a, b bitvec.Vec, inv uint64, row *cpm.Row) int {
-	var dm [64]int32
-	cnt := st.errCount
-	for wi := 0; wi < len(a); wi++ {
-		d := a[wi] ^ inv
-		if b != nil {
-			d ^= b[wi]
-		}
-		var touched uint64
-		for ri, o := range row.POs {
-			w := d & row.Diffs[ri][wi]
-			if w == 0 {
-				continue
-			}
-			touched |= w
-			agree := ^(st.cur[o][wi] ^ st.exact[o][wi])
-			for m := w & agree; m != 0; m &= m - 1 {
-				dm[bits.TrailingZeros64(m)]++
-			}
-			for m := w &^ agree; m != 0; m &= m - 1 {
-				dm[bits.TrailingZeros64(m)]--
-			}
-		}
-		mism := st.mism[wi<<6:]
-		for ; touched != 0; touched &= touched - 1 {
-			i := bits.TrailingZeros64(touched)
-			was, now := mism[i] > 0, mism[i]+dm[i] > 0
-			if was && !now {
-				cnt--
-			} else if !was && now {
-				cnt++
-			}
-			dm[i] = 0
-		}
+	for c := range out {
+		out[c] = start
 	}
-	return cnt
-}
-
-// foldDev is the MSE/MED/WCE kernel: Σ dev² (MSE) or Σ |dev| (MED) after
-// the flips, or for WCE an upper bound on the post-apply sampled max
-// (touched patterns are scored exactly, untouched ones are bounded by the
-// current max). Per word, the flips of every row PO add ±w_o (sign from
-// the current bit) to a stack array of per-pattern deviation deltas, in
-// row order; the touched patterns are then folded in ascending order and
-// their deltas zeroed for the next word.
-//
-// So each pattern's delta is summed in row-PO order. WCE (a max) does not
-// depend on the fold order, and neither do MSE and MED while every partial
-// sum is an integer below 2^53 — true for the unsigned and two's-complement
-// weights. Other weights round in this fixed order, so results are still
-// identical at every thread count.
-func (st *State) foldDev(a, b bitvec.Vec, inv uint64, row *cpm.Row) float64 {
-	var delta [64]float64
-	out := st.errSum
-	if st.kind == WCE {
-		out = st.wceMax
-	}
-	for wi := 0; wi < len(a); wi++ {
-		d := a[wi] ^ inv
-		if b != nil {
-			d ^= b[wi]
+	// delta holds small integers for ER and MHD, so float64 counts them
+	// exactly.
+	var delta, g [64]float64
+	for wi := 0; wi < st.words; wi++ {
+		var u uint64
+		for c, op := range ops {
+			d := op.A[wi] ^ op.Inv
+			if op.B != nil {
+				d ^= op.B[wi]
+			}
+			masks[c] = d
+			u |= d
 		}
-		var touched uint64
-		for ri, o := range row.POs {
-			w := d & row.Diffs[ri][wi]
-			if w == 0 {
-				continue
-			}
-			touched |= w
-			wo, cur := st.weights[o], st.cur[o][wi]
-			for m := w &^ cur; m != 0; m &= m - 1 {
-				delta[bits.TrailingZeros64(m)] += wo
-			}
-			for m := w & cur; m != 0; m &= m - 1 {
-				delta[bits.TrailingZeros64(m)] -= wo
-			}
+		if u == 0 {
+			continue
 		}
+		touched := st.addFlips(&delta, row, u, wi)
 		if touched == 0 {
 			continue
 		}
-		dev := st.dev[wi<<6:]
+		dev, mism := st.dev[wi<<6:], st.mism[wi<<6:]
+		var seen, shared uint64
+		for _, d := range masks {
+			shared |= seen & d
+			seen |= d
+		}
+		if shared&touched == 0 {
+			// Each touched pattern is in one candidate's fold only.
+			for c, d := range masks {
+				m := d & touched
+				if m == 0 {
+					continue
+				}
+				acc := out[c]
+				switch st.kind {
+				case ER:
+					for ; m != 0; m &= m - 1 {
+						i := bits.TrailingZeros64(m)
+						was, now := mism[i] > 0, float64(mism[i])+delta[i] > 0
+						if was && !now {
+							acc--
+						} else if !was && now {
+							acc++
+						}
+						delta[i] = 0
+					}
+				case MHD:
+					for ; m != 0; m &= m - 1 {
+						i := bits.TrailingZeros64(m)
+						acc += delta[i]
+						delta[i] = 0
+					}
+				case MSE:
+					for ; m != 0; m &= m - 1 {
+						i := bits.TrailingZeros64(m)
+						nd := dev[i] + delta[i]
+						acc += nd*nd - dev[i]*dev[i]
+						delta[i] = 0
+					}
+				case MED:
+					for ; m != 0; m &= m - 1 {
+						i := bits.TrailingZeros64(m)
+						nd := dev[i] + delta[i]
+						acc += math.Abs(nd) - math.Abs(dev[i])
+						delta[i] = 0
+					}
+				case WCE:
+					for ; m != 0; m &= m - 1 {
+						i := bits.TrailingZeros64(m)
+						if nd := math.Abs(dev[i] + delta[i]); nd > acc {
+							acc = nd
+						}
+						delta[i] = 0
+					}
+				}
+				out[c] = acc
+			}
+			continue
+		}
+		// Candidates overlap: score every touched pattern once.
 		switch st.kind {
-		case MSE:
-			for ; touched != 0; touched &= touched - 1 {
-				i := bits.TrailingZeros64(touched)
-				nd := dev[i] + delta[i]
-				out += nd*nd - dev[i]*dev[i]
-				delta[i] = 0
-			}
-		case MED:
-			for ; touched != 0; touched &= touched - 1 {
-				i := bits.TrailingZeros64(touched)
-				nd := dev[i] + delta[i]
-				out += math.Abs(nd) - math.Abs(dev[i])
-				delta[i] = 0
-			}
-		case WCE:
-			for ; touched != 0; touched &= touched - 1 {
-				i := bits.TrailingZeros64(touched)
-				if nd := math.Abs(dev[i] + delta[i]); nd > out {
-					out = nd
+		case ER:
+			for t := touched; t != 0; t &= t - 1 {
+				i := bits.TrailingZeros64(t)
+				was, now := mism[i] > 0, float64(mism[i])+delta[i] > 0
+				g[i] = 0
+				if was && !now {
+					g[i] = -1
+				} else if !was && now {
+					g[i] = 1
 				}
 				delta[i] = 0
 			}
+		case MHD:
+			for t := touched; t != 0; t &= t - 1 {
+				i := bits.TrailingZeros64(t)
+				g[i], delta[i] = delta[i], 0
+			}
+		case MSE:
+			for t := touched; t != 0; t &= t - 1 {
+				i := bits.TrailingZeros64(t)
+				nd := dev[i] + delta[i]
+				g[i], delta[i] = nd*nd-dev[i]*dev[i], 0
+			}
+		case MED:
+			for t := touched; t != 0; t &= t - 1 {
+				i := bits.TrailingZeros64(t)
+				nd := dev[i] + delta[i]
+				g[i], delta[i] = math.Abs(nd)-math.Abs(dev[i]), 0
+			}
+		case WCE:
+			for t := touched; t != 0; t &= t - 1 {
+				i := bits.TrailingZeros64(t)
+				g[i], delta[i] = math.Abs(dev[i]+delta[i]), 0
+			}
+		}
+		for c, d := range masks {
+			m := d & touched
+			if m == 0 {
+				continue
+			}
+			acc := out[c]
+			if st.kind == WCE {
+				for ; m != 0; m &= m - 1 {
+					if x := g[bits.TrailingZeros64(m)]; x > acc {
+						acc = x
+					}
+				}
+			} else {
+				for ; m != 0; m &= m - 1 {
+					acc += g[bits.TrailingZeros64(m)]
+				}
+			}
+			out[c] = acc
 		}
 	}
-	return out
+	if st.kind != WCE {
+		x := float64(st.patterns)
+		for c := range out {
+			out[c] /= x
+		}
+	}
+}
+
+// addFlips adds to delta the deviation change of every pattern of word wi
+// that mask u flips, one row PO at a time in row order, and returns the
+// patterns touched. A flip adds w_o where the current bit is clear and
+// subtracts it where it is set (MSE/MED/WCE); for ER/MHD it adds 1 on an
+// agreeing bit and subtracts 1 on a disagreeing one, whose flip removes a
+// mismatch. It is a function of its own, with one loop per metric family,
+// so that its loop state stays in registers, which it does not inside
+// ScoreBatch's larger loop body.
+func (st *State) addFlips(delta *[64]float64, row *cpm.Row, u uint64, wi int) (touched uint64) {
+	if !st.kind.Numeric() {
+		for ri, o := range row.POs {
+			w := u & row.Diffs[ri][wi]
+			if w == 0 {
+				continue
+			}
+			touched |= w
+			disagree := st.cur[o][wi] ^ st.exact[o][wi]
+			for m := w &^ disagree; m != 0; m &= m - 1 {
+				delta[bits.TrailingZeros64(m)]++
+			}
+			for m := w & disagree; m != 0; m &= m - 1 {
+				delta[bits.TrailingZeros64(m)]--
+			}
+		}
+		return touched
+	}
+	for ri, o := range row.POs {
+		w := u & row.Diffs[ri][wi]
+		if w == 0 {
+			continue
+		}
+		touched |= w
+		wo, cur := st.weights[o], st.cur[o][wi]
+		for m := w &^ cur; m != 0; m &= m - 1 {
+			delta[bits.TrailingZeros64(m)] += wo
+		}
+		for m := w & cur; m != 0; m &= m - 1 {
+			delta[bits.TrailingZeros64(m)] -= wo
+		}
+	}
+	return touched
 }
 
 // CommitPO records that PO o's value vector is now newVal, updating the

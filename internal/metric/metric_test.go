@@ -9,6 +9,15 @@ import (
 	"dpals/internal/cpm"
 )
 
+// EvalLAC scores one candidate whose value-change mask D is materialised:
+// a one-element ScoreBatch.
+func (st *State) EvalLAC(D bitvec.Vec, row *cpm.Row) float64 {
+	var out [1]float64
+	var masks [1]uint64
+	st.ScoreBatch(row, []Operands{{A: D}}, out[:], masks[:])
+	return out[0]
+}
+
 func randVecs(rng *rand.Rand, n, words int) []bitvec.Vec {
 	out := make([]bitvec.Vec, n)
 	for i := range out {
@@ -150,8 +159,9 @@ func TestEvalLACMatchesCompute(t *testing.T) {
 				if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
 					t.Fatalf("%v trial %d cand %d: EvalLAC %v vs scratch %v", k, trial, cand, got, want)
 				}
-				// Re-evaluating must give the same answer (scratch reset).
-				if again := st.EvalLAC(D, row); math.Abs(again-got) > 1e-12 {
+				// Scoring is a pure read: re-evaluating must give exactly
+				// the same answer (scratch reset).
+				if again := st.EvalLAC(D, row); again != got {
 					t.Fatalf("%v: EvalLAC not idempotent: %v vs %v", k, again, got)
 				}
 			}
@@ -159,12 +169,13 @@ func TestEvalLACMatchesCompute(t *testing.T) {
 	}
 }
 
-// Zero-effect LACs (empty D or empty row) must report the current error.
+// Zero-effect LACs (empty D or empty row) must report the current error,
+// and an empty batch must write nothing.
 func TestEvalLACNoEffect(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	exact := randVecs(rng, 3, 2)
 	weights := UnsignedWeights(3)
-	for _, k := range []Kind{ER, MSE, MED, MHD} {
+	for _, k := range []Kind{ER, MSE, MED, MHD, WCE} {
 		st := NewState(k, exact, weights, 128)
 		nv := exact[1].Clone()
 		nv.Set(5, !nv.Get(5))
@@ -177,6 +188,12 @@ func TestEvalLACNoEffect(t *testing.T) {
 		D.SetAll()
 		if got := st.EvalLAC(D, &cpm.Row{}); got != cur {
 			t.Errorf("%v: empty-row LAC eval = %v, want current %v", k, got, cur)
+		}
+		row := &cpm.Row{POs: []int32{0, 1, 2}, Diffs: []bitvec.Vec{D, D, D}}
+		out := []float64{42}
+		st.ScoreBatch(row, nil, out, nil)
+		if out[0] != 42 || st.Error() != cur {
+			t.Errorf("%v: empty batch wrote %v (error %v, want %v)", k, out[0], st.Error(), cur)
 		}
 	}
 }
