@@ -232,18 +232,20 @@ type Operands struct {
 // each pattern's delta, and the term it adds to the error, depend only on
 // the row and the state; a candidate only selects which terms it sums.
 // The kernel therefore walks the row once, one 64-pattern word at a time,
-// under the union of the candidates' mask words: addFlips sums each
-// pattern's delta over the row POs, in row-PO order, into a stack array.
-// Each candidate then folds the terms of its own touched patterns, in
-// ascending order, into a local that stays in a register: nd² − dev²
-// (MSE), |nd| − |dev| (MED), the change of the mismatch indicator (ER) or
-// the delta itself (MHD), summed from errSum/errCount/mismSum, or for WCE
-// |nd|, maxed from wceMax. Where no two candidates flip the same touched
-// pattern of a word (a constant pair never does), each fold computes its
-// terms inline, next to the running sum's dependency chain; otherwise
-// every touched pattern's term is computed once into g and the folds read
-// it. Touched patterns are scored exactly and untouched ones are bounded
-// by the current max, so WCE yields an upper bound on the post-apply
+// under the union of the candidates' mask words. The flips of every row
+// PO add ±w_o (MSE/MED/WCE; subtracted where the current bit is set) or
+// ±1 (ER/MHD; subtracted on a disagreeing bit, whose flip removes a
+// mismatch) to a stack array of per-pattern deltas, in row-PO order.
+// Each touched pattern's term is then computed once into g: nd² − dev²
+// (MSE), |nd| − |dev| (MED), the delta itself (MHD) or |nd| (WCE). Each
+// candidate folds the terms of its own touched patterns, in ascending
+// order, into a local that stays in a register, summed from
+// errSum/mismSum, or for WCE maxed from wceMax. ER's term, the change of
+// the mismatch indicator, is +1 or −1 on two masks of the word's
+// patterns and 0 elsewhere, so its fold is two popcounts added to
+// errCount; integer sums are exact in float64, so this equals any order.
+// Touched patterns are scored exactly and untouched ones are bounded by
+// the current max, so WCE yields an upper bound on the post-apply
 // sampled max.
 //
 // Each score is therefore the same floating-point operations, in the same
@@ -270,9 +272,8 @@ func (st *State) ScoreBatch(row *cpm.Row, ops []Operands, out []float64, masks [
 	for c := range out {
 		out[c] = start
 	}
-	// delta holds small integers for ER and MHD, so float64 counts them
-	// exactly.
-	var delta, g [64]float64
+	var delta, g [64]float64 // MSE/MED/WCE: deviation deltas; terms
+	var dm [64]int32         // ER/MHD: mismatch deltas
 	for wi := 0; wi < st.words; wi++ {
 		var u uint64
 		for c, op := range ops {
@@ -286,87 +287,67 @@ func (st *State) ScoreBatch(row *cpm.Row, ops []Operands, out []float64, masks [
 		if u == 0 {
 			continue
 		}
-		touched := st.addFlips(&delta, row, u, wi)
+		var touched uint64
+		if !st.kind.Numeric() {
+			for ri, o := range row.POs {
+				w := u & row.Diffs[ri][wi]
+				if w == 0 {
+					continue
+				}
+				touched |= w
+				disagree := st.cur[o][wi] ^ st.exact[o][wi]
+				for m := w &^ disagree; m != 0; m &= m - 1 {
+					dm[bits.TrailingZeros64(m)]++
+				}
+				for m := w & disagree; m != 0; m &= m - 1 {
+					dm[bits.TrailingZeros64(m)]--
+				}
+			}
+		} else {
+			for ri, o := range row.POs {
+				w := u & row.Diffs[ri][wi]
+				if w == 0 {
+					continue
+				}
+				touched |= w
+				wo, cur := st.weights[o], st.cur[o][wi]
+				for m := w &^ cur; m != 0; m &= m - 1 {
+					delta[bits.TrailingZeros64(m)] += wo
+				}
+				for m := w & cur; m != 0; m &= m - 1 {
+					delta[bits.TrailingZeros64(m)] -= wo
+				}
+			}
+		}
 		if touched == 0 {
 			continue
 		}
 		dev, mism := st.dev[wi<<6:], st.mism[wi<<6:]
-		var seen, shared uint64
-		for _, d := range masks {
-			shared |= seen & d
-			seen |= d
-		}
-		if shared&touched == 0 {
-			// Each touched pattern is in one candidate's fold only.
-			for c, d := range masks {
-				m := d & touched
-				if m == 0 {
-					continue
-				}
-				acc := out[c]
-				switch st.kind {
-				case ER:
-					for ; m != 0; m &= m - 1 {
-						i := bits.TrailingZeros64(m)
-						was, now := mism[i] > 0, float64(mism[i])+delta[i] > 0
-						if was && !now {
-							acc--
-						} else if !was && now {
-							acc++
-						}
-						delta[i] = 0
-					}
-				case MHD:
-					for ; m != 0; m &= m - 1 {
-						i := bits.TrailingZeros64(m)
-						acc += delta[i]
-						delta[i] = 0
-					}
-				case MSE:
-					for ; m != 0; m &= m - 1 {
-						i := bits.TrailingZeros64(m)
-						nd := dev[i] + delta[i]
-						acc += nd*nd - dev[i]*dev[i]
-						delta[i] = 0
-					}
-				case MED:
-					for ; m != 0; m &= m - 1 {
-						i := bits.TrailingZeros64(m)
-						nd := dev[i] + delta[i]
-						acc += math.Abs(nd) - math.Abs(dev[i])
-						delta[i] = 0
-					}
-				case WCE:
-					for ; m != 0; m &= m - 1 {
-						i := bits.TrailingZeros64(m)
-						if nd := math.Abs(dev[i] + delta[i]); nd > acc {
-							acc = nd
-						}
-						delta[i] = 0
-					}
-				}
-				out[c] = acc
-			}
-			continue
-		}
-		// Candidates overlap: score every touched pattern once.
 		switch st.kind {
 		case ER:
+			// A term is +1 (up) or −1 (down) where the pattern's mismatch
+			// indicator changes and 0 elsewhere, so each candidate's fold
+			// is two popcounts.
+			var up, down uint64
 			for t := touched; t != 0; t &= t - 1 {
 				i := bits.TrailingZeros64(t)
-				was, now := mism[i] > 0, float64(mism[i])+delta[i] > 0
-				g[i] = 0
-				if was && !now {
-					g[i] = -1
-				} else if !was && now {
-					g[i] = 1
+				if was, now := mism[i] > 0, mism[i]+dm[i] > 0; was != now {
+					if now {
+						up |= 1 << i
+					} else {
+						down |= 1 << i
+					}
 				}
-				delta[i] = 0
+				dm[i] = 0
 			}
+			for c, d := range masks {
+				out[c] += float64(bits.OnesCount64(d&up) - bits.OnesCount64(d&down))
+			}
+			continue
 		case MHD:
 			for t := touched; t != 0; t &= t - 1 {
 				i := bits.TrailingZeros64(t)
-				g[i], delta[i] = delta[i], 0
+				g[i], dm[i] = float64(dm[i]), 0
 			}
 		case MSE:
 			for t := touched; t != 0; t &= t - 1 {
@@ -412,49 +393,6 @@ func (st *State) ScoreBatch(row *cpm.Row, ops []Operands, out []float64, masks [
 			out[c] /= x
 		}
 	}
-}
-
-// addFlips adds to delta the deviation change of every pattern of word wi
-// that mask u flips, one row PO at a time in row order, and returns the
-// patterns touched. A flip adds w_o where the current bit is clear and
-// subtracts it where it is set (MSE/MED/WCE); for ER/MHD it adds 1 on an
-// agreeing bit and subtracts 1 on a disagreeing one, whose flip removes a
-// mismatch. It is a function of its own, with one loop per metric family,
-// so that its loop state stays in registers, which it does not inside
-// ScoreBatch's larger loop body.
-func (st *State) addFlips(delta *[64]float64, row *cpm.Row, u uint64, wi int) (touched uint64) {
-	if !st.kind.Numeric() {
-		for ri, o := range row.POs {
-			w := u & row.Diffs[ri][wi]
-			if w == 0 {
-				continue
-			}
-			touched |= w
-			disagree := st.cur[o][wi] ^ st.exact[o][wi]
-			for m := w &^ disagree; m != 0; m &= m - 1 {
-				delta[bits.TrailingZeros64(m)]++
-			}
-			for m := w & disagree; m != 0; m &= m - 1 {
-				delta[bits.TrailingZeros64(m)]--
-			}
-		}
-		return touched
-	}
-	for ri, o := range row.POs {
-		w := u & row.Diffs[ri][wi]
-		if w == 0 {
-			continue
-		}
-		touched |= w
-		wo, cur := st.weights[o], st.cur[o][wi]
-		for m := w &^ cur; m != 0; m &= m - 1 {
-			delta[bits.TrailingZeros64(m)] += wo
-		}
-		for m := w & cur; m != 0; m &= m - 1 {
-			delta[bits.TrailingZeros64(m)] -= wo
-		}
-	}
-	return touched
 }
 
 // CommitPO records that PO o's value vector is now newVal, updating the
