@@ -66,7 +66,7 @@ func main() {
 	emitFaultRepros := flag.Bool("emit-fault-repros", false,
 		"also shrink+save one repro per detected fault kind (fixture generation)")
 	certStats := flag.String("cert-stats", "",
-		"write campaign-wide WCE certification accounting (runs, SAT calls, cex hits, rollbacks, time) as JSON to this file")
+		"write campaign-wide WCE certification accounting (runs, SAT calls, rollbacks) as JSON to this file")
 	flag.BoolVar(&verbose, "v", false, "log every campaign step")
 	flag.Parse()
 
@@ -98,8 +98,8 @@ func main() {
 
 	fmt.Printf("alscheck: %d runs, %d checks, %d failures\n", c.runs, c.checks, c.failures)
 	if c.cert.Runs > 0 {
-		fmt.Printf("  WCE cert: %d runs, %d SAT calls, %d cex-cache hits, %d rollbacks\n",
-			c.cert.Runs, c.cert.Calls, c.cert.CexHits, c.cert.Rollbacks)
+		fmt.Printf("  WCE cert: %d runs, %d SAT calls, %d rollbacks\n",
+			c.cert.Runs, c.cert.Calls, c.cert.Rollbacks)
 	}
 	if *certStats != "" {
 		data, err := json.MarshalIndent(c.cert, "", "  ")
@@ -147,7 +147,6 @@ type campaign struct {
 type certSummary struct {
 	Runs      int `json:"wce_runs"`
 	Calls     int `json:"cert_calls"`
-	CexHits   int `json:"cert_cex_hits"`
 	Rollbacks int `json:"cert_rollbacks"`
 }
 
@@ -158,7 +157,6 @@ func (c *campaign) noteCert(spec oracle.RunSpec, res *core.Result) {
 	}
 	c.cert.Runs++
 	c.cert.Calls += res.Stats.CertCalls
-	c.cert.CexHits += res.Stats.CertCexHits
 	c.cert.Rollbacks += res.Stats.CertRollbacks
 }
 

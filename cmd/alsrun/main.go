@@ -199,9 +199,8 @@ func main() {
 	fmt.Printf("        %d LACs applied (%d comprehensive + %d incremental analyses, %d rollbacks) in %v\n",
 		res.Stats.Applied, res.Stats.Comprehensive, res.Stats.Incremental, res.Stats.Rollbacks, res.Stats.Runtime)
 	if m == dpals.WCE {
-		fmt.Printf("        certified WCE ≤ %d (budget %d): %d SAT calls, %d cex-cache hits, %d rollbacks\n",
-			res.Stats.CertifiedWCE, bound, res.Stats.CertCalls, res.Stats.CertCexHits,
-			res.Stats.CertRollbacks)
+		fmt.Printf("        certified WCE ≤ %d (budget %d): %d SAT calls, %d rollbacks\n",
+			res.Stats.CertifiedWCE, bound, res.Stats.CertCalls, res.Stats.CertRollbacks)
 	}
 	if res.Stats.StopReason == dpals.StopCancelled || res.Stats.StopReason == dpals.StopDeadline {
 		fmt.Printf("        stopped early (%s): result is the valid best-so-far circuit\n", res.Stats.StopReason)

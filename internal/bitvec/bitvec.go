@@ -77,13 +77,6 @@ func (v Vec) And(a, b Vec) {
 	}
 }
 
-// AndNot stores a∧¬b into v.
-func (v Vec) AndNot(a, b Vec) {
-	for i := range v {
-		v[i] = a[i] &^ b[i]
-	}
-}
-
 // Or stores a∨b into v.
 func (v Vec) Or(a, b Vec) {
 	for i := range v {
@@ -95,13 +88,6 @@ func (v Vec) Or(a, b Vec) {
 func (v Vec) OrWith(a Vec) {
 	for i := range v {
 		v[i] |= a[i]
-	}
-}
-
-// AndWith ands a into v in place.
-func (v Vec) AndWith(a Vec) {
-	for i := range v {
-		v[i] &= a[i]
 	}
 }
 
@@ -141,15 +127,6 @@ func (v Vec) Count() int {
 	n := 0
 	for _, w := range v {
 		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// AndCount returns popcount(a∧b) without materialising the intermediate.
-func AndCount(a, b Vec) int {
-	n := 0
-	for i := range a {
-		n += bits.OnesCount64(a[i] & b[i])
 	}
 	return n
 }
@@ -204,29 +181,6 @@ func (v Vec) ForEach(fn func(i int)) {
 			fn(base + bits.TrailingZeros64(w))
 			w &= w - 1
 		}
-	}
-}
-
-// NextSet returns the index of the first set bit at position ≥ from,
-// or -1 when there is none.
-func (v Vec) NextSet(from int) int {
-	if from < 0 {
-		from = 0
-	}
-	wi := from >> 6
-	if wi >= len(v) {
-		return -1
-	}
-	w := v[wi] >> (uint(from) & 63) << (uint(from) & 63)
-	for {
-		if w != 0 {
-			return wi<<6 + bits.TrailingZeros64(w)
-		}
-		wi++
-		if wi >= len(v) {
-			return -1
-		}
-		w = v[wi]
 	}
 }
 

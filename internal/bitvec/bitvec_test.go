@@ -63,11 +63,10 @@ func TestLogicOps(t *testing.T) {
 		a.Set(i, rng.Intn(2) == 1)
 		b.Set(i, rng.Intn(2) == 1)
 	}
-	and, or, xor, andnot, not := New(200), New(200), New(200), New(200), New(200)
+	and, or, xor, not := New(200), New(200), New(200), New(200)
 	and.And(a, b)
 	or.Or(a, b)
 	xor.Xor(a, b)
-	andnot.AndNot(a, b)
 	not.Not(a)
 	not.Mask(200)
 	for i := 0; i < 200; i++ {
@@ -81,15 +80,9 @@ func TestLogicOps(t *testing.T) {
 		if xor.Get(i) != (ai != bi) {
 			t.Fatalf("Xor bit %d wrong", i)
 		}
-		if andnot.Get(i) != (ai && !bi) {
-			t.Fatalf("AndNot bit %d wrong", i)
-		}
 		if not.Get(i) != !ai {
 			t.Fatalf("Not bit %d wrong", i)
 		}
-	}
-	if got, want := AndCount(a, b), and.Count(); got != want {
-		t.Errorf("AndCount = %d, want %d", got, want)
 	}
 	if got, want := XorCount(a, b), xor.Count(); got != want {
 		t.Errorf("XorCount = %d, want %d", got, want)
@@ -119,18 +112,13 @@ func TestInPlaceOps(t *testing.T) {
 		t.Errorf("OrWith = %b", v[0])
 	}
 	v = a.Clone()
-	v.AndWith(b)
-	if v[0] != 0b0001 {
-		t.Errorf("AndWith = %b", v[0])
-	}
-	v = a.Clone()
 	v.XorWith(b)
 	if v[0] != 0b0110 {
 		t.Errorf("XorWith = %b", v[0])
 	}
 }
 
-func TestForEachNextSet(t *testing.T) {
+func TestForEach(t *testing.T) {
 	v := New(300)
 	want := []int{0, 5, 63, 64, 100, 255, 299}
 	for _, i := range want {
@@ -145,23 +133,6 @@ func TestForEachNextSet(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("ForEach visited %v, want %v", got, want)
 		}
-	}
-	pos := -1
-	var scan []int
-	for {
-		pos = v.NextSet(pos + 1)
-		if pos < 0 {
-			break
-		}
-		scan = append(scan, pos)
-	}
-	for i := range want {
-		if scan[i] != want[i] {
-			t.Fatalf("NextSet scan %v, want %v", scan, want)
-		}
-	}
-	if v.NextSet(300) != -1 {
-		t.Error("NextSet past end should be -1")
 	}
 }
 

@@ -1,14 +1,10 @@
 package bitvec
 
-import "math/bits"
-
-// This file holds the fused word-loop kernels of the phase-2 hot path.
-// Each kernel replaces a sequence of whole-vector passes (compute a
-// temporary, then scan it) with a single pass that never materialises the
-// intermediate — the resimulate→diff→popcount pipeline of the dual-phase
-// framework runs entirely on these. All kernels are exact: they compute
-// the same words and counts as the unfused sequences they replace, so
-// fused and unfused builds are bit-identical.
+// This file holds the fused word-loop kernel of incremental resimulation,
+// which replaces a sequence of whole-vector passes with a single pass that
+// never materialises the intermediate, and the final-word mask it takes.
+// The kernel is exact: it computes the same words as the unfused sequence
+// it replaces.
 
 // MaskWord returns the final-word mask of an n-bit vector: all-ones when
 // n is a multiple of 64, otherwise the low n%64 bits. ANDing the last word
@@ -19,42 +15,6 @@ func MaskWord(n int) uint64 {
 		return (1 << r) - 1
 	}
 	return ^uint64(0)
-}
-
-// XorCountInto stores a⊕b into dst and returns its popcount — the Hamming
-// distance — in the same pass (fusion of dst.Xor(a, b) + dst.Count()).
-func XorCountInto(dst, a, b Vec) int {
-	n := 0
-	for i := range dst {
-		w := a[i] ^ b[i]
-		dst[i] = w
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// AndXorCount returns popcount(a ∧ (b⊕c)) without materialising either
-// intermediate. With a = a CPM propagation row and (b, c) = the current
-// and candidate values of a target node, this is the number of (pattern)
-// flips the candidate propagates to the row's PO.
-func AndXorCount(a, b, c Vec) int {
-	n := 0
-	for i := range a {
-		n += bits.OnesCount64(a[i] & (b[i] ^ c[i]))
-	}
-	return n
-}
-
-// AndXorMaybeNotCount is AndXorCount with a word-level complement mask on
-// c: popcount(a ∧ (b ⊕ c ⊕ inv)). inv applies an AIG edge complement
-// (all-ones) or not (zero) without branching; a must be masked to the
-// logical length, so the padding bits inv flips on never count.
-func AndXorMaybeNotCount(a, b, c Vec, inv uint64) int {
-	n := 0
-	for i := range a {
-		n += bits.OnesCount64(a[i] & (b[i] ^ c[i] ^ inv))
-	}
-	return n
 }
 
 // AndMaybeNotDiff stores (a ⊕ inv0) ∧ (b ⊕ inv1) into v — one AIG node

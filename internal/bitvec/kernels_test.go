@@ -47,66 +47,6 @@ func TestMaskWord(t *testing.T) {
 	}
 }
 
-// TestXorCountIntoMatchesUnfused checks the fused kernel against the
-// two-pass sequence it replaces (Xor then Count) at a biased pattern count.
-func TestXorCountIntoMatchesUnfused(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	words := Words(biasedPatterns)
-	for trial := 0; trial < 50; trial++ {
-		a, b := randVec(rng, words), randVec(rng, words)
-		a.Mask(biasedPatterns)
-		b.Mask(biasedPatterns)
-		want := NewWords(words)
-		want.Xor(a, b)
-		dst := randVec(rng, words) // arbitrary prior content, like an arena row
-		n := XorCountInto(dst, a, b)
-		if !dst.Equal(want) {
-			t.Fatal("XorCountInto produced a different vector than Xor")
-		}
-		if n != want.Count() {
-			t.Fatalf("XorCountInto count = %d, want %d", n, want.Count())
-		}
-	}
-}
-
-func TestAndXorCountMatchesUnfused(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	words := Words(biasedPatterns)
-	for trial := 0; trial < 50; trial++ {
-		a, b, c := randVec(rng, words), randVec(rng, words), randVec(rng, words)
-		a.Mask(biasedPatterns)
-		tmp, res := NewWords(words), NewWords(words)
-		tmp.Xor(b, c)
-		res.And(a, tmp)
-		if got, want := AndXorCount(a, b, c), res.Count(); got != want {
-			t.Fatalf("AndXorCount = %d, want %d", got, want)
-		}
-	}
-}
-
-// TestAndXorMaybeNotCountMatchesUnfused checks both complement polarities;
-// inv flips the padding bits of b⊕c too, so a masked `a` must keep them
-// out of the count.
-func TestAndXorMaybeNotCountMatchesUnfused(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	words := Words(biasedPatterns)
-	for trial := 0; trial < 50; trial++ {
-		a, b, c := randVec(rng, words), randVec(rng, words), randVec(rng, words)
-		a.Mask(biasedPatterns)
-		for _, inv := range []uint64{0, ^uint64(0)} {
-			tmp, res := NewWords(words), NewWords(words)
-			tmp.Xor(b, c)
-			if inv != 0 {
-				tmp.Not(tmp)
-			}
-			res.And(a, tmp)
-			if got, want := AndXorMaybeNotCount(a, b, c, inv), res.Count(); got != want {
-				t.Fatalf("AndXorMaybeNotCount(inv=%#x) = %d, want %d", inv, got, want)
-			}
-		}
-	}
-}
-
 // TestAndMaybeNotDiffMatchesUnfused checks the fused resimulation step
 // against the three-pass sequence it replaces: save the old value,
 // AndMaybeNot + Mask, compare.
@@ -187,53 +127,20 @@ func TestNotSetAllBiasedMask(t *testing.T) {
 }
 
 // BenchmarkKernels is the microbench family behind the fused-kernel claim:
-// each fused kernel is benchmarked next to the unfused multi-pass sequence
-// it replaces, at 1024 patterns (16 words), the pattern count of bench/'s
+// the fused resimulation kernel is benchmarked next to the unfused
+// multi-pass sequence it replaces, at 1024 patterns (16 words), the pattern count of bench/'s
 // large-const and small-sasimi workloads. CI runs this family in the bench
 // smoke and uploads the output as results/BENCH_kernels.txt;
 // EXPERIMENTS.md records the methodology.
 func BenchmarkKernels(b *testing.B) {
 	const words = 16 // 1024 patterns
 	rng := rand.New(rand.NewSource(1))
-	a, bv, c := randVec(rng, words), randVec(rng, words), randVec(rng, words)
+	a, bv := randVec(rng, words), randVec(rng, words)
 	a.Mask(biasedPatterns)
-	dst, tmp := NewWords(words), NewWords(words)
+	dst := NewWords(words)
 	lastMask := MaskWord(biasedPatterns)
 	sink := 0
 
-	b.Run("XorCountInto", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sink += XorCountInto(dst, a, bv)
-		}
-	})
-	b.Run("XorThenCount-unfused", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			dst.Xor(a, bv)
-			sink += dst.Count()
-		}
-	})
-	b.Run("AndXorCount", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sink += AndXorCount(a, bv, c)
-		}
-	})
-	b.Run("AndXorCount-unfused", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tmp.Xor(bv, c)
-			dst.And(a, tmp)
-			sink += dst.Count()
-		}
-	})
-	b.Run("AndXorMaybeNotCount", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sink += AndXorMaybeNotCount(a, bv, c, ^uint64(0))
-		}
-	})
 	b.Run("AndMaybeNotDiff", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

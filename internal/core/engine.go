@@ -145,7 +145,6 @@ type engine struct {
 
 	poScratch  bitvec.Vec
 	targetsBuf []int32 // liveTargets scratch, reused across iterations
-	iter       int     // applied-LAC counter (1-based in callbacks)
 	incCuts    bool    // maintain cuts incrementally on apply (dual-phase flows)
 
 	// WCE-constrained flow state (Metric == metric.WCE; cert is nil
@@ -156,7 +155,7 @@ type engine struct {
 	// lastGood is proven to satisfy.
 	cert     *equiv.Certifier
 	lastGood snapshot
-	pending  []pendingLAC
+	pending  []lac.LAC
 	certWCE  uint64
 
 	// Observability (see internal/obs). root is the run-level span, nil
@@ -200,37 +199,50 @@ func newEngine(orig *aig.Graph, opt Options, hooks Hooks) (*engine, error) {
 	if g.NumAnds() == 0 {
 		return nil, errors.New("core: circuit has no AND nodes to approximate")
 	}
-	s := sim.New(g, SimOptions(g, opt))
-	exact := make([]bitvec.Vec, g.NumPOs())
-	for o := range exact {
-		exact[o] = bitvec.NewWords(s.Words())
-		s.POVal(o, exact[o])
-	}
-	weights := opt.Weights
-	if weights == nil && opt.Metric.Numeric() {
-		weights = metric.UnsignedWeights(g.NumPOs())
-	}
-	st := metric.NewState(opt.Metric, exact, weights, s.Patterns())
-	e := &engine{
-		opt:       opt,
-		hooks:     hooks,
-		g:         g,
-		s:         s,
-		st:        st,
-		exact:     exact,
-		gen:       lac.NewGenerator(g, s, opt.lacOptions()),
-		poScratch: bitvec.NewWords(s.Words()),
-	}
-	e.nodesBefore = g.NumAnds()
+	e := &engine{opt: opt, hooks: hooks, nodesBefore: g.NumAnds()}
+	e.bind(g)
 	if opt.Metric == metric.WCE {
 		// Certify against a frozen copy of the (swept) input — sweeping
 		// preserves the function, so a proof against the copy is a proof
 		// against the caller's circuit.
 		e.cert = equiv.NewCertifier(g.Clone())
 		e.cert.Limit = opt.CertConflictLimit
-		e.lastGood = snapshot{g: g.Clone()}
+		e.lastGood = e.snapshot()
 	}
 	return e, nil
+}
+
+// bind makes g the working circuit and builds the state derived from it
+// from scratch: the simulator, the metric state and the LAC generator.
+// The first bind (the pristine input) also captures the exact output
+// values every later metric state is measured against; a later bind (a
+// rollback) keeps the generator's candidate budget, which DP-SA may have
+// tuned, like M and N.
+func (e *engine) bind(g *aig.Graph) {
+	e.g = g
+	e.s = sim.New(g, SimOptions(g, e.opt))
+	if e.exact == nil {
+		e.exact = make([]bitvec.Vec, g.NumPOs())
+		for o := range e.exact {
+			e.exact[o] = bitvec.NewWords(e.s.Words())
+			e.s.POVal(o, e.exact[o])
+		}
+		e.poScratch = bitvec.NewWords(e.s.Words())
+	}
+	weights := e.opt.Weights
+	if weights == nil && e.opt.Metric.Numeric() {
+		weights = metric.UnsignedWeights(g.NumPOs())
+	}
+	e.st = metric.NewState(e.opt.Metric, e.exact, weights, e.s.Patterns())
+	for o := range e.exact {
+		e.s.POVal(o, e.poScratch)
+		e.st.CommitPO(o, e.poScratch)
+	}
+	lo := e.opt.lacOptions()
+	if e.gen != nil {
+		lo.MaxPerNode = e.gen.MaxPerNode()
+	}
+	e.gen = lac.NewGenerator(g, e.s, lo)
 }
 
 // liveTargets returns all live AND nodes in topological order. The slice
@@ -313,15 +325,14 @@ func (e *engine) apply(l lac.LAC) aig.ChangeSet {
 		e.memo.Invalidate()
 	}
 	e.stats.Applied++
-	e.iter++
 	if e.cert != nil {
-		e.pending = append(e.pending, pendingLAC{l: l, iter: e.iter})
+		e.pending = append(e.pending, l)
 	}
 	sp.SetInt("target", int64(l.Target))
 	sp.SetFloat("error", e.st.Error())
 	sp.SetInt("ands", int64(e.g.NumAnds()))
 	sp.End()
-	e.prog.Update(e.iter, e.g.NumAnds(), e.st.Error(), e.opt.Threshold)
+	e.prog.Update(e.stats.Applied, e.g.NumAnds(), e.st.Error(), e.opt.Threshold)
 	return cs
 }
 
@@ -370,57 +381,45 @@ func (e *engine) stopped() bool {
 
 // snapshot captures the full synthesis state for rollback (used by the
 // baselines whose estimates can be wrong — AccALS and depth-limited VECBEE —
-// and by the WCE certification checkpoints). iter is the applied-LAC
-// counter at capture time; restore drops the pending-certification records
-// of everything applied after it.
+// and by the WCE certification checkpoints): the circuit and the applied
+// count at capture time.
 type snapshot struct {
-	g    *aig.Graph
-	iter int
+	g       *aig.Graph
+	applied int
 }
 
-func (e *engine) snapshot() snapshot { return snapshot{g: e.g.Clone(), iter: e.iter} }
+func (e *engine) snapshot() snapshot { return snapshot{g: e.g.Clone(), applied: e.stats.Applied} }
 
-// restore rolls the engine back to a snapshot, rebuilding the derived
-// state (simulation, metric, cuts, generator) from scratch.
+// restore rolls the engine back to a snapshot. It binds a private clone of
+// the snapshot's circuit, so one snapshot can be restored more than once,
+// rebuilding the derived state from scratch, and uncounts everything
+// applied since the snapshot: Stats.Applied returns to its captured value
+// and the pending-certification records of those LACs are dropped. It is
+// the one rollback path of every flow, counted in Stats.Rollbacks.
 func (e *engine) restore(sn snapshot) {
 	sp := e.cur.Child("rollback")
 	defer sp.End()
-	e.g = sn.g
-	e.s = sim.New(e.g, SimOptions(e.g, e.opt))
-	weights := e.opt.Weights
-	if weights == nil && e.opt.Metric.Numeric() {
-		weights = metric.UnsignedWeights(e.g.NumPOs())
+	if e.cert != nil {
+		e.pending = e.pending[:len(e.pending)-(e.stats.Applied-sn.applied)]
 	}
-	e.st = metric.NewState(e.opt.Metric, e.exact, weights, e.s.Patterns())
-	for o := 0; o < e.g.NumPOs(); o++ {
-		e.s.POVal(o, e.poScratch)
-		e.st.CommitPO(o, e.poScratch)
-	}
+	e.stats.Applied = sn.applied
+	e.bind(sn.g.Clone())
 	e.cuts = nil  // next comprehensive pass rebuilds the cuts
 	e.cache = nil // the cache is bound to the replaced graph/simulator
 	if e.memo != nil {
 		e.memo.Invalidate() // evaluations reference the replaced state
 	}
-	lo := e.opt.lacOptions()
-	lo.MaxPerNode = e.gen.MaxPerNode() // DP-SA's tuned budget survives, like M and N
-	e.gen = lac.NewGenerator(e.g, e.s, lo)
-	if e.cert != nil {
-		keep := e.pending[:0]
-		for _, p := range e.pending {
-			if p.iter <= sn.iter {
-				keep = append(keep, p)
-			}
-		}
-		e.pending = keep
-	}
 	e.stats.Rollbacks++
 }
 
-// pendingLAC is one LAC applied since the last certified checkpoint of the
-// WCE flow, with the iter it was applied at (for snapshot truncation).
-type pendingLAC struct {
-	l    lac.LAC
-	iter int
+// applicable reports whether l still applies to the current circuit after
+// earlier LACs of the same batch or replay: its target and substitute are
+// live, and the substitution does not create a cycle.
+func (e *engine) applicable(l lac.LAC) bool {
+	if !e.g.IsAnd(l.Target) || e.g.IsDead(l.NewLit.Var()) {
+		return false
+	}
+	return l.IsConst() || !e.g.InTFO(l.Target, l.NewLit.Var())
 }
 
 // certifyAt runs one SAT certification of the current circuit at bound t
@@ -446,25 +445,15 @@ func (e *engine) certifyAt(t uint64, sess *equiv.Session) bool {
 	sp.SetInt("sat_calls", int64(e.cert.Calls))
 	sp.End()
 	e.stats.CertCalls = e.cert.Calls
-	e.stats.CertCexHits = e.cert.CexHits
 	return err == nil && ok
 }
 
 // markCertified records the current state as proven at bound t: it becomes
 // the rollback anchor and the pending records are cleared.
 func (e *engine) markCertified(t uint64) {
-	e.lastGood = snapshot{g: e.g.Clone(), iter: e.iter}
+	e.lastGood = e.snapshot()
 	e.pending = e.pending[:0]
 	e.certWCE = t
-}
-
-// restoreCertified rolls the engine back to the last certified state,
-// uncounting everything applied since it.
-func (e *engine) restoreCertified() {
-	n := len(e.pending)
-	e.restore(snapshot{g: e.lastGood.g.Clone(), iter: e.lastGood.iter})
-	e.stats.Applied -= n
-	e.iter -= n
 }
 
 // wceCheckpoint is the amortized certification step of the WCE-constrained
@@ -491,31 +480,25 @@ func (e *engine) wceCheckpoint(force bool) bool {
 	return true
 }
 
-// wceReplay is the violation path of wceCheckpoint: back to the last
-// certified state, then re-apply the recorded LACs in order with a
-// certification after each, stopping at (and undoing) the first violator.
-// The cached counterexample that refuted the checkpoint screens the
-// replayed candidates by plain simulation, so the replay typically costs
-// one extra SAT call, not len(pending).
+// wceReplay is the violation path of wceCheckpoint: restore the last
+// certified state, then re-apply the recorded LACs in order with a SAT
+// certification after each, stopping at (and restoring away) the first
+// violator. Each restore counts in Stats.Rollbacks; the replay as a whole
+// counts once in Stats.CertRollbacks.
 func (e *engine) wceReplay() {
 	e.stats.CertRollbacks++
-	recs := make([]pendingLAC, len(e.pending))
-	copy(recs, e.pending)
-	e.restoreCertified()
-	for _, r := range recs {
-		l := r.l
-		if !e.g.IsAnd(l.Target) || e.g.IsDead(l.NewLit.Var()) {
-			continue // consumed by an earlier replayed LAC
-		}
-		if !l.IsConst() && e.g.InTFO(l.Target, l.NewLit.Var()) {
-			continue // earlier rewiring made this substitution cyclic
+	recs := append([]lac.LAC(nil), e.pending...)
+	e.restore(e.lastGood)
+	for _, l := range recs {
+		if !e.applicable(l) {
+			continue
 		}
 		e.apply(l)
 		if e.certifyAt(e.opt.WCEBound, nil) {
 			e.markCertified(e.opt.WCEBound)
 			continue
 		}
-		e.restoreCertified()
+		e.restore(e.lastGood)
 		break
 	}
 }
@@ -536,7 +519,7 @@ func (e *engine) finalizeWCE() {
 	}
 	if e.stats.StopReason == StopCancelled || e.stats.StopReason == StopDeadline {
 		if len(e.pending) > 0 {
-			e.restoreCertified()
+			e.restore(e.lastGood)
 		}
 		e.stats.CertifiedWCE = e.certWCE
 		return

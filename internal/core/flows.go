@@ -146,7 +146,7 @@ func (e *engine) runConventional() {
 		}
 		chosen := bests[0]
 		e.apply(chosen.Best.LAC)
-		e.onIteration(e.iter, chosen, bests)
+		e.onIteration(e.stats.Applied, chosen, bests)
 		if e.wceCheckpoint(false) {
 			// Certification failed: the engine kept the longest certified
 			// prefix; re-proposing the violator would loop forever.
@@ -186,7 +186,7 @@ func (e *engine) runVECBEE() {
 				return
 			}
 		}
-		e.onIteration(e.iter, chosen, bests)
+		e.onIteration(e.stats.Applied, chosen, bests)
 		if e.wceCheckpoint(false) {
 			e.stats.StopReason = StopBudget
 			return
@@ -258,7 +258,7 @@ func (e *engine) runAccALS() {
 		if len(sel) <= 1 {
 			chosen := bests[0]
 			e.apply(chosen.Best.LAC)
-			e.onIteration(e.iter, chosen, bests)
+			e.onIteration(e.stats.Applied, chosen, bests)
 			if e.wceCheckpoint(false) {
 				e.stats.StopReason = StopBudget
 				return
@@ -268,37 +268,26 @@ func (e *engine) runAccALS() {
 		sn := e.snapshot()
 		// Apply the batch but hold the OnIteration callbacks until it
 		// validates: a rolled-back batch must not be observed, and its
-		// iteration numbers must not be consumed (the fallback single LAC
-		// reuses the first of them).
-		type appliedRec struct {
-			nb   lac.NodeBest
-			iter int
-		}
-		var recs []appliedRec
+		// iteration numbers must not be consumed (restore uncounts them, so
+		// the fallback single LAC reuses the first).
+		var applied []lac.NodeBest
 		for _, nb := range sel {
-			l := nb.Best.LAC
-			if !e.g.IsAnd(l.Target) || e.g.IsDead(l.NewLit.Var()) {
-				continue // consumed by an earlier LAC of this batch
+			if e.applicable(nb.Best.LAC) {
+				e.apply(nb.Best.LAC)
+				applied = append(applied, nb)
 			}
-			if !l.IsConst() && e.g.InTFO(l.Target, l.NewLit.Var()) {
-				continue // earlier rewiring made this substitution cyclic
-			}
-			e.apply(l)
-			recs = append(recs, appliedRec{nb: nb, iter: e.iter})
 		}
 		real := e.st.Error()
 		dev := math.Abs(real - est)
 		if real > e.opt.Threshold || dev > accTol*math.Max(est, 1e-12) {
 			// Estimate was unreliable: fall back to a single LAC (SEALS).
 			e.restore(sn)
-			e.stats.Applied -= len(recs)
-			e.iter -= len(recs)
 			chosen := bests[0]
 			e.apply(chosen.Best.LAC)
-			e.onIteration(e.iter, chosen, bests)
+			e.onIteration(e.stats.Applied, chosen, bests)
 		} else {
-			for _, r := range recs {
-				e.onIteration(r.iter, r.nb, bests)
+			for i, nb := range applied {
+				e.onIteration(sn.applied+i+1, nb, bests)
 			}
 		}
 		if e.wceCheckpoint(false) {
@@ -416,7 +405,7 @@ func (e *engine) dualPhaseRound(round *obs.Span, M, N int, selfAdapt bool) (stop
 	E0 := e.st.Error() // error at the start of this dual-phase iteration
 	chosen := bests[0]
 	cs := e.apply(chosen.Best.LAC)
-	e.onIteration(e.iter, chosen, bests)
+	e.onIteration(e.stats.Applied, chosen, bests)
 	if e.wceCheckpoint(false) {
 		e.stats.StopReason = StopBudget
 		return true
@@ -520,7 +509,7 @@ func (e *engine) dualPhaseRound(round *obs.Span, M, N int, selfAdapt bool) (stop
 		cs2 := e.apply(cand.Best.LAC)
 		e.stats.Incremental++
 		sumEr += er
-		e.onIteration(e.iter, cand, bests2)
+		e.onIteration(e.stats.Applied, cand, bests2)
 		// Remove the target and its removed MFFC from S_cand.
 		gone := map[int32]bool{cand.Node: true}
 		for _, r := range cs2.Removed {

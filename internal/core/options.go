@@ -305,10 +305,10 @@ const (
 // Per-step and per-phase wall times are span durations: record them with
 // alsrun -trace (or an obs.Tracer on the context).
 type Stats struct {
-	Applied       int `json:"applied"`       // LACs applied in total
+	Applied       int `json:"applied"`       // LACs applied and kept: rolled-back ones are uncounted
 	Comprehensive int `json:"comprehensive"` // comprehensive (phase-1) analyses
 	Incremental   int `json:"incremental"`   // incremental (phase-2) iterations
-	Rollbacks     int `json:"rollbacks"`     // AccALS/VECBEE reverted iterations
+	Rollbacks     int `json:"rollbacks"`     // restores of a snapshot: AccALS, VECBEE and WCE replay
 
 	Runtime time.Duration `json:"runtime_ns"` // wall time of the flow
 
@@ -367,10 +367,10 @@ type Stats struct {
 	// otherwise). CertifiedWCE is the SAT-proven worst-case error bound of
 	// the returned circuit — every emitted circuit is certified, even on
 	// cancellation (the uncertified tail is rolled back instead of running
-	// new SAT work). CertCalls counts SAT certification calls, CertCexHits
-	// the certifications refuted by a cached counterexample without solver
-	// work, CertRollbacks the checkpoint failures that triggered the
-	// rollback-and-replay path.
+	// new SAT work). CertCalls counts SAT certification calls,
+	// CertRollbacks the checkpoint failures that triggered the
+	// rollback-and-replay path. CertCexHits is always 0: certification
+	// keeps no counterexample cache; the field stays for existing readers.
 	CertifiedWCE  uint64 `json:"certified_wce,omitempty"`
 	CertCalls     int    `json:"cert_calls,omitempty"`
 	CertCexHits   int    `json:"cert_cex_hits,omitempty"`

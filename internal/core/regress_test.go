@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"dpals/internal/aig"
 	"dpals/internal/aiger"
 	"dpals/internal/gen"
 	"dpals/internal/lac"
@@ -57,10 +58,29 @@ func TestZeroValueDPSAMatchesDefaults(t *testing.T) {
 func TestAccALSRollbackIterationNumbering(t *testing.T) {
 	g := gen.MultU(6, 6)
 	R := metric.ReferenceError(g.NumPOs())
-	opt := Options{
+	checkRollbackIterationNumbering(t, g, Options{
 		Flow: FlowAccALS, Metric: metric.MSE, Threshold: 4 * R * R,
 		Patterns: 1024, Seed: 11, MaxIters: 30,
-	}
+	})
+}
+
+// Depth-limited VECBEE validates every apply against the sampled error
+// and ends in a rollback when the estimate admitted a violator; the
+// rolled-back LAC must not stay counted in Stats.Applied.
+func TestVECBEERollbackIterationNumbering(t *testing.T) {
+	g := gen.MultS(9, 8)
+	R := metric.ReferenceError(g.NumPOs())
+	checkRollbackIterationNumbering(t, g, Options{
+		Flow: FlowVECBEE, Metric: metric.MSE, Threshold: R * R,
+		Patterns: 1024, DepthLimit: 2,
+	})
+}
+
+// checkRollbackIterationNumbering runs opt on g, requires at least one
+// rollback, and checks that OnIteration fired once per applied LAC with
+// the iteration numbers 1, 2, ..., Stats.Applied.
+func checkRollbackIterationNumbering(t *testing.T, g *aig.Graph, opt Options) {
+	t.Helper()
 	var iters []int
 	onIter := func(iter int, chosen lac.NodeBest, bests []lac.NodeBest) {
 		iters = append(iters, iter)

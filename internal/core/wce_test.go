@@ -4,8 +4,10 @@ import (
 	"context"
 	"testing"
 
+	"dpals/internal/aig"
 	"dpals/internal/equiv"
 	"dpals/internal/gen"
+	"dpals/internal/lac"
 	"dpals/internal/metric"
 )
 
@@ -88,5 +90,88 @@ func TestWCECertEveryAmortisation(t *testing.T) {
 			t.Errorf("CertEvery 1: %d applied but only %d certification calls",
 				res.Stats.Applied, res.Stats.CertCalls)
 		}
+	}
+}
+
+// Sixteen sampled patterns of an 8-input multiplier miss the worst cases,
+// so checkpoints fail and every flow takes the replay path: restore the
+// last certified state, re-apply the pending LACs with a proof each, and
+// restore again at the first violator. The emitted circuit must still
+// carry a sound certificate within the bound.
+func TestWCEReplayKeepsCertificate(t *testing.T) {
+	g := gen.MultU(4, 4)
+	const bound = 8
+	for _, flow := range []Flow{FlowConventional, FlowVECBEE, FlowAccALS, FlowDP, FlowDPSA} {
+		opt := wceOptions(flow, bound)
+		opt.Patterns = 16
+		opt.CertEvery = 2
+		res, err := Run(context.Background(), g, opt, Hooks{})
+		if err != nil {
+			t.Fatalf("%v: %v", flow, err)
+		}
+		st := res.Stats
+		if st.CertRollbacks == 0 {
+			t.Fatalf("%v: no checkpoint failed; change the circuit or pattern count", flow)
+		}
+		if st.Rollbacks < st.CertRollbacks {
+			t.Errorf("%v: %d replays but only %d restores", flow, st.CertRollbacks, st.Rollbacks)
+		}
+		if st.CertifiedWCE > bound {
+			t.Errorf("%v: certified WCE %d exceeds bound %d", flow, st.CertifiedWCE, bound)
+		}
+		ok, _, err := equiv.WCEAtMost(g, res.Graph, st.CertifiedWCE)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			t.Errorf("%v: independent SAT query refutes the certificate %d", flow, st.CertifiedWCE)
+		}
+	}
+}
+
+// restore uncounts what it rolls back: Stats.Applied returns to the
+// snapshot's count and the pending-certification records of the undone
+// LACs are dropped, so a later replay cannot re-apply them. A snapshot
+// stays restorable after use.
+func TestRestoreUncountsPending(t *testing.T) {
+	g := gen.MultU(4, 4)
+	e, err := newEngine(g, wceOptions(FlowConventional, 8).Resolved(), Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyConst := func() {
+		t.Helper()
+		for _, v := range e.liveTargets() {
+			if l := (lac.LAC{Target: v, NewLit: aig.False}); e.applicable(l) {
+				e.apply(l)
+				return
+			}
+		}
+		t.Fatal("no live AND node left")
+	}
+	check := func(applied int) {
+		t.Helper()
+		if e.stats.Applied != applied || len(e.pending) != applied {
+			t.Fatalf("Applied %d, %d pending; want %d and %d", e.stats.Applied, len(e.pending), applied, applied)
+		}
+	}
+	applyConst()
+	sn := e.snapshot()
+	ands := e.g.NumAnds()
+	applyConst()
+	applyConst()
+	check(3)
+	e.restore(sn)
+	check(1)
+	applyConst()
+	e.restore(sn)
+	check(1)
+	if e.g.NumAnds() != ands {
+		t.Fatalf("second restore of one snapshot: %d ANDs, want %d", e.g.NumAnds(), ands)
+	}
+	e.restore(e.lastGood)
+	check(0)
+	if e.stats.Rollbacks != 3 {
+		t.Fatalf("Rollbacks = %d, want 3", e.stats.Rollbacks)
 	}
 }

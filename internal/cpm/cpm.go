@@ -38,16 +38,6 @@ type Row struct {
 	Diffs []bitvec.Vec
 }
 
-// Find returns the diff vector for PO o, or nil.
-func (r *Row) Find(o int32) bitvec.Vec {
-	for i, p := range r.POs {
-		if p == o {
-			return r.Diffs[i]
-		}
-	}
-	return nil
-}
-
 // Result is a computed (possibly partial) CPM.
 type Result struct {
 	Words int
@@ -527,33 +517,6 @@ func BuildDisjoint(ctx context.Context, g *aig.Graph, s *sim.Sim, cuts *cut.Set,
 		}
 	}
 	return res, nil
-}
-
-// ReachSets computes, for every variable, the bitset of PO indices
-// reachable from it (drivers reach their own POs). Used by the VECBEE
-// baseline, which does not build disjoint cuts.
-func ReachSets(g *aig.Graph) []bitvec.Vec {
-	words := bitvec.Words(g.NumPOs())
-	reach := make([]bitvec.Vec, g.NumVars())
-	order := g.Topo()
-	drivers := map[int32][]int{}
-	for o, po := range g.POs() {
-		drivers[po.Var()] = append(drivers[po.Var()], o)
-	}
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		r := bitvec.NewWords(words)
-		for _, o := range drivers[v] {
-			r.Set(o, true)
-		}
-		for _, f := range g.Fanouts(v) {
-			if !g.IsDead(f) && reach[f] != nil {
-				r.OrWith(reach[f])
-			}
-		}
-		reach[v] = r
-	}
-	return reach
 }
 
 // vecbeeBuilder holds the shared state of one BuildVECBEE pass. With a

@@ -178,9 +178,6 @@ func (s *Set) grow() {
 // Graph returns the underlying graph.
 func (s *Set) Graph() *aig.Graph { return s.g }
 
-// POWords returns the number of words in a PO-reachability bitset.
-func (s *Set) POWords() int { return s.poWords }
-
 // Cut returns the disjoint cut elements of node v (vars ≥ 0, encoded sinks
 // < 0). The slice is owned by the set.
 func (s *Set) Cut(v int32) []int32 { return s.cuts[v] }

@@ -10,7 +10,10 @@ import (
 	"dpals/internal/metric"
 )
 
-func TestCertifierCexScreening(t *testing.T) {
+// Every check is one counted SAT call with the verdict of the exact worst
+// case: a repeated refutation is decided again, and a session's checks
+// count like the certifier's own.
+func TestCertifierCountsEveryCheck(t *testing.T) {
 	orig := gen.MultU(4, 3)
 	opt := core.Options{
 		Flow: core.FlowDPSA, Metric: metric.MED, Threshold: metric.ReferenceError(orig.NumPOs()),
@@ -30,44 +33,32 @@ func TestCertifierCexScreening(t *testing.T) {
 	}
 
 	cert := equiv.NewCertifier(orig)
-
-	// A genuine refutation burns one SAT call and caches its witness.
-	ok, err := cert.CheckAt(approx, w-1)
-	if err != nil || ok {
-		t.Fatalf("CheckAt(%d) = %v, %v; want refuted", w-1, ok, err)
+	sess := cert.Session(approx)
+	checks := []struct {
+		thr  uint64
+		sess bool
+		want bool
+	}{
+		{w - 1, false, false},
+		{w - 1, false, false},
+		{w - 2, false, false},
+		{w, false, true},
+		{w - 1, true, false},
+		{w, true, true},
 	}
-	if cert.Calls != 1 || cert.CexHits != 0 {
-		t.Fatalf("after first refutation: %d calls, %d cex hits", cert.Calls, cert.CexHits)
-	}
-
-	// The same question again must be answered by the cached witness
-	// without touching the solver.
-	ok, err = cert.CheckAt(approx, w-1)
-	if err != nil || ok {
-		t.Fatalf("cached CheckAt(%d) = %v, %v; want refuted", w-1, ok, err)
-	}
-	if cert.Calls != 1 || cert.CexHits != 1 {
-		t.Fatalf("after cached refutation: %d calls, %d cex hits (want 1, 1)", cert.Calls, cert.CexHits)
-	}
-
-	// A tighter bound is refuted by the SAME witness: its deviation is at
-	// least w, which violates every threshold below w.
-	ok, err = cert.CheckAt(approx, w-2)
-	if err != nil || ok {
-		t.Fatalf("cached CheckAt(%d) = %v, %v; want refuted", w-2, ok, err)
-	}
-	if cert.Calls != 1 || cert.CexHits != 2 {
-		t.Fatalf("after second cached refutation: %d calls, %d cex hits (want 1, 2)", cert.Calls, cert.CexHits)
-	}
-
-	// At the true WCE the witness does not violate, so the certifier must
-	// fall through to a real SAT call and certify.
-	ok, err = cert.CheckAt(approx, w)
-	if err != nil || !ok {
-		t.Fatalf("CheckAt(%d) = %v, %v; want certified", w, ok, err)
-	}
-	if cert.Calls != 2 {
-		t.Fatalf("certification did not reach the solver: %d calls", cert.Calls)
+	for i, c := range checks {
+		var ok bool
+		if c.sess {
+			ok, err = sess.CheckAt(c.thr)
+		} else {
+			ok, err = cert.CheckAt(approx, c.thr)
+		}
+		if err != nil || ok != c.want {
+			t.Fatalf("check %d at %d (session %v) = %v, %v; want %v", i, c.thr, c.sess, ok, err, c.want)
+		}
+		if cert.Calls != i+1 {
+			t.Fatalf("after check %d: %d SAT calls, want %d", i, cert.Calls, i+1)
+		}
 	}
 }
 

@@ -240,61 +240,9 @@ func (w *wceSession) atMost(t uint64, limit int64) (bool, []bool, error) {
 	return wceVerdict(w.s, w.s.Solve(w.assume...), w.xVars, limit)
 }
 
-// evalOutputs evaluates g on one input assignment and returns the PO
-// vector read as an unsigned LSB-first integer (≤ 63 POs).
-func evalOutputs(g *aig.Graph, pi []bool) uint64 {
-	vals := make([]bool, g.NumVars())
-	for i, v := range g.PIs() {
-		vals[v] = pi[i]
-	}
-	lit := func(l aig.Lit) bool {
-		v := vals[l.Var()]
-		if l.IsCompl() {
-			return !v
-		}
-		return v
-	}
-	for _, v := range g.Topo() {
-		if g.Type(v) != aig.TypeAnd {
-			continue
-		}
-		f0, f1 := g.Fanins(v)
-		vals[v] = lit(f0) && lit(f1)
-	}
-	var out uint64
-	for o, po := range g.POs() {
-		if lit(po) {
-			out |= 1 << uint(o)
-		}
-	}
-	return out
-}
-
-func absDiff(a, b uint64) uint64 {
-	if a > b {
-		return a - b
-	}
-	return b - a
-}
-
-// maxCertCexs bounds the Certifier's counterexample cache; beyond it the
-// oldest entries are dropped (newer cexs track the current circuit best).
-const maxCertCexs = 64
-
-// certCex is one cached violating input with the reference circuit's
-// output value on it (the reference never changes, the approximation does).
-type certCex struct {
-	pi      []bool
-	origVal uint64
-}
-
 // Certifier is the incremental certification entry point of the
 // WCE-constrained flow: repeated bound checks of an evolving approximate
-// circuit against one fixed reference. Counterexamples from failed calls
-// are cached and replayed by direct simulation before any SAT work — a
-// LAC batch that re-violates an already-seen input is refuted without
-// touching the solver, which is what keeps the amortized certification
-// cheap across rollback/re-apply cycles.
+// circuit against one fixed reference, each one counted SAT call.
 //
 // The reference graph is captured by reference; the caller must not
 // mutate it. A Certifier is not safe for concurrent use.
@@ -305,61 +253,26 @@ type Certifier struct {
 	// unlimited. An exhausted budget surfaces as ErrBudget.
 	Limit int64
 
-	// Calls counts SAT solver invocations; CexHits counts certifications
-	// refuted by a cached counterexample with no solver work.
-	Calls   int
-	CexHits int
-
-	cexs []certCex
+	// Calls counts SAT solver invocations.
+	Calls int
 }
 
 // NewCertifier builds a certifier against the reference circuit orig.
 func NewCertifier(orig *aig.Graph) *Certifier { return &Certifier{orig: orig} }
 
 // CheckAt reports whether approx's worst-case error against the reference
-// is at most t. Cached counterexamples are screened by simulation first;
-// only then does a (conflict-limited) SAT call on a fresh miter decide.
+// is at most t, by one (conflict-limited) SAT call on a fresh miter.
 func (c *Certifier) CheckAt(approx *aig.Graph, t uint64) (bool, error) {
-	if c.screen(approx, t) {
-		return false, nil
-	}
-	return c.record(wceAtMost(c.orig, approx, t, c.Limit))
-}
-
-// screen reports whether a cached counterexample already shows approx
-// exceeding t, counting the hit.
-func (c *Certifier) screen(approx *aig.Graph, t uint64) bool {
-	for i := range c.cexs {
-		av := evalOutputs(approx, c.cexs[i].pi)
-		if absDiff(c.cexs[i].origVal, av) > t {
-			c.CexHits++
-			return true
-		}
-	}
-	return false
-}
-
-// record counts one solver call and caches its counterexample.
-func (c *Certifier) record(ok bool, cex []bool, err error) (bool, error) {
 	c.Calls++
-	if err != nil {
-		return false, err
-	}
-	if !ok && cex != nil {
-		if len(c.cexs) >= maxCertCexs {
-			c.cexs = append(c.cexs[:0], c.cexs[1:]...)
-		}
-		c.cexs = append(c.cexs, certCex{pi: cex, origVal: evalOutputs(c.orig, cex)})
-	}
-	return ok, nil
+	ok, _, err := wceAtMost(c.orig, approx, t, c.Limit)
+	return ok, err
 }
 
 // Session is a run of checks of one fixed approximation at varying bounds:
-// the binary search that tightens a proven bound. The first check that
-// reaches the solver encodes the miter with the bound as free inputs;
-// later checks only change the assumptions fixing them, and so reuse the
-// clauses learnt before. Every check is screened by the cached
-// counterexamples and counted exactly like CheckAt.
+// the binary search that tightens a proven bound. The first check encodes
+// the miter with the bound as free inputs; later checks only change the
+// assumptions fixing them, and so reuse the clauses learnt before. Every
+// check is counted exactly like CheckAt.
 type Session struct {
 	c      *Certifier
 	approx *aig.Graph
@@ -375,17 +288,16 @@ func (c *Certifier) Session(approx *aig.Graph) *Session {
 // CheckAt reports whether the session's approximation has worst-case
 // error at most t against the reference.
 func (s *Session) CheckAt(t uint64) (bool, error) {
-	if s.c.screen(s.approx, t) {
-		return false, nil
-	}
+	s.c.Calls++
 	if s.w == nil {
 		w, err := newWCESession(s.c.orig, s.approx)
 		if err != nil {
-			return s.c.record(false, nil, err)
+			return false, err
 		}
 		s.w = w
 	}
-	return s.c.record(s.w.atMost(t, s.c.Limit))
+	ok, _, err := s.w.atMost(t, s.c.Limit)
+	return ok, err
 }
 
 // WorstCaseError computes the exact worst-case numeric error by binary

@@ -88,3 +88,40 @@ func TestWCESessionMatchesWCEAtMost(t *testing.T) {
 		}
 	}
 }
+
+// evalOutputs evaluates g on one input assignment and returns the PO
+// vector read as an unsigned LSB-first integer (≤ 63 POs).
+func evalOutputs(g *aig.Graph, pi []bool) uint64 {
+	vals := make([]bool, g.NumVars())
+	for i, v := range g.PIs() {
+		vals[v] = pi[i]
+	}
+	lit := func(l aig.Lit) bool {
+		v := vals[l.Var()]
+		if l.IsCompl() {
+			return !v
+		}
+		return v
+	}
+	for _, v := range g.Topo() {
+		if g.Type(v) != aig.TypeAnd {
+			continue
+		}
+		f0, f1 := g.Fanins(v)
+		vals[v] = lit(f0) && lit(f1)
+	}
+	var out uint64
+	for o, po := range g.POs() {
+		if lit(po) {
+			out |= 1 << uint(o)
+		}
+	}
+	return out
+}
+
+func absDiff(a, b uint64) uint64 {
+	if a > b {
+		return a - b
+	}
+	return b - a
+}

@@ -45,11 +45,9 @@ func Square(n int) *aig.Graph {
 	return b.G.Sweep()
 }
 
-// ALU8 is the c880 stand-in: an 8-bit ALU (add, sub, and, or, xor, shifted
-// pass, compares) with carry/zero/overflow flags.
-func ALU8() *aig.Graph { return ALU(8) }
-
-// ALU returns a w-bit ALU with a 3-bit opcode:
+// ALU returns a w-bit ALU (add, sub, and, or, xor, shifted pass, compares)
+// with carry/zero/overflow flags; ALU(8) is the c880 stand-in. Its opcode
+// has 3 bits:
 //
 //	000 add   001 sub   010 and   011 or
 //	100 xor   101 shl1  110 shr1  111 pass-b
@@ -130,14 +128,11 @@ func ALUX(w int) *aig.Graph {
 	return b.G.Sweep()
 }
 
-// Detector16 is the c1908 stand-in: a 16-bit SECDED (Hamming) error
-// detector/corrector. Inputs: 16 data bits + 6 check bits; outputs: 16
-// corrected data bits plus single-error, double-error and syndrome-zero
-// flags.
-func Detector16() *aig.Graph { return Detector(16) }
-
-// Detector returns the n-bit SECDED detector (n must make ceil(log2(n))+1
-// check bits meaningful; any n ≥ 4 works).
+// Detector returns the n-bit SECDED (Hamming) error detector/corrector;
+// Detector(16) is the c1908 stand-in. Inputs: n data bits, k Hamming check
+// bits (the least k with 2^k ≥ n+k+1) and an overall parity bit, 22 inputs
+// for n = 16; outputs: n corrected data bits plus single-error,
+// double-error and parity-bit-error flags. Any n ≥ 4 works.
 func Detector(n int) *aig.Graph {
 	b := NewBuilder(fmt.Sprintf("det%d", n))
 	d := b.Input("d", n)
