@@ -4,7 +4,7 @@
 // complement bits (AIGER convention).
 //
 // Beyond construction, the package maintains fanout lists and supports the
-// structural operations the dual-phase framework needs: TFI/TFO cones,
+// structural operations the dual-phase framework needs: TFI cones, TFO tests,
 // maximum fanout-free cones (MFFC), node replacement with precise reporting
 // of the changed set S_c (paper §III-B), cloning for rollback, and a sweep
 // pass that propagates constants and removes dangling logic.
@@ -471,34 +471,6 @@ func (g *Graph) TFICone(roots []int32) []int32 {
 	return cone
 }
 
-// TFOCone returns the variable ids of all nodes in the union of the
-// transitive-fanout cones of roots (roots included). The order is
-// unspecified.
-func (g *Graph) TFOCone(roots []int32) []int32 {
-	id := g.newTrav()
-	var cone []int32
-	var stack []int32
-	for _, r := range roots {
-		if g.mark[r] == id || g.nodes[r].dead {
-			continue
-		}
-		g.mark[r] = id
-		stack = append(stack, r)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			cone = append(cone, v)
-			for _, w := range g.nodes[v].fanouts {
-				if g.mark[w] != id && !g.nodes[w].dead {
-					g.mark[w] = id
-					stack = append(stack, w)
-				}
-			}
-		}
-	}
-	return cone
-}
-
 // InTFO reports whether target is in the transitive-fanout cone of v
 // (v itself counts).
 func (g *Graph) InTFO(v, target int32) bool {
@@ -626,14 +598,6 @@ type ChangeSet struct {
 	Removed       []int32 // target plus its MFFC (all removed)
 	FanoutChanged []int32 // surviving nodes that gained or lost fanout edges
 	Rewired       []int32 // surviving readers whose fanin literal changed
-}
-
-// All returns Removed ∪ FanoutChanged (the paper's S_c).
-func (cs *ChangeSet) All() []int32 {
-	out := make([]int32, 0, len(cs.Removed)+len(cs.FanoutChanged))
-	out = append(out, cs.Removed...)
-	out = append(out, cs.FanoutChanged...)
-	return out
 }
 
 func removeOneFanout(fo []int32, v int32) []int32 {

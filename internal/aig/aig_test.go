@@ -175,16 +175,7 @@ func TestCones(t *testing.T) {
 		t.Error("TFI(y) must not contain z")
 	}
 
-	tfo := map[int32]bool{}
-	for _, v := range g.TFOCone([]int32{x.Var()}) {
-		tfo[v] = true
-	}
-	for _, v := range []int32{x.Var(), y.Var(), z.Var()} {
-		if !tfo[v] {
-			t.Errorf("TFO(x) missing %d", v)
-		}
-	}
-	if !g.InTFO(x.Var(), y.Var()) || g.InTFO(y.Var(), x.Var()) {
+	if !g.InTFO(x.Var(), y.Var()) || !g.InTFO(x.Var(), z.Var()) || g.InTFO(y.Var(), x.Var()) {
 		t.Error("InTFO wrong")
 	}
 	if !g.InTFO(x.Var(), x.Var()) {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math"
 
 	"dpals/internal/cpm"
@@ -14,9 +13,9 @@ import (
 // comprehensive performs the full error analysis of Fig. 3(b): disjoint
 // cuts of every node, full CPM, evaluation of every candidate LAC. It
 // returns the per-node bests sorted by ascending error. The CPM rows of
-// every disjoint-cut flow live in the engine's cpm.Cache: a cold pass is a
-// Rebuild, which recycles the previous pass's diff vectors through the
-// cache's arena.
+// every disjoint-cut flow live in the engine's cpm.Cache: a cold pass hands
+// it a new cut set, so every row is recomputed, on diff vectors recycled
+// from the previous pass through the cache's arena.
 //
 // Cross-round warm start (the paper's §III-B/§III-C reuse applied at round
 // granularity): in dual-phase flows the engine repairs the cut set and
@@ -68,13 +67,13 @@ func (e *engine) comprehensive(parent *obs.Span) []lac.NodeBest {
 		e.cache = cpm.NewCache(e.g, e.s)
 	}
 	targets := e.liveTargets()
-	var upd cpm.Update
-	var err error
-	var sp *obs.Span
-	var ctx context.Context
+	name := "cpm"
 	if warm {
-		sp, ctx = e.step(p1, "cpm.warm")
-		upd, err = e.cache.Refresh(ctx, e.cuts, targets, e.opt.Threads)
+		name = "cpm.warm"
+	}
+	sp, ctx := e.step(p1, name)
+	upd, err := e.cache.Rows(ctx, e.cuts, targets, e.opt.Threads)
+	if warm {
 		sp.SetInt("rows_reused", int64(upd.Reused))
 		if upd.Needed > 0 {
 			sp.SetFloat("reuse_rate", float64(upd.Reused)/float64(upd.Needed))
@@ -82,9 +81,6 @@ func (e *engine) comprehensive(parent *obs.Span) []lac.NodeBest {
 		e.stats.CPMSkipped += upd.ReusedWork
 		e.stats.CPMRowsReused += int64(upd.Reused)
 		e.stats.Phase1RowsReused += int64(upd.Reused)
-	} else {
-		sp, ctx = e.step(p1, "cpm")
-		upd, err = e.cache.Rebuild(ctx, e.cuts, e.opt.Threads)
 	}
 	res := upd.Res
 	// Work + ReusedWork == the cold build's deterministic estimate.
@@ -202,7 +198,7 @@ func (e *engine) vecbeeAnalysis() (bests []lac.NodeBest, ok bool) {
 	p1 := e.root.Child("phase1")
 	defer p1.End()
 	sp, ctx := e.step(p1, "cpm")
-	res, err := cpm.BuildVECBEE(ctx, e.g, e.s, e.opt.DepthLimit, nil, e.opt.Threads)
+	res, err := cpm.BuildVECBEE(ctx, e.g, e.s, e.opt.DepthLimit, e.opt.Threads)
 	sp.SetInt("work", res.Work)
 	sp.End()
 	e.stats.CPMWork += res.Work
@@ -456,7 +452,7 @@ func (e *engine) dualPhaseRound(round *obs.Span, M, N int, selfAdapt bool) (stop
 		// analysis — §III-C's reuse, bit-identical to a full rebuild.
 		sp, ctx := e.step(p2, "cpm")
 		sp.SetInt("scand", int64(len(scand)))
-		upd, err := e.cache.Rows(ctx, scand, e.opt.Threads)
+		upd, err := e.cache.Rows(ctx, e.cuts, scand, e.opt.Threads)
 		res := upd.Res
 		e.stats.CPMWork += upd.Work
 		e.stats.CPMRowsReused += int64(upd.Reused)

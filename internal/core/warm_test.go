@@ -29,15 +29,16 @@ func coldReference(t *testing.T, e *engine) coldPass {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cpm.BuildDisjoint(ctx, e.g, e.s, cuts, nil, e.opt.Threads)
+	targets := e.liveTargets()
+	upd, err := cpm.NewCache(e.g, e.s).Rows(ctx, cuts, targets, e.opt.Threads)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bests, ew, _, _, err := lac.Evaluate(ctx, e.gen, res, e.st, e.liveTargets(), e.opt.Threads, nil)
+	bests, ew, _, _, err := lac.Evaluate(ctx, e.gen, upd.Res, e.st, targets, e.opt.Threads, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return coldPass{bests: bests, cuts: cuts.Work(), cpm: res.Work, eval: ew}
+	return coldPass{bests: bests, cuts: cuts.Work(), cpm: upd.Work, eval: ew}
 }
 
 // matchCold reports the first difference between one engine pass — its
@@ -78,9 +79,9 @@ func diffEngine(t *testing.T, g *aig.Graph, flow Flow, threads int) *engine {
 // TestWarmComprehensiveMatchesCold is the differential contract of the
 // shared analysis path: every comprehensive pass — warm-started from the
 // incrementally maintained cuts, CPM cache rows and evaluation memo in the
-// dual-phase flows, or a cache Rebuild in the conventional and AccALS
+// dual-phase flows, or a full recompute in the conventional and AccALS
 // flows — must return exactly the bests of a from-scratch cut.NewSet +
-// cpm.BuildDisjoint + memo-less lac.Evaluate on the same state, and charge
+// fresh cpm.Cache + memo-less lac.Evaluate on the same state, and charge
 // exactly the cold CPM and evaluation work DP-SA's self-adaption profiles.
 // SASIMI LACs are enabled so the candidate space includes the
 // fanout-growing substitutions whose cut repairs are the hardest to keep

@@ -2,6 +2,7 @@ package cpm
 
 import (
 	"context"
+	"sync/atomic"
 
 	"dpals/internal/aig"
 	"dpals/internal/bitvec"
@@ -10,7 +11,7 @@ import (
 	"dpals/internal/sim"
 )
 
-// Update summarises one Cache operation: the shared Result the rows live
+// Update summarises one Rows call: the shared Result the rows live
 // in, how many rows the requested closure needed, how many of those were
 // served from the cache versus recomputed, and the deterministic work
 // estimate of the recomputation (the counterpart of Result.Work for a
@@ -29,25 +30,30 @@ type Update struct {
 	ReusedWork int64
 }
 
-// Cache is a persistent incremental CPM: it retains the rows of the last
-// comprehensive (phase-1) analysis across the phase-2 iterations of the
-// dual-phase framework and recomputes only the rows an applied LAC
-// invalidated, instead of rebuilding the closure of S_cand from scratch on
-// every iteration (§III-C).
+// Cache is the disjoint-cut CPM builder, and it is persistent: it retains
+// the rows of the last comprehensive (phase-1) analysis across the phase-2
+// iterations of the dual-phase framework and recomputes only the rows an
+// applied LAC invalidated, instead of rebuilding the closure of S_cand
+// from scratch on every iteration (§III-C). Its one build entry point is
+// Rows; a fresh cache answers Rows with a from-scratch build.
 //
 // The lifecycle mirrors the dual-phase loop:
 //
 //	cache := NewCache(g, s)
-//	cache.Rebuild(ctx, cuts, threads)             // phase 1: full CPM
+//	cache.Rows(ctx, cuts, live, threads)  // phase 1: full CPM
 //	for each phase-2 iteration {
-//	    upd, _ := cache.Rows(ctx, scand, threads) // reuse + recompute dirty
+//	    // reuse valid rows, recompute stale ones
+//	    upd, _ := cache.Rows(ctx, cuts, scand, threads)
 //	    … evaluate LACs on upd.Res, apply one …
-//	    cache.Invalidate(cs, changed, sv)         // after every apply
+//	    cache.Invalidate(cs, changed, sv) // after every apply
 //	}
 //
-// The single-phase disjoint-cut flows (conventional, AccALS) use only the
-// first step: every analysis is a Rebuild, which recycles the previous
-// analysis's vectors through the arena's free list.
+// Cut-set adoption: row validity is relative to the cut set the rows were
+// built against, so a Rows call with any other set drops every row first.
+// The single-phase disjoint-cut flows (conventional, AccALS) build a new
+// cut set for every analysis, so each of their analyses is a full
+// recompute, which recycles the previous analysis's vectors through the
+// arena's free list.
 //
 // Invalidation rule (change signals → dependency closure → recompute set):
 // an applied LAC announces itself through three signals the engine already
@@ -67,13 +73,13 @@ type Update struct {
 // walked through dead nodes as well (a removed MFFC preserves its fanin
 // literals, and pre-change regions reached the removed nodes). Because the
 // closure is transitive, it is automatically closed under the reverse of
-// the disjoint-cut dependency used by Closure: if a cut element's row is
+// the disjoint-cut dependency Rows follows: if a cut element's row is
 // stale, every consumer lies in the element's fanin closure too.
 //
 // All diff vectors live on one arena with a free list: vectors of invalidated
 // rows are recycled, not reallocated, so steady-state phase-2 iterations
-// allocate near zero. Results are bit-identical to a from-scratch
-// BuildDisjoint over the same cut set for every thread count.
+// allocate near zero. Results are bit-identical to a fresh cache's build
+// over the same cut set for every thread count.
 //
 // A Cache is not safe for concurrent use; its methods must be called from
 // one goroutine (the internal wave fan-out is race-clean).
@@ -85,7 +91,7 @@ type Cache struct {
 	arena *bitvec.Arena
 
 	valid   []bool     // per var: row is up to date
-	idx     *topoIndex // refreshed per build
+	idx     *topoIndex // refreshed by every Rows call
 	rowWork []int64    // per var: work of the row's last recompute (Update.ReusedWork)
 
 	rss []*regionSimulator // persistent per-worker scratch
@@ -99,8 +105,7 @@ type Cache struct {
 	inSet     []bool  // recompute-set membership during runWaves
 }
 
-// NewCache returns an empty cache for g simulated by s. Rebuild must run
-// before the first Rows call.
+// NewCache returns an empty cache for g simulated by s.
 func NewCache(g *aig.Graph, s *sim.Sim) *Cache {
 	n := g.NumVars()
 	return &Cache{
@@ -120,8 +125,9 @@ func NewCache(g *aig.Graph, s *sim.Sim) *Cache {
 // Arena exposes the diff-vector arena (for allocation-reuse introspection).
 func (c *Cache) Arena() *bitvec.Arena { return c.arena }
 
-// releaseRow recycles the diff vectors of v's row into the arena and leaves
-// an empty row with retained slice capacity.
+// releaseRow marks v's row stale, recycles its diff vectors into the arena
+// and leaves an empty row with retained slice capacity, so that a later
+// recompute appends onto a clean row.
 func (c *Cache) releaseRow(v int32) {
 	row := &c.res.rows[v]
 	for i, d := range row.Diffs {
@@ -134,50 +140,13 @@ func (c *Cache) releaseRow(v int32) {
 }
 
 // simulators returns (growing if needed) the first `workers` persistent
-// region simulators. They share c.idx, which Rebuild and Rows refresh in
-// place, so they stay consistent after structural edits.
+// region simulators. They share c.idx, which Rows refreshes in place, so
+// they stay consistent after structural edits.
 func (c *Cache) simulators(workers int) []*regionSimulator {
 	for len(c.rss) < workers {
 		c.rss = append(c.rss, newRegionSimulator(c.g, c.s, c.idx))
 	}
 	return c.rss[:workers]
-}
-
-// Rebuild performs the comprehensive (phase-1) build: every live AND row is
-// recomputed against cuts and retained. Previously cached vectors are
-// recycled through the arena first, so repeated rounds reuse the same
-// backing memory. The produced rows are bit-identical to
-// BuildDisjoint(ctx, g, s, cuts, nil, threads).
-//
-// The build checks ctx at every wave boundary and stops early once it is
-// cancelled, returning ctx.Err(). On cancellation every row touched by this
-// build is released again (the cache is left consistent, holding no valid
-// rows), so the returned Update must be discarded.
-func (c *Cache) Rebuild(ctx context.Context, cuts *cut.Set, threads int) (Update, error) {
-	c.cuts = cuts
-	for v := range c.res.rows {
-		if len(c.res.rows[v].Diffs) > 0 {
-			c.releaseRow(int32(v))
-		} else {
-			c.valid[int32(v)] = false
-		}
-	}
-	c.idx.refresh(c.g)
-	workBefore := c.res.Work
-	proc := c.recompute[:0]
-	for _, v := range c.idx.topo {
-		if c.g.IsAnd(v) {
-			proc = append(proc, v)
-		}
-	}
-	err := c.runWaves(ctx, proc, threads)
-	c.recompute = proc[:0]
-	return Update{
-		Res:        c.res,
-		Needed:     len(proc),
-		Recomputed: len(proc),
-		Work:       c.res.Work - workBefore,
-	}, err
 }
 
 // Invalidate marks every row the applied LAC may have changed as stale and
@@ -230,40 +199,41 @@ func (c *Cache) Invalidate(cs aig.ChangeSet, changed, cutsRecomputed []int32) {
 		push(f1.Var())
 	}
 	for _, v := range q {
-		if len(c.res.rows[v].Diffs) > 0 {
-			c.releaseRow(v)
-		} else {
-			c.valid[v] = false
-		}
+		c.releaseRow(v)
 	}
 	c.queue = q[:0]
 }
 
-// Refresh brings the cache up to date for one analysis over cuts. When cuts
-// is the set the cache was last built against, it serves Rows(targets);
-// for any other set it falls back to a comprehensive Rebuild, whose rows
-// cover every target. Either way the rows equal a from-scratch build.
-func (c *Cache) Refresh(ctx context.Context, cuts *cut.Set, targets []int32, threads int) (Update, error) {
-	if cuts != c.cuts {
-		return c.Rebuild(ctx, cuts, threads)
-	}
-	return c.Rows(ctx, targets, threads)
-}
-
 // Rows ensures valid rows for the disjoint-cut closure of targets (§III-C
-// N(S_cand)) and returns the shared Result plus reuse accounting. Only
-// stale rows of the closure are recomputed; everything else is served from
-// the cache. Row contents are bit-identical to a from-scratch
-// BuildDisjoint(ctx, g, s, cuts, targets, threads) for every thread count.
-// Cancellation follows Rebuild's contract: on a non-nil error the
-// recomputed rows of this call are released again and the Update must be
-// discarded, while previously valid cached rows stay valid.
-func (c *Cache) Rows(ctx context.Context, targets []int32, threads int) (Update, error) {
+// N(S_cand): the targets plus, transitively, the non-sink elements of
+// their disjoint cuts) and returns the shared Result plus reuse
+// accounting. Passing every live AND node gives the full CPM.
+//
+// Cut-set adoption: when cuts is not the set the cache was last built
+// against, Rows first drops every cached row and adopts cuts; otherwise
+// it keeps the rows still valid since the last call. Either way it then
+// recomputes only the stale rows of the closure, so the rows equal those
+// of a fresh cache's Rows(ctx, cuts, targets, threads), bit for bit and
+// for every thread count.
+//
+// threads follows the pipeline-wide semantics of package par (≤0: all
+// CPUs, 1: serial). The build checks ctx at every wave boundary and stops
+// early once it is cancelled, returning ctx.Err(). The rows this call
+// recomputed are then released again and the Update must be discarded,
+// while rows that were valid before the call stay valid; an adopted cut
+// set stays adopted.
+func (c *Cache) Rows(ctx context.Context, cuts *cut.Set, targets []int32, threads int) (Update, error) {
+	if cuts != c.cuts {
+		c.cuts = cuts
+		for v := range c.res.rows {
+			c.releaseRow(int32(v))
+		}
+	}
 	c.idx.refresh(c.g)
 	workBefore := c.res.Work
 
-	// Closure of targets under disjoint-cut membership (sinks excluded) —
-	// Closure with epoch-stamped scratch instead of per-call maps.
+	// Closure of targets under disjoint-cut membership (sinks excluded),
+	// with epoch-stamped scratch instead of per-call maps.
 	ep := nextEpoch(&c.epoch, c.mark)
 	need := c.queue[:0]
 	for _, v := range targets {
@@ -306,12 +276,14 @@ func (c *Cache) Rows(ctx context.Context, targets []int32, threads int) (Update,
 // runWaves recomputes the given stale rows over the wave scheduler of
 // package par and marks them valid. Rows outside the set are read-only
 // dependencies; within the set, a node is scheduled strictly after its
-// non-sink cut elements, exactly like BuildDisjoint.
+// non-sink cut elements. Workers communicate only through index-addressed
+// rows: each row is written by exactly one worker and read only after its
+// dependency wave completed.
 //
 // On cancellation it stops at the next wave boundary and releases every
 // row of the set again — a cancelled wave leaves some rows complete and
 // some untouched, and releasing them all restores the invariant that a
-// non-valid row is empty (so a later recompute appends onto a clean row).
+// non-valid row is empty.
 func (c *Cache) runWaves(ctx context.Context, proc []int32, threads int) error {
 	if len(proc) == 0 {
 		return nil
@@ -343,11 +315,10 @@ func (c *Cache) runWaves(ctx context.Context, proc []int32, threads int) error {
 	for _, v := range proc {
 		waves[c.lvl[v]] = append(waves[c.lvl[v]], v)
 	}
-	b := &disjointBuilder{g: c.g, s: c.s, cuts: c.cuts, res: c.res, arena: c.arena, rowWork: c.rowWork}
 	var err error
 	for _, wave := range waves {
 		if err = par.ForEach(ctx, threads, wave, func(w int, v int32) {
-			b.processNode(rss[w], v)
+			c.processNode(rss[w], v)
 		}); err != nil {
 			break
 		}
@@ -355,14 +326,76 @@ func (c *Cache) runWaves(ctx context.Context, proc []int32, threads int) error {
 	for _, v := range proc {
 		c.inSet[v] = false
 		if err != nil {
-			if len(c.res.rows[v].Diffs) > 0 {
-				c.releaseRow(v)
-			} else {
-				c.valid[v] = false
-			}
-			continue
+			c.releaseRow(v)
+		} else {
+			c.valid[v] = true
 		}
-		c.valid[v] = true
 	}
 	return err
+}
+
+// processNode computes the CPM row of v and records its work. All of v's
+// non-sink cut elements must already have their rows computed (wave
+// scheduling guarantees this).
+func (c *Cache) processNode(rs *regionSimulator, v int32) {
+	elems := c.cuts.Cut(v)
+	if len(elems) == 0 {
+		c.rowWork[v] = 0
+		return // reaches no PO: a flip can never be observed
+	}
+	words := c.res.Words
+	// Flip-simulate the region bounded by the node cut elements. Sink
+	// elements leave their whole PO cone inside the region, so the
+	// diff at the PO driver is available directly.
+	rs.markBoundary(elems)
+	rs.collectBounded(v)
+	rs.propagate(v)
+	// Work accounting: one words-wide pass per region node simulated and
+	// per diff vector assembled; folded in with one atomic add per node.
+	w := int64(1+len(rs.region)) * int64(words)
+	// Assemble the row: Eq. (1) per covered PO. The entry count is known
+	// up front (one per sink, one per element-row PO), so a fresh or
+	// undersized row grows with exactly one allocation per slice instead
+	// of doubling its way up.
+	row := &c.res.rows[v]
+	total := 0
+	for _, e := range elems {
+		if cut.IsSink(e) {
+			total++
+		} else {
+			total += len(c.res.rows[e].POs)
+		}
+	}
+	if cap(row.POs) < total {
+		row.POs = make([]int32, 0, total)
+	}
+	if cap(row.Diffs) < total {
+		row.Diffs = make([]bitvec.Vec, 0, total)
+	}
+	for _, e := range elems {
+		if cut.IsSink(e) {
+			// A sink is a universal one-cut: P[v,o] is the Boolean
+			// difference observed at the PO driver (all-ones when v
+			// drives o itself).
+			o := cut.SinkPO(e)
+			d := c.arena.Alloc()
+			rs.diffAt(c.g.PO(o).Var(), d)
+			row.POs = append(row.POs, int32(o))
+			row.Diffs = append(row.Diffs, d)
+			w += int64(words)
+			continue
+		}
+		local := rs.localDiff()
+		rs.diffAt(e, local)
+		erow := &c.res.rows[e]
+		w += int64(1+len(erow.POs)) * int64(words)
+		for i, o := range erow.POs {
+			d := c.arena.Alloc()
+			d.And(erow.Diffs[i], local)
+			row.POs = append(row.POs, o)
+			row.Diffs = append(row.Diffs, d)
+		}
+	}
+	c.rowWork[v] = w // single writer per node, like the row itself
+	atomic.AddInt64(&c.res.Work, w)
 }

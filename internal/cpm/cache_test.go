@@ -2,8 +2,11 @@ package cpm
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"dpals/internal/aig"
@@ -75,8 +78,8 @@ type stepAcct struct {
 }
 
 // runCacheSequence replays a seeded random LAC sequence against the cache
-// and cross-checks every analysis bit-for-bit against from-scratch
-// BuildDisjoint over the same cut set. It returns the per-step accounting.
+// and cross-checks every analysis bit-for-bit against a fresh cache's build
+// over the same cut set. It returns the per-step accounting.
 func runCacheSequence(t *testing.T, seed int64, threads int) []stepAcct {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -87,16 +90,10 @@ func runCacheSequence(t *testing.T, seed int64, threads int) []stepAcct {
 
 	var acct []stepAcct
 
-	// Phase-1 equivalent: full build, compared against BuildDisjoint with nil targets.
-	upd, _ := cache.Rebuild(context.Background(), cuts, threads)
-	ref, _ := BuildDisjoint(context.Background(), g, s, cuts, nil, threads)
-	if upd.Work != ref.Work {
-		t.Fatalf("threads=%d: Rebuild work %d, fresh build work %d", threads, upd.Work, ref.Work)
-	}
-	for _, v := range g.Topo() {
-		if g.IsAnd(v) {
-			compareRow(t, "rebuild", v, upd.Res.Row(v), ref.Row(v))
-		}
+	// Phase-1 equivalent: the full CPM, checked against brute force.
+	upd, _ := cache.Rows(context.Background(), cuts, liveANDs(g), threads)
+	for _, v := range liveANDs(g) {
+		checkAgainstBruteForce(t, g, s, upd.Res, v)
 	}
 	acct = append(acct, stepAcct{upd.Needed, upd.Reused, upd.Recomputed, upd.Work})
 
@@ -112,12 +109,7 @@ func runCacheSequence(t *testing.T, seed int64, threads int) []stepAcct {
 		cache.Invalidate(cs, changed, sv)
 
 		// Random target set over the live nodes (like S_cand).
-		var live []int32
-		for _, u := range g.Topo() {
-			if g.IsAnd(u) {
-				live = append(live, u)
-			}
-		}
+		live := liveANDs(g)
 		if len(live) == 0 {
 			break
 		}
@@ -131,17 +123,26 @@ func runCacheSequence(t *testing.T, seed int64, threads int) []stepAcct {
 			targets = live[:1]
 		}
 
-		u, _ := cache.Rows(context.Background(), targets, threads)
-		refPart, _ := BuildDisjoint(context.Background(), g, s, cuts, targets, threads)
-		for _, w := range targets {
-			compareRow(t, "rows", w, u.Res.Row(w), refPart.Row(w))
+		u, _ := cache.Rows(context.Background(), cuts, targets, threads)
+		// The closure must equal a fresh partial build, whose work the
+		// reused and recomputed rows must add up to.
+		fc, refPart := freshRows(t, g, s, cuts, targets, threads)
+		if u.Needed != refPart.Needed || u.Work+u.ReusedWork != refPart.Work {
+			t.Fatalf("threads=%d step %d: Needed %d, Work+ReusedWork %d; fresh build %d, %d",
+				threads, step, u.Needed, u.Work+u.ReusedWork, refPart.Needed, refPart.Work)
 		}
-		// The whole ensured closure must equal a full fresh build too (the
-		// partial reference frees its intermediates, so compare against a
-		// full one).
-		refFull, _ := BuildDisjoint(context.Background(), g, s, cuts, nil, threads)
-		for _, w := range Closure(cuts, targets) {
-			compareRow(t, "closure", w, u.Res.Row(w), refFull.Row(w))
+		for _, w := range live {
+			if fc.valid[w] {
+				compareRow(t, "closure", w, u.Res.Row(w), refPart.Res.Row(w))
+			}
+		}
+		// Every row the cache still holds valid, in the closure or not,
+		// must equal a full fresh build.
+		_, refFull := freshRows(t, g, s, cuts, live, threads)
+		for w := int32(0); w <= g.MaxVar(); w++ {
+			if cache.valid[w] {
+				compareRow(t, "valid", w, u.Res.Row(w), refFull.Res.Row(w))
+			}
 		}
 		acct = append(acct, stepAcct{u.Needed, u.Reused, u.Recomputed, u.Work})
 	}
@@ -151,7 +152,7 @@ func runCacheSequence(t *testing.T, seed int64, threads int) []stepAcct {
 // TestCacheMatchesFreshBuild is the differential test of the incremental
 // CPM cache: across randomized LAC sequences (constants, PI and SASIMI
 // substitutions, MFFC removals) every cache-served analysis must be
-// bit-identical to a from-scratch BuildDisjoint on the same cut set, for
+// bit-identical to a fresh cache's build on the same cut set, for
 // every thread count — and the reuse/recompute accounting must be
 // thread-independent.
 func TestCacheMatchesFreshBuild(t *testing.T) {
@@ -194,7 +195,7 @@ func TestCacheOnGeneratedCircuit(t *testing.T) {
 	s := sim.New(g, sim.Options{Patterns: 256, Seed: 7})
 	cuts, _ := cut.NewSet(context.Background(), g, 0)
 	cache := NewCache(g, s)
-	cache.Rebuild(context.Background(), cuts, 0)
+	cache.Rows(context.Background(), cuts, liveANDs(g), 0)
 	reused := 0
 	for step := 0; step < 8; step++ {
 		v, repl, ok := randomLAC(rng, g)
@@ -205,20 +206,15 @@ func TestCacheOnGeneratedCircuit(t *testing.T) {
 		changed := s.ResimulateFrom(cs.Rewired)
 		sv := cuts.UpdateAfter(cs)
 		cache.Invalidate(cs, changed, sv)
-		var targets []int32
-		for _, u := range g.Topo() {
-			if g.IsAnd(u) {
-				targets = append(targets, u)
-			}
-		}
+		targets := liveANDs(g)
 		if len(targets) == 0 {
 			break
 		}
-		u, _ := cache.Rows(context.Background(), targets, 0)
+		u, _ := cache.Rows(context.Background(), cuts, targets, 0)
 		reused += u.Reused
-		ref, _ := BuildDisjoint(context.Background(), g, s, cuts, nil, 0)
+		_, ref := freshRows(t, g, s, cuts, targets, 0)
 		for _, w := range targets {
-			compareRow(t, "mult", w, u.Res.Row(w), ref.Row(w))
+			compareRow(t, "mult", w, u.Res.Row(w), ref.Res.Row(w))
 		}
 	}
 	if reused == 0 {
@@ -235,7 +231,7 @@ func TestCachePoolRecycles(t *testing.T) {
 	s := sim.New(g, sim.Options{Patterns: 256, Seed: 3})
 	cuts, _ := cut.NewSet(context.Background(), g, 1)
 	cache := NewCache(g, s)
-	cache.Rebuild(context.Background(), cuts, 1)
+	cache.Rows(context.Background(), cuts, liveANDs(g), 1)
 	ps0 := cache.Arena().Stats()
 	for step := 0; step < 6; step++ {
 		v, repl, ok := randomLAC(rng, g)
@@ -246,25 +242,132 @@ func TestCachePoolRecycles(t *testing.T) {
 		changed := s.ResimulateFrom(cs.Rewired)
 		sv := cuts.UpdateAfter(cs)
 		cache.Invalidate(cs, changed, sv)
-		var targets []int32
-		for _, u := range g.Topo() {
-			if g.IsAnd(u) {
-				targets = append(targets, u)
-			}
-		}
-		cache.Rows(context.Background(), targets, 1)
+		cache.Rows(context.Background(), cuts, liveANDs(g), 1)
 	}
 	ps1 := cache.Arena().Stats()
 	if ps1.Gets == ps0.Gets {
-		t.Skip("no rows recomputed after rebuild (degenerate sequence)")
+		t.Skip("no rows recomputed after the full build (degenerate sequence)")
 	}
 	if ps1.Reuses == 0 {
-		t.Fatalf("pool never reused a vector (%d gets after rebuild)", ps1.Gets-ps0.Gets)
+		t.Fatalf("pool never reused a vector (%d gets after the full build)", ps1.Gets-ps0.Gets)
 	}
 	if ps1.Gets != ps1.Reuses+ps1.Misses {
 		t.Errorf("pool stats inconsistent: gets %d != reuses %d + misses %d", ps1.Gets, ps1.Reuses, ps1.Misses)
 	}
 	if ps1.Puts == 0 || ps1.HighWater == 0 {
 		t.Errorf("pool stats missing recycle accounting: %+v", ps1)
+	}
+}
+
+// countdownCtx is a context whose Err turns to context.Canceled after n
+// calls. Package par checks Err before every item, so it cancels a build
+// after about n rows.
+type countdownCtx struct {
+	context.Context
+	n atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.n.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestRowsCancelled pins the cancellation contract of Rows, for a context
+// cancelled before the call and one cancelled midway through the
+// recompute: Rows returns the context's error, rows valid before the call
+// stay valid and unchanged, and no stale row of the closure is left valid
+// (or holding half-built entries). A cut set adopted under cancellation
+// stays adopted with no valid row, and the next uncancelled Rows equals a
+// fresh cache's build.
+func TestRowsCancelled(t *testing.T) {
+	for _, threads := range []int{1, 2} {
+		rng := rand.New(rand.NewSource(61))
+		g := randomGraph(rng, 7, 90, 6)
+		s := sim.New(g, sim.Options{Patterns: 256, Seed: 61})
+		cuts, _ := cut.NewSet(context.Background(), g, 1)
+		cache := NewCache(g, s)
+		cache.Rows(context.Background(), cuts, liveANDs(g), threads)
+		for step := 0; step < 3; step++ {
+			v, repl, ok := randomLAC(rng, g)
+			if !ok {
+				break
+			}
+			cs := g.ReplaceWithLit(v, repl)
+			changed := s.ResimulateFrom(cs.Rewired)
+			cache.Invalidate(cs, changed, cuts.UpdateAfter(cs))
+		}
+		live := liveANDs(g)
+		var stale []int32
+		for _, v := range live {
+			if !cache.valid[v] {
+				stale = append(stale, v)
+			}
+		}
+		if len(stale) < 2 {
+			t.Fatalf("threads=%d: only %d stale rows after the LAC sequence", threads, len(stale))
+		}
+
+		cancelled, cancel := context.WithCancel(context.Background())
+		cancel()
+		midway := &countdownCtx{Context: context.Background()}
+		midway.n.Store(int64(len(stale) / 2))
+		for _, tc := range []struct {
+			label string
+			ctx   context.Context
+		}{{"pre-cancelled", cancelled}, {"midway", midway}} {
+			label := tc.label
+			kept := map[int32]Row{}
+			for v := int32(0); v <= g.MaxVar(); v++ {
+				if cache.valid[v] {
+					row := cache.res.Row(v)
+					cp := Row{POs: slices.Clone(row.POs)}
+					for _, d := range row.Diffs {
+						cp.Diffs = append(cp.Diffs, slices.Clone(d))
+					}
+					kept[v] = cp
+				}
+			}
+			workBefore := cache.res.Work
+			if _, err := cache.Rows(tc.ctx, cuts, live, threads); !errors.Is(err, context.Canceled) {
+				t.Fatalf("threads=%d %s: Rows returned %v, want context.Canceled", threads, label, err)
+			}
+			if tc.ctx == midway && cache.res.Work == workBefore {
+				t.Fatalf("threads=%d: the build was cancelled before it recomputed a row", threads)
+			}
+			for v, row := range kept {
+				if !cache.valid[v] {
+					t.Fatalf("threads=%d %s: row %d was valid before the call and is not after it", threads, label, v)
+				}
+				compareRow(t, label, v, cache.res.Row(v), &row)
+			}
+			for _, v := range stale {
+				if cache.valid[v] || cache.res.Has(v) {
+					t.Fatalf("threads=%d %s: stale row %d left valid=%v with %d entries",
+						threads, label, v, cache.valid[v], len(cache.res.Row(v).POs))
+				}
+			}
+		}
+
+		rebuilt, _ := cut.NewSet(context.Background(), g, 1)
+		if _, err := cache.Rows(cancelled, rebuilt, live, threads); !errors.Is(err, context.Canceled) {
+			t.Fatalf("threads=%d adoption: Rows returned %v, want context.Canceled", threads, err)
+		}
+		for v := int32(0); v <= g.MaxVar(); v++ {
+			if cache.valid[v] || cache.res.Has(v) {
+				t.Fatalf("threads=%d adoption: row %d survived a change of cut set", threads, v)
+			}
+		}
+		upd, err := cache.Rows(context.Background(), rebuilt, live, threads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ref := freshRows(t, g, s, rebuilt, live, threads)
+		if upd.Recomputed != ref.Recomputed || upd.Work != ref.Work {
+			t.Fatalf("threads=%d adoption: %d rows / %d work recomputed, fresh build %d / %d",
+				threads, upd.Recomputed, upd.Work, ref.Recomputed, ref.Work)
+		}
+		equalResults(t, "adoption", g, upd.Res, ref.Res)
 	}
 }

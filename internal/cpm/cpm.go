@@ -6,13 +6,13 @@
 // differences P[i,n,t] come from one flip-resimulation of the bounded
 // region between n and its cut.
 //
-// Two builders are provided:
+// Two schemes are provided:
 //
-//   - BuildDisjoint — the enhanced-VECBEE/SEALS scheme, built from
-//     scratch. With a target set it computes the partial CPM restricted
-//     to N(S_cand) exactly as §III-C Example 2 describes. Every
-//     disjoint-cut flow of the engine gets the same rows from Cache,
-//     which keeps them across analyses and recomputes only stale ones.
+//   - Cache.Rows — the enhanced-VECBEE/SEALS scheme over disjoint cuts.
+//     It builds the rows of the closure N(S_cand) of a target set exactly
+//     as §III-C Example 2 describes (all live ANDs for the full CPM), and
+//     keeps them across analyses so that later calls recompute only the
+//     rows an applied LAC made stale.
 //   - BuildVECBEE — the original VECBEE baseline with a configurable depth
 //     limit l: exact full-TFO flip propagation for l=∞, and the
 //     "direct-fanout" approximation of Table II for l=1.
@@ -82,31 +82,6 @@ func (r *Result) FlipDiffBit(site int) bool {
 	bit := uint(site/len(retained)) % 64
 	row.Diffs[0][0] ^= 1 << bit
 	return true
-}
-
-// Closure computes N(S_cand) per §III-C: starting from the targets, every
-// node whose CPM entries are needed to derive the targets' entries — the
-// transitive closure of targets under disjoint-cut membership (sinks
-// excluded). The result includes the targets and is deduplicated.
-func Closure(cuts *cut.Set, targets []int32) []int32 {
-	seen := map[int32]bool{}
-	var out []int32
-	queue := append([]int32(nil), targets...)
-	for _, v := range targets {
-		seen[v] = true
-	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		out = append(out, v)
-		for _, e := range cuts.Cut(v) {
-			if !cut.IsSink(e) && !seen[e] {
-				seen[e] = true
-				queue = append(queue, e)
-			}
-		}
-	}
-	return out
 }
 
 // topoIndex maps every variable to its topological position and back. It
@@ -327,198 +302,6 @@ func (rs *regionSimulator) diffAt(v int32, dst bitvec.Vec) {
 	dst.Xor(rs.flipVal(v), rs.s.Val(v))
 }
 
-// disjointBuilder holds the shared, read-mostly state of one BuildDisjoint
-// pass. Workers communicate only through index-addressed rows (each row is
-// written by exactly one worker and read only after its dependency wave
-// completed) and the atomic reference counts.
-type disjointBuilder struct {
-	g       *aig.Graph
-	s       *sim.Sim
-	cuts    *cut.Set
-	res     *Result
-	keep    []bool
-	refs    []int32       // atomic: still-unprocessed consumers per row; nil: keep every row
-	arena   *bitvec.Arena // diff-vector allocator: the cache's arena, or a per-build one
-	rowWork []int64       // per var: work of the node's row, recorded when non-nil (cache mode)
-}
-
-// release drops the row of v. Only from-scratch builds release rows (the
-// cache keeps every row), and their vectors live on the per-build arena,
-// so nothing is recycled.
-func (b *disjointBuilder) release(v int32) { b.res.rows[v] = Row{} }
-
-// processNode computes the CPM row of v. All of v's non-sink cut elements
-// must already have their rows computed (wave scheduling guarantees this).
-func (b *disjointBuilder) processNode(rs *regionSimulator, v int32) {
-	elems := b.cuts.Cut(v)
-	if len(elems) == 0 {
-		if b.rowWork != nil {
-			b.rowWork[v] = 0
-		}
-		return // reaches no PO: a flip can never be observed
-	}
-	// Flip-simulate the region bounded by the node cut elements. Sink
-	// elements leave their whole PO cone inside the region, so the
-	// diff at the PO driver is available directly.
-	rs.markBoundary(elems)
-	rs.collectBounded(v)
-	rs.propagate(v)
-	// Work accounting: one words-wide pass per region node simulated and
-	// per diff vector assembled; folded in with one atomic add per node.
-	w := int64(1+len(rs.region)) * int64(b.res.Words)
-	// Assemble the row: Eq. (1) per covered PO. The entry count is known
-	// up front (one per sink, one per element-row PO), so a fresh or
-	// undersized row grows with exactly one allocation per slice instead
-	// of doubling its way up — row assembly dominated the builder's
-	// allocation profile before this.
-	row := &b.res.rows[v]
-	total := 0
-	for _, e := range elems {
-		if cut.IsSink(e) {
-			total++
-		} else {
-			total += len(b.res.rows[e].POs)
-		}
-	}
-	if cap(row.POs) < total {
-		row.POs = make([]int32, 0, total)
-	}
-	if cap(row.Diffs) < total {
-		row.Diffs = make([]bitvec.Vec, 0, total)
-	}
-	for _, e := range elems {
-		if cut.IsSink(e) {
-			// A sink is a universal one-cut: P[v,o] is the Boolean
-			// difference observed at the PO driver (all-ones when v
-			// drives o itself).
-			o := cut.SinkPO(e)
-			d := b.arena.Alloc()
-			rs.diffAt(b.g.PO(o).Var(), d)
-			row.POs = append(row.POs, int32(o))
-			row.Diffs = append(row.Diffs, d)
-			w += int64(b.res.Words)
-			continue
-		}
-		local := rs.localDiff()
-		rs.diffAt(e, local)
-		erow := &b.res.rows[e]
-		w += int64(1+len(erow.POs)) * int64(b.res.Words)
-		for i, o := range erow.POs {
-			d := b.arena.Alloc()
-			d.And(erow.Diffs[i], local)
-			row.POs = append(row.POs, o)
-			row.Diffs = append(row.Diffs, d)
-		}
-		// Release the element row once its last consumer is done. The
-		// decrement comes after the reads above, so the consumer that
-		// drops the count to zero knows every other consumer is done too.
-		// A nil refs slice means every row is retained (cache mode).
-		if b.refs != nil && atomic.AddInt32(&b.refs[e], -1) == 0 && !b.keep[e] {
-			b.release(e)
-		}
-	}
-	// v's own consumers only run in later waves, so a zero count here
-	// means the row is needed by nobody (and was not requested).
-	if b.refs != nil && atomic.LoadInt32(&b.refs[v]) == 0 && !b.keep[v] {
-		b.release(v)
-	}
-	if b.rowWork != nil {
-		b.rowWork[v] = w // single writer per node, like the row itself
-	}
-	atomic.AddInt64(&b.res.Work, w)
-}
-
-// BuildDisjoint computes CPM rows with the disjoint-cut scheme. When
-// targets is nil, rows for every live AND node are computed and retained.
-// Otherwise only the closure N(targets) is processed and only the targets'
-// rows are retained (intermediate rows are reference-counted and freed as
-// soon as their last consumer is done).
-//
-// threads follows the pipeline-wide semantics of package par (≤0: all
-// CPUs, 1: serial). Row construction is fanned out over waves of the
-// cut-element dependency DAG — a node's row depends only on the rows of
-// its non-sink cut elements, read-only simulation values, and the shared
-// cut set — and the result is bit-identical for every thread count.
-// The build checks ctx at every wave boundary and stops early once it is
-// cancelled, returning the partial result alongside ctx.Err(); a non-nil
-// error means the rows are incomplete and must be discarded.
-func BuildDisjoint(ctx context.Context, g *aig.Graph, s *sim.Sim, cuts *cut.Set, targets []int32, threads int) (*Result, error) {
-	res := &Result{Words: s.Words(), rows: make([]Row, g.NumVars())}
-
-	var procList []int32
-	keep := make([]bool, g.NumVars())
-	if targets == nil {
-		for _, v := range g.Topo() {
-			if g.IsAnd(v) {
-				procList = append(procList, v)
-				keep[v] = true
-			}
-		}
-	} else {
-		procList = Closure(cuts, targets)
-		for _, v := range targets {
-			keep[v] = true
-		}
-	}
-
-	// Reference counts: how many still-unprocessed nodes need each row.
-	refs := make([]int32, g.NumVars())
-	for _, v := range procList {
-		for _, e := range cuts.Cut(v) {
-			if !cut.IsSink(e) {
-				refs[e]++
-			}
-		}
-	}
-
-	workers := par.ScratchSlots(threads, len(procList))
-	rss := make([]*regionSimulator, workers)
-	idx := &topoIndex{pos: make([]int32, g.NumVars())}
-	idx.refresh(g)
-	for w := range rss {
-		rss[w] = newRegionSimulator(g, s, idx)
-	}
-	rss[0].orderByPos(procList, true)
-
-	// Wave schedule over the exact dependency DAG: lvl(v) is one more than
-	// the deepest non-sink cut element. Cut elements lie strictly in v's
-	// transitive fanout, i.e. earlier in the descending-position procList,
-	// so one forward sweep suffices.
-	lvl := make([]int32, g.NumVars())
-	var numLvl int32
-	for _, v := range procList {
-		var l int32
-		for _, e := range cuts.Cut(v) {
-			if !cut.IsSink(e) && lvl[e] >= l {
-				l = lvl[e] + 1
-			}
-		}
-		lvl[v] = l
-		if l+1 > numLvl {
-			numLvl = l + 1
-		}
-	}
-	waves := make([][]int32, numLvl)
-	for _, v := range procList {
-		waves[lvl[v]] = append(waves[lvl[v]], v)
-	}
-
-	// Published diff vectors are carved from one per-build arena (released
-	// intermediate rows are dropped, not recycled — their slab memory is
-	// reclaimed with everything else when the Result is). The Result's rows
-	// keep the slabs reachable, so the arena needs no owner beyond b.
-	b := &disjointBuilder{g: g, s: s, cuts: cuts, res: res, keep: keep, refs: refs,
-		arena: bitvec.NewArena(res.Words)}
-	for _, wave := range waves {
-		if err := par.ForEach(ctx, threads, wave, func(w int, v int32) {
-			b.processNode(rss[w], v)
-		}); err != nil {
-			return res, err
-		}
-	}
-	return res, nil
-}
-
 // vecbeeBuilder holds the shared state of one BuildVECBEE pass. With a
 // finite depth limit, a node's row composes the rows of its frontier
 // nodes, which lie strictly in the node's transitive fanout — so waves of
@@ -601,31 +384,20 @@ func (b *vecbeeBuilder) processNode(rs *regionSimulator, depth map[int32]int, v 
 	atomic.AddInt64(&b.res.Work, w)
 }
 
-// BuildVECBEE computes CPM rows with the original VECBEE scheme at depth
-// limit l: each node's flip is propagated exactly through its transitive
-// fanout up to l levels; beyond the frontier the effect is approximated by
-// OR-combining the frontier nodes' own rows. l ≤ 0 means ∞ (fully exact,
-// one whole-cone resimulation per node). When targets is non-nil only the
-// targets' rows are retained, but — unlike the disjoint scheme — every
-// node must still be processed when l is finite, because frontier
-// composition may need any row.
+// BuildVECBEE computes the CPM row of every live AND node with the
+// original VECBEE scheme at depth limit l: each node's flip is propagated
+// exactly through its transitive fanout up to l levels; beyond the
+// frontier the effect is approximated by OR-combining the frontier nodes'
+// own rows. l ≤ 0 means ∞ (fully exact, one whole-cone resimulation per
+// node).
 //
 // threads follows the pipeline-wide semantics of package par (≤0: all
 // CPUs, 1: serial); the result is bit-identical for every thread count.
-// Cancellation follows the same partial-result contract as BuildDisjoint.
-func BuildVECBEE(ctx context.Context, g *aig.Graph, s *sim.Sim, l int, targets []int32, threads int) (*Result, error) {
+// The build checks ctx at every wave boundary and stops early once it is
+// cancelled, returning the partial result alongside ctx.Err(); a non-nil
+// error means the rows are incomplete and must be discarded.
+func BuildVECBEE(ctx context.Context, g *aig.Graph, s *sim.Sim, l int, threads int) (*Result, error) {
 	res := &Result{Words: s.Words(), rows: make([]Row, g.NumVars())}
-	keep := make([]bool, g.NumVars())
-	if targets == nil {
-		for i := range keep {
-			keep[i] = true
-		}
-	} else {
-		for _, v := range targets {
-			keep[v] = true
-		}
-	}
-
 	infinite := l <= 0
 
 	drivers := map[int32][]int{}
@@ -640,7 +412,7 @@ func BuildVECBEE(ctx context.Context, g *aig.Graph, s *sim.Sim, l int, targets [
 	b := &vecbeeBuilder{g: g, s: s, res: res, infinite: infinite, l: l, drivers: drivers, ones: ones}
 
 	// With l=∞ rows never compose, so every node is one independent unit
-	// of work (and non-targets can be skipped entirely). With finite l a
+	// of work. With finite l a
 	// node composes rows of frontier nodes in its strict transitive
 	// fanout, so reverse-topological levels run as waves with barriers.
 	var waves [][]int32
@@ -649,7 +421,7 @@ func BuildVECBEE(ctx context.Context, g *aig.Graph, s *sim.Sim, l int, targets [
 		order := g.Topo()
 		for i := len(order) - 1; i >= 0; i-- {
 			v := order[i]
-			if g.IsAnd(v) && (targets == nil || keep[v]) {
+			if g.IsAnd(v) {
 				flat = append(flat, v)
 			}
 		}

@@ -35,6 +35,29 @@ func minInt(a, b int) int {
 	return b
 }
 
+// liveANDs returns the live AND nodes of g in topological order.
+func liveANDs(g *aig.Graph) []int32 {
+	var out []int32
+	for _, v := range g.Topo() {
+		if g.IsAnd(v) {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// freshRows builds the rows of the closure of targets with a fresh cache:
+// the from-scratch reference every cache test compares against.
+func freshRows(t testing.TB, g *aig.Graph, s *sim.Sim, cuts *cut.Set, targets []int32, threads int) (*Cache, Update) {
+	t.Helper()
+	c := NewCache(g, s)
+	upd, err := c.Rows(context.Background(), cuts, targets, threads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, upd
+}
+
 // bruteForceRow computes the exact Boolean differences of every PO w.r.t.
 // node v by flipping v and fully resimulating a scratch copy of the values.
 func bruteForceRow(g *aig.Graph, s *sim.Sim, v int32) map[int32]bitvec.Vec {
@@ -114,11 +137,9 @@ func TestDisjointCPMMatchesBruteForce(t *testing.T) {
 		g := randomGraph(rng, 6, 70, 6)
 		s := sim.New(g, sim.Options{Patterns: 192, Seed: int64(trial)})
 		cuts, _ := cut.NewSet(context.Background(), g, 1)
-		res, _ := BuildDisjoint(context.Background(), g, s, cuts, nil, 1)
-		for _, v := range g.Topo() {
-			if g.IsAnd(v) {
-				checkAgainstBruteForce(t, g, s, res, v)
-			}
+		_, upd := freshRows(t, g, s, cuts, liveANDs(g), 1)
+		for _, v := range liveANDs(g) {
+			checkAgainstBruteForce(t, g, s, upd.Res, v)
 		}
 	}
 }
@@ -128,7 +149,7 @@ func TestVECBEEInfiniteMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		g := randomGraph(rng, 6, 60, 5)
 		s := sim.New(g, sim.Options{Patterns: 128, Seed: int64(trial)})
-		res, _ := BuildVECBEE(context.Background(), g, s, 0, nil, 1)
+		res, _ := BuildVECBEE(context.Background(), g, s, 0, 1)
 		for _, v := range g.Topo() {
 			if g.IsAnd(v) {
 				checkAgainstBruteForce(t, g, s, res, v)
@@ -161,7 +182,7 @@ func TestVECBEEDepth1ExactOnTree(t *testing.T) {
 	g.AddPO(level[0], "root")
 	gg := g.Sweep()
 	s := sim.New(gg, sim.Options{Patterns: 256, Seed: 3})
-	res, _ := BuildVECBEE(context.Background(), gg, s, 1, nil, 1)
+	res, _ := BuildVECBEE(context.Background(), gg, s, 1, 1)
 	for _, v := range gg.Topo() {
 		if gg.IsAnd(v) {
 			checkAgainstBruteForce(t, gg, s, res, v)
@@ -177,7 +198,7 @@ func TestVECBEEDepthConvergence(t *testing.T) {
 	g := randomGraph(rng, 5, 40, 4)
 	s := sim.New(g, sim.Options{Patterns: 128, Seed: 9})
 	deep := int(g.Depth()) + 2
-	res, _ := BuildVECBEE(context.Background(), g, s, deep, nil, 1)
+	res, _ := BuildVECBEE(context.Background(), g, s, deep, 1)
 	for _, v := range g.Topo() {
 		if g.IsAnd(v) {
 			checkAgainstBruteForce(t, g, s, res, v)
@@ -186,92 +207,89 @@ func TestVECBEEDepthConvergence(t *testing.T) {
 }
 
 func TestClosureExample2(t *testing.T) {
-	// Paper Fig. 6: a,b feed d (their shared disjoint cut), d feeds O1;
-	// c,e,f are other nodes not needed. We model the shape:
-	//   a = AND(p,q), b = AND(q,r), d = AND(a,b) -> O1
-	//   c = AND(p,r) feeding e = AND(c,d) ... but to keep d the only PO
-	//   driver, attach e to a second output? The essential property to
-	//   check: Closure({a,b}) = {a,b,d} when C(a)=C(b)={d} and C(d)={O1}.
+	// Paper Fig. 6: a and b feed d, their shared disjoint cut, and d
+	// drives O1; c drives another output and is not needed. With
+	// C(a)=C(b)={d} and C(d)={O1}, N({a,b}) = {a,b,d}, so Rows({a,b})
+	// builds exactly the rows of a, b and d.
 	g := aig.New("ex2")
 	p, q, r := g.AddPI("p"), g.AddPI("q"), g.AddPI("r")
 	al := g.And(p, q)
 	bl := g.And(q, r)
 	dl := g.And(al, bl)
 	g.AddPO(dl, "O1")
+	g.AddPO(g.And(p, r), "O2")
+	s := sim.New(g, sim.Options{Patterns: 64, Seed: 1})
 	cuts, _ := cut.NewSet(context.Background(), g, 1)
-	got := Closure(cuts, []int32{al.Var(), bl.Var()})
-	want := map[int32]bool{al.Var(): true, bl.Var(): true, dl.Var(): true}
-	if len(got) != 3 {
-		t.Fatalf("Closure = %v, want 3 nodes", got)
+	c, upd := freshRows(t, g, s, cuts, []int32{al.Var(), bl.Var()}, 1)
+	if upd.Needed != 3 || upd.Recomputed != 3 {
+		t.Fatalf("Needed = %d, Recomputed = %d, want 3 and 3", upd.Needed, upd.Recomputed)
 	}
-	for _, v := range got {
-		if !want[v] {
-			t.Fatalf("Closure contains unexpected node %d", v)
+	want := map[int32]bool{al.Var(): true, bl.Var(): true, dl.Var(): true}
+	for v := int32(0); v <= g.MaxVar(); v++ {
+		if c.valid[v] != want[v] {
+			t.Fatalf("node %d: row built = %v, want %v", v, c.valid[v], want[v])
 		}
 	}
 }
 
-// Partial CPM: rows for targets must match the full computation.
+// Partial CPM: the rows Rows(targets) builds — the targets and the rest of
+// their closure — must match the full computation, and no row outside the
+// closure may be built.
 func TestPartialMatchesFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 8; trial++ {
 		g := randomGraph(rng, 6, 80, 6)
 		s := sim.New(g, sim.Options{Patterns: 128, Seed: int64(trial)})
 		cuts, _ := cut.NewSet(context.Background(), g, 1)
-		full, _ := BuildDisjoint(context.Background(), g, s, cuts, nil, 1)
+		ands := liveANDs(g)
+		_, full := freshRows(t, g, s, cuts, ands, 1)
 
-		// Pick a handful of random targets.
-		var ands []int32
-		for _, v := range g.Topo() {
-			if g.IsAnd(v) {
-				ands = append(ands, v)
-			}
-		}
+		// Pick a handful of targets.
 		if len(ands) < 4 {
 			continue
 		}
 		targets := []int32{ands[0], ands[len(ands)/3], ands[len(ands)/2], ands[len(ands)-1]}
-		part, _ := BuildDisjoint(context.Background(), g, s, cuts, targets, 1)
+		pc, part := freshRows(t, g, s, cuts, targets, 1)
 		for _, v := range targets {
-			fr, pr := full.Row(v), part.Row(v)
-			if len(fr.POs) != len(pr.POs) {
-				t.Fatalf("trial %d node %d: PO count %d vs %d", trial, v, len(fr.POs), len(pr.POs))
-			}
-			for i := range fr.POs {
-				if fr.POs[i] != pr.POs[i] || !fr.Diffs[i].Equal(pr.Diffs[i]) {
-					t.Fatalf("trial %d node %d PO %d: partial row mismatch", trial, v, fr.POs[i])
-				}
+			if !pc.valid[v] {
+				t.Fatalf("trial %d: target %d has no row", trial, v)
 			}
 		}
-		// Rows of nodes outside the closure must not be retained.
-		inClosure := map[int32]bool{}
-		for _, v := range Closure(cuts, targets) {
-			inClosure[v] = true
-		}
-		isTarget := map[int32]bool{}
-		for _, v := range targets {
-			isTarget[v] = true
-		}
+		built := 0
 		for _, v := range ands {
-			if !inClosure[v] && part.Has(v) {
-				t.Fatalf("trial %d: node %d outside closure has a retained row", trial, v)
+			if !pc.valid[v] {
+				if part.Res.Has(v) {
+					t.Fatalf("trial %d: node %d outside the closure has a row", trial, v)
+				}
+				continue
 			}
-			if inClosure[v] && !isTarget[v] && part.Has(v) {
-				t.Fatalf("trial %d: intermediate node %d row was not freed", trial, v)
-			}
+			built++
+			compareRow(t, "partial", v, part.Res.Row(v), full.Res.Row(v))
+		}
+		if built != part.Needed || part.Recomputed != part.Needed {
+			t.Fatalf("trial %d: %d rows built, Needed %d, Recomputed %d", trial, built, part.Needed, part.Recomputed)
 		}
 	}
 }
 
-func BenchmarkBuildDisjointFull(b *testing.B) {
+// BenchmarkCacheRows times a fresh cache's build of the full CPM and of the
+// partial CPM over the closure of 60 targets.
+func BenchmarkCacheRows(b *testing.B) {
 	rng := rand.New(rand.NewSource(47))
 	g := randomGraph(rng, 24, 1500, 12)
 	s := sim.New(g, sim.Options{Patterns: 4096, Seed: 1})
 	cuts, _ := cut.NewSet(context.Background(), g, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BuildDisjoint(context.Background(), g, s, cuts, nil, 1)
+	ands := liveANDs(g)
+	for _, bc := range []struct {
+		name    string
+		targets []int32
+	}{{"full", ands}, {"partial", ands[:60]}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				NewCache(g, s).Rows(context.Background(), cuts, bc.targets, 1)
+			}
+		})
 	}
 }
 
@@ -282,28 +300,7 @@ func BenchmarkBuildVECBEEInfinite(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BuildVECBEE(context.Background(), g, s, 0, nil, 1)
-	}
-}
-
-func BenchmarkBuildPartial(b *testing.B) {
-	rng := rand.New(rand.NewSource(47))
-	g := randomGraph(rng, 24, 1500, 12)
-	s := sim.New(g, sim.Options{Patterns: 4096, Seed: 1})
-	cuts, _ := cut.NewSet(context.Background(), g, 1)
-	var targets []int32
-	for _, v := range g.Topo() {
-		if g.IsAnd(v) {
-			targets = append(targets, v)
-			if len(targets) == 60 {
-				break
-			}
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BuildDisjoint(context.Background(), g, s, cuts, targets, 1)
+		BuildVECBEE(context.Background(), g, s, 0, 1)
 	}
 }
 
@@ -327,9 +324,11 @@ func equalResults(t *testing.T, label string, g *aig.Graph, a, b *Result) {
 	}
 }
 
-// TestBuildDisjointParallelMatchesSerial checks the bit-identity contract of
-// the wave-parallel CPM builder, for full and target-restricted builds.
-func TestBuildDisjointParallelMatchesSerial(t *testing.T) {
+// TestCacheParallelMatchesSerial checks the bit-identity contract of the
+// wave-parallel disjoint-cut builder: a fresh cache's Rows at 2 and 8
+// threads must equal a serial fresh cache's, for the full CPM and for the
+// closure of a random target set.
+func TestCacheParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for trial := 0; trial < 12; trial++ {
 		g := randomGraph(rng, 6, 70, 5)
@@ -342,13 +341,17 @@ func TestBuildDisjointParallelMatchesSerial(t *testing.T) {
 			}
 		}
 		for _, threads := range []int{2, 8} {
-			full1, _ := BuildDisjoint(context.Background(), g, s, cuts, nil, 1)
-			fullN, _ := BuildDisjoint(context.Background(), g, s, cuts, nil, threads)
-			equalResults(t, "full", g, full1, fullN)
-			if len(targets) > 0 {
-				part1, _ := BuildDisjoint(context.Background(), g, s, cuts, targets, 1)
-				partN, _ := BuildDisjoint(context.Background(), g, s, cuts, targets, threads)
-				equalResults(t, "partial", g, part1, partN)
+			for _, side := range []struct {
+				label   string
+				targets []int32
+			}{{"full", liveANDs(g)}, {"partial", targets}} {
+				_, serial := freshRows(t, g, s, cuts, side.targets, 1)
+				_, parallel := freshRows(t, g, s, cuts, side.targets, threads)
+				equalResults(t, side.label, g, serial.Res, parallel.Res)
+				if serial.Needed != parallel.Needed || serial.Work != parallel.Work {
+					t.Fatalf("%s threads=%d: Needed/Work %d/%d, serial %d/%d",
+						side.label, threads, parallel.Needed, parallel.Work, serial.Needed, serial.Work)
+				}
 			}
 		}
 	}
@@ -361,22 +364,11 @@ func TestBuildVECBEEParallelMatchesSerial(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		g := randomGraph(rng, 6, 70, 5)
 		s := sim.New(g, sim.Options{Patterns: 256, Seed: int64(trial)})
-		var targets []int32
-		for _, v := range g.Topo() {
-			if g.IsAnd(v) && rng.Intn(3) == 0 {
-				targets = append(targets, v)
-			}
-		}
 		for _, l := range []int{0, 2, 5} {
 			for _, threads := range []int{2, 8} {
-				full1, _ := BuildVECBEE(context.Background(), g, s, l, nil, 1)
-				fullN, _ := BuildVECBEE(context.Background(), g, s, l, nil, threads)
+				full1, _ := BuildVECBEE(context.Background(), g, s, l, 1)
+				fullN, _ := BuildVECBEE(context.Background(), g, s, l, threads)
 				equalResults(t, "full", g, full1, fullN)
-				if len(targets) > 0 {
-					part1, _ := BuildVECBEE(context.Background(), g, s, l, targets, 1)
-					partN, _ := BuildVECBEE(context.Background(), g, s, l, targets, threads)
-					equalResults(t, "partial", g, part1, partN)
-				}
 			}
 		}
 	}

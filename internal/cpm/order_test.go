@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"dpals/internal/aig"
-	"dpals/internal/bitvec"
 	"dpals/internal/cut"
 	"dpals/internal/gen"
 	"dpals/internal/sim"
@@ -70,7 +69,7 @@ func TestRegionOrderMatchesTopo(t *testing.T) {
 	s := sim.New(g, sim.Options{Patterns: 128, Seed: 67})
 	cuts, _ := cut.NewSet(context.Background(), g, 1)
 	cache := NewCache(g, s)
-	cache.Rebuild(context.Background(), cuts, 1)
+	cache.Rows(context.Background(), cuts, liveANDs(g), 1)
 	for step := 0; step < 10; step++ {
 		v, repl, ok := randomLAC(rng, g)
 		if !ok {
@@ -85,7 +84,7 @@ func TestRegionOrderMatchesTopo(t *testing.T) {
 				targets = append(targets, u)
 			}
 		}
-		if _, err := cache.Rows(context.Background(), targets, 1); err != nil {
+		if _, err := cache.Rows(context.Background(), cuts, targets, 1); err != nil {
 			t.Fatal(err)
 		}
 		checkRegionOrders(t, "cache", g, cuts, cache.simulators(1)[0])
@@ -113,8 +112,8 @@ func TestRegionEpochWrap(t *testing.T) {
 	g := randomGraph(rng, 6, 70, 6)
 	s := sim.New(g, sim.Options{Patterns: 192, Seed: 71})
 	cuts, _ := cut.NewSet(context.Background(), g, 1)
-	res := &Result{Words: s.Words(), rows: make([]Row, g.NumVars())}
-	b := &disjointBuilder{g: g, s: s, cuts: cuts, res: res, arena: bitvec.NewArena(res.Words)}
+	c := NewCache(g, s)
+	c.cuts = cuts
 	rs := newRegionSimulator(g, s, topoIndexOf(g))
 	for v := range rs.inRegion {
 		rs.inRegion[v] = 1 + uint32(v%16)
@@ -124,7 +123,7 @@ func TestRegionEpochWrap(t *testing.T) {
 	topo := g.Topo()
 	for i := len(topo) - 1; i >= 0; i-- {
 		if g.IsAnd(topo[i]) {
-			b.processNode(rs, topo[i])
+			c.processNode(rs, topo[i])
 		}
 	}
 	if rs.epoch > 1000 || rs.bEpoch > 1000 {
@@ -132,7 +131,7 @@ func TestRegionEpochWrap(t *testing.T) {
 	}
 	for _, v := range topo {
 		if g.IsAnd(v) {
-			checkAgainstBruteForce(t, g, s, res, v)
+			checkAgainstBruteForce(t, g, s, c.res, v)
 		}
 	}
 }

@@ -12,11 +12,11 @@ import (
 
 // TestRefreshMatchesRebuild is the round-granularity differential of the
 // warm phase-1 path: after a randomized LAC sequence with per-apply
-// invalidation, Refresh over all live nodes must produce rows bit-identical
-// to a cold Rebuild of a fresh cache over the same cut set, reuse at least
-// one row, and report Work + ReusedWork equal to the cold build's
-// deterministic work estimate — the amount the engine charges so the DP-SA
-// work profile is warm-invariant.
+// invalidation, Rows over all live nodes must produce rows bit-identical
+// to a fresh cache's build over the same cut set, reuse at least one row,
+// and report Work + ReusedWork equal to the fresh build's deterministic
+// work estimate — the amount the engine charges so the DP-SA work profile
+// is warm-invariant.
 func TestRefreshMatchesRebuild(t *testing.T) {
 	for _, threads := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		rng := rand.New(rand.NewSource(53))
@@ -24,7 +24,7 @@ func TestRefreshMatchesRebuild(t *testing.T) {
 		s := sim.New(g, sim.Options{Patterns: 256, Seed: 53, Threads: threads})
 		cuts, _ := cut.NewSet(context.Background(), g, threads)
 		cache := NewCache(g, s)
-		cache.Rebuild(context.Background(), cuts, threads)
+		cache.Rows(context.Background(), cuts, liveANDs(g), threads)
 		reused := 0
 		for step := 0; step < 6; step++ {
 			v, repl, ok := randomLAC(rng, g)
@@ -36,25 +36,19 @@ func TestRefreshMatchesRebuild(t *testing.T) {
 			sv := cuts.UpdateAfter(cs)
 			cache.Invalidate(cs, changed, sv)
 
-			var live []int32
-			for _, u := range g.Topo() {
-				if g.IsAnd(u) {
-					live = append(live, u)
-				}
-			}
+			live := liveANDs(g)
 			if len(live) == 0 {
 				break
 			}
-			upd, _ := cache.Refresh(context.Background(), cuts, live, threads)
+			upd, _ := cache.Rows(context.Background(), cuts, live, threads)
 			reused += upd.Reused
 
-			fresh := NewCache(g, s)
-			ref, _ := fresh.Rebuild(context.Background(), cuts, threads)
+			_, ref := freshRows(t, g, s, cuts, live, threads)
 			for _, w := range live {
-				compareRow(t, "refresh", w, upd.Res.Row(w), ref.Res.Row(w))
+				compareRow(t, "warm", w, upd.Res.Row(w), ref.Res.Row(w))
 			}
 			if got, want := upd.Work+upd.ReusedWork, ref.Work; got != want {
-				t.Fatalf("threads=%d step %d: Work+ReusedWork = %d, cold rebuild work %d",
+				t.Fatalf("threads=%d step %d: Work+ReusedWork = %d, fresh build work %d",
 					threads, step, got, want)
 			}
 			if upd.Reused > 0 && upd.ReusedWork == 0 {
@@ -62,35 +56,34 @@ func TestRefreshMatchesRebuild(t *testing.T) {
 			}
 		}
 		if reused == 0 {
-			t.Fatalf("threads=%d: Refresh never reused a row across the sequence", threads)
+			t.Fatalf("threads=%d: Rows never reused a row across the sequence", threads)
 		}
 	}
 }
 
 // TestRefreshForeignCutsFallsBack: handed a cut set other than the one the
-// cached rows were built against, Refresh must degrade to a full rebuild —
-// row validity is only meaningful relative to the producing set.
+// cached rows were built against, Rows must adopt it and recompute every
+// row — row validity is only meaningful relative to the producing set.
 func TestRefreshForeignCutsFallsBack(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	g := randomGraph(rng, 6, 60, 5)
 	s := sim.New(g, sim.Options{Patterns: 256, Seed: 59})
 	cuts, _ := cut.NewSet(context.Background(), g, 1)
+	live := liveANDs(g)
 	cache := NewCache(g, s)
-	cache.Rebuild(context.Background(), cuts, 1)
+	cache.Rows(context.Background(), cuts, live, 1)
 
-	var live []int32
-	for _, u := range g.Topo() {
-		if g.IsAnd(u) {
-			live = append(live, u)
-		}
-	}
 	rebuilt, _ := cut.NewSet(context.Background(), g, 1)
-	upd, _ := cache.Refresh(context.Background(), rebuilt, live, 1)
+	upd, _ := cache.Rows(context.Background(), rebuilt, live, 1)
 	if upd.Reused != 0 || upd.ReusedWork != 0 {
-		t.Fatalf("foreign cut set: %d rows / %d work reused, want full rebuild", upd.Reused, upd.ReusedWork)
+		t.Fatalf("foreign cut set: %d rows / %d work reused, want a full recompute", upd.Reused, upd.ReusedWork)
 	}
-	ref, _ := BuildDisjoint(context.Background(), g, s, rebuilt, nil, 1)
+	_, ref := freshRows(t, g, s, rebuilt, live, 1)
+	if upd.Recomputed != ref.Recomputed || upd.Work != ref.Work {
+		t.Fatalf("foreign cut set: %d rows / %d work recomputed, fresh build %d / %d",
+			upd.Recomputed, upd.Work, ref.Recomputed, ref.Work)
+	}
 	for _, w := range live {
-		compareRow(t, "fallback", w, upd.Res.Row(w), ref.Row(w))
+		compareRow(t, "fallback", w, upd.Res.Row(w), ref.Res.Row(w))
 	}
 }

@@ -20,6 +20,19 @@ import (
 	"dpals/internal/sim"
 )
 
+// fullCPM builds the full disjoint-cut CPM of g with a fresh cpm.Cache.
+func fullCPM(ctx context.Context, g *aig.Graph, s *sim.Sim) *cpm.Result {
+	cuts, _ := cut.NewSet(ctx, g, 1)
+	var ands []int32
+	for _, v := range g.Topo() {
+		if g.IsAnd(v) {
+			ands = append(ands, v)
+		}
+	}
+	upd, _ := cpm.NewCache(g, s).Rows(ctx, cuts, ands, 1)
+	return upd.Res
+}
+
 func randomGraph(rng *rand.Rand, nPIs, nAnds, nPOs int) *aig.Graph {
 	g := aig.New("rand")
 	var lits []aig.Lit
@@ -137,8 +150,7 @@ func TestEstimatedErrorMatchesRealAfterApply(t *testing.T) {
 			gg := g.Clone()
 			s := sim.New(gg, sim.Options{Patterns: patterns, Seed: int64(trial)})
 			st := metric.NewState(kind, exact, metric.UnsignedWeights(gg.NumPOs()), s.Patterns())
-			cuts, _ := cut.NewSet(context.Background(), gg, 1)
-			res, _ := cpm.BuildDisjoint(context.Background(), gg, s, cuts, nil, 1)
+			res := fullCPM(context.Background(), gg, s)
 			gen := NewGenerator(gg, s, Options{Constants: true, SASIMI: true, MaxPerNode: 4})
 
 			var targets []int32
@@ -181,8 +193,7 @@ func TestEvaluateTargetsSorted(t *testing.T) {
 		s.POVal(o, exact[o])
 	}
 	st := metric.NewState(metric.MED, exact, metric.UnsignedWeights(g.NumPOs()), s.Patterns())
-	cuts, _ := cut.NewSet(context.Background(), g, 1)
-	res, _ := cpm.BuildDisjoint(context.Background(), g, s, cuts, nil, 1)
+	res := fullCPM(context.Background(), g, s)
 	gen := NewGenerator(g, s, Options{Constants: true})
 	var targets []int32
 	for _, v := range g.Topo() {
@@ -249,8 +260,7 @@ func TestEvaluateMatchesSingleCandidateScores(t *testing.T) {
 		if weights == nil {
 			weights = metric.UnsignedWeights(g.NumPOs())
 		}
-		cuts, _ := cut.NewSet(ctx, g, 1)
-		res, _ := cpm.BuildDisjoint(ctx, g, s, cuts, nil, 1)
+		res := fullCPM(ctx, g, s)
 		lg := NewGenerator(g, s, Options{Constants: true, SASIMI: true})
 		var targets []int32
 		for _, v := range g.Topo() {

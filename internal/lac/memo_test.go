@@ -7,7 +7,6 @@ import (
 
 	"dpals/internal/bitvec"
 	"dpals/internal/cpm"
-	"dpals/internal/cut"
 	"dpals/internal/metric"
 	"dpals/internal/sim"
 )
@@ -24,8 +23,7 @@ func memoBed(t *testing.T, seed int64) (gen *Generator, res *cpm.Result, st *met
 		s.POVal(o, exact[o])
 	}
 	st = metric.NewState(metric.MED, exact, metric.UnsignedWeights(g.NumPOs()), s.Patterns())
-	cuts, _ := cut.NewSet(context.Background(), g, 1)
-	res, _ = cpm.BuildDisjoint(context.Background(), g, s, cuts, nil, 1)
+	res = fullCPM(context.Background(), g, s)
 	gen = NewGenerator(g, s, Options{Constants: true, SASIMI: true})
 	for _, v := range g.Topo() {
 		if g.IsAnd(v) {

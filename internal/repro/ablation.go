@@ -76,26 +76,24 @@ func AblationPartialCPM(g *aig.Graph, m int, patterns int, seed int64) (partial,
 	s := sim.New(work, sim.Options{Patterns: patterns, Seed: seed})
 	cuts, _ := cut.NewSet(context.Background(), work, 1)
 
-	// Candidate set: the m live AND nodes closest to the inputs (low ids),
-	// a deterministic stand-in for the top-M error ranking.
-	var targets []int32
+	var all []int32
 	for _, v := range work.Topo() {
 		if work.IsAnd(v) {
-			targets = append(targets, v)
-			if len(targets) == m {
-				break
-			}
+			all = append(all, v)
 		}
 	}
-	closure = len(cpm.Closure(cuts, targets))
+	// Candidate set: the m live AND nodes closest to the inputs (low ids),
+	// a deterministic stand-in for the top-M error ranking.
+	targets := all[:min(m, len(all))]
 
-	build := func(targets []int32) AblationSide {
+	// Each side is one fresh cache's build: the closure of its targets.
+	build := func(targets []int32) (AblationSide, int) {
 		t0 := time.Now()
-		res, _ := cpm.BuildDisjoint(context.Background(), work, s, cuts, targets, 1)
-		return AblationSide{Time: time.Since(t0), Work: res.Work}
+		upd, _ := cpm.NewCache(work, s).Rows(context.Background(), cuts, targets, 1)
+		return AblationSide{Time: time.Since(t0), Work: upd.Work}, upd.Needed
 	}
-	partial = build(targets)
-	full = build(nil)
+	partial, closure = build(targets)
+	full, _ = build(all)
 	return partial, full, closure
 }
 
