@@ -75,12 +75,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "alscheck:", err)
 		os.Exit(2)
 	}
-	flowList, err := parseFlows(*flows)
+	flowList, err := parseList(*flows, dpals.ParseFlow)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "alscheck:", err)
 		os.Exit(2)
 	}
-	metricList, err := parseMetrics(*metrics)
+	metricList, err := parseList(*metrics, dpals.ParseMetric)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "alscheck:", err)
 		os.Exit(2)
@@ -186,28 +186,20 @@ func thresholdFor(k metric.Kind, g *aig.Graph) float64 {
 	case metric.MHD:
 		return 0.5
 	case metric.WCE:
-		return float64(wceBoundFor(g))
+		return float64(metric.ReferenceWCEBound(g.NumPOs()))
 	default: // MED
 		return r
 	}
 }
 
-// wceBoundFor picks a deliberately tight worst-case budget: candidates that
-// squeeze under the SAMPLED estimate near the bound are the ones whose true
-// worst case is most likely to exceed it, which is exactly the traffic the
-// certification step — and the skip-wce-cert fault detection — needs.
-func wceBoundFor(g *aig.Graph) uint64 {
-	b := uint64(metric.ReferenceError(g.NumPOs()))
-	if b == 0 {
-		b = 1
-	}
-	return b
-}
-
-// wceSpec upgrades a spec to the WCE-constrained flow on g.
+// wceSpec upgrades a spec to the WCE-constrained flow on g. The reference
+// bound is deliberately tight: candidates that squeeze under the SAMPLED
+// estimate near the bound are the ones whose true worst case is most
+// likely to exceed it, which is exactly the traffic the certification step
+// — and the skip-wce-cert fault detection — needs.
 func wceSpec(spec oracle.RunSpec, g *aig.Graph) oracle.RunSpec {
 	spec.Metric = metric.WCE
-	spec.WCEBound = wceBoundFor(g)
+	spec.WCEBound = metric.ReferenceWCEBound(g.NumPOs())
 	spec.Threshold = float64(spec.WCEBound)
 	return spec
 }
@@ -217,10 +209,10 @@ func (c *campaign) runSeed(seed int64, maxPIs int, faults, emitFaultRepros bool)
 	logf("seed %d: %s (%d PIs, %d POs, %d ANDs)", seed, g.Name, g.NumPIs(), g.NumPOs(), g.NumAnds())
 	for _, flow := range c.flows {
 		for _, mk := range c.metrics {
-			spec := oracle.RunSpec{
+			spec := oracle.RunSpec{Options: core.Options{
 				Flow: flow, Metric: mk, Threshold: thresholdFor(mk, g),
 				Patterns: c.patterns, Seed: seed, Threads: 1, MaxIters: c.maxIters,
-			}
+			}}
 			if mk == metric.WCE {
 				spec = wceSpec(spec, g)
 			}
@@ -228,10 +220,10 @@ func (c *campaign) runSeed(seed int64, maxPIs int, faults, emitFaultRepros bool)
 		}
 	}
 	// Metamorphic extras rotate across seeds to keep a sweep affordable.
-	base := oracle.RunSpec{
+	base := oracle.RunSpec{Options: core.Options{
 		Flow: core.FlowDPSA, Metric: metric.MED, Threshold: thresholdFor(metric.MED, g),
 		Patterns: c.patterns, Seed: seed, Threads: 1, MaxIters: c.maxIters,
-	}
+	}}
 	switch seed % 3 {
 	case 0:
 		c.exhaustiveCheck(g, base)
@@ -246,7 +238,7 @@ func (c *campaign) runSeed(seed int64, maxPIs int, faults, emitFaultRepros bool)
 		// certified bound must be monotone in applied LACs and gate count.
 		ws := wceSpec(spec, g)
 		b := ws.WCEBound
-		c.report(g, ws, oracle.CheckWCEBoundMonotonic(g, ws, []uint64{max1(b / 2), b, 2 * b}), "wce-bound-monotonic ladder")
+		c.report(g, ws, oracle.CheckWCEBoundMonotonic(g, ws, []uint64{max(b/2, 1), b, 2 * b}), "wce-bound-monotonic ladder")
 	}
 	if faults {
 		c.faultSweep(g, base, emitFaultRepros)
@@ -327,7 +319,7 @@ func (c *campaign) faultSweep(g *aig.Graph, base oracle.RunSpec, emit bool) {
 	// skipped incremental cut repair observable (constant LACs only shrink
 	// fanout, leaving stale cuts score-equivalent).
 	sasimi := base
-	sasimi.SASIMI = true
+	sasimi.UseConstLACs, sasimi.UseSASIMILACs = true, true
 	specs = append(specs, sasimi)
 	for _, v := range []struct {
 		flow core.Flow
@@ -452,13 +444,6 @@ func reproName(spec oracle.RunSpec, g *aig.Graph) string {
 
 func seedTag(spec oracle.RunSpec) string { return "s" + strconv.FormatInt(spec.Seed, 10) }
 
-func max1(v uint64) uint64 {
-	if v == 0 {
-		return 1
-	}
-	return v
-}
-
 func parseRange(s string) (int64, int64, error) {
 	parts := strings.SplitN(s, ":", 2)
 	if len(parts) != 2 {
@@ -478,26 +463,16 @@ func parseRange(s string) (int64, int64, error) {
 	return lo, hi, nil
 }
 
-func parseFlows(s string) ([]core.Flow, error) {
-	var out []core.Flow
+// parseList parses a comma-separated list with parse, one trimmed item
+// at a time.
+func parseList[T any](s string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
 	for _, name := range strings.Split(s, ",") {
-		f, err := dpals.ParseFlow(strings.TrimSpace(name))
+		v, err := parse(strings.TrimSpace(name))
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, f)
-	}
-	return out, nil
-}
-
-func parseMetrics(s string) ([]metric.Kind, error) {
-	var out []metric.Kind
-	for _, name := range strings.Split(s, ",") {
-		m, err := dpals.ParseMetric(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m)
+		out = append(out, v)
 	}
 	return out, nil
 }

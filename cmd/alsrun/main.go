@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"dpals"
+	"dpals/internal/metric"
 	"dpals/internal/obs"
 	"dpals/internal/par"
 )
@@ -74,22 +75,11 @@ func main() {
 		if bound == 0 {
 			// Default budget: the paper's reference error R = 2^(POs/3),
 			// rounded down, at least 1 — the same median MED would use.
-			bound = uint64(dpals.ReferenceError(c))
-			if bound == 0 {
-				bound = 1
-			}
+			bound = metric.ReferenceWCEBound(c.NumOutputs())
 		}
 		thr = float64(bound)
 	} else if thr < 0 {
-		R := dpals.ReferenceError(c)
-		switch m {
-		case dpals.ER:
-			thr = 0.01
-		case dpals.MSE:
-			thr = R * R
-		default:
-			thr = R
-		}
+		thr = metric.Thresholds(m, c.NumOutputs())[1]
 	}
 
 	fmt.Printf("input : %s (%d PIs, %d POs, %d gates, depth %d)\n",

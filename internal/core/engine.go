@@ -299,23 +299,22 @@ func (e *engine) apply(l lac.LAC) aig.ChangeSet {
 	if e.cuts != nil && e.incCuts {
 		cu := sp.Child("cuts.update")
 		w0 := e.cuts.Work()
-		var sv []int32
 		if e.fire(fault.SkipCutWarmUpdate) {
 			// Seeded warm-path bug: the incremental repair is skipped but
 			// the set still claims to be in sync, so later analyses (and
 			// the next round's warm start) trust stale cuts. Invalidate
-			// below still sees the full fanin closure — sv is subsumed by
-			// the TFI cones of cs.FanoutChanged — so the corruption is
-			// isolated to the cut structure itself.
+			// below does not depend on the repair — it walks the fanin
+			// closure of cs itself — so the corruption is isolated to the
+			// cut structure.
 			e.cuts.ForceSync()
 		} else {
-			sv = e.cuts.UpdateAfter(cs)
+			e.cuts.UpdateAfter(cs)
 			e.stats.CutUpdates++
 		}
 		cu.End()
 		e.stats.CutWork += e.cuts.Work() - w0
 		if e.cache != nil && !e.fire(fault.SkipCPMInvalidate) {
-			e.cache.Invalidate(cs, changed, sv)
+			e.cache.Invalidate(cs, changed)
 		}
 	}
 	e.gen.Reindex()

@@ -95,39 +95,45 @@ const (
 // select the defaults named on each field; Resolved fills them in and is
 // the only place that does, and Validate is the only place that checks
 // options against a circuit. Run does both.
+//
+// Options is also the serialised form of a run: its JSON names are the
+// ones the alsd request body uses, oracle.RunSpec embeds it in fixture
+// sidecars, and the alsd cache key hashes the JSON of the resolved value.
+// Flow and Metric encode as their integer values; TimeLimit is never
+// encoded.
 type Options struct {
-	Flow      Flow
-	Metric    metric.Kind
-	Threshold float64 // error budget E_b: ER fraction, or absolute MSE/MED/MHD
+	Flow      Flow        `json:"flow"`
+	Metric    metric.Kind `json:"metric"`
+	Threshold float64     `json:"threshold"` // error budget E_b: ER fraction, or absolute MSE/MED/MHD
 	// Weights are the numeric PO weights; nil reads the outputs as an
 	// unsigned LSB-first number (dpals.Approximate first substitutes the
 	// circuit's recommended weights). Must be nil for Metric WCE.
-	Weights metric.Weights
+	Weights metric.Weights `json:"weights,omitempty"`
 
-	Patterns int // Monte-Carlo patterns (default DefaultPatterns)
+	Patterns int `json:"patterns,omitempty"` // Monte-Carlo patterns (default DefaultPatterns)
 	// Seed is the simulation RNG seed. The zero value (UseDefaultSeed) is
 	// an alias for DefaultSeed — see the constants above. Every non-zero
 	// seed is its own independent run.
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
 	// Threads is the worker count for the whole analysis pipeline
 	// (simulation, disjoint cuts, CPM construction, LAC evaluation), with
 	// the semantics of package par: ≤0 uses all CPUs, 1 runs serially.
 	// Results are bit-identical for every value.
-	Threads int
+	Threads int `json:"threads,omitempty"`
 
 	// Exhaustive enumerates all 2^inputs patterns instead of sampling,
 	// making every error figure exact. Limited to ≤ 24 inputs.
-	Exhaustive bool
+	Exhaustive bool `json:"exhaustive,omitempty"`
 
 	// InputProbabilities biases the Monte-Carlo input distribution: entry
 	// i is the probability that input i is 1 (missing entries: 0.5).
 	// Error metrics are then measured under that workload distribution.
 	// Ignored in exhaustive mode.
-	InputProbabilities []float64
+	InputProbabilities []float64 `json:"input_probabilities,omitempty"`
 
-	UseConstLACs   bool // constant-0/1 replacements (default true if neither set)
-	UseSASIMILACs  bool // SASIMI signal substitution
-	MaxLACsPerNode int  // SASIMI candidates per node (0: 8)
+	UseConstLACs   bool `json:"use_const_lacs,omitempty"`    // constant-0/1 replacements (default true if neither set)
+	UseSASIMILACs  bool `json:"use_sasimi_lacs,omitempty"`   // SASIMI signal substitution
+	MaxLACsPerNode int  `json:"max_lacs_per_node,omitempty"` // SASIMI candidates per node (0: 8)
 
 	// WCEBound is the worst-case error budget for Metric == WCE: the run
 	// only emits circuits whose maximum absolute numeric deviation is
@@ -135,30 +141,31 @@ type Options struct {
 	// candidates by a sampled worst-case upper-bound estimate, and the
 	// sampled budget of the flow is WCEBound (Threshold is ignored).
 	// Rejected when non-zero for other metrics.
-	WCEBound uint64
+	WCEBound uint64 `json:"wce_bound,omitempty"`
 	// CertEvery amortises SAT certification on the WCE path: a
 	// certification call covers up to CertEvery accepted LACs, plus one
 	// final call before emit (≤0: DefaultCertEvery). Smaller values
 	// certify more often and roll back less work per violation.
-	CertEvery int
+	CertEvery int `json:"cert_every,omitempty"`
 	// CertConflictLimit caps each SAT certification call at that many
 	// solver conflicts (0 = unlimited). A call that exhausts its budget
 	// counts as a failed certification and triggers rollback, keeping the
 	// emitted bound sound; the run then stops deterministically.
-	CertConflictLimit int64
+	CertConflictLimit int64 `json:"cert_conflict_limit,omitempty"`
 
-	DepthLimit int // VECBEE depth limit l (0 = ∞, fully accurate; 1 = direct fanout)
+	DepthLimit int `json:"depth_limit,omitempty"` // VECBEE depth limit l (0 = ∞, fully accurate; 1 = direct fanout)
 	// M and N are the dual-phase parameters: 0 selects the paper defaults
 	// (M = 60 for circuits under 4000 AND nodes, 150 otherwise; N = M/3).
-	M, N     int
-	MaxIters int // cap on applied LACs (0 = unlimited)
+	M        int `json:"m,omitempty"`
+	N        int `json:"n,omitempty"`
+	MaxIters int `json:"max_iters,omitempty"` // cap on applied LACs (0 = unlimited)
 
 	// TimeLimit bounds the wall-clock time of the run (0 = unlimited).
 	// When it expires the run stops cooperatively — within one analysis
 	// wave — and returns the valid best-so-far circuit with
 	// Stats.StopReason = StopDeadline. Composes with a context deadline:
 	// whichever fires first stops the run.
-	TimeLimit time.Duration
+	TimeLimit time.Duration `json:"-"`
 }
 
 // Resolved returns o with every defaulted knob replaced by the value the

@@ -45,7 +45,7 @@ type Update struct {
 //	    // reuse valid rows, recompute stale ones
 //	    upd, _ := cache.Rows(ctx, cuts, scand, threads)
 //	    … evaluate LACs on upd.Res, apply one …
-//	    cache.Invalidate(cs, changed, sv) // after every apply
+//	    cache.Invalidate(cs, changed) // after every apply
 //	}
 //
 // Cut-set adoption: row validity is relative to the cut set the rows were
@@ -150,13 +150,14 @@ func (c *Cache) simulators(workers int) []*regionSimulator {
 }
 
 // Invalidate marks every row the applied LAC may have changed as stale and
-// recycles its vectors. cs is the ChangeSet of the replacement, changed the
-// variables sim.ResimulateFrom reported as value-changed (the slice is only
-// read during the call, so the simulator-owned scratch may be passed
-// directly), and cutsRecomputed the node set cut.Set.UpdateAfter repaired
-// (S_v). Must be called after the simulator and the cut set have been
-// brought up to date.
-func (c *Cache) Invalidate(cs aig.ChangeSet, changed, cutsRecomputed []int32) {
+// recycles its vectors. cs is the ChangeSet of the replacement and changed
+// the variables sim.ResimulateFrom reported as value-changed (the slice is
+// only read during the call, so the simulator-owned scratch may be passed
+// directly). The nodes whose cuts cut.Set.UpdateAfter repaired (S_v, the
+// live TFI of the live cs.FanoutChanged nodes) need no argument of their
+// own: those nodes are roots of the fanin closure below. Must be called
+// after the simulator and the cut set have been brought up to date.
+func (c *Cache) Invalidate(cs aig.ChangeSet, changed []int32) {
 	ep := nextEpoch(&c.epoch, c.mark)
 	q := c.queue[:0]
 	push := func(v int32) {
@@ -172,9 +173,6 @@ func (c *Cache) Invalidate(cs aig.ChangeSet, changed, cutsRecomputed []int32) {
 		push(v)
 	}
 	for _, v := range cs.Rewired {
-		push(v)
-	}
-	for _, v := range cutsRecomputed {
 		push(v)
 	}
 	for _, v := range changed {

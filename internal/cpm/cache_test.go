@@ -105,8 +105,8 @@ func runCacheSequence(t *testing.T, seed int64, threads int) []stepAcct {
 		}
 		cs := g.ReplaceWithLit(v, repl)
 		changed := s.ResimulateFrom(cs.Rewired)
-		sv := cuts.UpdateAfter(cs)
-		cache.Invalidate(cs, changed, sv)
+		cuts.UpdateAfter(cs)
+		cache.Invalidate(cs, changed)
 
 		// Random target set over the live nodes (like S_cand).
 		live := liveANDs(g)
@@ -204,8 +204,8 @@ func TestCacheOnGeneratedCircuit(t *testing.T) {
 		}
 		cs := g.ReplaceWithLit(v, repl)
 		changed := s.ResimulateFrom(cs.Rewired)
-		sv := cuts.UpdateAfter(cs)
-		cache.Invalidate(cs, changed, sv)
+		cuts.UpdateAfter(cs)
+		cache.Invalidate(cs, changed)
 		targets := liveANDs(g)
 		if len(targets) == 0 {
 			break
@@ -240,8 +240,8 @@ func TestCachePoolRecycles(t *testing.T) {
 		}
 		cs := g.ReplaceWithLit(v, repl)
 		changed := s.ResimulateFrom(cs.Rewired)
-		sv := cuts.UpdateAfter(cs)
-		cache.Invalidate(cs, changed, sv)
+		cuts.UpdateAfter(cs)
+		cache.Invalidate(cs, changed)
 		cache.Rows(context.Background(), cuts, liveANDs(g), 1)
 	}
 	ps1 := cache.Arena().Stats()
@@ -296,7 +296,8 @@ func TestRowsCancelled(t *testing.T) {
 			}
 			cs := g.ReplaceWithLit(v, repl)
 			changed := s.ResimulateFrom(cs.Rewired)
-			cache.Invalidate(cs, changed, cuts.UpdateAfter(cs))
+			cuts.UpdateAfter(cs)
+			cache.Invalidate(cs, changed)
 		}
 		live := liveANDs(g)
 		var stale []int32

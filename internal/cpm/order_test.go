@@ -77,7 +77,8 @@ func TestRegionOrderMatchesTopo(t *testing.T) {
 		}
 		cs := g.ReplaceWithLit(v, repl)
 		changed := s.ResimulateFrom(cs.Rewired)
-		cache.Invalidate(cs, changed, cuts.UpdateAfter(cs))
+		cuts.UpdateAfter(cs)
+		cache.Invalidate(cs, changed)
 		var targets []int32
 		for _, u := range g.Topo() {
 			if g.IsAnd(u) && rng.Intn(2) == 0 {

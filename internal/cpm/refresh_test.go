@@ -33,8 +33,8 @@ func TestRefreshMatchesRebuild(t *testing.T) {
 			}
 			cs := g.ReplaceWithLit(v, repl)
 			changed := s.ResimulateFrom(cs.Rewired)
-			sv := cuts.UpdateAfter(cs)
-			cache.Invalidate(cs, changed, sv)
+			cuts.UpdateAfter(cs)
+			cache.Invalidate(cs, changed)
 
 			live := liveANDs(g)
 			if len(live) == 0 {

@@ -117,7 +117,7 @@ func (s *Set) FullBuildWork() int64 {
 // NewSet computes the disjoint cuts of all nodes of g. threads follows the
 // pipeline-wide semantics of package par (≤0: all CPUs, 1: serial); the
 // result is identical for every thread count. The build checks ctx at wave
-// boundaries (and per node in serial mode) and stops early once it is
+// boundaries (and per node at one worker) and stops early once it is
 // cancelled, returning the partial set alongside ctx.Err(). A non-nil
 // error means the set is incomplete and must be discarded.
 func NewSet(ctx context.Context, g *aig.Graph, threads int) (*Set, error) {
@@ -130,21 +130,6 @@ func NewSet(ctx context.Context, g *aig.Graph, threads int) (*Set, error) {
 	}
 	s.grow()
 	s.tmp = bitvec.NewWords(s.poWords)
-	if par.Workers(threads) <= 1 {
-		order := g.Topo()
-		rev := make([]int32, 0, len(order))
-		for i := len(order) - 1; i >= 0; i-- {
-			if v := order[i]; g.IsAnd(v) {
-				rev = append(rev, v)
-			}
-		}
-		sc := s.scratchFor(1)[0]
-		err := par.For(ctx, 1, len(rev), func(_, i int) { s.recompute(sc, rev[i]) })
-		if err == nil {
-			s.markSynced()
-		}
-		return s, err
-	}
 	// recompute(v) only reads state of nodes in v's transitive fanout and
 	// only writes v's own entries, so the nodes of one reverse-topological
 	// level are independent: fan each level out, with a barrier between

@@ -83,6 +83,25 @@ func TwosComplementWeights(n int) Weights {
 // thresholds multiples of R².
 func ReferenceError(k int) float64 { return math.Pow(2, float64(k)/3) }
 
+// Thresholds returns the paper's three error budgets {low, median, high}
+// for a metric on a circuit with k outputs: ER {0.1%, 1%, 2%}, MSE
+// {R²/2, R², 2R²} and {R/2, R, 2R} otherwise, with R = ReferenceError(k).
+func Thresholds(kind Kind, k int) []float64 {
+	R := ReferenceError(k)
+	switch kind {
+	case ER:
+		return []float64{0.001, 0.01, 0.02}
+	case MSE:
+		return []float64{0.5 * R * R, R * R, 2 * R * R}
+	default:
+		return []float64{0.5 * R, R, 2 * R}
+	}
+}
+
+// ReferenceWCEBound is the reference worst-case error budget for a circuit
+// with k outputs: ReferenceError(k) rounded down, at least 1.
+func ReferenceWCEBound(k int) uint64 { return max(uint64(ReferenceError(k)), 1) }
+
 // MaxDeviation returns the largest value the per-pattern contribution of
 // the metric can take for a circuit with numPOs outputs: 1 for ER (a
 // pattern either mismatches or not), numPOs for MHD, Σ|w| for MED, and

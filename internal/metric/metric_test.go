@@ -52,6 +52,34 @@ func TestReferenceError(t *testing.T) {
 	}
 }
 
+func TestThresholds(t *testing.T) {
+	// K = 6 outputs → R = 4.
+	er := Thresholds(ER, 6)
+	if er[0] != 0.001 || er[1] != 0.01 || er[2] != 0.02 {
+		t.Errorf("ER thresholds %v", er)
+	}
+	med := Thresholds(MED, 6)
+	if math.Abs(med[0]-2) > 1e-9 || math.Abs(med[1]-4) > 1e-9 || math.Abs(med[2]-8) > 1e-9 {
+		t.Errorf("MED thresholds %v, want {2,4,8}", med)
+	}
+	mse := Thresholds(MSE, 6)
+	if math.Abs(mse[1]-16) > 1e-9 {
+		t.Errorf("MSE median %v, want 16", mse[1])
+	}
+	if mse[0] >= mse[1] || mse[1] >= mse[2] {
+		t.Errorf("MSE thresholds not increasing: %v", mse)
+	}
+}
+
+// TestReferenceWCEBound: R rounded down, floored at 1 for tiny circuits.
+func TestReferenceWCEBound(t *testing.T) {
+	for k, want := range map[int]uint64{0: 1, 1: 1, 3: 2, 6: 4, 8: 6, 17: 50} {
+		if got := ReferenceWCEBound(k); got != want {
+			t.Errorf("ReferenceWCEBound(%d) = %d, want %d", k, got, want)
+		}
+	}
+}
+
 func TestErrorInitiallyZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	exact := randVecs(rng, 5, 2)

@@ -16,48 +16,21 @@ import (
 	"dpals/internal/metric"
 )
 
-// RunSpec is one reproducible campaign run: everything needed to rebuild
-// the core.Options and re-execute the exact same synthesis, including an
-// optional mid-run cancellation point and an optional seeded fault. It is
-// JSON-serialisable so repro sidecars can carry it verbatim.
+// RunSpec is one reproducible campaign run: the core.Options of the
+// synthesis plus an optional mid-run cancellation point and an optional
+// seeded fault. It is JSON-serialisable, with the option names of
+// core.Options, so repro sidecars carry it verbatim.
 type RunSpec struct {
-	Flow       core.Flow   `json:"flow"`
-	Metric     metric.Kind `json:"metric"`
-	Threshold  float64     `json:"threshold"`
-	Patterns   int         `json:"patterns"`
-	Seed       int64       `json:"seed"`
-	Threads    int         `json:"threads"`
-	Exhaustive bool        `json:"exhaustive,omitempty"`
-	SASIMI     bool        `json:"sasimi,omitempty"`
-	MaxIters   int         `json:"maxIters,omitempty"`
-
-	// WCE-constrained flow (Metric == metric.WCE): the certified bound,
-	// the certification amortization interval, and the per-call SAT
-	// conflict cap (0 = unlimited). Threshold is derived from WCEBound by
-	// the engine; keep spec.Threshold = float64(WCEBound) for readability.
-	WCEBound          uint64 `json:"wceBound,omitempty"`
-	CertEvery         int    `json:"certEvery,omitempty"`
-	CertConflictLimit int64  `json:"certConflictLimit,omitempty"`
+	core.Options
 
 	// CancelAfter > 0 cancels the run's context right after the N-th
 	// applied LAC, exercising the best-so-far exit paths.
-	CancelAfter int `json:"cancelAfter,omitempty"`
+	CancelAfter int `json:"cancel_after,omitempty"`
 
 	// Fault/FaultNth seed one bookkeeping mutation (internal/fault) at the
 	// Nth opportunity. Empty Fault is a clean run.
 	Fault    fault.Kind `json:"fault,omitempty"`
-	FaultNth int        `json:"faultNth,omitempty"`
-}
-
-// Options builds the resolved core.Options for this spec — the options
-// the run actually uses, so SimOptions of them draws its patterns.
-func (s RunSpec) Options() core.Options {
-	return core.Options{
-		Flow: s.Flow, Metric: s.Metric, Threshold: s.Threshold,
-		Patterns: s.Patterns, Seed: s.Seed, Threads: s.Threads, Exhaustive: s.Exhaustive,
-		UseConstLACs: true, UseSASIMILACs: s.SASIMI, MaxIters: s.MaxIters,
-		WCEBound: s.WCEBound, CertEvery: s.CertEvery, CertConflictLimit: s.CertConflictLimit,
-	}.Resolved()
+	FaultNth int        `json:"fault_nth,omitempty"`
 }
 
 // Outcome bundles a run's result with its per-iteration evaluation
@@ -120,7 +93,7 @@ func ExecuteTraced(g *aig.Graph, spec RunSpec) (out Outcome) {
 			out.Err = fmt.Errorf("oracle: engine panic: %v\n%s", r, debug.Stack())
 		}
 	}()
-	out.Result, out.Err = core.Run(ctx, g, spec.Options(), hooks)
+	out.Result, out.Err = core.Run(ctx, g, spec.Options, hooks)
 	return out
 }
 
@@ -182,8 +155,8 @@ func Verify(orig *aig.Graph, spec RunSpec, res *core.Result) []Violation {
 			res.Graph.NumPIs(), res.Graph.NumPOs(), orig.NumPIs(), orig.NumPOs())})
 		return out // every later check needs matching interfaces
 	}
-	opt := spec.Options()
-	recomputed, err := SampledError(orig, res.Graph, spec.Metric, opt.Weights, core.SimOptions(orig, opt))
+	opt := spec.Options.Resolved()
+	recomputed, err := SampledError(orig, res.Graph, opt.Metric, opt.Weights, core.SimOptions(orig, opt))
 	if err != nil {
 		return append(out, Violation{Check: "recompute", Detail: err.Error()})
 	}
@@ -250,11 +223,11 @@ func Verify(orig *aig.Graph, spec RunSpec, res *core.Result) []Violation {
 				// essentially impossible; real miscounting bugs overshoot
 				// this by orders of magnitude).
 				rang := metric.MaxDeviation(spec.Metric, weightsFor(opt, orig), orig.NumPOs())
-				delta := metric.HoeffdingDelta(rang, spec.Patterns, 1e-9)
+				delta := metric.HoeffdingDelta(rang, opt.Patterns, 1e-9)
 				if d := math.Abs(res.Error - truth); d > delta+tol(res.Error, truth) {
 					out = append(out, Violation{Check: "mc-bound", Detail: fmt.Sprintf(
 						"estimate %v vs exact %v: Δ=%v exceeds Hoeffding bound %v (n=%d)",
-						res.Error, truth, d, delta, spec.Patterns)})
+						res.Error, truth, d, delta, opt.Patterns)})
 				}
 			}
 		}

@@ -27,17 +27,18 @@ func testbeds() []*aig.Graph {
 // site (CPM cache invalidation and diff rows only exist there).
 func baseSpecs() []RunSpec {
 	return []RunSpec{
-		{Flow: core.FlowDPSA, Metric: metric.MED, Threshold: 6, Patterns: 256, Seed: 1, Threads: 1, MaxIters: 30},
+		{Options: core.Options{Flow: core.FlowDPSA, Metric: metric.MED, Threshold: 6, Patterns: 256, Seed: 1, Threads: 1, MaxIters: 30}},
 		// SASIMI wire substitutions grow the substitute's fanout, so a
 		// skipped incremental cut repair leaves cuts that miss real
 		// propagation paths. Constant-replacement LACs only ever shrink
 		// fanout; their stale cuts carry extra dead elements whose region
 		// diffs are zero, making skip-cut-warm-update score-equivalent
 		// there — this spec is what makes that kind observable.
-		{Flow: core.FlowDPSA, Metric: metric.MED, Threshold: 6, Patterns: 256, Seed: 5, Threads: 1, MaxIters: 30, SASIMI: true},
-		{Flow: core.FlowDP, Metric: metric.ER, Threshold: 0.3, Patterns: 256, Seed: 2, Threads: 1, MaxIters: 30},
-		{Flow: core.FlowConventional, Metric: metric.MED, Threshold: 10, Patterns: 256, Seed: 3, Threads: 1, MaxIters: 30},
-		{Flow: core.FlowVECBEE, Metric: metric.ER, Threshold: 0.25, Patterns: 256, Seed: 4, Threads: 1, MaxIters: 20},
+		{Options: core.Options{Flow: core.FlowDPSA, Metric: metric.MED, Threshold: 6, Patterns: 256, Seed: 5, Threads: 1, MaxIters: 30,
+			UseConstLACs: true, UseSASIMILACs: true}},
+		{Options: core.Options{Flow: core.FlowDP, Metric: metric.ER, Threshold: 0.3, Patterns: 256, Seed: 2, Threads: 1, MaxIters: 30}},
+		{Options: core.Options{Flow: core.FlowConventional, Metric: metric.MED, Threshold: 10, Patterns: 256, Seed: 3, Threads: 1, MaxIters: 30}},
+		{Options: core.Options{Flow: core.FlowVECBEE, Metric: metric.ER, Threshold: 0.25, Patterns: 256, Seed: 4, Threads: 1, MaxIters: 20}},
 	}
 }
 
@@ -50,13 +51,10 @@ func baseSpecs() []RunSpec {
 // cross-check observe the missing proof. Bound depends on the bed's
 // output count, so these are built per circuit.
 func wceFaultSpecs(g *aig.Graph) []RunSpec {
-	b := uint64(metric.ReferenceError(g.NumPOs()))
-	if b == 0 {
-		b = 1
-	}
+	b := metric.ReferenceWCEBound(g.NumPOs())
 	return []RunSpec{
-		{Flow: core.FlowDP, Metric: metric.WCE, WCEBound: b, Threshold: float64(b), Patterns: 64, Seed: 2, Threads: 1, MaxIters: 30},
-		{Flow: core.FlowConventional, Metric: metric.WCE, WCEBound: b, Threshold: float64(b), Patterns: 64, Seed: 3, Threads: 1, MaxIters: 30},
+		{Options: core.Options{Flow: core.FlowDP, Metric: metric.WCE, WCEBound: b, Threshold: float64(b), Patterns: 64, Seed: 2, Threads: 1, MaxIters: 30}},
+		{Options: core.Options{Flow: core.FlowConventional, Metric: metric.WCE, WCEBound: b, Threshold: float64(b), Patterns: 64, Seed: 3, Threads: 1, MaxIters: 30}},
 	}
 }
 
@@ -113,8 +111,8 @@ func TestCleanRunsPassAllChecks(t *testing.T) {
 // fold rounding) — the sharpest form of the oracle bound.
 func TestExhaustiveModeExactCheck(t *testing.T) {
 	g := gen.Random(5, 7, 5, 50)
-	spec := RunSpec{Flow: core.FlowDPSA, Metric: metric.MED, Threshold: 3,
-		Patterns: 1, Seed: 1, Threads: 1, Exhaustive: true, MaxIters: 20}
+	spec := RunSpec{Options: core.Options{Flow: core.FlowDPSA, Metric: metric.MED, Threshold: 3,
+		Patterns: 1, Seed: 1, Threads: 1, Exhaustive: true, MaxIters: 20}}
 	res, _, err := Execute(g, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -128,8 +126,8 @@ func TestExhaustiveModeExactCheck(t *testing.T) {
 // that the thread count must not change any result bit.
 func TestDeterminismAcrossIrrelevantKnobs(t *testing.T) {
 	g := gen.Random(7, 9, 7, 80)
-	base := RunSpec{Flow: core.FlowDPSA, Metric: metric.MED, Threshold: 8,
-		Patterns: 512, Seed: 6, Threads: 1, MaxIters: 25}
+	base := RunSpec{Options: core.Options{Flow: core.FlowDPSA, Metric: metric.MED, Threshold: 8,
+		Patterns: 512, Seed: 6, Threads: 1, MaxIters: 25}}
 	ref, _, err := Execute(g, base)
 	if err != nil {
 		t.Fatal(err)
@@ -160,8 +158,8 @@ func TestDeterminismAcrossIrrelevantKnobs(t *testing.T) {
 func TestCancelledRunStillValid(t *testing.T) {
 	g := gen.Random(9, 9, 7, 80)
 	for _, cancelAfter := range []int{1, 3} {
-		spec := RunSpec{Flow: core.FlowDPSA, Metric: metric.MED, Threshold: 8,
-			Patterns: 512, Seed: 6, Threads: 1, MaxIters: 40, CancelAfter: cancelAfter}
+		spec := RunSpec{Options: core.Options{Flow: core.FlowDPSA, Metric: metric.MED, Threshold: 8,
+			Patterns: 512, Seed: 6, Threads: 1, MaxIters: 40}, CancelAfter: cancelAfter}
 		res, _, err := Execute(g, spec)
 		if err != nil {
 			t.Fatalf("cancel@%d: %v", cancelAfter, err)
@@ -176,8 +174,8 @@ func TestCancelledRunStillValid(t *testing.T) {
 // of the conventional flow across a threshold ladder.
 func TestBudgetMonotonicConventional(t *testing.T) {
 	g := gen.Random(3, 8, 6, 60)
-	spec := RunSpec{Flow: core.FlowConventional, Metric: metric.MED,
-		Patterns: 256, Seed: 1, Threads: 1, MaxIters: 40}
+	spec := RunSpec{Options: core.Options{Flow: core.FlowConventional, Metric: metric.MED,
+		Patterns: 256, Seed: 1, Threads: 1, MaxIters: 40}}
 	if vs := CheckBudgetMonotonic(g, spec, []float64{0.5, 2, 8, 32}); len(vs) > 0 {
 		t.Errorf("budget monotonicity violated: %v", vs)
 	}
@@ -193,8 +191,8 @@ func TestBudgetMonotonicConventional(t *testing.T) {
 // to pin down which check fires for which lie.
 func TestVerifyCatchesHandMadeLies(t *testing.T) {
 	g := gen.Random(3, 8, 6, 60)
-	spec := RunSpec{Flow: core.FlowConventional, Metric: metric.MED, Threshold: 6,
-		Patterns: 256, Seed: 1, Threads: 1, MaxIters: 20}
+	spec := RunSpec{Options: core.Options{Flow: core.FlowConventional, Metric: metric.MED, Threshold: 6,
+		Patterns: 256, Seed: 1, Threads: 1, MaxIters: 20}}
 	res, _, err := Execute(g, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -224,8 +222,8 @@ func TestVerifyCatchesHandMadeLies(t *testing.T) {
 
 func ExampleDiverges() {
 	g := gen.Random(3, 6, 4, 30)
-	spec := RunSpec{Flow: core.FlowConventional, Metric: metric.ER, Threshold: 0.2,
-		Patterns: 256, Seed: 1, Threads: 1, MaxIters: 10}
+	spec := RunSpec{Options: core.Options{Flow: core.FlowConventional, Metric: metric.ER, Threshold: 0.2,
+		Patterns: 256, Seed: 1, Threads: 1, MaxIters: 10}}
 	a, _, _ := Execute(g, spec)
 	b, _, _ := Execute(g, spec)
 	fmt.Println(Diverges(a, b))

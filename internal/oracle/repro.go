@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -62,7 +63,8 @@ func SaveRepro(dir, name string, spec ReproSpec, g *aig.Graph) error {
 // LoadRepros reads every <name>.aag + <name>.json pair under dir, sorted
 // by name. A missing directory yields an empty slice (a fresh checkout
 // before the first campaign has no fixtures); an .aag without its sidecar
-// (or vice versa) is an error — fixtures are only meaningful as pairs.
+// (or vice versa) is an error — fixtures are only meaningful as pairs —
+// and so is a sidecar key that ReproSpec does not define.
 func LoadRepros(dir string) ([]Repro, error) {
 	entries, err := os.ReadDir(dir)
 	if os.IsNotExist(err) {
@@ -90,8 +92,12 @@ func LoadRepros(dir string) ([]Repro, error) {
 		if err != nil {
 			return nil, fmt.Errorf("oracle: repro %s has no sidecar: %w", name, err)
 		}
+		// Unknown keys are errors: a misspelled or stale key would silently
+		// replay a different run than the one captured.
+		dec := json.NewDecoder(bytes.NewReader(js))
+		dec.DisallowUnknownFields()
 		var spec ReproSpec
-		if err := json.Unmarshal(js, &spec); err != nil {
+		if err := dec.Decode(&spec); err != nil {
 			return nil, fmt.Errorf("oracle: repro %s sidecar: %w", name, err)
 		}
 		out = append(out, Repro{Name: name, Spec: spec, Graph: g})

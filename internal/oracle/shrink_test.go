@@ -1,6 +1,10 @@
 package oracle
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"dpals/internal/aig"
@@ -64,8 +68,8 @@ func faultPredicate(spec RunSpec) Predicate {
 // small repro (≤ 32 AND nodes) on which the failure still reproduces.
 func TestShrinkSeededFailure(t *testing.T) {
 	g := gen.Random(11, 10, 8, 90)
-	base := RunSpec{Flow: core.FlowConventional, Metric: metric.MED, Threshold: 10,
-		Patterns: 256, Seed: 3, Threads: 1, MaxIters: 30}
+	base := RunSpec{Options: core.Options{Flow: core.FlowConventional, Metric: metric.MED, Threshold: 10,
+		Patterns: 256, Seed: 3, Threads: 1, MaxIters: 30}}
 	det, nth := ScanFault(g, base, fault.FlipSimBit, 25)
 	if !det.Detected {
 		t.Fatalf("flip-sim-bit not detectable on the shrink testbed")
@@ -94,43 +98,81 @@ func TestShrinkSeededFailure(t *testing.T) {
 	}
 }
 
-// TestReproRoundTrip saves a shrunk repro and replays it from disk.
+// TestReproRoundTrip saves two fixtures and loads them back: a replayable
+// misreport-error repro with SASIMI LACs and explicit output weights, and
+// a WCE spec that sets the certification knobs, the structural knobs and
+// CancelAfter. Both sidecars must load reflect.DeepEqual to what was
+// saved, and the replayable one must still be detected.
 func TestReproRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	g := gen.Random(3, 8, 6, 60)
-	spec := RunSpec{Flow: core.FlowDPSA, Metric: metric.MED, Threshold: 6,
-		Patterns: 256, Seed: 1, Threads: 1, MaxIters: 30}
+	spec := RunSpec{Options: core.Options{Flow: core.FlowDPSA, Metric: metric.MED, Threshold: 6,
+		Weights: metric.TwosComplementWeights(g.NumPOs()), Patterns: 256, Seed: 1, Threads: 1,
+		UseConstLACs: true, UseSASIMILACs: true, MaxIters: 30}}
 	det, nth := ScanFault(g, spec, fault.MisreportError, 5)
 	if !det.Detected {
 		t.Fatal("misreport-error not detectable")
 	}
 	spec.Fault = fault.MisreportError
 	spec.FaultNth = nth
-	rs := ReproSpec{Run: spec, Check: det.How, Detail: det.Detail}
-	if err := SaveRepro(dir, "misreport-s1", rs, g); err != nil {
-		t.Fatal(err)
+	knobs := RunSpec{Options: core.Options{Flow: core.FlowDP, Metric: metric.WCE, Threshold: 6,
+		Patterns: 64, Seed: 2, Threads: 2, InputProbabilities: []float64{0.25, 0.75},
+		UseConstLACs: true, UseSASIMILACs: true, MaxLACsPerNode: 4,
+		WCEBound: 6, CertEvery: 3, CertConflictLimit: 5000,
+		DepthLimit: 2, M: 40, N: 12, MaxIters: 30},
+		CancelAfter: 3, Fault: fault.SkipWCECert, FaultNth: 2}
+	saved := map[string]ReproSpec{
+		"misreport-s1": {Run: spec, Check: det.How, Detail: det.Detail},
+		"knobs-s2":     {Run: knobs, Check: "wce-cert-unsound"},
+	}
+	for name, rs := range saved {
+		if err := SaveRepro(dir, name, rs, g); err != nil {
+			t.Fatal(err)
+		}
 	}
 	repros, err := LoadRepros(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(repros) != 1 || repros[0].Name != "misreport-s1" {
-		t.Fatalf("loaded %d repros, want [misreport-s1]", len(repros))
+	if len(repros) != 2 || repros[0].Name != "knobs-s2" || repros[1].Name != "misreport-s1" {
+		t.Fatalf("loaded %d repros, want [knobs-s2 misreport-s1]", len(repros))
 	}
-	r := repros[0]
-	if r.Spec.Run.Fault != fault.MisreportError || r.Spec.Ands != g.NumAnds() {
-		t.Errorf("sidecar did not round-trip: %+v", r.Spec)
+	for _, r := range repros {
+		want := saved[r.Name]
+		want.Ands = g.NumAnds()
+		if !reflect.DeepEqual(r.Spec, want) {
+			t.Errorf("%s: sidecar did not round-trip:\n got %+v\nwant %+v", r.Name, r.Spec, want)
+		}
+		if r.Graph.NumPIs() != g.NumPIs() || r.Graph.NumPOs() != g.NumPOs() {
+			t.Errorf("%s: circuit did not round-trip: %d PIs %d POs", r.Name, r.Graph.NumPIs(), r.Graph.NumPOs())
+		}
 	}
-	if r.Graph.NumPIs() != g.NumPIs() || r.Graph.NumPOs() != g.NumPOs() {
-		t.Errorf("circuit did not round-trip: %d PIs %d POs", r.Graph.NumPIs(), r.Graph.NumPOs())
-	}
-	replay := r.Replay()
-	if !replay.Detected {
+	if replay := repros[1].Replay(); !replay.Detected {
 		t.Error("replayed repro no longer detected")
 	}
 	// A missing directory is an empty fixture set, not an error.
 	none, err := LoadRepros(dir + "/does-not-exist")
 	if err != nil || len(none) != 0 {
 		t.Errorf("missing dir: %v, %d repros", err, len(none))
+	}
+}
+
+// TestLoadReprosRejectsUnknownKeys: a sidecar with a key RunSpec does not
+// define — here the pre-Options spelling maxIters — must fail to load,
+// naming the key and the fixture, instead of replaying a run that silently
+// lost its iteration cap.
+func TestLoadReprosRejectsUnknownKeys(t *testing.T) {
+	dir := t.TempDir()
+	g := gen.Random(3, 8, 6, 60)
+	if err := SaveRepro(dir, "stale", ReproSpec{}, g); err != nil {
+		t.Fatal(err)
+	}
+	js := `{"run": {"flow": 4, "metric": 2, "threshold": 4, "maxIters": 30}, "check": "budget", "ands": 1}`
+	if err := os.WriteFile(filepath.Join(dir, "stale.json"), []byte(js), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadRepros(dir)
+	if err == nil || !strings.Contains(err.Error(), `"maxIters"`) || !strings.Contains(err.Error(), "stale") {
+		t.Fatalf("LoadRepros = %v, want an error naming key \"maxIters\" and fixture stale", err)
 	}
 }

@@ -27,7 +27,7 @@ func wceSuite(t *testing.T) []gen.Benchmark {
 }
 
 func wceRunSpec(bound uint64) RunSpec {
-	return RunSpec{
+	return RunSpec{Options: core.Options{
 		Flow:      core.FlowDP,
 		Metric:    metric.WCE,
 		WCEBound:  bound,
@@ -36,17 +36,7 @@ func wceRunSpec(bound uint64) RunSpec {
 		Seed:      1,
 		Threads:   1,
 		MaxIters:  20,
-	}
-}
-
-// suiteBound picks a budget in the same spirit as the campaign: the
-// paper's reference error, floored at 1 so every circuit has headroom.
-func suiteBound(pos int) uint64 {
-	b := uint64(metric.ReferenceError(pos))
-	if b == 0 {
-		b = 1
-	}
-	return b
+	}}
 }
 
 // TestWCEDifferentialGenSuite is the oracle-backed sweep of the
@@ -65,7 +55,7 @@ func TestWCEDifferentialGenSuite(t *testing.T) {
 		t.Run(b.PaperName, func(t *testing.T) {
 			t.Parallel()
 			g := b.Graph
-			spec := wceRunSpec(suiteBound(g.NumPOs()))
+			spec := wceRunSpec(metric.ReferenceWCEBound(g.NumPOs()))
 			// Multi-thousand-gate miters (sin, log2) can cost minutes per
 			// unlimited SAT call. Capping the conflict budget keeps the sweep
 			// fast WITHOUT weakening the test: an exhausted budget counts as
@@ -142,7 +132,7 @@ func TestWCEBoundMonotonicSuite(t *testing.T) {
 	g := gen.Adder(4)
 	spec := wceRunSpec(0)
 	spec.Flow = core.FlowConventional
-	b := suiteBound(g.NumPOs())
+	b := metric.ReferenceWCEBound(g.NumPOs())
 	bounds := []uint64{1, b, 2 * b, 4 * b}
 	if vs := CheckWCEBoundMonotonic(g, spec, bounds); len(vs) > 0 {
 		t.Fatalf("monotonicity violated: %v", vs[0])
@@ -154,7 +144,7 @@ func TestWCEBoundMonotonicSuite(t *testing.T) {
 // certified bound — the uncertified tail is rolled back, never emitted.
 func TestWCECancelledRunStillCertified(t *testing.T) {
 	g := gen.Adder(4)
-	spec := wceRunSpec(suiteBound(g.NumPOs()))
+	spec := wceRunSpec(metric.ReferenceWCEBound(g.NumPOs()))
 	// CertEvery 1 makes every accepted LAC a certification checkpoint, so
 	// the cancelled run has certified progress to keep.
 	spec.CertEvery = 1
@@ -183,7 +173,7 @@ func TestWCECancelledRunStillCertified(t *testing.T) {
 // must degrade to a smaller circuit, never to an unsound bound.
 func TestWCEConflictBudgetSound(t *testing.T) {
 	g := gen.MultU(3, 3)
-	spec := wceRunSpec(suiteBound(g.NumPOs()))
+	spec := wceRunSpec(metric.ReferenceWCEBound(g.NumPOs()))
 	spec.CertConflictLimit = 1 // starve every SAT call
 	res, _, err := Execute(g, spec)
 	if err != nil {

@@ -109,7 +109,7 @@ type AblationMRow struct {
 // one circuit, quantifying the M/runtime/quality trade-off behind §III-D's
 // first self-adaption technique.
 func AblationMSweep(b gen.Benchmark, ms []int, cfg Config) []AblationMRow {
-	thr := thresholds(metric.MSE, b.Graph.NumPOs())[1]
+	thr := metric.Thresholds(metric.MSE, b.Graph.NumPOs())[1]
 	var rows []AblationMRow
 	for _, m := range ms {
 		opt := core.Options{
@@ -148,7 +148,7 @@ type AblationPatternsRow struct {
 // AblationPatternsSweep runs DP-SA at several pattern counts under the
 // median MSE threshold and validates each result on 1<<16 fresh samples.
 func AblationPatternsSweep(b gen.Benchmark, counts []int, cfg Config) []AblationPatternsRow {
-	thr := thresholds(metric.MSE, b.Graph.NumPOs())[1]
+	thr := metric.Thresholds(metric.MSE, b.Graph.NumPOs())[1]
 	var rows []AblationPatternsRow
 	for _, p := range counts {
 		opt := core.Options{

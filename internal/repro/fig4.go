@@ -36,7 +36,7 @@ func Fig4(cfg Config) []Fig4Row {
 
 	var rows []Fig4Row
 	for _, b := range suite {
-		thr := thresholds(metric.MSE, b.Graph.NumPOs())[2] // generous: need 61 iterations
+		thr := metric.Thresholds(metric.MSE, b.Graph.NumPOs())[2] // generous: need 61 iterations
 		opt := core.Options{
 			Flow: core.FlowConventional, Metric: metric.MSE, Threshold: thr,
 			Patterns: cfg.patterns(), Seed: cfg.seed(), Threads: cfg.threads(),

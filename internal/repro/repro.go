@@ -74,21 +74,6 @@ func (c Config) printf(format string, args ...any) {
 	}
 }
 
-// thresholds returns the paper's three thresholds for a metric on a
-// circuit with K POs: MED {R/2, R, 2R}, MSE {R²/2, R², 2R²},
-// ER {0.1%, 1%, 2%}, with R = 2^(K/3).
-func thresholds(kind metric.Kind, numPOs int) []float64 {
-	R := metric.ReferenceError(numPOs)
-	switch kind {
-	case metric.ER:
-		return []float64{0.001, 0.01, 0.02}
-	case metric.MSE:
-		return []float64{0.5 * R * R, R * R, 2 * R * R}
-	default:
-		return []float64{0.5 * R, R, 2 * R}
-	}
-}
-
 // adjustLarge scales down a large circuit's threshold the way the paper
 // adjusts sqrt and log2 ("the baseline method requires an extremely long
 // runtime").

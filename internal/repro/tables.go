@@ -59,9 +59,9 @@ func TableII(cfg Config, small bool) []TableIIRow {
 	for _, b := range suite {
 		var thrs []float64
 		if small {
-			thrs = thresholds(metric.MSE, b.Graph.NumPOs())
+			thrs = metric.Thresholds(metric.MSE, b.Graph.NumPOs())
 		} else {
-			thrs = thresholds(metric.MSE, b.Graph.NumPOs())[1:2] // median
+			thrs = metric.Thresholds(metric.MSE, b.Graph.NumPOs())[1:2] // median
 			thrs[0] = adjustLarge(b.PaperName, thrs[0])
 		}
 		if cfg.Quick || cfg.MedianOnly {
@@ -129,7 +129,7 @@ func TableIII(cfg Config) []TableIIIRow {
 	for _, b := range suite {
 		row := TableIIIRow{Circuit: b.PaperName}
 		for mi, kind := range []metric.Kind{metric.ER, metric.MED} {
-			thrs := thresholds(kind, b.Graph.NumPOs())
+			thrs := metric.Thresholds(kind, b.Graph.NumPOs())
 			if !b.Small {
 				thrs = thrs[1:2]
 				thrs[0] = adjustLarge(b.PaperName, thrs[0])

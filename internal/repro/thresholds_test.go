@@ -1,30 +1,6 @@
 package repro
 
-import (
-	"math"
-	"testing"
-
-	"dpals/internal/metric"
-)
-
-func TestThresholds(t *testing.T) {
-	// K = 6 outputs → R = 4.
-	er := thresholds(metric.ER, 6)
-	if er[0] != 0.001 || er[1] != 0.01 || er[2] != 0.02 {
-		t.Errorf("ER thresholds %v", er)
-	}
-	med := thresholds(metric.MED, 6)
-	if math.Abs(med[0]-2) > 1e-9 || math.Abs(med[1]-4) > 1e-9 || math.Abs(med[2]-8) > 1e-9 {
-		t.Errorf("MED thresholds %v, want {2,4,8}", med)
-	}
-	mse := thresholds(metric.MSE, 6)
-	if math.Abs(mse[1]-16) > 1e-9 {
-		t.Errorf("MSE median %v, want 16", mse[1])
-	}
-	if mse[0] >= mse[1] || mse[1] >= mse[2] {
-		t.Errorf("MSE thresholds not increasing: %v", mse)
-	}
-}
+import "testing"
 
 func TestAdjustLarge(t *testing.T) {
 	if got := adjustLarge("sqrt", 16); got != 1 {

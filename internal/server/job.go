@@ -3,10 +3,9 @@ package server
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
-	"math"
 	"strings"
 	"time"
 
@@ -14,8 +13,10 @@ import (
 )
 
 // JobRequest is the JSON body of POST /v1/jobs: a circuit plus the
-// synthesis constraints. Field semantics mirror dpals.Options; zero
-// values select the library defaults via Options.Resolved.
+// synthesis constraints. Each option field carries the JSON name of the
+// dpals.Options field parseJob copies it to (Flow and Metric are names
+// here, integers there); zero values select the library defaults via
+// Options.Resolved.
 type JobRequest struct {
 	// Circuit is the input netlist, ASCII AIGER ("aag") or BLIF text.
 	// Format selects the parser: "aiger", "blif", or "" to sniff.
@@ -196,71 +197,32 @@ func parseJob(req *JobRequest) (*dpals.Circuit, dpals.Options, error) {
 }
 
 // cacheKey derives the content address of a job's result: a SHA-256 over
-// the circuit's structural digest, the effective weight vector, and every
-// RESOLVED option that influences the result bits. Threads is excluded
-// (results are proven bit-identical across thread counts) and TimeLimit
-// is excluded (deadline-stopped results are never cached, and a run that
-// completes inside its limit is identical to one without it). Resolving
-// first is what keeps Seed 0 and Seed DefaultSeed — a documented alias —
-// on one cache entry while distinct explicit seeds never collide.
+// the circuit's structural digest and the JSON of the RESOLVED options,
+// with nil Weights replaced by the circuit's effective weight vector.
+// Every option is hashed by construction except the two that never change
+// the result bits: Threads, zeroed here (results are bit-identical across
+// thread counts), and TimeLimit, which Options never encodes
+// (deadline-stopped results are never cached, and a run that completes
+// inside its limit is identical to one without it). Resolving first is
+// what keeps Seed 0 and Seed DefaultSeed — a documented alias — on one
+// cache entry while distinct explicit seeds never collide. Go encodes
+// floats in their shortest round-trip form, so distinct options never
+// share a key.
 func cacheKey(c *dpals.Circuit, opt dpals.Options) string {
 	opt = opt.Resolved()
-	h := sha256.New()
-	var buf [8]byte
-	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+	opt.Threads = 0
+	if opt.Weights == nil {
+		opt.Weights = c.Weights()
 	}
-	f64 := func(v float64) { u64(math.Float64bits(v)) }
-
-	h.Write([]byte("alsd-key-v2\x00"))
+	js, err := json.Marshal(opt)
+	if err != nil {
+		// Validate admits only finite numbers, so this cannot happen.
+		panic(fmt.Sprintf("server: cache key of validated options: %v", err))
+	}
+	h := sha256.New()
+	h.Write([]byte("alsd-key-v3\x00"))
 	d := c.Graph().StructuralDigest()
 	h.Write(d[:])
-
-	w := opt.Weights
-	if w == nil {
-		w = c.Weights()
-	}
-	u64(uint64(len(w)))
-	for _, x := range w {
-		f64(x)
-	}
-
-	u64(uint64(opt.Flow))
-	u64(uint64(opt.Metric))
-	f64(opt.Threshold)
-	// The WCE certification knobs all influence the result bits: the bound
-	// is the budget itself, CertEvery moves the certification checkpoints
-	// (and therefore which rollback path a violating batch takes), and the
-	// conflict cap decides where a budget-exhausted run halts. Keyed even
-	// for non-WCE metrics, where Resolved zeroes them.
-	u64(opt.WCEBound)
-	u64(uint64(opt.CertEvery))
-	u64(uint64(opt.CertConflictLimit))
-	u64(uint64(opt.Patterns))
-	u64(uint64(opt.Seed))
-	if opt.Exhaustive {
-		u64(1)
-	} else {
-		u64(0)
-	}
-	u64(uint64(len(opt.InputProbabilities)))
-	for _, p := range opt.InputProbabilities {
-		f64(p)
-	}
-	lacs := uint64(0)
-	if opt.UseConstLACs {
-		lacs |= 1
-	}
-	if opt.UseSASIMILACs {
-		lacs |= 2
-	}
-	u64(lacs)
-	u64(uint64(opt.MaxLACsPerNode))
-	u64(uint64(opt.DepthLimit))
-	u64(uint64(opt.M))
-	u64(uint64(opt.N))
-	u64(uint64(opt.MaxIters))
-
+	h.Write(js)
 	return hex.EncodeToString(h.Sum(nil))
 }

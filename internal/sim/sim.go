@@ -222,9 +222,10 @@ func (s *Sim) evalNode(v int32, lo, hi int) {
 	}
 }
 
-// Resimulate recomputes every node value from the PIs. With more than one
-// worker the word range is split across workers (node values are
-// independent per word), yielding bit-identical results to a serial pass.
+// Resimulate recomputes every node value from the PIs. The word range is
+// split across the workers (node values are independent per word), so the
+// result is bit-identical for every thread count; one worker runs the
+// whole range inline.
 func (s *Sim) Resimulate() {
 	order := s.g.Topo()
 	for _, v := range order {
@@ -232,18 +233,7 @@ func (s *Sim) Resimulate() {
 			s.ensure(v)
 		}
 	}
-	nw := s.threads
-	if nw > s.words {
-		nw = s.words
-	}
-	if nw <= 1 {
-		for _, v := range order {
-			if s.g.Type(v) == aig.TypeAnd {
-				s.evalNode(v, 0, s.words)
-			}
-		}
-		return
-	}
+	nw := min(s.threads, s.words)
 	chunk := (s.words + nw - 1) / nw
 	par.For(context.Background(), nw, nw, func(_, w int) {
 		lo := w * chunk
