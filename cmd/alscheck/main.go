@@ -401,8 +401,10 @@ func (c *campaign) fail(g *aig.Graph, spec oracle.RunSpec, check, detail string)
 }
 
 // saveShrunk minimises g under "the spec still fails on it" and writes
-// the fixture pair.
-func (c *campaign) saveShrunk(g *aig.Graph, spec oracle.RunSpec, det oracle.Detection) {
+// the fixture pair. The sidecar records how the shrunk circuit replays,
+// which need not be how the full one was caught (seen); seen is kept only
+// when the shrunk circuit does not reproduce the failure.
+func (c *campaign) saveShrunk(g *aig.Graph, spec oracle.RunSpec, seen oracle.Detection) {
 	pred := func(cand *aig.Graph) bool {
 		clean := oracle.CleanOutcome(cand, spec)
 		if clean.Err != nil {
@@ -425,7 +427,13 @@ func (c *campaign) saveShrunk(g *aig.Graph, spec oracle.RunSpec, det oracle.Dete
 	}
 	small, trials := oracle.Shrink(g, pred, oracle.ShrinkOptions{MaxTrials: c.shrinkTrials})
 	name := reproName(spec, g)
-	rs := oracle.ReproSpec{Run: spec, Check: det.How, Detail: det.Detail}
+	det := oracle.Repro{Spec: oracle.ReproSpec{Run: spec}, Graph: small}.Replay()
+	if !det.Detected {
+		det = seen
+	}
+	// A panic's detail carries the goroutine stack; its first line names it.
+	detail, _, _ := strings.Cut(det.Detail, "\n")
+	rs := oracle.ReproSpec{Run: spec, Check: det.How, Detail: detail}
 	if err := oracle.SaveRepro(c.outDir, name, rs, small); err != nil {
 		fmt.Fprintf(os.Stderr, "alscheck: saving repro %s: %v\n", name, err)
 		return

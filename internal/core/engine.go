@@ -84,9 +84,9 @@ func Run(ctx context.Context, g *aig.Graph, opt Options, hooks Hooks) (*Result, 
 	start := time.Now()
 	switch opt.Flow {
 	case FlowConventional:
-		e.runConventional()
+		e.runSinglePhase(e.comprehensive, false)
 	case FlowVECBEE:
-		e.runVECBEE()
+		e.runSinglePhase(e.vecbeeAnalysis, opt.DepthLimit > 0)
 	case FlowAccALS:
 		e.runAccALS()
 	case FlowDP, FlowDPSA:
@@ -273,8 +273,9 @@ func (e *engine) onIteration(iter int, chosen lac.NodeBest, bests []lac.NodeBest
 
 // apply commits a LAC: rewires the graph, incrementally resimulates, folds
 // the PO changes into the metric state, repairs the cuts and the SASIMI
-// index. It returns the change set.
-func (e *engine) apply(l lac.LAC) aig.ChangeSet {
+// index. Flows call it through accept; only the AccALS batch, whose
+// callbacks wait for its validation, and the WCE replay call it directly.
+func (e *engine) apply(l lac.LAC) {
 	sp := e.cur.Child("apply")
 	cs := e.g.ReplaceWithLit(l.Target, l.NewLit)
 	// changed is simulator-owned scratch, valid only until the next
@@ -318,11 +319,9 @@ func (e *engine) apply(l lac.LAC) aig.ChangeSet {
 		}
 	}
 	e.gen.Reindex()
-	if e.memo != nil {
-		// Any applied LAC moves the global metric state every evaluation is
-		// scored against: every memoized evaluation is stale now.
-		e.memo.Invalidate()
-	}
+	// Any applied LAC moves the global metric state every evaluation is
+	// scored against: every memoized evaluation is stale now.
+	e.memo.Invalidate()
 	e.stats.Applied++
 	if e.cert != nil {
 		e.pending = append(e.pending, l)
@@ -332,7 +331,6 @@ func (e *engine) apply(l lac.LAC) aig.ChangeSet {
 	sp.SetInt("ands", int64(e.g.NumAnds()))
 	sp.End()
 	e.prog.Update(e.stats.Applied, e.g.NumAnds(), e.st.Error(), e.opt.Threshold)
-	return cs
 }
 
 // reachedCap reports whether the safety iteration cap has been hit.
@@ -403,11 +401,9 @@ func (e *engine) restore(sn snapshot) {
 	}
 	e.stats.Applied = sn.applied
 	e.bind(sn.g.Clone())
-	e.cuts = nil  // next comprehensive pass rebuilds the cuts
-	e.cache = nil // the cache is bound to the replaced graph/simulator
-	if e.memo != nil {
-		e.memo.Invalidate() // evaluations reference the replaced state
-	}
+	e.cuts = nil        // next comprehensive pass rebuilds the cuts
+	e.cache = nil       // the cache is bound to the replaced graph/simulator
+	e.memo.Invalidate() // evaluations reference the replaced state
 	e.stats.Rollbacks++
 }
 
@@ -523,9 +519,7 @@ func (e *engine) finalizeWCE() {
 		e.stats.CertifiedWCE = e.certWCE
 		return
 	}
-	if len(e.pending) > 0 {
-		e.wceCheckpoint(true)
-	}
+	e.wceCheckpoint(true)
 	lo, hi := uint64(0), e.certWCE
 	if sm := e.st.Error(); sm > 0 && hi > 0 {
 		lo = uint64(sm)

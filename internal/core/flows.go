@@ -78,13 +78,14 @@ func (e *engine) comprehensive(parent *obs.Span) []lac.NodeBest {
 		if upd.Needed > 0 {
 			sp.SetFloat("reuse_rate", float64(upd.Reused)/float64(upd.Needed))
 		}
-		e.stats.CPMSkipped += upd.ReusedWork
-		e.stats.CPMRowsReused += int64(upd.Reused)
-		e.stats.Phase1RowsReused += int64(upd.Reused)
 	}
 	res := upd.Res
-	// Work + ReusedWork == the cold build's deterministic estimate.
+	// Work + ReusedWork == the cold build's deterministic estimate. A cold
+	// pass adopts a new cut set, so it reuses nothing.
 	e.stats.CPMWork += upd.Work + upd.ReusedWork
+	e.stats.CPMSkipped += upd.ReusedWork
+	e.stats.CPMRowsReused += int64(upd.Reused)
+	e.stats.Phase1RowsReused += int64(upd.Reused)
 	e.stats.CPMRowsRecomputed += int64(upd.Recomputed)
 	e.stats.Phase1RowsRecomputed += int64(upd.Recomputed)
 	sp.SetInt("rows_recomputed", int64(upd.Recomputed))
@@ -124,78 +125,74 @@ func (e *engine) evaluate(parent *obs.Span, res *cpm.Result, targets []int32) ([
 	return bests, err
 }
 
-// runConventional is the flow of Fig. 3(a): every iteration performs a
-// comprehensive analysis and applies the single LAC with the smallest
-// error, until no candidate fits the threshold.
-func (e *engine) runConventional() {
-	for {
-		if e.stopped() {
-			return
-		}
-		bests := e.comprehensive(e.root)
-		if e.cancelled() {
-			return
-		}
-		if len(bests) == 0 || bests[0].Best.Err > e.opt.Threshold {
-			e.stats.StopReason = StopBudget
-			return
-		}
-		chosen := bests[0]
-		e.apply(chosen.Best.LAC)
-		e.onIteration(e.stats.Applied, chosen, bests)
-		if e.wceCheckpoint(false) {
-			// Certification failed: the engine kept the longest certified
-			// prefix; re-proposing the violator would loop forever.
-			e.stats.StopReason = StopBudget
-			return
-		}
-	}
+// fits reports whether the best LAC of an analysis fits the error
+// budget. It is the one budget test of every flow.
+func (e *engine) fits(bests []lac.NodeBest) bool {
+	return len(bests) > 0 && bests[0].Best.Err <= e.opt.Threshold
 }
 
-// runVECBEE is the original VECBEE baseline: one-cut CPM with depth limit
-// l. With l=∞ the estimate is exact and the loop mirrors the conventional
-// flow; with finite l the estimate can be wrong, so every application is
-// validated against the real (sampled) error and rolled back on violation.
-func (e *engine) runVECBEE() {
-	exactMode := e.opt.DepthLimit <= 0
-	for {
-		if e.stopped() {
-			return
-		}
-		bests, ok := e.vecbeeAnalysis()
-		if !ok {
-			return
-		}
-		if len(bests) == 0 || bests[0].Best.Err > e.opt.Threshold {
-			e.stats.StopReason = StopBudget
-			return
-		}
-		chosen := bests[0]
-		if exactMode {
-			e.apply(chosen.Best.LAC)
-		} else {
-			sn := e.snapshot()
-			e.apply(chosen.Best.LAC)
-			if e.st.Error() > e.opt.Threshold {
-				e.restore(sn)
-				e.stats.StopReason = StopBudget
-				return
-			}
-		}
-		e.onIteration(e.stats.Applied, chosen, bests)
-		if e.wceCheckpoint(false) {
-			e.stats.StopReason = StopBudget
+// accept is the accept step of every flow: it commits chosen, picked from
+// the analysis bests, as the next iteration and reports whether the flow
+// must stop. With validate the estimate may be wrong, so the apply is
+// checked against the real (sampled) error and rolled back on violation.
+// An accepted LAC is reported to OnIteration, then passes the WCE
+// checkpoint; a failed certification stops the flow, because the engine
+// kept the longest certified prefix and re-proposing the violator would
+// loop forever.
+func (e *engine) accept(chosen lac.NodeBest, bests []lac.NodeBest, validate bool) (stop bool) {
+	var sn snapshot
+	if validate {
+		sn = e.snapshot()
+	}
+	e.apply(chosen.Best.LAC)
+	if validate && e.st.Error() > e.opt.Threshold {
+		e.restore(sn)
+		e.stats.StopReason = StopBudget
+		return true
+	}
+	e.onIteration(e.stats.Applied, chosen, bests)
+	if e.wceCheckpoint(false) {
+		e.stats.StopReason = StopBudget
+		return true
+	}
+	return false
+}
+
+// acceptBest is one iteration's decision after a full analysis: stop if
+// the run was cancelled (the analysis returned nil bests) or no LAC fits
+// the budget, else accept the best LAC.
+func (e *engine) acceptBest(bests []lac.NodeBest, validate bool) (stop bool) {
+	if e.cancelled() {
+		return true
+	}
+	if !e.fits(bests) {
+		e.stats.StopReason = StopBudget
+		return true
+	}
+	return e.accept(bests[0], bests, validate)
+}
+
+// runSinglePhase is the flow of Fig. 3(a): every iteration performs a full
+// analysis and accepts the single LAC with the smallest error, until no
+// candidate fits the budget. The conventional flow analyses with
+// comprehensive; the original VECBEE baseline with vecbeeAnalysis, whose
+// depth-limited estimate can be wrong, so validate rolls a violating apply
+// back.
+func (e *engine) runSinglePhase(analyse func(*obs.Span) []lac.NodeBest, validate bool) {
+	for !e.stopped() {
+		if e.acceptBest(analyse(e.root), validate) {
 			return
 		}
 	}
 }
 
 // vecbeeAnalysis is one analysis of the original VECBEE baseline: the
-// one-cut depth-limited CPM plus LAC evaluation, recorded as a phase-1
-// span like every other full analysis. ok is false when the run was
-// cancelled mid-analysis (the partial result must be discarded).
-func (e *engine) vecbeeAnalysis() (bests []lac.NodeBest, ok bool) {
-	p1 := e.root.Child("phase1")
+// one-cut CPM with depth limit l plus LAC evaluation, recorded as a
+// phase-1 span like every other full analysis. With l=∞ the estimate is
+// exact. Like comprehensive it returns nil bests when the run was
+// cancelled mid-analysis.
+func (e *engine) vecbeeAnalysis(parent *obs.Span) []lac.NodeBest {
+	p1 := parent.Child("phase1")
 	defer p1.End()
 	sp, ctx := e.step(p1, "cpm")
 	res, err := cpm.BuildVECBEE(ctx, e.g, e.s, e.opt.DepthLimit, e.opt.Threads)
@@ -203,16 +200,14 @@ func (e *engine) vecbeeAnalysis() (bests []lac.NodeBest, ok bool) {
 	sp.End()
 	e.stats.CPMWork += res.Work
 	if err != nil {
-		e.cancelled()
-		return nil, false
+		return nil
 	}
-	bests, err = e.evaluate(p1, res, e.liveTargets())
+	bests, err := e.evaluate(p1, res, e.liveTargets())
 	if err != nil {
-		e.cancelled()
-		return nil, false
+		return nil
 	}
 	e.stats.Comprehensive++
-	return bests, true
+	return bests
 }
 
 // runAccALS re-implements AccALS [14]: each iteration selects multiple
@@ -221,15 +216,12 @@ func (e *engine) vecbeeAnalysis() (bests []lac.NodeBest, ok bool) {
 // bound or deviates too much from the estimate, it rolls back and applies
 // only the single best LAC — the SEALS fallback the paper describes.
 func (e *engine) runAccALS() {
-	for {
-		if e.stopped() {
-			return
-		}
+	for !e.stopped() {
 		bests := e.comprehensive(e.root)
 		if e.cancelled() {
 			return
 		}
-		if len(bests) == 0 || bests[0].Best.Err > e.opt.Threshold {
+		if !e.fits(bests) {
 			e.stats.StopReason = StopBudget
 			return
 		}
@@ -251,43 +243,34 @@ func (e *engine) runAccALS() {
 				break
 			}
 		}
-		if len(sel) <= 1 {
-			chosen := bests[0]
-			e.apply(chosen.Best.LAC)
-			e.onIteration(e.stats.Applied, chosen, bests)
-			if e.wceCheckpoint(false) {
-				e.stats.StopReason = StopBudget
-				return
+		if len(sel) > 1 {
+			sn := e.snapshot()
+			// Apply the batch but hold the OnIteration callbacks until it
+			// validates: a rolled-back batch must not be observed, and its
+			// iteration numbers must not be consumed (restore uncounts them,
+			// so the fallback single LAC reuses the first).
+			var applied []lac.NodeBest
+			for _, nb := range sel {
+				if e.applicable(nb.Best.LAC) {
+					e.apply(nb.Best.LAC)
+					applied = append(applied, nb)
+				}
 			}
-			continue
-		}
-		sn := e.snapshot()
-		// Apply the batch but hold the OnIteration callbacks until it
-		// validates: a rolled-back batch must not be observed, and its
-		// iteration numbers must not be consumed (restore uncounts them, so
-		// the fallback single LAC reuses the first).
-		var applied []lac.NodeBest
-		for _, nb := range sel {
-			if e.applicable(nb.Best.LAC) {
-				e.apply(nb.Best.LAC)
-				applied = append(applied, nb)
+			real := e.st.Error()
+			if real <= e.opt.Threshold && math.Abs(real-est) <= accTol*math.Max(est, 1e-12) {
+				for i, nb := range applied {
+					e.onIteration(sn.applied+i+1, nb, bests)
+				}
+				if e.wceCheckpoint(false) {
+					e.stats.StopReason = StopBudget
+					return
+				}
+				continue
 			}
-		}
-		real := e.st.Error()
-		dev := math.Abs(real - est)
-		if real > e.opt.Threshold || dev > accTol*math.Max(est, 1e-12) {
 			// Estimate was unreliable: fall back to a single LAC (SEALS).
 			e.restore(sn)
-			chosen := bests[0]
-			e.apply(chosen.Best.LAC)
-			e.onIteration(e.stats.Applied, chosen, bests)
-		} else {
-			for i, nb := range applied {
-				e.onIteration(sn.applied+i+1, nb, bests)
-			}
 		}
-		if e.wceCheckpoint(false) {
-			e.stats.StopReason = StopBudget
+		if e.accept(bests[0], bests, false) {
 			return
 		}
 	}
@@ -313,10 +296,7 @@ func (e *engine) runDualPhase(selfAdapt bool) {
 	}
 	N := e.opt.N
 	if N <= 0 {
-		N = M / 3
-	}
-	if N < 1 {
-		N = 1
+		N = max(M/3, 1)
 	}
 
 	for {
@@ -350,11 +330,11 @@ func (e *engine) runDualPhase(selfAdapt bool) {
 					// Step 1 dominates: growing M amortises the
 					// comprehensive pass over more phase-2 iterations
 					// without increasing the incremental cut work.
-					M = growInt(M, 1+rInc)
+					M = max(int(float64(M)*(1+rInc)), M+1)
 				case dCPM*2 > total:
 					// Step 2 dominates: shrink the candidate set so fewer
 					// CPM entries are rebuilt per iteration.
-					M = shrinkInt(M, 1-rInc, 6)
+					M = max(int(float64(M)*(1-rInc)), 6)
 				case dEval*2 > total:
 					// Step 3 dominates: fewer LACs per target node. With
 					// constant LACs there are only two per node and nothing
@@ -362,17 +342,12 @@ func (e *engine) runDualPhase(selfAdapt bool) {
 					// comprehensive passes, so leave the parameters alone.
 					if e.opt.UseSASIMILACs && e.gen.MaxPerNode() > 1 {
 						e.gen.SetMaxPerNode(e.gen.MaxPerNode() / 2)
-						if e.memo != nil {
-							// Fewer candidates per node: memoized bests
-							// were picked from a larger candidate set.
-							e.memo.Invalidate()
-						}
+						// Fewer candidates per node: memoized bests were
+						// picked from a larger candidate set.
+						e.memo.Invalidate()
 					}
 				}
-				N = M / 3
-				if N < 1 {
-					N = 1
-				}
+				N = max(M/3, 1)
 			}
 			e.stats.MTrace = append(e.stats.MTrace, M)
 		}
@@ -380,9 +355,10 @@ func (e *engine) runDualPhase(selfAdapt bool) {
 }
 
 // dualPhaseRound runs one round of the dual-phase framework under the given
-// round span: a comprehensive phase-1 analysis, the phase-1 apply, and up to
-// N incremental phase-2 iterations restricted to the candidate set S_cand of
-// the M best remaining nodes. It reports whether the whole flow should stop
+// round span: phase 1 is one iteration of the single-phase loop (a
+// comprehensive analysis, then accept its best LAC), phase 2 up to N
+// incremental iterations restricted to the candidate set S_cand of the M
+// best remaining nodes. It reports whether the whole flow should stop
 // (error budget exhausted, iteration cap reached, or run cancelled).
 func (e *engine) dualPhaseRound(round *obs.Span, M, N int, selfAdapt bool) (stop bool) {
 	// Applies of this round nest their spans under the round.
@@ -390,36 +366,22 @@ func (e *engine) dualPhaseRound(round *obs.Span, M, N int, selfAdapt bool) (stop
 	defer func() { e.cur = e.root }()
 
 	// ---------- Phase 1: comprehensive analysis ----------
-	bests := e.comprehensive(round)
-	if e.cancelled() {
-		return true
-	}
-	if len(bests) == 0 || bests[0].Best.Err > e.opt.Threshold {
-		e.stats.StopReason = StopBudget
-		return true
-	}
 	E0 := e.st.Error() // error at the start of this dual-phase iteration
-	chosen := bests[0]
-	cs := e.apply(chosen.Best.LAC)
-	e.onIteration(e.stats.Applied, chosen, bests)
-	if e.wceCheckpoint(false) {
-		e.stats.StopReason = StopBudget
+	bests := e.comprehensive(round)
+	if e.acceptBest(bests, false) {
 		return true
 	}
-	// Candidate set: the M remaining nodes with the smallest errors,
-	// excluding anything the applied LAC removed.
-	removed := map[int32]bool{}
-	for _, r := range cs.Removed {
-		removed[r] = true
-	}
+	// Candidate set: the M remaining nodes with the smallest errors that
+	// are still live. An apply kills exactly its target and the target's
+	// MFFC, so liveness is all S_cand has to track, here and after every
+	// phase-2 apply.
 	var scand []int32
 	for _, nb := range bests[1:] {
-		if removed[nb.Node] {
-			continue
-		}
-		scand = append(scand, nb.Node)
 		if len(scand) == M {
 			break
+		}
+		if e.g.IsAnd(nb.Node) {
+			scand = append(scand, nb.Node)
 		}
 	}
 
@@ -436,7 +398,6 @@ func (e *engine) dualPhaseRound(round *obs.Span, M, N int, selfAdapt bool) (stop
 		if e.cancelled() {
 			return true
 		}
-		// Keep only still-live candidates.
 		live := scand[:0]
 		for _, v := range scand {
 			if e.g.IsAnd(v) {
@@ -474,7 +435,7 @@ func (e *engine) dualPhaseRound(round *obs.Span, M, N int, selfAdapt bool) (stop
 			e.cancelled()
 			return true
 		}
-		if len(bests2) == 0 || bests2[0].Best.Err > e.opt.Threshold {
+		if !e.fits(bests2) {
 			break
 		}
 		cand := bests2[0]
@@ -502,42 +463,11 @@ func (e *engine) dualPhaseRound(round *obs.Span, M, N int, selfAdapt bool) (stop
 				break
 			}
 		}
-		cs2 := e.apply(cand.Best.LAC)
 		e.stats.Incremental++
-		sumEr += er
-		e.onIteration(e.stats.Applied, cand, bests2)
-		// Remove the target and its removed MFFC from S_cand.
-		gone := map[int32]bool{cand.Node: true}
-		for _, r := range cs2.Removed {
-			gone[r] = true
-		}
-		kept := scand[:0]
-		for _, v := range scand {
-			if !gone[v] {
-				kept = append(kept, v)
-			}
-		}
-		scand = kept
-		if e.wceCheckpoint(false) {
-			e.stats.StopReason = StopBudget
+		if e.accept(cand, bests2, false) {
 			return true
 		}
+		sumEr += er
 	}
 	return false
-}
-
-func growInt(v int, f float64) int {
-	n := int(float64(v) * f)
-	if n <= v {
-		n = v + 1
-	}
-	return n
-}
-
-func shrinkInt(v int, f float64, floor int) int {
-	n := int(float64(v) * f)
-	if n < floor {
-		n = floor
-	}
-	return n
 }

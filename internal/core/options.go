@@ -269,7 +269,9 @@ type Hooks struct {
 	// OnIteration, when non-nil, observes every applied LAC: the 1-based
 	// iteration number, the chosen candidate, and the full sorted
 	// evaluation of the iteration (phase-2 iterations only see the
-	// candidate set S_cand). Used by the Fig. 4 experiment.
+	// candidate set S_cand). Used by the Fig. 4 experiment. A failed WCE
+	// certification replay can undo LACs already reported; the run stops
+	// right after it, so the numbers stay 1, 2, ... without repeats.
 	OnIteration func(iter int, chosen lac.NodeBest, bests []lac.NodeBest)
 
 	// Fault, when non-nil, injects one deliberate bookkeeping mutation

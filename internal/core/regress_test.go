@@ -58,10 +58,10 @@ func TestZeroValueDPSAMatchesDefaults(t *testing.T) {
 func TestAccALSRollbackIterationNumbering(t *testing.T) {
 	g := gen.MultU(6, 6)
 	R := metric.ReferenceError(g.NumPOs())
-	checkRollbackIterationNumbering(t, g, Options{
+	checkIterationNumbering(t, g, Options{
 		Flow: FlowAccALS, Metric: metric.MSE, Threshold: 4 * R * R,
 		Patterns: 1024, Seed: 11, MaxIters: 30,
-	})
+	}, true)
 }
 
 // Depth-limited VECBEE validates every apply against the sampled error
@@ -70,16 +70,46 @@ func TestAccALSRollbackIterationNumbering(t *testing.T) {
 func TestVECBEERollbackIterationNumbering(t *testing.T) {
 	g := gen.MultS(9, 8)
 	R := metric.ReferenceError(g.NumPOs())
-	checkRollbackIterationNumbering(t, g, Options{
+	checkIterationNumbering(t, g, Options{
 		Flow: FlowVECBEE, Metric: metric.MSE, Threshold: R * R,
 		Patterns: 1024, DepthLimit: 2,
-	})
+	}, true)
 }
 
-// checkRollbackIterationNumbering runs opt on g, requires at least one
-// rollback, and checks that OnIteration fired once per applied LAC with
-// the iteration numbers 1, 2, ..., Stats.Applied.
-func checkRollbackIterationNumbering(t *testing.T, g *aig.Graph, opt Options) {
+// The single-phase and dual-phase flows accept every LAC through the same
+// step, so each must number its OnIteration calls 1, 2, ..., Stats.Applied,
+// with and without WCE certification. The WCE runs use the replay setup of
+// TestWCEReplayKeepsCertificate: sixteen patterns miss the worst cases, so
+// a checkpoint fails and the replay restores away LACs OnIteration already
+// reported.
+func TestIterationNumbering(t *testing.T) {
+	g := gen.MultS(9, 8)
+	R := metric.ReferenceError(g.NumPOs())
+	for _, flow := range []Flow{FlowConventional, FlowDP, FlowDPSA} {
+		t.Run(flow.String(), func(t *testing.T) {
+			checkIterationNumbering(t, g, Options{
+				Flow: flow, Metric: metric.MSE, Threshold: R * R,
+				Patterns: 1024, Seed: 3, MaxIters: 40,
+			}, false)
+		})
+	}
+	for _, flow := range []Flow{FlowConventional, FlowVECBEE, FlowAccALS, FlowDP, FlowDPSA} {
+		t.Run("wce/"+flow.String(), func(t *testing.T) {
+			opt := wceOptions(flow, 8)
+			opt.Patterns = 16
+			opt.CertEvery = 2
+			checkIterationNumbering(t, gen.MultU(4, 4), opt, true)
+		})
+	}
+}
+
+// checkIterationNumbering runs opt on g, with wantRollback requires at
+// least one rollback, and checks that OnIteration fired once per applied
+// LAC with the iteration numbers 1, 2, ..., Stats.Applied. A WCE
+// certification replay is the one exception: it undoes LACs that were
+// already reported and stops the run, so the numbers stay 1, 2, ..., n
+// but n may exceed Stats.Applied.
+func checkIterationNumbering(t *testing.T, g *aig.Graph, opt Options, wantRollback bool) {
 	t.Helper()
 	var iters []int
 	onIter := func(iter int, chosen lac.NodeBest, bests []lac.NodeBest) {
@@ -89,11 +119,16 @@ func checkRollbackIterationNumbering(t *testing.T, g *aig.Graph, opt Options) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Rollbacks == 0 {
+	st := res.Stats
+	if wantRollback && st.Rollbacks == 0 {
 		t.Fatal("test did not force a rollback; change the circuit, seed or threshold")
 	}
-	if len(iters) != res.Stats.Applied {
-		t.Errorf("callback fired %d times for %d applied LACs: %v", len(iters), res.Stats.Applied, iters)
+	if st.Applied == 0 {
+		t.Fatal("no LAC applied; the numbering check is vacuous")
+	}
+	if n := len(iters); n != st.Applied && (st.CertRollbacks == 0 || n < st.Applied) {
+		t.Errorf("callback fired %d times for %d applied LACs (%d certification replays): %v",
+			n, st.Applied, st.CertRollbacks, iters)
 	}
 	for i, it := range iters {
 		if it != i+1 {

@@ -211,7 +211,7 @@ func checkSinglePhasePasses(t *testing.T, e *engine, where string) {
 	if e.opt.Flow == FlowAccALS {
 		e.runAccALS()
 	} else {
-		e.runConventional()
+		e.runSinglePhase(e.comprehensive, false)
 	}
 	if passes < 2 || e.stats.CPMRowsRecomputed == 0 {
 		t.Fatalf("%s: vacuous differential: %d passes, %d rows through the cache",

@@ -56,10 +56,12 @@ type Update struct {
 // arena's free list.
 //
 // Invalidation rule (change signals → dependency closure → recompute set):
-// an applied LAC announces itself through three signals the engine already
-// produces — the structural aig.ChangeSet of ReplaceWithLit, the
-// changed-value variables returned by sim.ResimulateFrom, and the cut set
-// S_v recomputed by cut.Set.UpdateAfter. A cached row of node n is stale
+// an applied LAC announces itself through two signals the engine already
+// produces — the structural aig.ChangeSet of ReplaceWithLit and the
+// changed-value variables returned by sim.ResimulateFrom. The nodes whose
+// cuts cut.Set.UpdateAfter repairs (S_v) need no signal of their own: S_v
+// is the live TFI of the FanoutChanged nodes, which the closure below
+// covers. A cached row of node n is stale
 // iff one of the inputs of its construction changed: a simulation value
 // inside its flip region or on the region's side inputs, its disjoint cut,
 // the region's fanout structure, or the row of one of its cut elements.
@@ -67,8 +69,7 @@ type Update struct {
 // elements, region members, PO-cone drivers) or is a fanin of a region
 // member, so the stale set is covered by the transitive-fanin closure of
 //
-//	roots = Removed ∪ FanoutChanged ∪ Rewired ∪ S_v
-//	      ∪ changed ∪ fanouts(changed)
+//	roots = Removed ∪ FanoutChanged ∪ Rewired ∪ changed ∪ fanouts(changed)
 //
 // walked through dead nodes as well (a removed MFFC preserves its fanin
 // literals, and pre-change regions reached the removed nodes). Because the

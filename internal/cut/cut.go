@@ -61,9 +61,6 @@ type Set struct {
 	scr        []*cutScratch // per-worker recompute scratch, indexed by par worker id
 	reachArena *bitvec.Arena // slab backing for reach bitsets; never reset
 
-	// Stats of the last update.
-	LastRecomputed int
-
 	work     int64   // atomic: cumulated work estimate in bitset word operations
 	nodeWork []int64 // per var: work of the node's last recompute (see FullBuildWork)
 }
@@ -404,7 +401,6 @@ func (s *Set) UpdateAfter(cs aig.ChangeSet) []int32 {
 	for _, v := range sv {
 		s.recompute(sc, v)
 	}
-	s.LastRecomputed = len(sv)
 	s.markSynced()
 	return sv
 }

@@ -1,6 +1,8 @@
 package gen
 
 import (
+	"slices"
+
 	"dpals/internal/aig"
 )
 
@@ -15,7 +17,9 @@ type Benchmark struct {
 	Small     bool      // paper's grouping (small < 4000 AIG nodes)
 }
 
-// signedWeights returns two's-complement weights for one n-bit word.
+// signedWeights returns two's-complement weights for one n-bit word, LSB
+// first. It mirrors metric.TwosComplementWeights, which gen cannot import:
+// metric depends on cpm, whose tests build their circuits with gen.
 func signedWeights(n int) []float64 {
 	w := make([]float64, n)
 	v := 1.0
@@ -27,26 +31,8 @@ func signedWeights(n int) []float64 {
 	return w
 }
 
-// concatWeights concatenates per-word weights (each word restarts at 2^0),
-// matching circuits whose POs are several independent numeric words.
-func concatWeights(groups ...[]float64) []float64 {
-	var out []float64
-	for _, g := range groups {
-		out = append(out, g...)
-	}
-	return out
-}
-
-// unsignedW returns the weights 1,2,4,… for an n-bit unsigned word.
-func unsignedW(n int) []float64 {
-	w := make([]float64, n)
-	v := 1.0
-	for i := range w {
-		w[i] = v
-		v *= 2
-	}
-	return w
-}
+// twosComplement weights the POs of g as one two's-complement word.
+func twosComplement(g *aig.Graph) []float64 { return signedWeights(g.NumPOs()) }
 
 // SmallSuite returns the small-circuit group. With scaled=false the
 // generators use the paper's bit-widths; with scaled=true they are reduced
@@ -64,10 +50,8 @@ func SmallSuite(scaled bool) []Benchmark {
 			{"c880", "8-bit ALU", func() *aig.Graph { return ALU(8) }, nil},
 			{"c1908", "16-bit detector", func() *aig.Graph { return Detector(16) }, nil},
 			{"c3540", "8-bit ALU", func() *aig.Graph { return ALUX(8) }, nil},
-			{"sm9x8", "9bit×8bit signed multiplier", func() *aig.Graph { return MultS(9, 8) },
-				func(g *aig.Graph) []float64 { return signedWeights(g.NumPOs()) }},
-			{"sm18x14", "12bit×10bit signed multiplier (scaled)", func() *aig.Graph { return MultS(12, 10) },
-				func(g *aig.Graph) []float64 { return signedWeights(g.NumPOs()) }},
+			{"sm9x8", "9bit×8bit signed multiplier", func() *aig.Graph { return MultS(9, 8) }, twosComplement},
+			{"sm18x14", "12bit×10bit signed multiplier (scaled)", func() *aig.Graph { return MultS(12, 10) }, twosComplement},
 			{"mult16", "12-bit unsigned multiplier (scaled)", func() *aig.Graph { return MultU(12, 12) }, nil},
 			{"adder", "48-bit adder (scaled)", func() *aig.Graph { return Adder(48) }, nil},
 		}
@@ -76,10 +60,8 @@ func SmallSuite(scaled bool) []Benchmark {
 			{"c880", "8-bit ALU", func() *aig.Graph { return ALU(8) }, nil},
 			{"c1908", "16-bit detector", func() *aig.Graph { return Detector(16) }, nil},
 			{"c3540", "8-bit ALU", func() *aig.Graph { return ALUX(8) }, nil},
-			{"sm9x8", "9bit×8bit signed multiplier", func() *aig.Graph { return MultS(9, 8) },
-				func(g *aig.Graph) []float64 { return signedWeights(g.NumPOs()) }},
-			{"sm18x14", "18bit×14bit signed multiplier", func() *aig.Graph { return MultS(18, 14) },
-				func(g *aig.Graph) []float64 { return signedWeights(g.NumPOs()) }},
+			{"sm9x8", "9bit×8bit signed multiplier", func() *aig.Graph { return MultS(9, 8) }, twosComplement},
+			{"sm18x14", "18bit×14bit signed multiplier", func() *aig.Graph { return MultS(18, 14) }, twosComplement},
 			{"mult16", "16-bit unsigned multiplier", func() *aig.Graph { return MultU(16, 16) }, nil},
 			{"adder", "128-bit adder", func() *aig.Graph { return Adder(128) }, nil},
 		}
@@ -142,7 +124,7 @@ func LargeSuite(scaled bool) []Benchmark {
 // each as a two's-complement number.
 func butterflyWeights(w int) []float64 {
 	word := signedWeights(2*w + 1)
-	return concatWeights(word, word, word, word)
+	return slices.Concat(word, word, word, word)
 }
 
 // Suite returns the full benchmark set, small group first.

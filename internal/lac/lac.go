@@ -387,8 +387,13 @@ func NewMemo(numVars int) *Memo {
 }
 
 // Invalidate starts a new epoch, atomically dropping every memoized
-// evaluation. Cheap: entries age out by stamp mismatch.
-func (m *Memo) Invalidate() { m.epoch++ }
+// evaluation. Cheap: entries age out by stamp mismatch. A nil memo (a
+// flow that keeps none) has nothing to drop.
+func (m *Memo) Invalidate() {
+	if m != nil {
+		m.epoch++
+	}
+}
 
 // fresh reports whether v's stored evaluation is from the current epoch.
 func (m *Memo) fresh(v int32) bool { return m != nil && m.stamp[v] == m.epoch }

@@ -26,7 +26,9 @@
 package obs
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -208,7 +210,7 @@ func (t *Tracer) Snapshot() []SpanData {
 	for _, sp := range open {
 		out = append(out, sp.data(now.Sub(sp.t0), true))
 	}
-	sortSpans(out)
+	slices.SortFunc(out, byStart)
 	return out
 }
 
@@ -231,19 +233,15 @@ func (t *Tracer) ActiveSpans() []SpanData {
 	for _, sp := range open {
 		out = append(out, sp.data(now.Sub(sp.t0), true))
 	}
-	sortSpans(out)
+	slices.SortFunc(out, byStart)
 	return out
 }
 
-func sortSpans(spans []SpanData) {
-	// Insertion-stable ordering by (start, id): ids are allocation-ordered,
-	// which breaks ties between spans opened within one clock granule.
-	for i := 1; i < len(spans); i++ {
-		for j := i; j > 0 && (spans[j].Start < spans[j-1].Start ||
-			(spans[j].Start == spans[j-1].Start && spans[j].ID < spans[j-1].ID)); j-- {
-			spans[j], spans[j-1] = spans[j-1], spans[j]
-		}
-	}
+// byStart orders spans by (start, id): ids are unique and
+// allocation-ordered, which breaks ties between spans opened within one
+// clock granule.
+func byStart(a, b SpanData) int {
+	return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.ID, b.ID))
 }
 
 // Context plumbing -----------------------------------------------------------

@@ -351,6 +351,20 @@ func TestProgressRendering(t *testing.T) {
 	}
 }
 
+// TestProgressFuncRateLimit: the func renderer (alsd's SSE feed) obeys the
+// same rate limit as the terminal one: the first update always renders,
+// the rest fall inside the interval.
+func TestProgressFuncRateLimit(t *testing.T) {
+	calls := 0
+	p := NewProgressFunc(func(iter, ands int, err, budget float64) { calls++ }, time.Hour)
+	for i := 1; i <= 1000; i++ {
+		p.Update(i, 1000-i, 0.1, 1)
+	}
+	if calls != 1 || p.Renders() != 1 {
+		t.Fatalf("%d calls, %d renders under a one-hour rate limit, want 1", calls, p.Renders())
+	}
+}
+
 // TestContextPlumbing: With*/From* round-trips, and absent values come
 // back as the documented defaults.
 func TestContextPlumbing(t *testing.T) {

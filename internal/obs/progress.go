@@ -71,7 +71,7 @@ func (p *Progress) Update(iter, ands int, err, budget float64) {
 		return
 	}
 	now := time.Now()
-	if p.wrote && now.Sub(p.last) < p.every {
+	if p.renders > 0 && now.Sub(p.last) < p.every {
 		return
 	}
 	p.render(iter, ands, err, budget, now)
@@ -106,10 +106,10 @@ func (p *Progress) Renders() int64 {
 }
 
 func (p *Progress) render(iter, ands int, err, budget float64, now time.Time) {
+	p.last = now
+	p.renders++
 	if p.fn != nil {
 		p.fn(iter, ands, err, budget)
-		p.last = now
-		p.renders++
 		return
 	}
 	line := progressLine(iter, ands, err, budget, now.Sub(p.start))
@@ -123,9 +123,7 @@ func (p *Progress) render(iter, ands int, err, budget float64, now time.Time) {
 		p.width = len(line)
 	}
 	fmt.Fprintf(p.w, "\r%s%s", line, pad)
-	p.last = now
 	p.wrote = true
-	p.renders++
 }
 
 // progressLine formats one status line. Pure so tests can pin the format.

@@ -12,7 +12,8 @@ import (
 const shrunkDir = "../../testdata/shrunk"
 
 // TestReplayShrunkFixtures replays every committed shrunk repro and
-// requires the original detection to still fire. This is the permanent
+// requires the original detection to still fire, via the check its
+// sidecar records. This is the permanent
 // regression net: if an engine change makes any of these faults
 // unobservable again (or a harness change weakens a check), the replay
 // fails with the fixture name and the signal that used to catch it.
@@ -40,6 +41,9 @@ func TestReplayShrunkFixtures(t *testing.T) {
 			if !det.Detected {
 				t.Errorf("fault %s no longer detected (was caught by %s: %s)",
 					r.Spec.Run.Fault, r.Spec.Check, r.Spec.Detail)
+			} else if det.How != r.Spec.Check {
+				t.Errorf("fault %s detected via %s, sidecar records %s: %s",
+					r.Spec.Run.Fault, det.How, r.Spec.Check, r.Spec.Detail)
 			}
 		})
 		kinds[r.Spec.Run.Fault] = true

@@ -74,14 +74,19 @@ func LoadRepros(dir string) ([]Repro, error) {
 		return nil, err
 	}
 	var out []Repro
+	seen := map[string]bool{}
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".aag") {
+		name, ok := strings.CutSuffix(e.Name(), ".aag")
+		if !ok {
+			name, ok = strings.CutSuffix(e.Name(), ".json")
+		}
+		if e.IsDir() || !ok || seen[name] {
 			continue
 		}
-		name := strings.TrimSuffix(e.Name(), ".aag")
+		seen[name] = true
 		f, err := os.Open(filepath.Join(dir, name+".aag"))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("oracle: repro %s has no circuit: %w", name, err)
 		}
 		g, err := aiger.Read(f)
 		f.Close()

@@ -176,3 +176,17 @@ func TestLoadReprosRejectsUnknownKeys(t *testing.T) {
 		t.Fatalf("LoadRepros = %v, want an error naming key \"maxIters\" and fixture stale", err)
 	}
 }
+
+// A sidecar whose circuit is gone (say, an .aag deleted by hand) must fail
+// the load by name, not vanish from the fixture set.
+func TestLoadReprosRejectsOrphanedSidecar(t *testing.T) {
+	dir := t.TempDir()
+	js := `{"run": {"flow": 4, "metric": 2, "threshold": 4}, "check": "budget", "ands": 1}`
+	if err := os.WriteFile(filepath.Join(dir, "lone.json"), []byte(js), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := LoadRepros(dir)
+	if err == nil || !strings.Contains(err.Error(), "lone") {
+		t.Fatalf("LoadRepros = %d repros, %v; want an error naming fixture lone", len(rs), err)
+	}
+}
