@@ -8,7 +8,8 @@
 //   - the error budget, including for mid-run-cancelled best-so-far
 //     results,
 //   - the exhaustively enumerated exact error (circuits ≤ 20 inputs):
-//     equality in exhaustive mode, a Hoeffding bound for Monte-Carlo,
+//     equality when the run's patterns enumerate the inputs, a
+//     Hoeffding bound for Monte-Carlo,
 //   - SAT-certified worst-case error vs enumerated worst-case error,
 //   - bit-identical results across thread counts, and validity of
 //     cancelled runs,
@@ -42,6 +43,7 @@ import (
 	"dpals/internal/gen"
 	"dpals/internal/metric"
 	"dpals/internal/oracle"
+	"dpals/internal/sim"
 )
 
 var verbose bool
@@ -66,7 +68,7 @@ func main() {
 	emitFaultRepros := flag.Bool("emit-fault-repros", false,
 		"also shrink+save one repro per detected fault kind (fixture generation)")
 	certStats := flag.String("cert-stats", "",
-		"write campaign-wide WCE certification accounting (runs, SAT calls, rollbacks) as JSON to this file")
+		"write campaign-wide WCE certification accounting (runs, runs certified by enumeration, SAT calls, rollbacks) as JSON to this file")
 	flag.BoolVar(&verbose, "v", false, "log every campaign step")
 	flag.Parse()
 
@@ -98,8 +100,8 @@ func main() {
 
 	fmt.Printf("alscheck: %d runs, %d checks, %d failures\n", c.runs, c.checks, c.failures)
 	if c.cert.Runs > 0 {
-		fmt.Printf("  WCE cert: %d runs, %d SAT calls, %d rollbacks\n",
-			c.cert.Runs, c.cert.Calls, c.cert.Rollbacks)
+		fmt.Printf("  WCE cert: %d runs (%d by enumeration), %d SAT calls, %d rollbacks\n",
+			c.cert.Runs, c.cert.EnumRuns, c.cert.Calls, c.cert.Rollbacks)
 	}
 	if *certStats != "" {
 		data, err := json.MarshalIndent(c.cert, "", "  ")
@@ -143,19 +145,26 @@ type campaign struct {
 
 // certSummary is the campaign-wide WCE certification accounting exported
 // by -cert-stats (a CI artifact: trends in SAT-call counts and rollbacks
-// across nightly sweeps).
+// across nightly sweeps). EnumRuns counts the runs whose patterns
+// enumerate the input space: they certify by that enumeration and spend
+// no SAT call, so Calls comes from the other Runs − EnumRuns.
 type certSummary struct {
 	Runs      int `json:"wce_runs"`
+	EnumRuns  int `json:"enum_runs"`
 	Calls     int `json:"cert_calls"`
 	Rollbacks int `json:"cert_rollbacks"`
 }
 
-// noteCert folds one WCE run's certification stats into the summary.
-func (c *campaign) noteCert(spec oracle.RunSpec, res *core.Result) {
+// noteCert folds one WCE run of g's certification stats into the summary.
+func (c *campaign) noteCert(g *aig.Graph, spec oracle.RunSpec, res *core.Result) {
 	if spec.Metric != metric.WCE || res == nil {
 		return
 	}
 	c.cert.Runs++
+	opt := spec.Options.Resolved()
+	if sim.Enumerates(g.NumPIs(), core.SimOptions(g, opt)) && metric.UnsignedWeights(g.NumPOs()).SumsExactly() {
+		c.cert.EnumRuns++
+	}
 	c.cert.Calls += res.Stats.CertCalls
 	c.cert.Rollbacks += res.Stats.CertRollbacks
 }
@@ -256,7 +265,7 @@ func (c *campaign) differential(g *aig.Graph, spec oracle.RunSpec) {
 		return
 	}
 	c.report(g, spec, oracle.Verify(g, spec, ref.Result), "clean run")
-	c.noteCert(spec, ref.Result)
+	c.noteCert(g, spec, ref.Result)
 
 	all := spec
 	all.Threads = 0
@@ -278,7 +287,7 @@ func (c *campaign) differential(g *aig.Graph, spec oracle.RunSpec) {
 		return
 	}
 	c.report(g, cancel, oracle.Verify(g, cancel, cres), "cancelled run")
-	c.noteCert(cancel, cres)
+	c.noteCert(g, cancel, cres)
 }
 
 func (c *campaign) exhaustiveCheck(g *aig.Graph, base oracle.RunSpec) {
@@ -340,10 +349,11 @@ func (c *campaign) faultSweep(g *aig.Graph, base oracle.RunSpec, emit bool) {
 	// emitted circuit understates the true one — then the genuine SAT calls
 	// would have refused (or tightened past) what the skipped ones claimed,
 	// and the exhaustive oracle flags wce-cert-unsound. A 1024-pattern
-	// sample on a ≤ 12-PI circuit rarely misses the worst-case input, which
-	// would make the fault an equivalent mutant everywhere; a deliberately
-	// thin sample restores the gap between sampled and true that the
-	// certification step exists to close.
+	// budget enumerates a ≤ 10-PI circuit and rarely misses the worst-case
+	// input of a 12-PI one, which would make the fault an equivalent mutant
+	// everywhere; a deliberately thin sample (64 patterns, below 2^PIs for
+	// every shape but the 6-input one) restores the gap between sampled and
+	// true that the certification step exists to close.
 	wdp := wceSpec(base, g)
 	wdp.Flow = core.FlowDP
 	wdp.Patterns = 64

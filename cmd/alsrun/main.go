@@ -37,10 +37,10 @@ func main() {
 	flowName := flag.String("flow", "dpsa", "flow: conventional, vecbee, accals, dp, dpsa")
 	metricName := flag.String("metric", "mse", "error metric: er, mse, med, mhd, wce")
 	threshold := flag.Float64("threshold", -1, "error budget (ER: fraction; MSE/MED: absolute; <0: paper median)")
-	wceBound := flag.Uint64("wce-bound", 0, "worst-case error budget for -metric wce (SAT-certified on the result)")
-	certEvery := flag.Int("cert-every", 0, "WCE: accepted LACs per SAT certification call (0 = default 8)")
+	wceBound := flag.Uint64("wce-bound", 0, "worst-case error budget for -metric wce (certified on the result: by enumeration when the inputs fit -patterns, else by SAT)")
+	certEvery := flag.Int("cert-every", 0, "WCE: accepted LACs per certification (0 = default 8)")
 	certConflicts := flag.Int64("cert-conflict-limit", 0, "WCE: SAT conflict cap per certification call (0 = unlimited)")
-	patterns := flag.Int("patterns", 8192, "Monte-Carlo patterns")
+	patterns := flag.Int("patterns", 8192, "simulation patterns (a circuit with 2^inputs ≤ patterns is enumerated instead)")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	threads := flag.Int("threads", 0, "analysis worker threads (<=0 = all CPUs, 1 = serial)")
 	sasimi := flag.Bool("sasimi", false, "enable SASIMI signal-substitution LACs")

@@ -64,8 +64,9 @@ const (
 	// WCE is the worst-case error: the maximum absolute numeric deviation
 	// over ALL inputs, with outputs read as unsigned LSB-first integers
 	// (Weights must be nil, ≤ 62 outputs). Unlike the statistical metrics
-	// above, WCE runs are SAT-certified: every returned circuit carries a
-	// formally proven bound in Stats.CertifiedWCE ≤ Options.WCEBound.
+	// above, WCE runs are certified: every returned circuit carries a
+	// proven bound in Stats.CertifiedWCE ≤ Options.WCEBound — by
+	// enumeration when the patterns cover the input space, else by SAT.
 	WCE = metric.WCE
 )
 
@@ -442,7 +443,9 @@ func ApproximateContext(ctx context.Context, c *Circuit, opt Options) (*Result, 
 
 // MeasureError computes the error of approx against orig from scratch by
 // simulating both circuits on the same patterns — an independent check of
-// a synthesis result. The circuits must have identical PI/PO interfaces.
+// a synthesis result. The patterns are those a run with the same budget
+// and seed trains on: enumerated when 2^inputs ≤ patterns, else sampled.
+// The circuits must have identical PI/PO interfaces.
 func MeasureError(orig, approx *Circuit, m Metric, weights []float64, patterns int, seed int64) (float64, error) {
 	return measure(orig, approx, m, weights, sim.Options{Patterns: patterns, Seed: seed})
 }
@@ -510,5 +513,6 @@ func MeasureErrorExact(orig, approx *Circuit, m Metric, weights []float64) (floa
 	if orig.NumInputs() > 24 {
 		return 0, fmt.Errorf("dpals: exhaustive measurement infeasible for %d inputs (max 24)", orig.NumInputs())
 	}
-	return measure(orig, approx, m, weights, sim.Options{Patterns: 1 << orig.NumInputs(), Dist: sim.Exhaustive{}})
+	// A uniform budget of 2^inputs patterns: sim.New enumerates it.
+	return measure(orig, approx, m, weights, sim.Options{Patterns: 1 << orig.NumInputs()})
 }

@@ -68,7 +68,7 @@ func TestReadKnownExample(t *testing.T) {
 	if g.NumPIs() != 2 || g.NumPOs() != 3 {
 		t.Fatalf("interface %d/%d", g.NumPIs(), g.NumPOs())
 	}
-	s := sim.New(g, sim.Options{Patterns: 4, Dist: sim.Exhaustive{}})
+	s := sim.New(g, sim.Options{Patterns: 4})
 	v := bitvec.NewWords(s.Words())
 	s.POVal(0, v)
 	for p := 0; p < 4; p++ {

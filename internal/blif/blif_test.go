@@ -79,7 +79,7 @@ func TestReadSOP(t *testing.T) {
 		t.Fatalf("mux interface wrong: %d/%d", g.NumPIs(), g.NumPOs())
 	}
 	// Verify the function exhaustively.
-	s := sim.New(g, sim.Options{Patterns: 8, Dist: sim.Exhaustive{}})
+	s := sim.New(g, sim.Options{Patterns: 8})
 	out := bitvec.NewWords(s.Words())
 	s.POVal(0, out)
 	for p := 0; p < 8; p++ {
@@ -110,7 +110,7 @@ func TestReadOffsetCover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sim.New(g, sim.Options{Patterns: 4, Dist: sim.Exhaustive{}})
+	s := sim.New(g, sim.Options{Patterns: 4})
 	out := bitvec.NewWords(s.Words())
 	s.POVal(0, out)
 	for p := 0; p < 4; p++ {
@@ -141,7 +141,7 @@ func TestReadConstantsAndOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sim.New(g, sim.Options{Patterns: 2, Dist: sim.Exhaustive{}})
+	s := sim.New(g, sim.Options{Patterns: 2})
 	y := bitvec.NewWords(s.Words())
 	z := bitvec.NewWords(s.Words())
 	one := bitvec.NewWords(s.Words())

@@ -148,15 +148,19 @@ type engine struct {
 	incCuts    bool    // maintain cuts incrementally on apply (dual-phase flows)
 
 	// WCE-constrained flow state (Metric == metric.WCE; cert is nil
-	// otherwise). lastGood is the most recent SAT-certified state (the
+	// otherwise). lastGood is the most recent certified state (the
 	// pristine input, trivially certified at 0, until the first checkpoint
-	// passes); pending records every LAC applied since it, in order, for
-	// the rollback-and-replay path of wceCheckpoint; certWCE is the bound
-	// lastGood is proven to satisfy.
+	// passes); pending records every LAC accepted since it, in order, for
+	// the rollback-and-replay path of wceCheckpoint, together with the
+	// OnIteration report it holds until certified; certWCE is the bound
+	// lastGood is proven to satisfy. enumCert is set when the patterns
+	// enumerate the input space and the weights sum exactly: the sampled
+	// maximum is then the true worst case, and certifies without SAT.
 	cert     *equiv.Certifier
 	lastGood snapshot
-	pending  []lac.LAC
+	pending  []held
 	certWCE  uint64
+	enumCert bool
 
 	// Observability (see internal/obs). root is the run-level span, nil
 	// unless the caller installed a tracer in the context. cur is the span
@@ -178,16 +182,16 @@ func (e *engine) step(parent *obs.Span, name string) (*obs.Span, context.Context
 }
 
 // SimOptions builds the simulator configuration a run of g under the
-// resolved and validated opt uses to draw its Monte-Carlo (or exhaustive)
-// patterns. Exported so the verification oracle (internal/oracle) can
-// recompute the sampled error of a returned circuit on exactly the
-// patterns the run trained on.
+// resolved and validated opt uses. Exhaustive resolves to a budget of
+// 2^PIs patterns; sim.New then enumerates, as it does for any uniform run
+// whose input space fits the budget. Exported so the verification oracle
+// (internal/oracle) can recompute the error of a returned circuit on
+// exactly the patterns the run trained on.
 func SimOptions(g *aig.Graph, opt Options) sim.Options {
 	so := sim.Options{Patterns: opt.Patterns, Seed: opt.Seed, Threads: opt.Threads}
 	switch {
 	case opt.Exhaustive:
 		so.Patterns = 1 << g.NumPIs()
-		so.Dist = sim.Exhaustive{}
 	case len(opt.InputProbabilities) > 0:
 		so.Dist = sim.Biased{P: opt.InputProbabilities}
 	}
@@ -207,6 +211,7 @@ func newEngine(orig *aig.Graph, opt Options, hooks Hooks) (*engine, error) {
 		// against the caller's circuit.
 		e.cert = equiv.NewCertifier(g.Clone())
 		e.cert.Limit = opt.CertConflictLimit
+		e.enumCert = e.s.Exhaustive() && e.st.Weights().SumsExactly()
 		e.lastGood = e.snapshot()
 	}
 	return e, nil
@@ -263,10 +268,23 @@ func (e *engine) liveTargets() []int32 {
 // injection opportunity; see internal/fault.
 func (e *engine) fire(k fault.Kind) bool { return e.hooks.Fault.Fire(k) }
 
-// onIteration reports one applied LAC to the run's OnIteration hook, if
-// any.
-func (e *engine) onIteration(iter int, chosen lac.NodeBest, bests []lac.NodeBest) {
-	if e.hooks.OnIteration != nil {
+// held is an accepted LAC of a WCE run that no checkpoint has certified
+// yet, with the OnIteration report that waits for the certificate.
+type held struct {
+	iter   int
+	chosen lac.NodeBest
+	bests  []lac.NodeBest
+}
+
+// report announces the accepted LAC chosen as iteration iter to the run's
+// OnIteration hook, if any. A WCE run holds the report, with the LAC's
+// pending-certification record, until a checkpoint certifies it, so an
+// observer never sees a LAC that a certification replay undoes.
+func (e *engine) report(iter int, chosen lac.NodeBest, bests []lac.NodeBest) {
+	switch {
+	case e.cert != nil:
+		e.pending = append(e.pending, held{iter, chosen, bests})
+	case e.hooks.OnIteration != nil:
 		e.hooks.OnIteration(iter, chosen, bests)
 	}
 }
@@ -274,7 +292,8 @@ func (e *engine) onIteration(iter int, chosen lac.NodeBest, bests []lac.NodeBest
 // apply commits a LAC: rewires the graph, incrementally resimulates, folds
 // the PO changes into the metric state, repairs the cuts and the SASIMI
 // index. Flows call it through accept; only the AccALS batch, whose
-// callbacks wait for its validation, and the WCE replay call it directly.
+// reports wait for its validation, and the WCE replay call it directly.
+// Every caller reports the LAC once it is kept.
 func (e *engine) apply(l lac.LAC) {
 	sp := e.cur.Child("apply")
 	cs := e.g.ReplaceWithLit(l.Target, l.NewLit)
@@ -323,9 +342,6 @@ func (e *engine) apply(l lac.LAC) {
 	// scored against: every memoized evaluation is stale now.
 	e.memo.Invalidate()
 	e.stats.Applied++
-	if e.cert != nil {
-		e.pending = append(e.pending, l)
-	}
 	sp.SetInt("target", int64(l.Target))
 	sp.SetFloat("error", e.st.Error())
 	sp.SetInt("ands", int64(e.g.NumAnds()))
@@ -378,14 +394,17 @@ func (e *engine) stopped() bool {
 
 // snapshot captures the full synthesis state for rollback (used by the
 // baselines whose estimates can be wrong — AccALS and depth-limited VECBEE —
-// and by the WCE certification checkpoints): the circuit and the applied
-// count at capture time.
+// and by the WCE certification checkpoints): the circuit, the applied
+// count and the number of pending-certification records at capture time.
 type snapshot struct {
 	g       *aig.Graph
 	applied int
+	pending int
 }
 
-func (e *engine) snapshot() snapshot { return snapshot{g: e.g.Clone(), applied: e.stats.Applied} }
+func (e *engine) snapshot() snapshot {
+	return snapshot{g: e.g.Clone(), applied: e.stats.Applied, pending: len(e.pending)}
+}
 
 // restore rolls the engine back to a snapshot. It binds a private clone of
 // the snapshot's circuit, so one snapshot can be restored more than once,
@@ -396,9 +415,7 @@ func (e *engine) snapshot() snapshot { return snapshot{g: e.g.Clone(), applied: 
 func (e *engine) restore(sn snapshot) {
 	sp := e.cur.Child("rollback")
 	defer sp.End()
-	if e.cert != nil {
-		e.pending = e.pending[:len(e.pending)-(e.stats.Applied-sn.applied)]
-	}
+	e.pending = e.pending[:sn.pending]
 	e.stats.Applied = sn.applied
 	e.bind(sn.g.Clone())
 	e.cuts = nil        // next comprehensive pass rebuilds the cuts
@@ -417,19 +434,27 @@ func (e *engine) applicable(l lac.LAC) bool {
 	return l.IsConst() || !e.g.InTFO(l.Target, l.NewLit.Var())
 }
 
-// certifyAt runs one SAT certification of the current circuit at bound t
-// — in the tightening session sess if non-nil, else on a fresh miter —
-// recording the "cert" span and the certification counters. A
-// conflict-budget exhaustion (or any solver error) counts as a failed
-// certification, keeping limited runs deterministic. This is also the
-// skip-wce-cert fault site: the seeded bug claims success without proving
-// anything.
+// certifyAt certifies the current circuit at bound t and records the
+// "cert" span, whose method attribute names the proof. With enumCert the
+// maximum over the enumerated patterns is the true worst case, so the
+// check is a comparison. Otherwise it runs one SAT certification — in the
+// tightening session sess if non-nil, else on a fresh miter — counted in
+// Stats.CertCalls; a conflict-budget exhaustion (or any solver error)
+// counts as a failed certification, keeping limited runs deterministic.
+// This is also the skip-wce-cert fault site: the seeded bug claims success
+// without proving anything.
 func (e *engine) certifyAt(t uint64, sess *equiv.Session) bool {
 	if e.fire(fault.SkipWCECert) {
 		return true
 	}
 	sp := e.cur.Child("cert")
+	defer sp.End()
 	sp.SetInt("bound", int64(t))
+	if e.enumCert {
+		sp.SetStr("method", "enum")
+		return e.st.Error() <= float64(t)
+	}
+	sp.SetStr("method", "sat")
 	var ok bool
 	var err error
 	if sess != nil {
@@ -438,16 +463,21 @@ func (e *engine) certifyAt(t uint64, sess *equiv.Session) bool {
 		ok, err = e.cert.CheckAt(e.g, t)
 	}
 	sp.SetInt("sat_calls", int64(e.cert.Calls))
-	sp.End()
 	e.stats.CertCalls = e.cert.Calls
 	return err == nil && ok
 }
 
-// markCertified records the current state as proven at bound t: it becomes
-// the rollback anchor and the pending records are cleared.
+// markCertified records the current state as proven at bound t: the held
+// reports of the pending LACs go out, the pending records are cleared, and
+// the state becomes the rollback anchor.
 func (e *engine) markCertified(t uint64) {
-	e.lastGood = e.snapshot()
+	if e.hooks.OnIteration != nil {
+		for _, h := range e.pending {
+			e.hooks.OnIteration(h.iter, h.chosen, h.bests)
+		}
+	}
 	e.pending = e.pending[:0]
+	e.lastGood = e.snapshot()
 	e.certWCE = t
 }
 
@@ -476,19 +506,23 @@ func (e *engine) wceCheckpoint(force bool) bool {
 }
 
 // wceReplay is the violation path of wceCheckpoint: restore the last
-// certified state, then re-apply the recorded LACs in order with a SAT
+// certified state, then re-apply the recorded LACs in order with a
 // certification after each, stopping at (and restoring away) the first
-// violator. Each restore counts in Stats.Rollbacks; the replay as a whole
-// counts once in Stats.CertRollbacks.
+// violator. A re-applied LAC is reported under its new iteration number
+// once certified; a skipped or undone one is never reported. Each restore
+// counts in Stats.Rollbacks; the replay as a whole counts once in
+// Stats.CertRollbacks.
 func (e *engine) wceReplay() {
 	e.stats.CertRollbacks++
-	recs := append([]lac.LAC(nil), e.pending...)
+	recs := append([]held(nil), e.pending...)
 	e.restore(e.lastGood)
-	for _, l := range recs {
+	for _, h := range recs {
+		l := h.chosen.Best.LAC
 		if !e.applicable(l) {
 			continue
 		}
 		e.apply(l)
+		e.report(e.stats.Applied, h.chosen, h.bests)
 		if e.certifyAt(e.opt.WCEBound, nil) {
 			e.markCertified(e.opt.WCEBound)
 			continue
@@ -500,26 +534,35 @@ func (e *engine) wceReplay() {
 
 // finalizeWCE closes out a WCE-constrained run before the final sweep, so
 // that the emitted circuit always carries a proven bound. Cancelled or
-// deadline-stopped runs do no new SAT work: the uncertified tail is rolled
-// back and the last certified state is emitted. Completed runs force a
-// final checkpoint, then tighten CertifiedWCE by binary search between the
-// sampled maximum (a genuine lower bound on the true worst case) and the
-// proven bound, every probe in one incremental equiv.Session on the final
-// circuit — with an unlimited conflict budget the result is the exact
-// worst-case error; with a limited one, inconclusive probes keep the
-// current proven bound.
+// deadline-stopped runs do no new certification work: the uncertified
+// tail is rolled back and the last certified state is emitted. Completed
+// runs force a final checkpoint. CertifiedWCE is then the tightest bound
+// at hand: with enumCert the exact worst case, the maximum over the
+// enumerated patterns. Otherwise a completed run tightens it by binary
+// search between the sampled maximum (a genuine lower bound on the true
+// worst case) and the proven bound, every probe in one incremental
+// equiv.Session on the final circuit — with an unlimited conflict budget
+// the result is the exact worst-case error; with a limited one,
+// inconclusive probes keep the current proven bound.
 func (e *engine) finalizeWCE() {
 	if e.cert == nil {
 		return
 	}
-	if e.stats.StopReason == StopCancelled || e.stats.StopReason == StopDeadline {
-		if len(e.pending) > 0 {
-			e.restore(e.lastGood)
-		}
+	stopped := e.stats.StopReason == StopCancelled || e.stats.StopReason == StopDeadline
+	switch {
+	case stopped && len(e.pending) > 0:
+		e.restore(e.lastGood)
+	case !stopped:
+		e.wceCheckpoint(true)
+	}
+	if e.enumCert {
+		e.stats.CertifiedWCE = uint64(e.st.Error())
+		return
+	}
+	if stopped {
 		e.stats.CertifiedWCE = e.certWCE
 		return
 	}
-	e.wceCheckpoint(true)
 	lo, hi := uint64(0), e.certWCE
 	if sm := e.st.Error(); sm > 0 && hi > 0 {
 		lo = uint64(sm)

@@ -135,7 +135,7 @@ func (e *engine) fits(bests []lac.NodeBest) bool {
 // the analysis bests, as the next iteration and reports whether the flow
 // must stop. With validate the estimate may be wrong, so the apply is
 // checked against the real (sampled) error and rolled back on violation.
-// An accepted LAC is reported to OnIteration, then passes the WCE
+// An accepted LAC is reported (see report), then passes the WCE
 // checkpoint; a failed certification stops the flow, because the engine
 // kept the longest certified prefix and re-proposing the violator would
 // loop forever.
@@ -150,7 +150,7 @@ func (e *engine) accept(chosen lac.NodeBest, bests []lac.NodeBest, validate bool
 		e.stats.StopReason = StopBudget
 		return true
 	}
-	e.onIteration(e.stats.Applied, chosen, bests)
+	e.report(e.stats.Applied, chosen, bests)
 	if e.wceCheckpoint(false) {
 		e.stats.StopReason = StopBudget
 		return true
@@ -245,10 +245,10 @@ func (e *engine) runAccALS() {
 		}
 		if len(sel) > 1 {
 			sn := e.snapshot()
-			// Apply the batch but hold the OnIteration callbacks until it
-			// validates: a rolled-back batch must not be observed, and its
-			// iteration numbers must not be consumed (restore uncounts them,
-			// so the fallback single LAC reuses the first).
+			// Apply the batch but hold the reports until it validates: a
+			// rolled-back batch must not be observed, and its iteration
+			// numbers must not be consumed (restore uncounts them, so the
+			// fallback single LAC reuses the first).
 			var applied []lac.NodeBest
 			for _, nb := range sel {
 				if e.applicable(nb.Best.LAC) {
@@ -259,7 +259,7 @@ func (e *engine) runAccALS() {
 			real := e.st.Error()
 			if real <= e.opt.Threshold && math.Abs(real-est) <= accTol*math.Max(est, 1e-12) {
 				for i, nb := range applied {
-					e.onIteration(sn.applied+i+1, nb, bests)
+					e.report(sn.applied+i+1, nb, bests)
 				}
 				if e.wceCheckpoint(false) {
 					e.stats.StopReason = StopBudget

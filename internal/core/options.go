@@ -74,7 +74,7 @@ const (
 
 // Defaults that Resolved fills in for unset options.
 const (
-	DefaultPatterns  = 8192 // Monte-Carlo patterns
+	DefaultPatterns  = 8192 // simulation pattern budget
 	DefaultCertEvery = 8    // WCE certification interval K
 )
 
@@ -110,7 +110,13 @@ type Options struct {
 	// circuit's recommended weights). Must be nil for Metric WCE.
 	Weights metric.Weights `json:"weights,omitempty"`
 
-	Patterns int `json:"patterns,omitempty"` // Monte-Carlo patterns (default DefaultPatterns)
+	// Patterns is the simulation pattern budget (default
+	// DefaultPatterns). A circuit whose input space fits it (2^inputs ≤
+	// Patterns) is enumerated rather than sampled, unless
+	// InputProbabilities are set: every error figure is then exact, and a
+	// WCE run certifies by that enumeration instead of SAT (see
+	// sim.New).
+	Patterns int `json:"patterns,omitempty"`
 	// Seed is the simulation RNG seed. The zero value (UseDefaultSeed) is
 	// an alias for DefaultSeed — see the constants above. Every non-zero
 	// seed is its own independent run.
@@ -121,14 +127,15 @@ type Options struct {
 	// Results are bit-identical for every value.
 	Threads int `json:"threads,omitempty"`
 
-	// Exhaustive enumerates all 2^inputs patterns instead of sampling,
-	// making every error figure exact. Limited to ≤ 24 inputs.
+	// Exhaustive sets the pattern budget to 2^inputs, so the run enumerates
+	// every input combination whatever Patterns says, making every error
+	// figure exact. Limited to ≤ 24 inputs.
 	Exhaustive bool `json:"exhaustive,omitempty"`
 
 	// InputProbabilities biases the Monte-Carlo input distribution: entry
 	// i is the probability that input i is 1 (missing entries: 0.5).
-	// Error metrics are then measured under that workload distribution.
-	// Ignored in exhaustive mode.
+	// Error metrics are then measured under that workload distribution,
+	// always by sampling. Ignored in exhaustive mode.
 	InputProbabilities []float64 `json:"input_probabilities,omitempty"`
 
 	UseConstLACs   bool `json:"use_const_lacs,omitempty"`    // constant-0/1 replacements (default true if neither set)
@@ -137,12 +144,13 @@ type Options struct {
 
 	// WCEBound is the worst-case error budget for Metric == WCE: the run
 	// only emits circuits whose maximum absolute numeric deviation is
-	// SAT-certified ≤ WCEBound on every input. Phase-1 analyses prune
-	// candidates by a sampled worst-case upper-bound estimate, and the
-	// sampled budget of the flow is WCEBound (Threshold is ignored).
+	// certified ≤ WCEBound on every input — by enumeration when the run's
+	// patterns enumerate the input space, else by SAT. Phase-1 analyses
+	// prune candidates by a sampled worst-case upper-bound estimate, and
+	// the sampled budget of the flow is WCEBound (Threshold is ignored).
 	// Rejected when non-zero for other metrics.
 	WCEBound uint64 `json:"wce_bound,omitempty"`
-	// CertEvery amortises SAT certification on the WCE path: a
+	// CertEvery amortises certification on the WCE path: a
 	// certification call covers up to CertEvery accepted LACs, plus one
 	// final call before emit (≤0: DefaultCertEvery). Smaller values
 	// certify more often and roll back less work per violation.
@@ -269,9 +277,10 @@ type Hooks struct {
 	// OnIteration, when non-nil, observes every applied LAC: the 1-based
 	// iteration number, the chosen candidate, and the full sorted
 	// evaluation of the iteration (phase-2 iterations only see the
-	// candidate set S_cand). Used by the Fig. 4 experiment. A failed WCE
-	// certification replay can undo LACs already reported; the run stops
-	// right after it, so the numbers stay 1, 2, ... without repeats.
+	// candidate set S_cand). Used by the Fig. 4 experiment. It fires only
+	// for LACs the result keeps, numbered 1, 2, ..., Stats.Applied: a WCE
+	// run reports a LAC once a checkpoint has certified it, so a LAC a
+	// certification replay undoes is never reported.
 	OnIteration func(iter int, chosen lac.NodeBest, bests []lac.NodeBest)
 
 	// Fault, when non-nil, injects one deliberate bookkeeping mutation
@@ -373,10 +382,12 @@ type Stats struct {
 	MTrace []int `json:"m_trace,omitempty"`
 
 	// WCE-constrained flow accounting (Metric == metric.WCE; zero
-	// otherwise). CertifiedWCE is the SAT-proven worst-case error bound of
-	// the returned circuit — every emitted circuit is certified, even on
+	// otherwise). CertifiedWCE is the proven worst-case error bound of the
+	// returned circuit — every emitted circuit is certified, even on
 	// cancellation (the uncertified tail is rolled back instead of running
-	// new SAT work). CertCalls counts SAT certification calls,
+	// new SAT work). A run whose patterns enumerate the input space proves
+	// it by that enumeration, and CertifiedWCE is then the exact worst
+	// case; other runs prove it by SAT. CertCalls counts SAT calls only,
 	// CertRollbacks the checkpoint failures that triggered the
 	// rollback-and-replay path. CertCexHits is always 0: certification
 	// keeps no counterexample cache; the field stays for existing readers.

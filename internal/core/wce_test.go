@@ -38,6 +38,11 @@ func TestWCERejectsBadOptions(t *testing.T) {
 	}
 }
 
+// satPatterns samples the 2^7 inputs of MultU(4, 3) instead of
+// enumerating them, so its WCE runs certify by SAT. The enumeration twins
+// of the tests below are in enum_test.go.
+const satPatterns = 64
+
 // Every flow under the WCE metric must emit a circuit whose worst case —
 // proven by an independent SAT query, not the engine's own certifier — is
 // within the requested bound, with a consistent certificate in Stats.
@@ -45,7 +50,9 @@ func TestWCEAllFlowsCertifiedWithinBound(t *testing.T) {
 	g := gen.MultU(4, 3)
 	const bound = 6
 	for _, flow := range []Flow{FlowConventional, FlowVECBEE, FlowAccALS, FlowDP, FlowDPSA} {
-		res, err := Run(context.Background(), g, wceOptions(flow, bound), Hooks{})
+		opt := wceOptions(flow, bound)
+		opt.Patterns = satPatterns
+		res, err := Run(context.Background(), g, opt, Hooks{})
 		if err != nil {
 			t.Fatalf("%v: %v", flow, err)
 		}
@@ -74,6 +81,7 @@ func TestWCECertEveryAmortisation(t *testing.T) {
 	g := gen.MultU(4, 3)
 	for _, every := range []int{1, 3, 8} {
 		opt := wceOptions(FlowDP, 6)
+		opt.Patterns = satPatterns
 		opt.CertEvery = every
 		res, err := Run(context.Background(), g, opt, Hooks{})
 		if err != nil {
@@ -131,8 +139,8 @@ func TestWCEReplayKeepsCertificate(t *testing.T) {
 
 // restore uncounts what it rolls back: Stats.Applied returns to the
 // snapshot's count and the pending-certification records of the undone
-// LACs are dropped, so a later replay cannot re-apply them. A snapshot
-// stays restorable after use.
+// LACs are dropped, so a later replay cannot re-apply them and their held
+// reports never fire. A snapshot stays restorable after use.
 func TestRestoreUncountsPending(t *testing.T) {
 	g := gen.MultU(4, 4)
 	e, err := newEngine(g, wceOptions(FlowConventional, 8).Resolved(), Hooks{})
@@ -144,6 +152,7 @@ func TestRestoreUncountsPending(t *testing.T) {
 		for _, v := range e.liveTargets() {
 			if l := (lac.LAC{Target: v, NewLit: aig.False}); e.applicable(l) {
 				e.apply(l)
+				e.report(e.stats.Applied, lac.NodeBest{Node: v, Best: lac.Eval{LAC: l}}, nil)
 				return
 			}
 		}

@@ -78,6 +78,20 @@ func TwosComplementWeights(n int) Weights {
 	return w
 }
 
+// SumsExactly reports whether every weight is an integer and Σ|w| < 2^53.
+// Then every weighted deviation, and every partial sum of one, is an
+// integer that float64 holds exactly, in any order of summation.
+func (w Weights) SumsExactly() bool {
+	sum := 0.0
+	for _, x := range w {
+		if x != math.Trunc(x) {
+			return false
+		}
+		sum += math.Abs(x)
+	}
+	return sum < 1<<53
+}
+
 // ReferenceError returns the paper's reference error R = 2^(K/3) for a
 // circuit with K outputs; MED thresholds are multiples of R and MSE
 // thresholds multiples of R².
@@ -200,9 +214,14 @@ func (st *State) Kind() Kind { return st.kind }
 // Patterns returns the number of tracked patterns.
 func (st *State) Patterns() int { return st.patterns }
 
+// Weights returns the numeric PO weights (nil for ER/MHD without weights).
+func (st *State) Weights() Weights { return st.weights }
+
 // Error returns the current error of the approximate circuit. For WCE it
-// is the sampled maximum deviation — a lower bound on the true worst case,
-// which is why the WCE flow pairs it with SAT certification.
+// is the maximum deviation over the patterns — a lower bound on the true
+// worst case, which is why the WCE flow pairs it with a certificate. On
+// enumerated patterns with weights that sum exactly it is the true worst
+// case.
 func (st *State) Error() float64 {
 	x := float64(st.patterns)
 	switch st.kind {

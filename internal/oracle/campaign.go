@@ -14,6 +14,7 @@ import (
 	"dpals/internal/fault"
 	"dpals/internal/lac"
 	"dpals/internal/metric"
+	"dpals/internal/sim"
 )
 
 // RunSpec is one reproducible campaign run: the core.Options of the
@@ -138,8 +139,9 @@ func tol(a, b float64) float64 {
 //	                       even for cancelled best-so-far results (P2)
 //	exact-bound            for ≤ MaxPIs inputs, the exhaustively
 //	                       enumerated true error: equal to the reported
-//	                       one in exhaustive mode; within the Hoeffding
-//	                       bound of it for Monte-Carlo runs (P3)
+//	                       one when the run's patterns enumerate the
+//	                       input space (sim.Enumerates); within the
+//	                       Hoeffding bound of it for Monte-Carlo runs (P3)
 //	stop-reason            every run ends with a recorded stop reason
 func Verify(orig *aig.Graph, spec RunSpec, res *core.Result) []Violation {
 	var out []Violation
@@ -156,7 +158,9 @@ func Verify(orig *aig.Graph, spec RunSpec, res *core.Result) []Violation {
 		return out // every later check needs matching interfaces
 	}
 	opt := spec.Options.Resolved()
-	recomputed, err := SampledError(orig, res.Graph, opt.Metric, opt.Weights, core.SimOptions(orig, opt))
+	so := core.SimOptions(orig, opt)
+	enumerated := sim.Enumerates(orig.NumPIs(), so)
+	recomputed, err := SampledError(orig, res.Graph, opt.Metric, opt.Weights, so)
 	if err != nil {
 		return append(out, Violation{Check: "recompute", Detail: err.Error()})
 	}
@@ -199,7 +203,7 @@ func Verify(orig *aig.Graph, spec RunSpec, res *core.Result) []Violation {
 				out = append(out, Violation{Check: "wce-cert-unsound", Detail: fmt.Sprintf(
 					"true worst-case error %d exceeds the certified bound %d", ex.WCE, res.Stats.CertifiedWCE)})
 			}
-			if spec.Exhaustive && ex.WCEOK {
+			if enumerated && ex.WCEOK {
 				if d := math.Abs(res.Error - float64(ex.WCE)); d > tol(res.Error, float64(ex.WCE)) {
 					out = append(out, Violation{Check: "exact-bound", Detail: fmt.Sprintf(
 						"exhaustive run reported WCE %v but enumeration gives %d", res.Error, ex.WCE)})
@@ -210,8 +214,8 @@ func Verify(orig *aig.Graph, spec RunSpec, res *core.Result) []Violation {
 			// above are strictly stronger anyway.
 		} else {
 			truth := ex.Get(spec.Metric)
-			if spec.Exhaustive {
-				// Exhaustive training: the sampled error IS the true error.
+			if enumerated {
+				// Enumerated training: the sampled error IS the true error.
 				if d := math.Abs(res.Error - truth); d > tol(res.Error, truth) {
 					out = append(out, Violation{Check: "exact-bound", Detail: fmt.Sprintf(
 						"exhaustive run reported %v but enumeration gives %v (Δ=%v)",

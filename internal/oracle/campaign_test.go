@@ -12,13 +12,17 @@ import (
 )
 
 // testbeds returns small circuits diverse enough that every fault kind
-// has at least one site where its corruption becomes observable.
+// has at least one site where its corruption becomes observable. The
+// multipliers have input spaces larger than the WCE specs' 64 patterns
+// (2^6 fits them, 2^7 does not): a run that enumerates its inputs makes
+// skip-wce-cert unobservable, so MultU(3, 4) is the bed that catches it.
 func testbeds() []*aig.Graph {
 	return []*aig.Graph{
 		gen.Random(3, 8, 6, 60),
 		gen.Random(11, 10, 8, 90),
 		gen.Adder(4),
 		gen.MultU(3, 3),
+		gen.MultU(3, 4),
 	}
 }
 
@@ -45,11 +49,12 @@ func baseSpecs() []RunSpec {
 // wceFaultSpecs are the WCE-constrained configurations for the fault
 // scan. The sample is deliberately thin (64 patterns): on these small
 // circuits a dense sample nearly always contains the true worst-case
-// input, which makes a skipped certification (skip-wce-cert) exactly
-// score-equivalent — the sampled maximum already IS the true worst case.
-// Only a sample that misses the worst input lets the wce-cert-unsound
-// cross-check observe the missing proof. Bound depends on the bed's
-// output count, so these are built per circuit.
+// input, and a budget that covers the input space enumerates it, which
+// makes a skipped certification (skip-wce-cert) exactly score-equivalent
+// — the sampled maximum already IS the true worst case. Only a sample
+// that misses the worst input lets the wce-cert-unsound cross-check
+// observe the missing proof. Bound depends on the bed's output count, so
+// these are built per circuit.
 func wceFaultSpecs(g *aig.Graph) []RunSpec {
 	b := metric.ReferenceWCEBound(g.NumPOs())
 	return []RunSpec{

@@ -80,8 +80,9 @@ func Exact(orig, approx *aig.Graph, weights metric.Weights) (Metrics, error) {
 	if len(weights) != k {
 		return Metrics{}, fmt.Errorf("oracle: %d weights for %d POs", len(weights), k)
 	}
+	// A uniform budget of 2^PIs patterns: sim.New enumerates it.
 	patterns := 1 << uint(orig.NumPIs())
-	so := sim.Options{Patterns: patterns, Dist: sim.Exhaustive{}}
+	so := sim.Options{Patterns: patterns}
 	se := sim.New(orig, so)
 	sa := sim.New(approx, so)
 

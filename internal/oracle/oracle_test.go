@@ -35,7 +35,7 @@ func approximateOf(t *testing.T, g *aig.Graph) *aig.Graph {
 func exhaustiveCompute(t *testing.T, orig, approx *aig.Graph, kind metric.Kind, w metric.Weights) float64 {
 	t.Helper()
 	patterns := 1 << uint(orig.NumPIs())
-	so := sim.Options{Patterns: patterns, Dist: sim.Exhaustive{}}
+	so := sim.Options{Patterns: patterns}
 	se, sa := sim.New(orig, so), sim.New(approx, so)
 	exact := make([]bitvec.Vec, orig.NumPOs())
 	av := make([]bitvec.Vec, orig.NumPOs())

@@ -146,7 +146,9 @@ type AblationPatternsRow struct {
 }
 
 // AblationPatternsSweep runs DP-SA at several pattern counts under the
-// median MSE threshold and validates each result on 1<<16 fresh samples.
+// median MSE threshold and validates each result on 1<<16 fresh samples
+// (every input, when the circuit has at most 16). A count ≥ 2^inputs
+// trains on every input, so its training error is exact.
 func AblationPatternsSweep(b gen.Benchmark, counts []int, cfg Config) []AblationPatternsRow {
 	thr := metric.Thresholds(metric.MSE, b.Graph.NumPOs())[1]
 	var rows []AblationPatternsRow

@@ -2,11 +2,14 @@ package server
 
 import (
 	"net/http"
+	"strings"
 	"testing"
 
 	"dpals"
 )
 
+// wceJob is a WCE job on a 4-bit adder. Its 2^8 inputs exceed the 128
+// patterns, so the job samples and certifies by SAT.
 func wceJob(t *testing.T, bound uint64) map[string]any {
 	return map[string]any{
 		"circuit":             circuitAIGER(t, dpals.NewAdder(4)),
@@ -14,7 +17,7 @@ func wceJob(t *testing.T, bound uint64) map[string]any {
 		"metric":              "wce",
 		"wce_bound":           bound,
 		"cert_conflict_limit": 100000,
-		"patterns":            512,
+		"patterns":            128,
 	}
 }
 
@@ -75,6 +78,41 @@ func TestServerWCEJobCertifiedAndCached(t *testing.T) {
 	}
 	if second.Circuit != first.Circuit || second.CertifiedWCE != first.CertifiedWCE || second.CertCalls != first.CertCalls {
 		t.Fatal("cache hit lost or altered the certified WCE result")
+	}
+}
+
+// The enumeration twin of TestServerWCEJobCertifiedAndCached: with 512
+// patterns the adder's 2^8 inputs are enumerated, so every flow certifies
+// without SAT and answers with the exact worst case, which an independent
+// exhaustive measurement of the returned circuit must reproduce.
+func TestServerWCEJobCertifiedByEnumeration(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	orig := dpals.NewAdder(4)
+	for _, flow := range []string{"conventional", "vecbee", "accals", "dp", "dpsa"} {
+		job := wceJob(t, 3)
+		job["flow"] = flow
+		job["patterns"] = 512
+		code, resp := submit(t, ts, job)
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d", flow, code)
+		}
+		if resp.Applied == 0 {
+			t.Fatalf("%s: no LAC applied; the check is vacuous", flow)
+		}
+		if resp.CertCalls != 0 {
+			t.Errorf("%s: %d SAT calls on an enumerated input space", flow, resp.CertCalls)
+		}
+		approx, err := dpals.ReadAIGER(strings.NewReader(resp.Circuit))
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact, err := dpals.MeasureErrorExact(orig, approx, dpals.WCE, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if float64(resp.CertifiedWCE) != exact || resp.CertifiedWCE > 3 {
+			t.Errorf("%s: certified_wce %d, exact worst case %v, bound 3", flow, resp.CertifiedWCE, exact)
+		}
 	}
 }
 

@@ -1,9 +1,18 @@
-// Package sim provides bit-parallel Monte-Carlo simulation of AIGs: every
-// node holds one bit per input pattern, packed 64 patterns per word, so one
-// word-level AND evaluates 64 patterns at once. The simulator supports full
-// resimulation (optionally multi-threaded across word ranges) and the
-// incremental TFO-only resimulation the dual-phase framework relies on after
-// applying a LAC.
+// Package sim provides bit-parallel simulation of AIGs: every node holds one
+// bit per input pattern, packed 64 patterns per word, so one word-level AND
+// evaluates 64 patterns at once. The simulator supports full resimulation
+// (optionally multi-threaded across word ranges) and the incremental
+// TFO-only resimulation the dual-phase framework relies on after applying a
+// LAC.
+//
+// New is the one place that picks the input patterns. Under the uniform
+// distribution, a circuit whose whole input space fits the pattern budget
+// (2^PIs ≤ Patterns) is enumerated: every input combination exactly once,
+// so every error figure measured on the patterns is exact, not an
+// estimate. Larger input spaces, and every Biased run, are sampled
+// (Monte-Carlo). Every caller that asks for uniform patterns — the engine,
+// the verification oracle, independent re-measurement — therefore sees
+// the same patterns for the same options.
 package sim
 
 import (
@@ -58,13 +67,13 @@ func (b Biased) Fill(pi int, v bitvec.Vec, rng *rand.Rand) {
 	}
 }
 
-// Exhaustive enumerates all input combinations: pattern i assigns bit j of i
-// to input j. Use with Patterns == 1<<NumPIs for exact error measurement on
-// small circuits.
-type Exhaustive struct{}
+// exhaustive enumerates all input combinations: pattern i assigns bit j of
+// i to input j. New selects it, with Patterns == 1<<NumPIs, whenever the
+// uniform input space fits the pattern budget.
+type exhaustive struct{}
 
 // Fill implements Distribution.
-func (Exhaustive) Fill(pi int, v bitvec.Vec, _ *rand.Rand) {
+func (exhaustive) Fill(pi int, v bitvec.Vec, _ *rand.Rand) {
 	if pi < 6 {
 		// Within a word the pattern index varies in the low 6 bits.
 		var w uint64
@@ -95,14 +104,30 @@ func (Exhaustive) Fill(pi int, v bitvec.Vec, _ *rand.Rand) {
 
 // Options configures a simulator.
 type Options struct {
-	Patterns int   // number of Monte-Carlo patterns (rounded up to 64)
-	Seed     int64 // RNG seed for reproducibility
+	// Patterns is the pattern budget (≤0: 1024). Sampled runs round it up
+	// to a multiple of 64; a uniform run on a circuit with 2^PIs ≤
+	// Patterns enumerates instead and simulates exactly 2^PIs patterns.
+	Patterns int
+	Seed     int64 // RNG seed for reproducibility (unused when enumerating)
 	// Threads is the worker count for full resimulation, with the
 	// pipeline-wide semantics of package par: ≤0 selects all CPUs
 	// (runtime.GOMAXPROCS), 1 runs serially. Resolved once, here; results
 	// are bit-identical for every value.
 	Threads int
 	Dist    Distribution // input distribution; nil means Uniform
+}
+
+// defaultPatterns is the pattern budget of Options.Patterns ≤ 0.
+const defaultPatterns = 1024
+
+// Enumerates reports whether New, given a circuit with numPIs inputs and
+// opt, enumerates the input space: the distribution is uniform and the
+// whole space fits the pattern budget. It is the one rule that decides.
+func Enumerates(numPIs int, opt Options) bool {
+	if opt.Patterns <= 0 {
+		opt.Patterns = defaultPatterns
+	}
+	return opt.Dist == nil && numPIs < 31 && 1<<numPIs <= opt.Patterns
 }
 
 // Sim holds simulation state for one graph. The value vectors track the
@@ -119,19 +144,27 @@ type Sim struct {
 	dirty    []bool        // scratch for incremental resim
 	touched  []int32       // ResimulateFrom scratch: dirtied nodes
 	changed  []int32       // ResimulateFrom scratch: the returned slice
+	exhaust  bool          // the patterns enumerate the whole input space
 }
 
-// New builds a simulator, draws the input patterns, and runs a full
+// New builds a simulator, fills the input patterns — enumerated when the
+// uniform input space fits the budget, drawn otherwise — and runs a full
 // simulation.
 func New(g *aig.Graph, opt Options) *Sim {
 	if opt.Patterns <= 0 {
-		opt.Patterns = 1024
+		opt.Patterns = defaultPatterns
 	}
-	words := bitvec.Words(opt.Patterns)
-	patterns := words * 64 // use every drawn bit: keeps masking trivial
-	if _, ok := opt.Dist.(Exhaustive); ok {
-		patterns = opt.Patterns // exact count matters; mask below
+	exhaust := Enumerates(g.NumPIs(), opt)
+	var dist Distribution = Uniform{}
+	patterns := bitvec.Words(opt.Patterns) * 64 // use every drawn bit: keeps masking trivial
+	switch {
+	case exhaust:
+		dist = exhaustive{}
+		patterns = 1 << g.NumPIs() // exact count matters; mask below
+	case opt.Dist != nil:
+		dist = opt.Dist
 	}
+	words := bitvec.Words(patterns)
 	s := &Sim{
 		g:        g,
 		patterns: patterns,
@@ -141,10 +174,7 @@ func New(g *aig.Graph, opt Options) *Sim {
 		arena:    bitvec.NewArena(words),
 		val:      make([]bitvec.Vec, g.NumVars()),
 		dirty:    make([]bool, g.NumVars()),
-	}
-	dist := opt.Dist
-	if dist == nil {
-		dist = Uniform{}
+		exhaust:  exhaust,
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 	s.val[0] = s.arena.Alloc()
@@ -160,6 +190,10 @@ func New(g *aig.Graph, opt Options) *Sim {
 
 // Patterns returns the number of simulated patterns.
 func (s *Sim) Patterns() int { return s.patterns }
+
+// Exhaustive reports whether the patterns enumerate every input
+// combination exactly once, so that a figure measured on them is exact.
+func (s *Sim) Exhaustive() bool { return s.exhaust }
 
 // Words returns the number of 64-bit words per value vector.
 func (s *Sim) Words() int { return s.words }

@@ -64,7 +64,7 @@ func TestExhaustiveDistribution(t *testing.T) {
 		all = g.And(all, p)
 	}
 	g.AddPO(all, "and8")
-	s := New(g, Options{Patterns: 256, Dist: Exhaustive{}})
+	s := New(g, Options{Patterns: 256})
 	if s.Patterns() != 256 {
 		t.Fatalf("Patterns = %d", s.Patterns())
 	}
@@ -82,6 +82,52 @@ func TestExhaustiveDistribution(t *testing.T) {
 	s.POVal(0, out)
 	if out.Count() != 1 || !out.Get(255) {
 		t.Fatalf("and8 wrong: count=%d", out.Count())
+	}
+}
+
+// New enumerates exactly when the distribution is uniform and 2^PIs fits
+// the budget: at the boundary and above it the 2^5 patterns are the input
+// space, one below it (and under Biased) the run samples whole words.
+func TestNewEnumeratesWhenSpaceFits(t *testing.T) {
+	g := aig.New("five")
+	var pis []aig.Lit
+	for i := 0; i < 5; i++ {
+		pis = append(pis, g.AddPI(""))
+	}
+	g.AddPO(g.And(pis[0], pis[4]), "y")
+	for _, c := range []struct {
+		name     string
+		opt      Options
+		exhaust  bool
+		patterns int
+	}{
+		{"boundary", Options{Patterns: 32}, true, 32},
+		{"budget above", Options{Patterns: 1000, Seed: 9}, true, 32},
+		{"default budget", Options{}, true, 32},
+		{"budget below", Options{Patterns: 31}, false, 64},
+		{"biased", Options{Patterns: 1024, Dist: Biased{P: []float64{0.5}}}, false, 1024},
+	} {
+		s := New(g, c.opt)
+		if s.Exhaustive() != c.exhaust || s.Patterns() != c.patterns {
+			t.Errorf("%s: Exhaustive %v, %d patterns; want %v, %d",
+				c.name, s.Exhaustive(), s.Patterns(), c.exhaust, c.patterns)
+		}
+		if Enumerates(g.NumPIs(), c.opt) != c.exhaust {
+			t.Errorf("%s: Enumerates disagrees with New", c.name)
+		}
+		if !c.exhaust {
+			continue
+		}
+		for p := 0; p < 32; p++ {
+			for j, v := range g.PIs() {
+				if s.Val(v).Get(p) != (p>>j&1 == 1) {
+					t.Fatalf("%s: pattern %d input %d is not bit %d of the index", c.name, p, j, j)
+				}
+			}
+		}
+	}
+	if Enumerates(31, Options{Patterns: 1 << 40}) {
+		t.Error("31 inputs enumerated")
 	}
 }
 

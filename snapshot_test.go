@@ -39,12 +39,18 @@ type snapshotJob struct {
 	opt     dpals.Options // Threads is set by the test
 	twin    bool          // also run at Threads 2; the record must not change
 	long    bool          // skipped under -short; the warm-start floors apply
+	sat     bool          // a WCE job that must certify by SAT
 }
 
 // snapshotJobs is the table: the -quick shapes of bench/'s three library
-// workloads at seeds 1 and 2, plus one multi-round dual-phase run on a
-// 4730-AND circuit whose warm passes the warm-start floors check.
+// workloads at seeds 1 and 2, one WCE run that certifies by SAT, and one
+// multi-round dual-phase run on a 4730-AND circuit whose warm passes the
+// warm-start floors check.
 func snapshotJobs() []snapshotJob {
+	wceOpt := func(*dpals.Circuit) dpals.Options {
+		return dpals.Options{Flow: dpals.DP, Metric: dpals.WCE, WCEBound: 32, UseConstLACs: true,
+			Patterns: 4096, CertConflictLimit: 200000, MaxIters: 50}
+	}
 	type shape struct {
 		name    string
 		circuit *dpals.Circuit
@@ -71,13 +77,12 @@ func snapshotJobs() []snapshotJob {
 			return dpals.Options{Flow: dpals.DP, Metric: dpals.MED, Threshold: dpals.ReferenceError(c),
 				UseSASIMILACs: true, Patterns: 1024}
 		}, false},
+		// Both circuits' input spaces (2^12 and 2^6) fit the 4096
+		// patterns, so these runs enumerate and certify without SAT.
 		{"wce-cert", []shape{
 			{"adder6", dpals.NewAdder(6)},
 			{"multu3x3", dpals.NewMultiplier(3, 3, false)},
-		}, func(*dpals.Circuit) dpals.Options {
-			return dpals.Options{Flow: dpals.DP, Metric: dpals.WCE, WCEBound: 32, UseConstLACs: true,
-				Patterns: 4096, CertConflictLimit: 200000, MaxIters: 50}
-		}, false},
+		}, wceOpt, false},
 	}
 	var jobs []snapshotJob
 	for _, f := range families {
@@ -90,6 +95,12 @@ func snapshotJobs() []snapshotJob {
 			}
 		}
 	}
+	// The 2^16 inputs of an 8-bit adder exceed the 4096 patterns: this run
+	// samples and certifies by SAT, so the snapshot pins the SAT counters.
+	adder8 := dpals.NewAdder(8)
+	sat := wceOpt(adder8)
+	sat.Seed = 1
+	jobs = append(jobs, snapshotJob{name: "wce-sat/adder8/seed1", circuit: adder8, opt: sat, sat: true})
 	// A small fixed round shape (one phase-1 apply plus N=2 phase-2 applies
 	// per round), so MaxIters 24 spans eight rounds and the cross-round
 	// warm start fires seven times.
@@ -210,6 +221,9 @@ func TestCounterSnapshot(t *testing.T) {
 			for _, d := range warmFloors(rec) {
 				t.Errorf("%s: %s", j.name, d)
 			}
+		}
+		if j.sat && rec.CertCalls == 0 {
+			t.Errorf("%s: no SAT call; the job no longer pins the SAT path", j.name)
 		}
 	}
 	if *update {
