@@ -43,7 +43,6 @@ import (
 	"dpals/internal/gen"
 	"dpals/internal/metric"
 	"dpals/internal/oracle"
-	"dpals/internal/sim"
 )
 
 var verbose bool
@@ -161,8 +160,7 @@ func (c *campaign) noteCert(g *aig.Graph, spec oracle.RunSpec, res *core.Result)
 		return
 	}
 	c.cert.Runs++
-	opt := spec.Options.Resolved()
-	if sim.Enumerates(g.NumPIs(), core.SimOptions(g, opt)) && metric.UnsignedWeights(g.NumPOs()).SumsExactly() {
+	if core.CertifiesByEnumeration(g, spec.Options.Resolved()) {
 		c.cert.EnumRuns++
 	}
 	c.cert.Calls += res.Stats.CertCalls

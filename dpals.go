@@ -186,13 +186,13 @@ func (c *Circuit) SetWeights(w []float64) error {
 }
 
 // Area returns the mapped cell area under the built-in generic library.
-func (c *Circuit) Area() float64 { return techmap.Map(c.snap(), techmap.GenericLibrary()).Area }
+func (c *Circuit) Area() float64 { return techmap.Map(c.snap()).Area }
 
 // Delay returns the mapped critical-path delay under the built-in library.
-func (c *Circuit) Delay() float64 { return techmap.Map(c.snap(), techmap.GenericLibrary()).Delay }
+func (c *Circuit) Delay() float64 { return techmap.Map(c.snap()).Delay }
 
 // ADP returns the area-delay product under the built-in library.
-func (c *Circuit) ADP() float64 { return techmap.Map(c.snap(), techmap.GenericLibrary()).ADP() }
+func (c *Circuit) ADP() float64 { return techmap.Map(c.snap()).ADP() }
 
 // WriteBLIF writes the circuit in BLIF format.
 func (c *Circuit) WriteBLIF(w io.Writer) error { return blif.Write(w, c.snap()) }
@@ -280,15 +280,7 @@ func NewLog2(n, f int) *Circuit { return &Circuit{g: gen.Log2(n, f)} }
 
 // NewButterfly returns a radix-2 FFT butterfly on w-bit complex operands.
 func NewButterfly(w int) *Circuit {
-	g := gen.Butterfly(w)
-	c := &Circuit{g: g}
-	word := metric.TwosComplementWeights((g.NumPOs()) / 4)
-	var ws []float64
-	for i := 0; i < 4; i++ {
-		ws = append(ws, word...)
-	}
-	c.weights = ws
-	return c
+	return &Circuit{g: gen.Butterfly(w), weights: gen.ButterflyWeights(w)}
 }
 
 // NewVecMul returns a d-dimensional dot-product unit on w-bit operands.
@@ -401,7 +393,10 @@ func Approximate(c *Circuit, opt Options) (*Result, error) {
 // StopMaxIters) from a stopped one (StopCancelled, StopDeadline). An
 // uncancelled run is bit-identical to Approximate for every thread
 // count. Errors are returned only for invalid configurations, never for
-// cancellation.
+// cancellation. The one exception to "within one analysis wave" is a WCE
+// run's SAT certification with CertConflictLimit 0: an uncapped SAT call
+// cannot be interrupted and ignores ctx until it returns, so cap it where
+// the deadline matters.
 func ApproximateContext(ctx context.Context, c *Circuit, opt Options) (*Result, error) {
 	if c == nil || c.g == nil {
 		return nil, errors.New("dpals: nil circuit")
@@ -423,9 +418,8 @@ func ApproximateContext(ctx context.Context, c *Circuit, opt Options) (*Result, 
 	if err != nil {
 		return nil, err
 	}
-	lib := techmap.GenericLibrary()
-	mo := techmap.Map(g, lib)
-	ma := techmap.Map(res.Graph, lib)
+	mo := techmap.Map(g)
+	ma := techmap.Map(res.Graph)
 	out := &Result{
 		Circuit:  &Circuit{g: res.Graph, weights: opt.Weights},
 		Error:    res.Error,
@@ -498,7 +492,7 @@ func ProveEquivalent(a, b *Circuit) (bool, []bool, error) {
 // average case; this bounds the worst case. On failure the returned
 // counterexample is a violating input assignment.
 func CertifyWorstCaseError(orig, approx *Circuit, t uint64) (bool, []bool, error) {
-	return equiv.WCEAtMost(orig.g, approx.g, t)
+	return equiv.WCEAtMost(orig.g, approx.g, t, 0)
 }
 
 // WorstCaseError computes the exact worst-case numeric deviation of approx

@@ -147,8 +147,9 @@ type engine struct {
 	targetsBuf []int32 // liveTargets scratch, reused across iterations
 	incCuts    bool    // maintain cuts incrementally on apply (dual-phase flows)
 
-	// WCE-constrained flow state (Metric == metric.WCE; cert is nil
-	// otherwise). lastGood is the most recent certified state (the
+	// WCE-constrained flow state (Metric == metric.WCE; ref is nil
+	// otherwise). ref is the frozen reference every certificate compares
+	// against. lastGood is the most recent certified state (the
 	// pristine input, trivially certified at 0, until the first checkpoint
 	// passes); pending records every LAC accepted since it, in order, for
 	// the rollback-and-replay path of wceCheckpoint, together with the
@@ -156,7 +157,7 @@ type engine struct {
 	// lastGood is proven to satisfy. enumCert is set when the patterns
 	// enumerate the input space and the weights sum exactly: the sampled
 	// maximum is then the true worst case, and certifies without SAT.
-	cert     *equiv.Certifier
+	ref      *aig.Graph
 	lastGood snapshot
 	pending  []held
 	certWCE  uint64
@@ -198,6 +199,15 @@ func SimOptions(g *aig.Graph, opt Options) sim.Options {
 	return so
 }
 
+// CertifiesByEnumeration reports whether a WCE run of g under the resolved
+// opt proves its bound without SAT: the patterns enumerate the input space
+// (sim.Enumerates) and the unsigned output weights sum exactly, so the
+// maximum over the patterns is the true worst case.
+func CertifiesByEnumeration(g *aig.Graph, opt Options) bool {
+	return opt.Metric == metric.WCE && sim.Enumerates(g.NumPIs(), SimOptions(g, opt)) &&
+		metric.UnsignedWeights(g.NumPOs()).SumsExactly()
+}
+
 func newEngine(orig *aig.Graph, opt Options, hooks Hooks) (*engine, error) {
 	g := orig.Sweep() // private, compact working copy
 	if g.NumAnds() == 0 {
@@ -209,9 +219,8 @@ func newEngine(orig *aig.Graph, opt Options, hooks Hooks) (*engine, error) {
 		// Certify against a frozen copy of the (swept) input — sweeping
 		// preserves the function, so a proof against the copy is a proof
 		// against the caller's circuit.
-		e.cert = equiv.NewCertifier(g.Clone())
-		e.cert.Limit = opt.CertConflictLimit
-		e.enumCert = e.s.Exhaustive() && e.st.Weights().SumsExactly()
+		e.ref = g.Clone()
+		e.enumCert = CertifiesByEnumeration(g, opt)
 		e.lastGood = e.snapshot()
 	}
 	return e, nil
@@ -282,7 +291,7 @@ type held struct {
 // observer never sees a LAC that a certification replay undoes.
 func (e *engine) report(iter int, chosen lac.NodeBest, bests []lac.NodeBest) {
 	switch {
-	case e.cert != nil:
+	case e.ref != nil:
 		e.pending = append(e.pending, held{iter, chosen, bests})
 	case e.hooks.OnIteration != nil:
 		e.hooks.OnIteration(iter, chosen, bests)
@@ -437,13 +446,14 @@ func (e *engine) applicable(l lac.LAC) bool {
 // certifyAt certifies the current circuit at bound t and records the
 // "cert" span, whose method attribute names the proof. With enumCert the
 // maximum over the enumerated patterns is the true worst case, so the
-// check is a comparison. Otherwise it runs one SAT certification — in the
-// tightening session sess if non-nil, else on a fresh miter — counted in
-// Stats.CertCalls; a conflict-budget exhaustion (or any solver error)
-// counts as a failed certification, keeping limited runs deterministic.
-// This is also the skip-wce-cert fault site: the seeded bug claims success
-// without proving anything.
-func (e *engine) certifyAt(t uint64, sess *equiv.Session) bool {
+// check is a comparison. Otherwise it runs one SAT probe under
+// Options.CertConflictLimit, counted in Stats.CertCalls: in the tightening
+// session *sess if sess is non-nil (encoded by the first probe, inside its
+// span), else on a fresh miter. A conflict-budget exhaustion (or any
+// solver error) counts as a failed certification, keeping limited runs
+// deterministic. This is also the skip-wce-cert fault site: the seeded bug
+// claims success without proving anything.
+func (e *engine) certifyAt(t uint64, sess **equiv.Session) bool {
 	if e.fire(fault.SkipWCECert) {
 		return true
 	}
@@ -455,15 +465,20 @@ func (e *engine) certifyAt(t uint64, sess *equiv.Session) bool {
 		return e.st.Error() <= float64(t)
 	}
 	sp.SetStr("method", "sat")
-	var ok bool
-	var err error
-	if sess != nil {
-		ok, err = sess.CheckAt(t)
-	} else {
-		ok, err = e.cert.CheckAt(e.g, t)
+	e.stats.CertCalls++
+	sp.SetInt("sat_calls", int64(e.stats.CertCalls))
+	limit := e.opt.CertConflictLimit
+	if sess == nil {
+		ok, _, err := equiv.WCEAtMost(e.ref, e.g, t, limit)
+		return err == nil && ok
 	}
-	sp.SetInt("sat_calls", int64(e.cert.Calls))
-	e.stats.CertCalls = e.cert.Calls
+	var err error
+	if *sess == nil {
+		if *sess, err = equiv.NewSession(e.ref, e.g); err != nil {
+			return false
+		}
+	}
+	ok, _, err := (*sess).AtMost(t, limit)
 	return err == nil && ok
 }
 
@@ -491,7 +506,7 @@ func (e *engine) markCertified(t uint64) {
 // (re-proposing the violating LAC would loop forever: the sampled estimate
 // that admitted it cannot see the violating input).
 func (e *engine) wceCheckpoint(force bool) bool {
-	if e.cert == nil || len(e.pending) == 0 {
+	if e.ref == nil || len(e.pending) == 0 {
 		return false
 	}
 	if !force && len(e.pending) < e.opt.CertEvery {
@@ -545,7 +560,7 @@ func (e *engine) wceReplay() {
 // the result is the exact worst-case error; with a limited one,
 // inconclusive probes keep the current proven bound.
 func (e *engine) finalizeWCE() {
-	if e.cert == nil {
+	if e.ref == nil {
 		return
 	}
 	stopped := e.stats.StopReason == StopCancelled || e.stats.StopReason == StopDeadline
@@ -570,10 +585,10 @@ func (e *engine) finalizeWCE() {
 			lo = hi
 		}
 	}
-	sess := e.cert.Session(e.g)
+	var sess *equiv.Session
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		if e.certifyAt(mid, sess) {
+		if e.certifyAt(mid, &sess) {
 			hi = mid
 		} else {
 			lo = mid + 1

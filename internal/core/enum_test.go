@@ -72,3 +72,41 @@ func attr(sp obs.SpanData, key string) any {
 	}
 	return nil
 }
+
+// The engine counts its own SAT calls: on runs that sample the 2^7 inputs
+// of MultU(4, 3) (64 patterns) and so certify by SAT, through checkpoints,
+// replays and the final tightening session, Stats.CertCalls must equal the
+// number of cert spans with method "sat", and each such span's sat_calls
+// must be the running count.
+func TestCertCallsCountEverySATProbe(t *testing.T) {
+	g := gen.MultU(4, 3)
+	for _, flow := range []core.Flow{core.FlowConventional, core.FlowAccALS, core.FlowDP, core.FlowDPSA} {
+		for _, every := range []int{1, 8} {
+			opt := core.Options{
+				Flow: flow, Metric: metric.WCE, WCEBound: 6, CertEvery: every,
+				Patterns: 64, Threads: 1, MaxIters: 20,
+			}
+			tr := obs.New()
+			res, err := core.Run(obs.WithTracer(context.Background(), tr), g, opt, core.Hooks{})
+			if err != nil {
+				t.Fatalf("%v: %v", flow, err)
+			}
+			calls := 0
+			for _, sp := range tr.Snapshot() {
+				if sp.Name != "cert" || attr(sp, "method") != "sat" {
+					continue
+				}
+				calls++
+				if n := attr(sp, "sat_calls"); n != int64(calls) {
+					t.Errorf("%v CertEvery %d: SAT cert span %d records sat_calls %v", flow, every, calls, n)
+				}
+			}
+			if calls == 0 {
+				t.Fatalf("%v CertEvery %d: no SAT call; the check is vacuous", flow, every)
+			}
+			if res.Stats.CertCalls != calls {
+				t.Errorf("%v CertEvery %d: Stats.CertCalls %d, %d SAT cert spans", flow, every, res.Stats.CertCalls, calls)
+			}
+		}
+	}
+}

@@ -62,7 +62,7 @@ func TestWCEAllFlowsCertifiedWithinBound(t *testing.T) {
 		if res.Stats.Applied > 0 && res.Stats.CertCalls == 0 {
 			t.Errorf("%v: applied %d LACs with zero certification calls", flow, res.Stats.Applied)
 		}
-		ok, cex, err := equiv.WCEAtMost(g, res.Graph, res.Stats.CertifiedWCE)
+		ok, cex, err := equiv.WCEAtMost(g, res.Graph, res.Stats.CertifiedWCE, 0)
 		if err != nil {
 			t.Fatalf("%v: recheck: %v", flow, err)
 		}
@@ -87,7 +87,7 @@ func TestWCECertEveryAmortisation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("CertEvery %d: %v", every, err)
 		}
-		ok, _, err := equiv.WCEAtMost(g, res.Graph, res.Stats.CertifiedWCE)
+		ok, _, err := equiv.WCEAtMost(g, res.Graph, res.Stats.CertifiedWCE, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestWCEReplayKeepsCertificate(t *testing.T) {
 		if st.CertifiedWCE > bound {
 			t.Errorf("%v: certified WCE %d exceeds bound %d", flow, st.CertifiedWCE, bound)
 		}
-		ok, _, err := equiv.WCEAtMost(g, res.Graph, st.CertifiedWCE)
+		ok, _, err := equiv.WCEAtMost(g, res.Graph, st.CertifiedWCE, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -38,7 +38,7 @@ func TestWCEConstantOutputs(t *testing.T) {
 		t.Errorf("constant 3 vs constant 0: WCE %d, want 3", wce)
 	}
 	for t0 := uint64(0); t0 <= 4; t0++ {
-		ok, cex, err := WCEAtMost(orig, approx, t0)
+		ok, cex, err := WCEAtMost(orig, approx, t0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestWCESingleOutput(t *testing.T) {
 	if wce != 1 {
 		t.Errorf("AND vs 0: WCE %d, want 1", wce)
 	}
-	ok, _, err := WCEAtMost(orig, approx, 0)
+	ok, _, err := WCEAtMost(orig, approx, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestWCESingleOutput(t *testing.T) {
 		t.Error("WCEAtMost(…, 0) certified a circuit with WCE 1")
 	}
 	// Equal single-output circuits certify at threshold 0.
-	ok, _, err = WCEAtMost(orig, orig.Sweep(), 0)
+	ok, _, err = WCEAtMost(orig, orig.Sweep(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestWCEAtMostLargeThreshold(t *testing.T) {
 		return []aig.Lit{aig.False, aig.False}
 	})
 	for _, thr := range []uint64{3, 4, 5, 100, 1 << 40} {
-		ok, cex, err := WCEAtMost(orig, approx, thr)
+		ok, cex, err := WCEAtMost(orig, approx, thr, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

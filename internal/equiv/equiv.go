@@ -127,13 +127,6 @@ func buildWCEMiter(orig, approx *aig.Graph, t uint64, freeThr bool) *aig.Graph {
 	return g
 }
 
-// WCEAtMost reports whether the worst-case numeric error of approx against
-// orig (unsigned LSB-first output interpretation) is at most t for every
-// input. On failure it returns a violating input assignment.
-func WCEAtMost(orig, approx *aig.Graph, t uint64) (bool, []bool, error) {
-	return wceAtMost(orig, approx, t, 0)
-}
-
 // ErrBudget reports that a conflict-limited certification call ran out of
 // budget before reaching a verdict. The WCE flow treats it as a failed
 // certification (roll back), which keeps runs deterministic.
@@ -156,9 +149,12 @@ func checkWCE(orig, approx *aig.Graph) error {
 // there would silently truncate it mod 2^K and report a spurious violation.
 func maxDiff(g *aig.Graph) uint64 { return uint64(1)<<uint(g.NumPOs()) - 1 }
 
-// wceAtMost is WCEAtMost with a conflict budget (0 = unlimited); hitting
-// the budget returns ErrBudget.
-func wceAtMost(orig, approx *aig.Graph, t uint64, limit int64) (bool, []bool, error) {
+// WCEAtMost reports whether the worst-case numeric error of approx against
+// orig (unsigned LSB-first output interpretation) is at most t for every
+// input, by one SAT call on a fresh miter with t built in. On failure it
+// returns a violating input assignment. limit caps the solver's conflicts
+// (0 = unlimited); running out returns ErrBudget.
+func WCEAtMost(orig, approx *aig.Graph, t uint64, limit int64) (bool, []bool, error) {
 	if err := checkWCE(orig, approx); err != nil {
 		return false, nil, err
 	}
@@ -198,11 +194,13 @@ func wceVerdict(s *sat.Solver, st sat.Status, xVars []int, limit int64) (bool, [
 	return false, nil, errors.New("equiv: solver limit reached")
 }
 
-// wceSession checks one approximation at many bounds on one solver: the
-// miter is encoded once with a free threshold word, and each bound is a
-// set of assumption literals fixing that word, so every check reuses the
-// clauses learnt by the earlier ones.
-type wceSession struct {
+// Session checks one approximation at many bounds on one solver — the
+// binary search that tightens a proven bound. The miter is encoded once
+// with a free threshold word, and each bound is a set of assumption
+// literals fixing that word, so every check reuses the clauses learnt by
+// the earlier ones. The circuits must not change while the session is in
+// use, and a Session is not safe for concurrent use.
+type Session struct {
 	s       *sat.Solver
 	xVars   []int // solver variables of orig's inputs
 	thrVars []int // solver variables of the threshold word, LSB first
@@ -210,7 +208,8 @@ type wceSession struct {
 	maxDiff uint64
 }
 
-func newWCESession(orig, approx *aig.Graph) (*wceSession, error) {
+// NewSession encodes the free-threshold miter of approx against orig.
+func NewSession(orig, approx *aig.Graph) (*Session, error) {
 	if err := checkWCE(orig, approx); err != nil {
 		return nil, err
 	}
@@ -224,11 +223,12 @@ func newWCESession(orig, approx *aig.Graph) (*wceSession, error) {
 	// Solve then reports Unsat, which certifies.
 	s.AddClause(tseitin(s, m, piVars)[0])
 	n := orig.NumPIs()
-	return &wceSession{s: s, xVars: piVars[:n], thrVars: piVars[n:], maxDiff: maxDiff(orig)}, nil
+	return &Session{s: s, xVars: piVars[:n], thrVars: piVars[n:], maxDiff: maxDiff(orig)}, nil
 }
 
-// atMost is wceAtMost on the session's circuits.
-func (w *wceSession) atMost(t uint64, limit int64) (bool, []bool, error) {
+// AtMost is WCEAtMost on the session's circuits: one SAT call under
+// assumptions fixing the threshold word to t.
+func (w *Session) AtMost(t uint64, limit int64) (bool, []bool, error) {
 	if t >= w.maxDiff {
 		return true, nil, nil
 	}
@@ -238,66 +238,6 @@ func (w *wceSession) atMost(t uint64, limit int64) (bool, []bool, error) {
 	}
 	w.s.MaxConflicts = limit
 	return wceVerdict(w.s, w.s.Solve(w.assume...), w.xVars, limit)
-}
-
-// Certifier is the incremental certification entry point of the
-// WCE-constrained flow: repeated bound checks of an evolving approximate
-// circuit against one fixed reference, each one counted SAT call.
-//
-// The reference graph is captured by reference; the caller must not
-// mutate it. A Certifier is not safe for concurrent use.
-type Certifier struct {
-	orig *aig.Graph
-
-	// Limit caps the SAT conflicts of each certification call; 0 means
-	// unlimited. An exhausted budget surfaces as ErrBudget.
-	Limit int64
-
-	// Calls counts SAT solver invocations.
-	Calls int
-}
-
-// NewCertifier builds a certifier against the reference circuit orig.
-func NewCertifier(orig *aig.Graph) *Certifier { return &Certifier{orig: orig} }
-
-// CheckAt reports whether approx's worst-case error against the reference
-// is at most t, by one (conflict-limited) SAT call on a fresh miter.
-func (c *Certifier) CheckAt(approx *aig.Graph, t uint64) (bool, error) {
-	c.Calls++
-	ok, _, err := wceAtMost(c.orig, approx, t, c.Limit)
-	return ok, err
-}
-
-// Session is a run of checks of one fixed approximation at varying bounds:
-// the binary search that tightens a proven bound. The first check encodes
-// the miter with the bound as free inputs; later checks only change the
-// assumptions fixing them, and so reuse the clauses learnt before. Every
-// check is counted exactly like CheckAt.
-type Session struct {
-	c      *Certifier
-	approx *aig.Graph
-	w      *wceSession
-}
-
-// Session opens a tightening session on approx, which must not change
-// while the session is in use.
-func (c *Certifier) Session(approx *aig.Graph) *Session {
-	return &Session{c: c, approx: approx}
-}
-
-// CheckAt reports whether the session's approximation has worst-case
-// error at most t against the reference.
-func (s *Session) CheckAt(t uint64) (bool, error) {
-	s.c.Calls++
-	if s.w == nil {
-		w, err := newWCESession(s.c.orig, s.approx)
-		if err != nil {
-			return false, err
-		}
-		s.w = w
-	}
-	ok, _, err := s.w.atMost(t, s.c.Limit)
-	return ok, err
 }
 
 // WorstCaseError computes the exact worst-case numeric error by binary
@@ -311,14 +251,14 @@ func WorstCaseError(orig, approx *aig.Graph) (uint64, error) {
 	if lo == hi {
 		return 0, nil
 	}
-	w, err := newWCESession(orig, approx)
+	w, err := NewSession(orig, approx)
 	if err != nil {
 		return 0, err
 	}
 	// Invariant: WCE > lo−1 (i.e. not certified at lo−1), WCE ≤ hi.
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		ok, _, err := w.atMost(mid, 0)
+		ok, _, err := w.AtMost(mid, 0)
 		if err != nil {
 			return 0, err
 		}

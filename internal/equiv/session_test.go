@@ -42,14 +42,14 @@ func TestWCESessionMatchesWCEAtMost(t *testing.T) {
 	for _, orig := range []*aig.Graph{gen.MultU(3, 3), gen.Adder(4)} {
 		for trial := 0; trial < 4; trial++ {
 			approx := randomConstLACs(rng, orig, 1+rng.Intn(3))
-			w, err := newWCESession(orig, approx)
+			w, err := NewSession(orig, approx)
 			if err != nil {
 				t.Fatal(err)
 			}
 			single := make([]bool, maxDiff(orig)+1) // WCEAtMost's verdicts
 			var below, above []uint64               // refuted and certified thresholds
 			for thr := range single {
-				ok, _, err := WCEAtMost(orig, approx, uint64(thr))
+				ok, _, err := WCEAtMost(orig, approx, uint64(thr), 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -72,7 +72,7 @@ func TestWCESessionMatchesWCEAtMost(t *testing.T) {
 				}
 			}
 			for _, thr := range order {
-				ok, cex, err := w.atMost(thr, 0)
+				ok, cex, err := w.AtMost(thr, 0)
 				if err != nil {
 					t.Fatal(err)
 				}

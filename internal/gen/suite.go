@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"dpals/internal/aig"
+	"dpals/internal/metric"
 )
 
 // Benchmark describes one row of the paper's Table I: the paper's circuit
@@ -17,22 +18,8 @@ type Benchmark struct {
 	Small     bool      // paper's grouping (small < 4000 AIG nodes)
 }
 
-// signedWeights returns two's-complement weights for one n-bit word, LSB
-// first. It mirrors metric.TwosComplementWeights, which gen cannot import:
-// metric depends on cpm, whose tests build their circuits with gen.
-func signedWeights(n int) []float64 {
-	w := make([]float64, n)
-	v := 1.0
-	for i := 0; i < n; i++ {
-		w[i] = v
-		v *= 2
-	}
-	w[n-1] = -w[n-1]
-	return w
-}
-
 // twosComplement weights the POs of g as one two's-complement word.
-func twosComplement(g *aig.Graph) []float64 { return signedWeights(g.NumPOs()) }
+func twosComplement(g *aig.Graph) []float64 { return metric.TwosComplementWeights(g.NumPOs()) }
 
 // SmallSuite returns the small-circuit group. With scaled=false the
 // generators use the paper's bit-widths; with scaled=true they are reduced
@@ -94,7 +81,7 @@ func LargeSuite(scaled bool) []Benchmark {
 			{"sqrt", "48-bit square root unit (scaled)", func() *aig.Graph { return Sqrt(48) }, nil},
 			{"log2", "12-bit log2 unit (scaled)", func() *aig.Graph { return Log2(12, 6) }, nil},
 			{"butterfly", "Radix-2 butterfly (w=10, scaled)", func() *aig.Graph { return Butterfly(10) },
-				func(g *aig.Graph) []float64 { return butterflyWeights(10) }},
+				func(g *aig.Graph) []float64 { return ButterflyWeights(10) }},
 			{"vecmul8", "4-dim vector multiplier (w=10, scaled)", func() *aig.Graph { return VecMul(4, 10) }, nil},
 		}
 	} else {
@@ -104,7 +91,7 @@ func LargeSuite(scaled bool) []Benchmark {
 			{"sqrt", "128-bit square root unit", func() *aig.Graph { return Sqrt(128) }, nil},
 			{"log2", "32-bit log2 unit", func() *aig.Graph { return Log2(32, 16) }, nil},
 			{"butterfly", "Radix-2 butterfly (w=16)", func() *aig.Graph { return Butterfly(16) },
-				func(g *aig.Graph) []float64 { return butterflyWeights(16) }},
+				func(g *aig.Graph) []float64 { return ButterflyWeights(16) }},
 			{"vecmul8", "8-dim vector multiplier (w=16)", func() *aig.Graph { return VecMul(8, 16) }, nil},
 		}
 	}
@@ -120,10 +107,10 @@ func LargeSuite(scaled bool) []Benchmark {
 	return out
 }
 
-// butterflyWeights weights the four (2w+1)-bit output words independently,
-// each as a two's-complement number.
-func butterflyWeights(w int) []float64 {
-	word := signedWeights(2*w + 1)
+// ButterflyWeights weights the four (2w+1)-bit output words of
+// Butterfly(w) independently, each as a two's-complement number.
+func ButterflyWeights(w int) metric.Weights {
+	word := metric.TwosComplementWeights(2*w + 1)
 	return slices.Concat(word, word, word, word)
 }
 

@@ -478,7 +478,7 @@ func Evaluate(ctx context.Context, gen *Generator, res *cpm.Result, st *metric.S
 			b.ops = append(b.ops, cand.DiffOperands(gen.s))
 		}
 		b.errs, b.masks = resize(b.errs, len(cl)), resize(b.masks, len(cl))
-		st.ScoreBatch(row, b.ops, b.errs, b.masks)
+		st.ScoreBatch(row.POs, row.Diffs, b.ops, b.errs, b.masks)
 		for c, cand := range cl {
 			e := b.errs[c]
 			if nb.Best.Err < 0 || e < nb.Best.Err ||

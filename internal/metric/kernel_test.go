@@ -9,14 +9,13 @@ import (
 	"testing"
 
 	"dpals/internal/bitvec"
-	"dpals/internal/cpm"
 )
 
 // refEvalFlips is the per-bit scatter reference for one candidate: it
 // visits row POs in order, words and bits ascending, accumulates each
 // flipped pattern's delta in pattern-sized scratch, and folds the touched
 // patterns in first-touch order.
-func refEvalFlips(st *State, a, b bitvec.Vec, inv uint64, row *cpm.Row) float64 {
+func refEvalFlips(st *State, a, b bitvec.Vec, inv uint64, row *testRow) float64 {
 	x := float64(st.patterns)
 	if st.kind == MHD {
 		sum := st.mismSum
@@ -109,7 +108,7 @@ func flipWord(a, b bitvec.Vec, inv uint64, wi int) uint64 {
 // share it, as all the candidates of one target do.
 type batchFixture struct {
 	st  *State
-	row *cpm.Row
+	row *testRow
 	ops []Operands
 }
 
@@ -135,7 +134,7 @@ func newBatchFixture(rng *rand.Rand, kind Kind, weights Weights, nPO, patterns, 
 		}
 		st.CommitPO(o, nv)
 	}
-	f := batchFixture{st: st, row: &cpm.Row{}}
+	f := batchFixture{st: st, row: &testRow{}}
 	for _, o := range rng.Perm(nPO) {
 		if rng.Intn(3) == 0 {
 			continue
@@ -190,7 +189,7 @@ func newBatchFixture(rng *rand.Rand, kind Kind, weights Weights, nPO, patterns, 
 // score runs ScoreBatch on ops with freshly sized buffers.
 func (f batchFixture) score(ops []Operands) []float64 {
 	out := make([]float64, len(ops))
-	f.st.ScoreBatch(f.row, ops, out, make([]uint64, len(ops)))
+	f.st.ScoreBatch(f.row.POs, f.row.Diffs, ops, out, make([]uint64, len(ops)))
 	return out
 }
 
@@ -256,7 +255,7 @@ func TestScoreBatchConcurrent(t *testing.T) {
 					for i := range fs {
 						k := (i + g) % len(fs)
 						f := fs[k]
-						f.st.ScoreBatch(f.row, f.ops, out, masks)
+						f.st.ScoreBatch(f.row.POs, f.row.Diffs, f.ops, out, masks)
 						if !slices.Equal(out[:len(f.ops)], want[k]) {
 							errs <- kind.String()
 							return
@@ -283,7 +282,7 @@ func BenchmarkScoreBatch(b *testing.B) {
 		rng := rand.New(rand.NewSource(5))
 		exact := randVecs(rng, nPO, words)
 		st := NewState(kind, exact, UnsignedWeights(nPO), words*64)
-		row := &cpm.Row{}
+		row := &testRow{}
 		for o := 0; o < nPO; o++ {
 			p := bitvec.NewWords(words)
 			for w := range p {
@@ -314,7 +313,7 @@ func BenchmarkScoreBatch(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					st.ScoreBatch(row, bt.ops, out, masks)
+					st.ScoreBatch(row.POs, row.Diffs, bt.ops, out, masks)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(bt.ops)), "ns/cand")
 			})

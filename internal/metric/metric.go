@@ -19,7 +19,6 @@ import (
 	"math/bits"
 
 	"dpals/internal/bitvec"
-	"dpals/internal/cpm"
 )
 
 // Kind selects the error metric.
@@ -259,8 +258,9 @@ type Operands struct {
 
 // ScoreBatch scores every candidate LAC of one target: out[c] is the
 // error the circuit would have after the LAC whose value-change mask is
-// ops[c], given the target's change propagation row. out and masks (the
-// per-call scratch) must hold at least len(ops) entries. The circuit
+// ops[c], given the target's change propagation row: diffs[i] holds the
+// patterns on which a flip of the target flips PO pos[i]. out and masks
+// (the per-call scratch) must hold at least len(ops) entries. The circuit
 // state is unchanged, and concurrent calls with distinct out and masks
 // are safe. Row PO indices must be unique — guaranteed for rows built by
 // package cpm, whose cut elements partition the reachable POs.
@@ -293,7 +293,7 @@ type Operands struct {
 // 2^53 — true for the unsigned and two's-complement weights. Other
 // weights round in this fixed order, so results are still identical at
 // every thread count.
-func (st *State) ScoreBatch(row *cpm.Row, ops []Operands, out []float64, masks []uint64) {
+func (st *State) ScoreBatch(pos []int32, diffs []bitvec.Vec, ops []Operands, out []float64, masks []uint64) {
 	if len(ops) == 0 {
 		return
 	}
@@ -327,8 +327,8 @@ func (st *State) ScoreBatch(row *cpm.Row, ops []Operands, out []float64, masks [
 		}
 		var touched uint64
 		if !st.kind.Numeric() {
-			for ri, o := range row.POs {
-				w := u & row.Diffs[ri][wi]
+			for ri, o := range pos {
+				w := u & diffs[ri][wi]
 				if w == 0 {
 					continue
 				}
@@ -342,8 +342,8 @@ func (st *State) ScoreBatch(row *cpm.Row, ops []Operands, out []float64, masks [
 				}
 			}
 		} else {
-			for ri, o := range row.POs {
-				w := u & row.Diffs[ri][wi]
+			for ri, o := range pos {
+				w := u & diffs[ri][wi]
 				if w == 0 {
 					continue
 				}

@@ -6,15 +6,21 @@ import (
 	"testing"
 
 	"dpals/internal/bitvec"
-	"dpals/internal/cpm"
 )
+
+// testRow is a change propagation row as package cpm builds it: Diffs[i]
+// holds the patterns on which a flip of the target flips PO POs[i].
+type testRow struct {
+	POs   []int32
+	Diffs []bitvec.Vec
+}
 
 // EvalLAC scores one candidate whose value-change mask D is materialised:
 // a one-element ScoreBatch.
-func (st *State) EvalLAC(D bitvec.Vec, row *cpm.Row) float64 {
+func (st *State) EvalLAC(D bitvec.Vec, row *testRow) float64 {
 	var out [1]float64
 	var masks [1]uint64
-	st.ScoreBatch(row, []Operands{{A: D}}, out[:], masks[:])
+	st.ScoreBatch(row.POs, row.Diffs, []Operands{{A: D}}, out[:], masks[:])
 	return out[0]
 }
 
@@ -122,7 +128,7 @@ func TestCommitPOMatchesCompute(t *testing.T) {
 
 // applyLACToPOs returns the PO words after flipping, for each row PO, the
 // patterns in D ∧ P.
-func applyLACToPOs(cur []bitvec.Vec, D bitvec.Vec, row *cpm.Row) []bitvec.Vec {
+func applyLACToPOs(cur []bitvec.Vec, D bitvec.Vec, row *testRow) []bitvec.Vec {
 	out := make([]bitvec.Vec, len(cur))
 	for o := range cur {
 		out[o] = cur[o].Clone()
@@ -165,7 +171,7 @@ func TestEvalLACMatchesCompute(t *testing.T) {
 				for w := range D {
 					D[w] = rng.Uint64() & rng.Uint64() // sparse-ish
 				}
-				row := &cpm.Row{}
+				row := &testRow{}
 				for o := 0; o < nPO; o++ {
 					if rng.Intn(2) == 0 {
 						continue
@@ -209,17 +215,17 @@ func TestEvalLACNoEffect(t *testing.T) {
 		nv.Set(5, !nv.Get(5))
 		st.CommitPO(1, nv)
 		cur := st.Error()
-		if got := st.EvalLAC(bitvec.NewWords(2), &cpm.Row{}); got != cur {
+		if got := st.EvalLAC(bitvec.NewWords(2), &testRow{}); got != cur {
 			t.Errorf("%v: empty LAC eval = %v, want current %v", k, got, cur)
 		}
 		D := bitvec.NewWords(2)
 		D.SetAll()
-		if got := st.EvalLAC(D, &cpm.Row{}); got != cur {
+		if got := st.EvalLAC(D, &testRow{}); got != cur {
 			t.Errorf("%v: empty-row LAC eval = %v, want current %v", k, got, cur)
 		}
-		row := &cpm.Row{POs: []int32{0, 1, 2}, Diffs: []bitvec.Vec{D, D, D}}
+		row := &testRow{POs: []int32{0, 1, 2}, Diffs: []bitvec.Vec{D, D, D}}
 		out := []float64{42}
-		st.ScoreBatch(row, nil, out, nil)
+		st.ScoreBatch(row.POs, row.Diffs, nil, out, nil)
 		if out[0] != 42 || st.Error() != cur {
 			t.Errorf("%v: empty batch wrote %v (error %v, want %v)", k, out[0], st.Error(), cur)
 		}

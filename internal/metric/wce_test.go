@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"dpals/internal/bitvec"
-	"dpals/internal/cpm"
 )
 
 // computeWCEBrute derives the sampled worst case directly from the PO
@@ -106,7 +105,7 @@ func TestWCEEvalLACUpperBound(t *testing.T) {
 			for w := range D {
 				D[w] = rng.Uint64() & rng.Uint64()
 			}
-			row := &cpm.Row{}
+			row := &testRow{}
 			for o := 0; o < nPO; o++ {
 				if rng.Intn(2) == 0 {
 					continue

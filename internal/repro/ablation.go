@@ -178,6 +178,5 @@ func AblationPatternsSweep(b gen.Benchmark, counts []int, cfg Config) []Ablation
 }
 
 func adpRatio(orig, approx *aig.Graph) float64 {
-	lib := techmap.GenericLibrary()
-	return techmap.ADPRatio(techmap.Map(approx, lib), techmap.Map(orig, lib))
+	return techmap.ADPRatio(techmap.Map(approx), techmap.Map(orig))
 }

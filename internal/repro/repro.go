@@ -104,9 +104,8 @@ func runOne(b gen.Benchmark, flow core.Flow, kind metric.Kind, thr float64, sasi
 	if err != nil {
 		panic(fmt.Sprintf("repro: %s/%v: %v", b.PaperName, flow, err))
 	}
-	lib := techmap.GenericLibrary()
-	mo := techmap.Map(b.Graph, lib)
-	ma := techmap.Map(res.Graph, lib)
+	mo := techmap.Map(b.Graph)
+	ma := techmap.Map(res.Graph)
 	return techmap.ADPRatio(ma, mo), res.Stats.Runtime, res.Stats.Applied
 }
 

@@ -308,16 +308,10 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 // streamJob answers ?stream=sse: "progress" events at the configured
 // cadence, then exactly one "result" (or "error") event.
 func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *job) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusInternalServerError, "streaming unsupported")
+	fl := startSSE(w)
+	if fl == nil {
 		return
 	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-store")
-	h.Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 	for {
 		select {
@@ -338,21 +332,33 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *job) {
 	}
 }
 
+// startSSE writes the status and headers of an SSE response — the same
+// for a streamed run and a cache hit, so no proxy buffers either — and
+// returns the flusher. A writer that cannot flush gets a 500 and nil.
+func startSSE(w http.ResponseWriter) http.Flusher {
+	fl, ok := w.(http.Flusher)
+	if !ok {
+		httpError(w, http.StatusInternalServerError, "streaming unsupported")
+		return nil
+	}
+	h := w.Header()
+	h.Set("Content-Type", "text/event-stream")
+	h.Set("Cache-Control", "no-store")
+	h.Set("X-Accel-Buffering", "no")
+	w.WriteHeader(http.StatusOK)
+	return fl
+}
+
 func (s *Server) writeResult(w http.ResponseWriter, stream bool, resp *JobResponse, res *jobResult) {
 	if res != nil && res.err != nil {
 		httpError(w, res.status, res.err.Error())
 		return
 	}
 	if stream {
-		fl, ok := w.(http.Flusher)
-		if !ok {
-			httpError(w, http.StatusInternalServerError, "streaming unsupported")
+		fl := startSSE(w)
+		if fl == nil {
 			return
 		}
-		h := w.Header()
-		h.Set("Content-Type", "text/event-stream")
-		h.Set("Cache-Control", "no-store")
-		w.WriteHeader(http.StatusOK)
 		writeSSE(w, "result", resp)
 		fl.Flush()
 		return

@@ -6,8 +6,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -382,6 +384,40 @@ func TestServerSSEStreamsProgressAndResult(t *testing.T) {
 	if code != http.StatusOK || again.Cache != "hit" || again.Circuit != result.Circuit {
 		t.Fatalf("cached follow-up: status %d cache %q, identical %v",
 			code, again.Cache, again.Circuit == result.Circuit)
+	}
+}
+
+// A ?stream=sse cache hit answers with the headers of a miss, so a proxy
+// that honours X-Accel-Buffering buffers neither.
+func TestServerSSEHitHeadersMatchMiss(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	body, err := json.Marshal(smallJob(t, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var headers []http.Header
+	for _, want := range []string{`"cache":"miss"`, `"cache":"hit"`} {
+		resp, err := ts.Client().Post(ts.URL+"/v1/jobs?stream=sse", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(data), want) {
+			t.Fatalf("stream without %s:\n%s", want, data)
+		}
+		resp.Header.Del("Date")
+		headers = append(headers, resp.Header)
+	}
+	miss, hit := headers[0], headers[1]
+	if miss.Get("X-Accel-Buffering") != "no" {
+		t.Fatalf("miss headers %v lack X-Accel-Buffering: no", miss)
+	}
+	if !reflect.DeepEqual(miss, hit) {
+		t.Fatalf("SSE hit headers %v, miss headers %v", hit, miss)
 	}
 }
 

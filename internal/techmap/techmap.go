@@ -18,30 +18,15 @@ import (
 	"dpals/internal/aig"
 )
 
-// Cell is one library cell.
-type Cell struct {
-	Name  string
-	Area  float64 // in gate-equivalents (NAND2 = 1)
-	Delay float64 // normalised propagation delay
-}
-
-// Library is the cell set used by Map.
-type Library struct {
-	Inv  Cell
-	And2 Cell
-	Xor2 Cell
-	Mux  Cell
-}
-
-// GenericLibrary returns the built-in technology-neutral library.
-func GenericLibrary() Library {
-	return Library{
-		Inv:  Cell{"INV", 0.5, 0.35},
-		And2: Cell{"AND2", 1.0, 0.60},
-		Xor2: Cell{"XOR2", 2.0, 0.95},
-		Mux:  Cell{"MUX2", 2.25, 0.90},
-	}
-}
+// The generic, technology-neutral cell library Map charges: areas in
+// gate-equivalents (NAND2 = 1), delays normalised. The cell names key
+// Mapping.Cells: INV, AND2, XOR2 and MUX2.
+const (
+	invArea, invDelay   = 0.5, 0.35
+	and2Area, and2Delay = 1.0, 0.60
+	xor2Area, xor2Delay = 2.0, 0.95
+	muxArea, muxDelay   = 2.25, 0.90
+)
 
 // Mapping is the result of technology mapping.
 type Mapping struct {
@@ -75,19 +60,17 @@ func ADPRatio(approx, orig Mapping) float64 {
 	return approx.ADP() / orig.ADP()
 }
 
-// Map maps g (swept internally) onto lib.
-func Map(g *aig.Graph, lib Library) Mapping {
+// Map maps g (swept internally) onto the generic library.
+func Map(g *aig.Graph) Mapping {
 	g = g.Sweep()
 	m := Mapping{Cells: map[string]int{}}
 	if g.NumAnds() == 0 {
 		// Wires and inverters only.
 		for _, po := range g.POs() {
 			if po.IsCompl() && po.Var() != 0 {
-				m.Cells[lib.Inv.Name]++
-				m.Area += lib.Inv.Area
-				if lib.Inv.Delay > m.Delay {
-					m.Delay = lib.Inv.Delay
-				}
+				m.Cells["INV"]++
+				m.Area += invArea
+				m.Delay = invDelay
 			}
 		}
 		return m
@@ -179,27 +162,21 @@ func Map(g *aig.Graph, lib Library) Mapping {
 
 	// Accumulate area and compute arrival times.
 	arr := make([]float64, g.NumVars())
-	add := func(c Cell) {
-		m.Cells[c.Name]++
-		m.Area += c.Area
+	add := func(name string, area float64) {
+		m.Cells[name]++
+		m.Area += area
 	}
 	litArr := func(l aig.Lit, invFree bool) float64 {
 		t := arr[l.Var()]
 		if l.IsCompl() && !invFree && l.Var() != 0 {
-			t += lib.Inv.Delay
+			t += invDelay
 		}
 		return t
 	}
 	for v := range needInv {
 		if needInv[v] {
-			add(lib.Inv)
+			add("INV", invArea)
 		}
-	}
-	max := func(a, b float64) float64 {
-		if a > b {
-			return a
-		}
-		return b
 	}
 	for _, v := range g.Topo() {
 		if g.Type(v) != aig.TypeAnd {
@@ -208,16 +185,14 @@ func Map(g *aig.Graph, lib Library) Mapping {
 		f0, f1 := g.Fanins(v)
 		switch kind[v] {
 		case plainAnd:
-			add(lib.And2)
-			arr[v] = max(litArr(f0, false), litArr(f1, false)) + lib.And2.Delay
+			add("AND2", and2Area)
+			arr[v] = max(litArr(f0, false), litArr(f1, false)) + and2Delay
 		case xorRoot:
-			add(lib.Xor2)
-			in := max4(g, arr, lib, v)
-			arr[v] = in + lib.Xor2.Delay
+			add("XOR2", xor2Area)
+			arr[v] = max4(g, arr, v) + xor2Delay
 		case muxRoot:
-			add(lib.Mux)
-			in := max4(g, arr, lib, v)
-			arr[v] = in + lib.Mux.Delay
+			add("MUX2", muxArea)
+			arr[v] = max4(g, arr, v) + muxDelay
 		case absorbed:
 			// No cell; arrival recorded for completeness (the root reads
 			// grandchildren directly).
@@ -227,7 +202,7 @@ func Map(g *aig.Graph, lib Library) Mapping {
 	for _, po := range g.POs() {
 		t := arr[po.Var()]
 		if po.IsCompl() && po.Var() != 0 {
-			t += lib.Inv.Delay
+			t += invDelay
 		}
 		m.Delay = max(m.Delay, t)
 	}
@@ -237,7 +212,7 @@ func Map(g *aig.Graph, lib Library) Mapping {
 // max4 returns the worst arrival among the (deduplicated) input signals of
 // a matched XOR/MUX root; input polarity is absorbed by the cell, so no
 // inverter delay applies.
-func max4(g *aig.Graph, arr []float64, _ Library, v int32) float64 {
+func max4(g *aig.Graph, arr []float64, v int32) float64 {
 	f0, f1 := g.Fanins(v)
 	worst := 0.0
 	for _, inner := range []int32{f0.Var(), f1.Var()} {
@@ -260,6 +235,6 @@ type Report struct {
 
 // Summarise maps g and returns the Table-I style summary.
 func Summarise(g *aig.Graph) Report {
-	m := Map(g, GenericLibrary())
+	m := Map(g)
 	return Report{Ands: g.Sweep().NumAnds(), Area: m.Area, Delay: m.Delay}
 }

@@ -12,14 +12,14 @@ func TestEmptyAndWireCircuits(t *testing.T) {
 	g := aig.New("wire")
 	a := g.AddPI("a")
 	g.AddPO(a, "y")
-	m := Map(g, GenericLibrary())
+	m := Map(g)
 	if m.Area != 0 || m.Delay != 0 {
 		t.Errorf("wire circuit: %v", m)
 	}
 	g2 := aig.New("inv")
 	b := g2.AddPI("a")
 	g2.AddPO(b.Not(), "y")
-	m2 := Map(g2, GenericLibrary())
+	m2 := Map(g2)
 	if m2.Cells["INV"] != 1 {
 		t.Errorf("inverter circuit: %v", m2)
 	}
@@ -29,13 +29,12 @@ func TestSingleAnd(t *testing.T) {
 	g := aig.New("and")
 	a, b := g.AddPI("a"), g.AddPI("b")
 	g.AddPO(g.And(a, b), "y")
-	m := Map(g, GenericLibrary())
-	lib := GenericLibrary()
-	if m.Cells["AND2"] != 1 || m.Area != lib.And2.Area {
+	m := Map(g)
+	if m.Cells["AND2"] != 1 || m.Area != and2Area {
 		t.Errorf("single AND: %v", m)
 	}
-	if m.Delay != lib.And2.Delay {
-		t.Errorf("delay = %v, want %v", m.Delay, lib.And2.Delay)
+	if m.Delay != and2Delay {
+		t.Errorf("delay = %v, want %v", m.Delay, and2Delay)
 	}
 }
 
@@ -43,7 +42,7 @@ func TestXorDetection(t *testing.T) {
 	g := aig.New("xor")
 	a, b := g.AddPI("a"), g.AddPI("b")
 	g.AddPO(g.Xor(a, b), "y")
-	m := Map(g, GenericLibrary())
+	m := Map(g)
 	if m.Cells["XOR2"] != 1 {
 		t.Errorf("XOR not detected: %v", m)
 	}
@@ -54,7 +53,7 @@ func TestXorDetection(t *testing.T) {
 
 func TestParityTreeAllXor(t *testing.T) {
 	g := gen.Parity(8)
-	m := Map(g, GenericLibrary())
+	m := Map(g)
 	if m.Cells["XOR2"] != 7 {
 		t.Errorf("parity(8) should map to 7 XOR2 cells: %v", m)
 	}
@@ -63,9 +62,8 @@ func TestParityTreeAllXor(t *testing.T) {
 	}
 	// ReduceXor builds a linear chain of 7 XORs; the PO may carry one
 	// final inverter depending on the root literal's polarity.
-	lib := GenericLibrary()
-	lo := 7 * lib.Xor2.Delay
-	hi := lo + lib.Inv.Delay
+	lo := 7 * xor2Delay
+	hi := lo + invDelay
 	if m.Delay < lo-1e-9 || m.Delay > hi+1e-9 {
 		t.Errorf("parity(8) delay %v, want within [%v, %v]", m.Delay, lo, hi)
 	}
@@ -75,7 +73,7 @@ func TestMuxDetection(t *testing.T) {
 	g := aig.New("mux")
 	s, a, b := g.AddPI("s"), g.AddPI("a"), g.AddPI("b")
 	g.AddPO(g.Mux(s, a, b), "y")
-	m := Map(g, GenericLibrary())
+	m := Map(g)
 	if m.Cells["MUX2"] != 1 {
 		t.Errorf("MUX not detected: %v", m)
 	}
@@ -91,7 +89,7 @@ func TestSharedInnerNotAbsorbed(t *testing.T) {
 	x := g.And(u.Not(), v.Not()) // ¬xor
 	g.AddPO(x.Not(), "xor")
 	g.AddPO(u, "side") // extra fanout on u
-	m := Map(g, GenericLibrary())
+	m := Map(g)
 	if m.Cells["XOR2"] != 0 {
 		t.Errorf("illegal absorption: %v", m)
 	}
@@ -109,7 +107,7 @@ func TestSharedInverterCharging(t *testing.T) {
 	z := g.And(x.Not(), d)
 	g.AddPO(y, "y")
 	g.AddPO(z, "z")
-	m := Map(g, GenericLibrary())
+	m := Map(g)
 	if m.Cells["INV"] != 1 {
 		t.Errorf("shared inverter not shared: %v", m)
 	}
@@ -121,8 +119,8 @@ func TestSharedInverterCharging(t *testing.T) {
 func TestADPRatioAndMonotonicity(t *testing.T) {
 	big := gen.MultU(8, 8)
 	small := gen.MultU(6, 6)
-	mb := Map(big, GenericLibrary())
-	ms := Map(small, GenericLibrary())
+	mb := Map(big)
+	ms := Map(small)
 	if mb.Area <= ms.Area {
 		t.Errorf("area not monotone with size: %v vs %v", mb.Area, ms.Area)
 	}
@@ -142,10 +140,9 @@ func TestChainDelay(t *testing.T) {
 		x = g.And(x, a)
 	}
 	g.AddPO(x, "y")
-	m := Map(g, GenericLibrary())
-	lib := GenericLibrary()
-	if math.Abs(m.Delay-10*lib.And2.Delay) > 1e-9 {
-		t.Errorf("chain delay %v, want %v", m.Delay, 10*lib.And2.Delay)
+	m := Map(g)
+	if math.Abs(m.Delay-10*and2Delay) > 1e-9 {
+		t.Errorf("chain delay %v, want %v", m.Delay, 10*and2Delay)
 	}
 }
 
