@@ -274,7 +274,7 @@ func TestReadCircuitSniffsFormat(t *testing.T) {
 func TestMeasureWCEUsesUnsignedReading(t *testing.T) {
 	c := dpals.NewMultiplier(4, 4, true)
 	res, err := dpals.Approximate(c, dpals.Options{
-		Flow: dpals.DP, Metric: dpals.WCE, WCEBound: 300, Exhaustive: true,
+		Flow: dpals.DP, Metric: dpals.WCE, WCEBound: 300, Patterns: 1 << c.NumInputs(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -58,3 +58,34 @@ func TestBiasedProbabilityValidation(t *testing.T) {
 		}
 	}
 }
+
+// MeasureError and MeasureErrorBiased measure on exactly the patterns of
+// the run they check: seed 0 is DefaultSeed, as in the run, and nil or
+// empty probabilities are the run's uniform patterns — sampled on the 8×8
+// multiplier (2^16 inputs > 1024 patterns), enumerated on the 3×3 one.
+func TestMeasureErrorMatchesSeedZeroRun(t *testing.T) {
+	for _, c := range []*Circuit{NewMultiplier(8, 8, false), NewMultiplier(3, 3, false)} {
+		res, err := Approximate(c, Options{Flow: DP, Metric: ER, Threshold: 0.05, Patterns: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		measured := map[string]func() (float64, error){
+			"MeasureError": func() (float64, error) { return MeasureError(c, res.Circuit, ER, nil, 1024, 0) },
+			"MeasureErrorBiased(nil)": func() (float64, error) {
+				return MeasureErrorBiased(c, res.Circuit, ER, nil, 1024, 0, nil)
+			},
+			"MeasureErrorBiased(empty)": func() (float64, error) {
+				return MeasureErrorBiased(c, res.Circuit, ER, nil, 1024, 0, []float64{})
+			},
+		}
+		for name, measure := range measured {
+			got, err := measure()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(got-res.Error) > 1e-9*(1+got) {
+				t.Errorf("%d inputs: run reported %v, %s gives %v", c.NumInputs(), res.Error, name, got)
+			}
+		}
+	}
+}

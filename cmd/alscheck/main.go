@@ -293,7 +293,7 @@ func (c *campaign) exhaustiveCheck(g *aig.Graph, base oracle.RunSpec) {
 		return
 	}
 	spec := base
-	spec.Exhaustive = true
+	spec.Patterns = 1 << g.NumPIs()
 	res, _, err := oracle.Execute(g, spec)
 	c.runs++
 	if err != nil {

@@ -41,7 +41,6 @@ import (
 	"dpals/internal/gen"
 	"dpals/internal/metric"
 	"dpals/internal/oracle"
-	"dpals/internal/sim"
 	"dpals/internal/techmap"
 	"dpals/internal/verilog"
 )
@@ -437,41 +436,41 @@ func ApproximateContext(ctx context.Context, c *Circuit, opt Options) (*Result, 
 
 // MeasureError computes the error of approx against orig from scratch by
 // simulating both circuits on the same patterns — an independent check of
-// a synthesis result. The patterns are those a run with the same budget
-// and seed trains on: enumerated when 2^inputs ≤ patterns, else sampled.
-// The circuits must have identical PI/PO interfaces.
+// a synthesis result. The patterns are exactly those of a uniform run with
+// the same budget and seed: patterns ≤ 0 means core.DefaultPatterns, seed
+// 0 means DefaultSeed, and the input space is enumerated when 2^inputs ≤
+// patterns, else sampled. Nil weights select the circuit's recommendation
+// (WCE always reads the outputs as unsigned and rejects explicit weights,
+// as Approximate does). The circuits must have identical PI/PO interfaces.
 func MeasureError(orig, approx *Circuit, m Metric, weights []float64, patterns int, seed int64) (float64, error) {
-	return measure(orig, approx, m, weights, sim.Options{Patterns: patterns, Seed: seed})
+	return measure(orig, approx, Options{Metric: m, Weights: weights, Patterns: patterns, Seed: seed})
 }
 
 // MeasureErrorBiased is MeasureError under a biased input distribution
 // (entry i = probability input i is 1); pass the same probabilities that
-// were used for synthesis.
+// were used for synthesis. Nil or empty probs mean uniform inputs, so the
+// patterns are those of MeasureError: enumerated or sampled, as the run
+// chose.
 func MeasureErrorBiased(orig, approx *Circuit, m Metric, weights []float64, patterns int, seed int64, probs []float64) (float64, error) {
-	return measure(orig, approx, m, weights, sim.Options{Patterns: patterns, Seed: seed, Dist: sim.Biased{P: probs}})
+	return measure(orig, approx, Options{Metric: m, Weights: weights, Patterns: patterns, Seed: seed, InputProbabilities: probs})
 }
 
-// measure simulates orig and approx on the patterns so draws
-// (core.DefaultPatterns when so.Patterns ≤ 0) and computes metric m over
-// their outputs. Nil weights select the circuit's recommendation, then
-// (for numeric metrics) the unsigned reading. WCE is defined over the
-// unsigned reading only, as in ApproximateContext: it ignores the
-// recommendation and rejects explicit weights.
-func measure(orig, approx *Circuit, m Metric, weights []float64, so sim.Options) (float64, error) {
+// measure resolves and validates opt as a run does and computes its
+// metric over orig and approx, simulated on the run's patterns
+// (core.SimOptions).
+func measure(orig, approx *Circuit, opt Options) (float64, error) {
 	if orig.NumInputs() != approx.NumInputs() || orig.NumOutputs() != approx.NumOutputs() {
 		return 0, fmt.Errorf("dpals: interface mismatch (%d/%d inputs, %d/%d outputs)",
 			orig.NumInputs(), approx.NumInputs(), orig.NumOutputs(), approx.NumOutputs())
 	}
-	if so.Patterns <= 0 {
-		so.Patterns = core.DefaultPatterns
+	if opt.Weights == nil && opt.Metric != WCE {
+		opt.Weights = orig.weights
 	}
-	switch {
-	case m == WCE && weights != nil:
-		return 0, errors.New("dpals: metric WCE uses the unsigned LSB-first output interpretation; weights must be nil")
-	case m != WCE && weights == nil:
-		weights = orig.weights
+	opt = opt.Resolved()
+	if err := opt.Validate(orig.NumOutputs()); err != nil {
+		return 0, fmt.Errorf("dpals: %w", err)
 	}
-	return oracle.SampledError(orig.snap(), approx.snap(), m, weights, so)
+	return oracle.SampledError(orig.snap(), approx.snap(), opt.Metric, opt.Weights, core.SimOptions(opt))
 }
 
 // ReferenceError returns the paper's reference error R = 2^(K/3) for a
@@ -502,11 +501,11 @@ func WorstCaseError(orig, approx *Circuit) (uint64, error) {
 }
 
 // MeasureErrorExact computes the exact error of approx against orig by
-// enumerating every input combination (≤ 24 inputs).
+// enumerating every input combination: MeasureError with a budget of
+// 2^inputs patterns, at most core.MaxPatterns (24 inputs).
 func MeasureErrorExact(orig, approx *Circuit, m Metric, weights []float64) (float64, error) {
-	if orig.NumInputs() > 24 {
-		return 0, fmt.Errorf("dpals: exhaustive measurement infeasible for %d inputs (max 24)", orig.NumInputs())
+	if orig.NumInputs() >= 31 { // keeps 1 << inputs from overflowing
+		return 0, fmt.Errorf("dpals: exhaustive measurement infeasible for %d inputs", orig.NumInputs())
 	}
-	// A uniform budget of 2^inputs patterns: sim.New enumerates it.
-	return measure(orig, approx, m, weights, sim.Options{Patterns: 1 << orig.NumInputs()})
+	return MeasureError(orig, approx, m, weights, 1<<orig.NumInputs(), 0)
 }

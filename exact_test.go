@@ -3,16 +3,18 @@ package dpals
 import (
 	"math"
 	"testing"
+
+	"dpals/internal/core"
 )
 
-// Exhaustive mode: the reported error is exact — validate against the
-// exhaustive measurement.
+// A budget of 2^inputs patterns enumerates the input space, so the
+// reported error is exact — validate against the exhaustive measurement.
 func TestExhaustiveModeExactness(t *testing.T) {
 	c := NewMultiplier(5, 5, false)
 	R := ReferenceError(c)
 	res, err := Approximate(c, Options{
 		Flow: DPSA, Metric: MED, Threshold: R,
-		Exhaustive:    true,
+		Patterns:      1 << c.NumInputs(),
 		UseConstLACs:  true,
 		UseSASIMILACs: true,
 	})
@@ -34,13 +36,21 @@ func TestExhaustiveModeExactness(t *testing.T) {
 	}
 }
 
+// The pattern budget is capped at core.MaxPatterns (2^24), so no run or
+// measurement enumerates more than 24 inputs. The budget checks use a
+// narrow circuit, which would enumerate cheaply if the cap were missing.
 func TestExhaustiveRejectsWideCircuits(t *testing.T) {
-	c := NewAdder(16) // 32 inputs
-	if _, err := Approximate(c, Options{Flow: DP, Metric: ER, Threshold: 0.01, Exhaustive: true}); err == nil {
-		t.Error("exhaustive mode accepted 32 inputs")
+	narrow := NewAdder(4)
+	if _, err := Approximate(narrow, Options{Flow: DP, Metric: ER, Threshold: 0.01, Patterns: core.MaxPatterns + 1}); err == nil {
+		t.Error("a budget above the cap was accepted")
 	}
-	if _, err := MeasureErrorExact(c, c, ER, nil); err == nil {
-		t.Error("exact measurement accepted 32 inputs")
+	if _, err := MeasureError(narrow, narrow, ER, nil, core.MaxPatterns+1, 1); err == nil {
+		t.Error("measurement accepted a budget above the cap")
+	}
+	for _, w := range []*Circuit{NewAdder(13), NewAdder(16)} { // 26 and 32 inputs
+		if _, err := MeasureErrorExact(w, w, ER, nil); err == nil {
+			t.Errorf("exact measurement accepted %d inputs", w.NumInputs())
+		}
 	}
 }
 

@@ -8,7 +8,7 @@ func TestFormalCertificationPipeline(t *testing.T) {
 	orig := NewMultiplier(5, 4, false)
 	R := ReferenceError(orig)
 	res, err := Approximate(orig, Options{
-		Flow: DPSA, Metric: MED, Threshold: R, Exhaustive: true,
+		Flow: DPSA, Metric: MED, Threshold: R, Patterns: 1 << orig.NumInputs(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -218,6 +218,7 @@ func TestErrorsOnBadOptions(t *testing.T) {
 		{Flow: FlowDPSA, Metric: metric.MSE, Threshold: 1, Weights: weightsWith(math.NaN())},
 		{Flow: FlowDPSA, Metric: metric.MED, Threshold: 1, Weights: weightsWith(math.Inf(1))},
 		{Flow: FlowDPSA, Metric: metric.MED, Threshold: 1, Weights: weightsWith(math.Inf(-1))},
+		{Flow: FlowDP, Metric: metric.ER, Threshold: 0.1, Patterns: MaxPatterns + 1},
 	} {
 		if _, err := Run(context.Background(), g, opt, Hooks{}); err == nil {
 			t.Errorf("%+v accepted", opt)

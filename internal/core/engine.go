@@ -42,7 +42,7 @@ type Result struct {
 // context.Background().
 func Run(ctx context.Context, g *aig.Graph, opt Options, hooks Hooks) (*Result, error) {
 	opt = opt.Resolved()
-	if err := opt.Validate(g.NumPIs(), g.NumPOs()); err != nil {
+	if err := opt.Validate(g.NumPOs()); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	if opt.Metric == metric.WCE {
@@ -182,21 +182,14 @@ func (e *engine) step(parent *obs.Span, name string) (*obs.Span, context.Context
 	return sp, obs.WithSpan(e.ctx, sp)
 }
 
-// SimOptions builds the simulator configuration a run of g under the
-// resolved and validated opt uses. Exhaustive resolves to a budget of
-// 2^PIs patterns; sim.New then enumerates, as it does for any uniform run
-// whose input space fits the budget. Exported so the verification oracle
-// (internal/oracle) can recompute the error of a returned circuit on
-// exactly the patterns the run trained on.
-func SimOptions(g *aig.Graph, opt Options) sim.Options {
-	so := sim.Options{Patterns: opt.Patterns, Seed: opt.Seed, Threads: opt.Threads}
-	switch {
-	case opt.Exhaustive:
-		so.Patterns = 1 << g.NumPIs()
-	case len(opt.InputProbabilities) > 0:
-		so.Dist = sim.Biased{P: opt.InputProbabilities}
-	}
-	return so
+// SimOptions builds the simulator configuration a run under the resolved
+// and validated opt uses; it is the only place that does. sim.New
+// enumerates when the inputs are uniform and their space fits the budget,
+// and samples otherwise. Exported so the verification oracle
+// (internal/oracle) and dpals.MeasureError can recompute the error of a
+// returned circuit on exactly the patterns the run trained on.
+func SimOptions(opt Options) sim.Options {
+	return sim.Options{Patterns: opt.Patterns, Seed: opt.Seed, Threads: opt.Threads, Probs: opt.InputProbabilities}
 }
 
 // CertifiesByEnumeration reports whether a WCE run of g under the resolved
@@ -204,7 +197,7 @@ func SimOptions(g *aig.Graph, opt Options) sim.Options {
 // (sim.Enumerates) and the unsigned output weights sum exactly, so the
 // maximum over the patterns is the true worst case.
 func CertifiesByEnumeration(g *aig.Graph, opt Options) bool {
-	return opt.Metric == metric.WCE && sim.Enumerates(g.NumPIs(), SimOptions(g, opt)) &&
+	return opt.Metric == metric.WCE && sim.Enumerates(g.NumPIs(), SimOptions(opt)) &&
 		metric.UnsignedWeights(g.NumPOs()).SumsExactly()
 }
 
@@ -234,7 +227,7 @@ func newEngine(orig *aig.Graph, opt Options, hooks Hooks) (*engine, error) {
 // tuned, like M and N.
 func (e *engine) bind(g *aig.Graph) {
 	e.g = g
-	e.s = sim.New(g, SimOptions(g, e.opt))
+	e.s = sim.New(g, SimOptions(e.opt))
 	if e.exact == nil {
 		e.exact = make([]bitvec.Vec, g.NumPOs())
 		for o := range e.exact {

@@ -78,6 +78,10 @@ const (
 	DefaultCertEvery = 8    // WCE certification interval K
 )
 
+// MaxPatterns caps Options.Patterns: 2^24 patterns, enough to enumerate a
+// 24-input circuit, already cost 2 MiB per simulated node.
+const MaxPatterns = 1 << 24
+
 // Parameters the paper fixes to one value. The §III-D self-adaption
 // constants drive DP-SA; the AccALS ones are the baseline's batch size and
 // its allowed relative deviation of the real error from the estimate.
@@ -110,12 +114,13 @@ type Options struct {
 	// circuit's recommended weights). Must be nil for Metric WCE.
 	Weights metric.Weights `json:"weights,omitempty"`
 
-	// Patterns is the simulation pattern budget (default
-	// DefaultPatterns). A circuit whose input space fits it (2^inputs ≤
-	// Patterns) is enumerated rather than sampled, unless
-	// InputProbabilities are set: every error figure is then exact, and a
-	// WCE run certifies by that enumeration instead of SAT (see
-	// sim.New).
+	// Patterns is the simulation pattern budget (default DefaultPatterns,
+	// at most MaxPatterns). It and InputProbabilities alone name the
+	// run's input patterns (SimOptions): a circuit whose input space fits
+	// the budget (2^inputs ≤ Patterns) is enumerated rather than sampled,
+	// unless InputProbabilities are set. Every error figure is then exact,
+	// and a WCE run certifies by that enumeration instead of SAT (see
+	// sim.New). Patterns = 1 << inputs asks for enumeration.
 	Patterns int `json:"patterns,omitempty"`
 	// Seed is the simulation RNG seed. The zero value (UseDefaultSeed) is
 	// an alias for DefaultSeed — see the constants above. Every non-zero
@@ -127,15 +132,10 @@ type Options struct {
 	// Results are bit-identical for every value.
 	Threads int `json:"threads,omitempty"`
 
-	// Exhaustive sets the pattern budget to 2^inputs, so the run enumerates
-	// every input combination whatever Patterns says, making every error
-	// figure exact. Limited to ≤ 24 inputs.
-	Exhaustive bool `json:"exhaustive,omitempty"`
-
-	// InputProbabilities biases the Monte-Carlo input distribution: entry
-	// i is the probability that input i is 1 (missing entries: 0.5).
-	// Error metrics are then measured under that workload distribution,
-	// always by sampling. Ignored in exhaustive mode.
+	// InputProbabilities biases the input distribution: entry i is the
+	// probability that input i is 1 (missing entries: 0.5). Error metrics
+	// are then measured under that workload distribution, always by
+	// sampling, whatever the budget. Empty means uniform.
 	InputProbabilities []float64 `json:"input_probabilities,omitempty"`
 
 	UseConstLACs   bool `json:"use_const_lacs,omitempty"`    // constant-0/1 replacements (default true if neither set)
@@ -224,11 +224,11 @@ func (o Options) Resolved() Options {
 	return o
 }
 
-// Validate checks o against a circuit with numPIs inputs and numPOs
-// outputs and returns the first problem found, or nil. It is the one home
-// of every option check: Run calls it, and so does the alsd server before
-// queueing a job, so a bad request fails fast instead of taking a worker.
-func (o Options) Validate(numPIs, numPOs int) error {
+// Validate checks o against a circuit with numPOs outputs and returns the
+// first problem found, or nil. It is the one home of every option check:
+// Run calls it, and so does the alsd server before queueing a job, so a
+// bad request fails fast instead of taking a worker.
+func (o Options) Validate(numPOs int) error {
 	if o.Flow < FlowConventional || o.Flow > FlowDPSA {
 		return fmt.Errorf("unknown flow %d", int(o.Flow))
 	}
@@ -246,8 +246,8 @@ func (o Options) Validate(numPIs, numPOs int) error {
 			return fmt.Errorf("output weight %v is not finite", w)
 		}
 	}
-	if o.Exhaustive && numPIs > 24 {
-		return fmt.Errorf("exhaustive simulation limited to 24 inputs, circuit has %d", numPIs)
+	if o.Patterns > MaxPatterns {
+		return fmt.Errorf("pattern budget %d above the limit %d", o.Patterns, MaxPatterns)
 	}
 	for _, p := range o.InputProbabilities {
 		if !(p >= 0 && p <= 1) {

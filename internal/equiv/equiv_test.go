@@ -96,7 +96,7 @@ func TestWCEAtMostExactOnSmall(t *testing.T) {
 	R := metric.ReferenceError(orig.NumPOs())
 	opt := core.Options{
 		Flow: core.FlowDPSA, Metric: metric.MED, Threshold: R,
-		Patterns: 1 << 9, Exhaustive: true,
+		Patterns: 1 << orig.NumPIs(),
 	}
 	res, err := core.Run(context.Background(), orig, opt, core.Hooks{})
 	if err != nil {

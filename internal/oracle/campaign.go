@@ -158,7 +158,7 @@ func Verify(orig *aig.Graph, spec RunSpec, res *core.Result) []Violation {
 		return out // every later check needs matching interfaces
 	}
 	opt := spec.Options.Resolved()
-	so := core.SimOptions(orig, opt)
+	so := core.SimOptions(opt)
 	enumerated := sim.Enumerates(orig.NumPIs(), so)
 	recomputed, err := SampledError(orig, res.Graph, opt.Metric, opt.Weights, so)
 	if err != nil {

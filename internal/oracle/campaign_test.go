@@ -117,7 +117,7 @@ func TestCleanRunsPassAllChecks(t *testing.T) {
 func TestExhaustiveModeExactCheck(t *testing.T) {
 	g := gen.Random(5, 7, 5, 50)
 	spec := RunSpec{Options: core.Options{Flow: core.FlowDPSA, Metric: metric.MED, Threshold: 3,
-		Patterns: 1, Seed: 1, Threads: 1, Exhaustive: true, MaxIters: 20}}
+		Patterns: 1 << g.NumPIs(), Seed: 1, Threads: 1, MaxIters: 20}}
 	res, _, err := Execute(g, spec)
 	if err != nil {
 		t.Fatal(err)

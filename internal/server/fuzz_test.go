@@ -23,8 +23,8 @@ func TestCommittedJobFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var req JobRequest
-	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&req); err != nil {
+	req, err := decodeJob(bytes.NewReader(data))
+	if err != nil {
 		t.Fatalf("decode %s: %v", jobFixture, err)
 	}
 	c, opt, err := parseJob(&req)
@@ -57,7 +57,7 @@ func FuzzParseJob(f *testing.F) {
 	blif := map[string]any{
 		"circuit": ".model m\n.inputs a b\n.outputs y\n.names a b y\n11 1\n.end\n",
 		"flow":    "dpsa", "metric": "mse", "threshold": 0.5, "weights": []float64{1},
-		"input_probabilities": []float64{0.5, 0.25}, "exhaustive": true,
+		"input_probabilities": []float64{0.5, 0.25}, "patterns": 4,
 	}
 	for _, body := range []map[string]any{wce, blif} {
 		data, err := json.Marshal(body)
@@ -71,6 +71,22 @@ func FuzzParseJob(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(fixture)
+	// A budget above core.MaxPatterns must be refused: sampling it would
+	// size every node vector at about 250 MB.
+	huge := smallJob(f, 1)
+	huge["patterns"] = 2000000000
+	data, err := json.Marshal(huge)
+	if err != nil {
+		f.Fatal(err)
+	}
+	req, err := decodeJob(bytes.NewReader(data))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, _, err := parseJob(&req); err == nil {
+		f.Fatal("parseJob accepts a pattern budget of 2000000000")
+	}
+	f.Add(data)
 	for _, bad := range []string{
 		``, `{`, `null`, `[]`, `{"circuit": 7}`,
 		`{"circuit": "aag 1 1 0 1 0\n2\n2\n", "threshold": -1}`,
@@ -86,15 +102,15 @@ func FuzzParseJob(f *testing.F) {
 		if len(data) > 64<<10 {
 			return
 		}
-		var req JobRequest
-		if err := json.NewDecoder(bytes.NewReader(data)).Decode(&req); err != nil {
+		req, err := decodeJob(bytes.NewReader(data))
+		if err != nil {
 			return
 		}
 		c, opt, err := parseJob(&req)
 		if err != nil {
 			return
 		}
-		if err := opt.Validate(c.NumInputs(), c.NumOutputs()); err != nil {
+		if err := opt.Validate(c.NumOutputs()); err != nil {
 			t.Fatalf("parseJob accepted options that fail Validate: %v", err)
 		}
 		if k, kr := cacheKey(c, opt), cacheKey(c, opt.Resolved()); k != kr {

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
@@ -42,7 +43,6 @@ type JobRequest struct {
 
 	Patterns           int       `json:"patterns,omitempty"`
 	Seed               int64     `json:"seed,omitempty"`
-	Exhaustive         bool      `json:"exhaustive,omitempty"`
 	InputProbabilities []float64 `json:"input_probabilities,omitempty"`
 
 	UseConstLACs   bool `json:"use_const_lacs,omitempty"`
@@ -127,6 +127,17 @@ type jobResult struct {
 	status int   // HTTP status for err
 }
 
+// decodeJob decodes one request body. A field JobRequest does not name is
+// an error, not a silent default: a misspelled or retired option would
+// otherwise run a different job than the client asked for.
+func decodeJob(r io.Reader) (JobRequest, error) {
+	var req JobRequest
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	return req, err
+}
+
 // parseJob parses a request into a circuit and options and validates
 // them: Options.Validate for every option check, plus the server's own
 // policy (a circuit with outputs, a capped WCE certification). The
@@ -176,7 +187,6 @@ func parseJob(req *JobRequest) (*dpals.Circuit, dpals.Options, error) {
 		CertConflictLimit:  req.CertConflictLimit,
 		Patterns:           req.Patterns,
 		Seed:               req.Seed,
-		Exhaustive:         req.Exhaustive,
 		InputProbabilities: req.InputProbabilities,
 		UseConstLACs:       req.UseConstLACs,
 		UseSASIMILACs:      req.UseSASIMILACs,
@@ -187,7 +197,7 @@ func parseJob(req *JobRequest) (*dpals.Circuit, dpals.Options, error) {
 		MaxIters:           req.MaxIters,
 		TimeLimit:          time.Duration(req.TimeLimitMS) * time.Millisecond,
 	}
-	if err := opt.Validate(c.NumInputs(), c.NumOutputs()); err != nil {
+	if err := opt.Validate(c.NumOutputs()); err != nil {
 		return nil, dpals.Options{}, err
 	}
 	if metric == dpals.WCE && req.CertConflictLimit < 1 {

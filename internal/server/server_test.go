@@ -311,6 +311,7 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		{"circuit": circuitAIGER(t, dpals.NewAdder(3)), "threshold": 0.05, "metric": "nope"},
 		{"circuit": circuitAIGER(t, dpals.NewAdder(3)), "threshold": 0.05, "weights": []float64{1}},
 		{"circuit": circuitAIGER(t, dpals.NewAdder(3)), "threshold": 0.05, "input_probabilities": []float64{1.5}},
+		{"circuit": circuitAIGER(t, dpals.NewAdder(3)), "threshold": 0.05, "patterns": 2000000000},
 	}
 	for i, body := range cases {
 		if code, _ := submit(t, ts, body); code != http.StatusBadRequest {
@@ -324,6 +325,34 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/jobs: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// A body field the request does not name is rejected, and the error
+// names it: a retired option ("exhaustive") or a misspelled one would
+// otherwise run as a different job than the client asked for.
+func TestServerRejectsUnknownFields(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for field, value := range map[string]any{"exhaustive": true, "treshold": 0.1} {
+		body := smallJob(t, 1)
+		body[field] = value
+		data, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct{ Error string }
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, `"`+field+`"`) {
+			t.Errorf("field %q: status %d, error %q; want 400 naming the field", field, resp.StatusCode, e.Error)
+		}
 	}
 }
 

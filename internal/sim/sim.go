@@ -9,10 +9,10 @@
 // distribution, a circuit whose whole input space fits the pattern budget
 // (2^PIs ≤ Patterns) is enumerated: every input combination exactly once,
 // so every error figure measured on the patterns is exact, not an
-// estimate. Larger input spaces, and every Biased run, are sampled
-// (Monte-Carlo). Every caller that asks for uniform patterns — the engine,
-// the verification oracle, independent re-measurement — therefore sees
-// the same patterns for the same options.
+// estimate. Larger input spaces, and every run with input probabilities
+// (Options.Probs), are sampled (Monte-Carlo). Every caller that asks for
+// uniform patterns — the engine, the verification oracle, independent
+// re-measurement — therefore sees the same patterns for the same options.
 package sim
 
 import (
@@ -24,38 +24,17 @@ import (
 	"dpals/internal/par"
 )
 
-// Distribution fills the pattern words of one primary input. Implementations
-// must be deterministic given the rng. Bits past the pattern count need not
-// be masked; the simulator masks them.
-type Distribution interface {
-	Fill(pi int, v bitvec.Vec, rng *rand.Rand)
-}
-
-// Uniform is the default input distribution: every input bit is an
-// independent fair coin.
-type Uniform struct{}
-
-// Fill implements Distribution.
-func (Uniform) Fill(_ int, v bitvec.Vec, rng *rand.Rand) {
+// fillUniform draws every input bit as an independent fair coin.
+func fillUniform(v bitvec.Vec, rng *rand.Rand) {
 	for i := range v {
 		v[i] = rng.Uint64()
 	}
 }
 
-// Biased draws each input bit independently with a per-input probability
-// of being 1 (inputs beyond len(P) use 0.5). Models non-uniform workload
-// distributions — the framework's error estimation is distribution-
-// agnostic (paper §I).
-type Biased struct {
-	P []float64
-}
-
-// Fill implements Distribution.
-func (b Biased) Fill(pi int, v bitvec.Vec, rng *rand.Rand) {
-	p := 0.5
-	if pi < len(b.P) {
-		p = b.P[pi]
-	}
+// fillBiased draws each input bit independently, 1 with probability p.
+// Models non-uniform workload distributions — the framework's error
+// estimation is distribution-agnostic (paper §I).
+func fillBiased(p float64, v bitvec.Vec, rng *rand.Rand) {
 	for i := range v {
 		var w uint64
 		for bit := 0; bit < 64; bit++ {
@@ -67,13 +46,9 @@ func (b Biased) Fill(pi int, v bitvec.Vec, rng *rand.Rand) {
 	}
 }
 
-// exhaustive enumerates all input combinations: pattern i assigns bit j of
-// i to input j. New selects it, with Patterns == 1<<NumPIs, whenever the
-// uniform input space fits the pattern budget.
-type exhaustive struct{}
-
-// Fill implements Distribution.
-func (exhaustive) Fill(pi int, v bitvec.Vec, _ *rand.Rand) {
+// fillEnum enumerates all input combinations: pattern i assigns bit pi of
+// i to input pi.
+func fillEnum(pi int, v bitvec.Vec) {
 	if pi < 6 {
 		// Within a word the pattern index varies in the low 6 bits.
 		var w uint64
@@ -114,20 +89,24 @@ type Options struct {
 	// (runtime.GOMAXPROCS), 1 runs serially. Resolved once, here; results
 	// are bit-identical for every value.
 	Threads int
-	Dist    Distribution // input distribution; nil means Uniform
+	// Probs biases the sampled inputs: entry i is the probability that
+	// input i is 1 (inputs beyond len(Probs) use 0.5). Empty means
+	// uniform; a biased run always samples.
+	Probs []float64
 }
 
 // defaultPatterns is the pattern budget of Options.Patterns ≤ 0.
 const defaultPatterns = 1024
 
 // Enumerates reports whether New, given a circuit with numPIs inputs and
-// opt, enumerates the input space: the distribution is uniform and the
-// whole space fits the pattern budget. It is the one rule that decides.
+// opt, enumerates the input space: the distribution is uniform (Probs is
+// empty) and the whole space fits the pattern budget. It is the one rule
+// that decides.
 func Enumerates(numPIs int, opt Options) bool {
 	if opt.Patterns <= 0 {
 		opt.Patterns = defaultPatterns
 	}
-	return opt.Dist == nil && numPIs < 31 && 1<<numPIs <= opt.Patterns
+	return len(opt.Probs) == 0 && numPIs < 31 && 1<<numPIs <= opt.Patterns
 }
 
 // Sim holds simulation state for one graph. The value vectors track the
@@ -144,7 +123,6 @@ type Sim struct {
 	dirty    []bool        // scratch for incremental resim
 	touched  []int32       // ResimulateFrom scratch: dirtied nodes
 	changed  []int32       // ResimulateFrom scratch: the returned slice
-	exhaust  bool          // the patterns enumerate the whole input space
 }
 
 // New builds a simulator, fills the input patterns — enumerated when the
@@ -154,15 +132,10 @@ func New(g *aig.Graph, opt Options) *Sim {
 	if opt.Patterns <= 0 {
 		opt.Patterns = defaultPatterns
 	}
-	exhaust := Enumerates(g.NumPIs(), opt)
-	var dist Distribution = Uniform{}
+	enum := Enumerates(g.NumPIs(), opt)
 	patterns := bitvec.Words(opt.Patterns) * 64 // use every drawn bit: keeps masking trivial
-	switch {
-	case exhaust:
-		dist = exhaustive{}
+	if enum {
 		patterns = 1 << g.NumPIs() // exact count matters; mask below
-	case opt.Dist != nil:
-		dist = opt.Dist
 	}
 	words := bitvec.Words(patterns)
 	s := &Sim{
@@ -174,14 +147,24 @@ func New(g *aig.Graph, opt Options) *Sim {
 		arena:    bitvec.NewArena(words),
 		val:      make([]bitvec.Vec, g.NumVars()),
 		dirty:    make([]bool, g.NumVars()),
-		exhaust:  exhaust,
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 	s.val[0] = s.arena.Alloc()
 	s.val[0].Clear() // constant node: all zero
 	for i, v := range g.PIs() {
 		s.val[v] = s.arena.Alloc()
-		dist.Fill(i, s.val[v], rng)
+		switch {
+		case enum:
+			fillEnum(i, s.val[v])
+		case len(opt.Probs) > 0:
+			p := 0.5
+			if i < len(opt.Probs) {
+				p = opt.Probs[i]
+			}
+			fillBiased(p, s.val[v], rng)
+		default:
+			fillUniform(s.val[v], rng)
+		}
 		s.val[v].Mask(s.patterns)
 	}
 	s.Resimulate()
@@ -190,10 +173,6 @@ func New(g *aig.Graph, opt Options) *Sim {
 
 // Patterns returns the number of simulated patterns.
 func (s *Sim) Patterns() int { return s.patterns }
-
-// Exhaustive reports whether the patterns enumerate every input
-// combination exactly once, so that a figure measured on them is exact.
-func (s *Sim) Exhaustive() bool { return s.exhaust }
 
 // Words returns the number of 64-bit words per value vector.
 func (s *Sim) Words() int { return s.words }

@@ -87,7 +87,9 @@ func TestExhaustiveDistribution(t *testing.T) {
 
 // New enumerates exactly when the distribution is uniform and 2^PIs fits
 // the budget: at the boundary and above it the 2^5 patterns are the input
-// space, one below it (and under Biased) the run samples whole words.
+// space, one below it (and with input probabilities) the run samples whole
+// words. Uniform means len(Probs) == 0, so an empty non-nil Probs
+// enumerates too.
 func TestNewEnumeratesWhenSpaceFits(t *testing.T) {
 	g := aig.New("five")
 	var pis []aig.Lit
@@ -98,24 +100,25 @@ func TestNewEnumeratesWhenSpaceFits(t *testing.T) {
 	for _, c := range []struct {
 		name     string
 		opt      Options
-		exhaust  bool
+		enum     bool
 		patterns int
 	}{
 		{"boundary", Options{Patterns: 32}, true, 32},
 		{"budget above", Options{Patterns: 1000, Seed: 9}, true, 32},
 		{"default budget", Options{}, true, 32},
 		{"budget below", Options{Patterns: 31}, false, 64},
-		{"biased", Options{Patterns: 1024, Dist: Biased{P: []float64{0.5}}}, false, 1024},
+		{"empty probs", Options{Patterns: 32, Probs: []float64{}}, true, 32},
+		{"biased", Options{Patterns: 1024, Probs: []float64{0.5}}, false, 1024},
+		{"biased boundary", Options{Patterns: 32, Probs: []float64{0.5}}, false, 64},
 	} {
+		if Enumerates(g.NumPIs(), c.opt) != c.enum {
+			t.Errorf("%s: Enumerates %v, want %v", c.name, !c.enum, c.enum)
+		}
 		s := New(g, c.opt)
-		if s.Exhaustive() != c.exhaust || s.Patterns() != c.patterns {
-			t.Errorf("%s: Exhaustive %v, %d patterns; want %v, %d",
-				c.name, s.Exhaustive(), s.Patterns(), c.exhaust, c.patterns)
+		if s.Patterns() != c.patterns {
+			t.Errorf("%s: %d patterns, want %d", c.name, s.Patterns(), c.patterns)
 		}
-		if Enumerates(g.NumPIs(), c.opt) != c.exhaust {
-			t.Errorf("%s: Enumerates disagrees with New", c.name)
-		}
-		if !c.exhaust {
+		if !c.enum {
 			continue
 		}
 		for p := 0; p < 32; p++ {
