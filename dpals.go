@@ -393,9 +393,10 @@ func Approximate(c *Circuit, opt Options) (*Result, error) {
 // uncancelled run is bit-identical to Approximate for every thread
 // count. Errors are returned only for invalid configurations, never for
 // cancellation. The one exception to "within one analysis wave" is a WCE
-// run's SAT certification with CertConflictLimit 0: an uncapped SAT call
-// cannot be interrupted and ignores ctx until it returns, so cap it where
-// the deadline matters.
+// run's SAT certification with CertConflictLimit 0 on a circuit too large
+// to certify by enumeration (core.CertifiesByEnumeration): an uncapped SAT
+// call cannot be interrupted and ignores ctx until it returns, so cap it
+// where the deadline matters.
 func ApproximateContext(ctx context.Context, c *Circuit, opt Options) (*Result, error) {
 	if c == nil || c.g == nil {
 		return nil, errors.New("dpals: nil circuit")

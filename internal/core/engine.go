@@ -92,12 +92,13 @@ func Run(ctx context.Context, g *aig.Graph, opt Options, hooks Hooks) (*Result, 
 	case FlowDP, FlowDPSA:
 		e.runDualPhase(opt.Flow == FlowDPSA)
 	}
+	e.finalizeWCE()
 	if e.stats.StopReason == "" {
-		// Flows record the reason at their exit checkpoint; a flow that
-		// returned without one completed naturally.
+		// Flows record the reason at their exit checkpoint (and a final
+		// certification cut short by cancellation records it too); a flow
+		// that returned without one completed naturally.
 		e.stats.StopReason = StopBudget
 	}
-	e.finalizeWCE()
 	e.stats.Runtime = time.Since(start)
 	if e.cache != nil {
 		e.stats.Pool = e.cache.Arena().Stats()
@@ -154,14 +155,18 @@ type engine struct {
 	// passes); pending records every LAC accepted since it, in order, for
 	// the rollback-and-replay path of wceCheckpoint, together with the
 	// OnIteration report it holds until certified; certWCE is the bound
-	// lastGood is proven to satisfy. enumCert is set when the patterns
-	// enumerate the input space and the weights sum exactly: the sampled
-	// maximum is then the true worst case, and certifies without SAT.
+	// lastGood is proven to satisfy, its exact worst case when an
+	// enumeration proved it. When CertifiesByEnumeration holds,
+	// certificates come from enumeration instead of SAT: enumCert is set
+	// when the run's own patterns enumerate the input space, so the sampled
+	// maximum is the true worst case; otherwise worst streams the
+	// enumeration against ref's cached outputs.
 	ref      *aig.Graph
 	lastGood snapshot
 	pending  []held
 	certWCE  uint64
 	enumCert bool
+	worst    *sim.WorstCase
 
 	// Observability (see internal/obs). root is the run-level span, nil
 	// unless the caller installed a tracer in the context. cur is the span
@@ -192,13 +197,28 @@ func SimOptions(opt Options) sim.Options {
 	return sim.Options{Patterns: opt.Patterns, Seed: opt.Seed, Threads: opt.Threads, Probs: opt.InputProbabilities}
 }
 
+// enumBudget bounds a streamed enumeration: 2^inputs patterns times the
+// reference's size (ANDs, or outputs if more), so that one check is about
+// 2^20 word operations (a millisecond or so) and the cached reference
+// outputs take at most 8 MiB.
+const enumBudget = 1 << 26
+
 // CertifiesByEnumeration reports whether a WCE run of g under the resolved
-// opt proves its bound without SAT: the patterns enumerate the input space
-// (sim.Enumerates) and the unsigned output weights sum exactly, so the
-// maximum over the patterns is the true worst case.
+// opt proves its bound by enumerating the input space instead of by SAT.
+// It is the one rule that decides, and it reads only sizes. The unsigned
+// output weights must sum exactly, and either the run's patterns
+// enumerate the input space (sim.Enumerates), so the maximum over them is
+// the true worst case, or the space is small enough for a streamed
+// enumeration (sim.WorstCase): 2^inputs × max(ANDs, outputs) ≤ 2^26. The
+// engine passes its swept copy of the circuit; a caller holding an
+// unswept one counts dead ANDs too, so it can only lean towards SAT.
 func CertifiesByEnumeration(g *aig.Graph, opt Options) bool {
-	return opt.Metric == metric.WCE && sim.Enumerates(g.NumPIs(), SimOptions(opt)) &&
-		metric.UnsignedWeights(g.NumPOs()).SumsExactly()
+	if opt.Metric != metric.WCE || !metric.UnsignedWeights(g.NumPOs()).SumsExactly() {
+		return false
+	}
+	n := g.NumPIs()
+	return sim.Enumerates(n, SimOptions(opt)) ||
+		n <= 26 && uint64(max(g.NumAnds(), g.NumPOs()))<<uint(n) <= enumBudget
 }
 
 func newEngine(orig *aig.Graph, opt Options, hooks Hooks) (*engine, error) {
@@ -213,7 +233,12 @@ func newEngine(orig *aig.Graph, opt Options, hooks Hooks) (*engine, error) {
 		// preserves the function, so a proof against the copy is a proof
 		// against the caller's circuit.
 		e.ref = g.Clone()
-		e.enumCert = CertifiesByEnumeration(g, opt)
+		if CertifiesByEnumeration(g, opt) {
+			e.enumCert = sim.Enumerates(g.NumPIs(), SimOptions(opt))
+			if !e.enumCert {
+				e.worst = sim.NewWorstCase(e.ref)
+			}
+		}
 		e.lastGood = e.snapshot()
 	}
 	return e, nil
@@ -369,14 +394,33 @@ func (e *engine) cancelled() bool {
 		return false
 	}
 	if e.stats.StopReason == "" {
-		if errors.Is(err, context.DeadlineExceeded) {
-			e.stats.StopReason = StopDeadline
-		} else {
-			e.stats.StopReason = StopCancelled
-		}
-		e.cancelAt = time.Now() // origin of the run span's cancel_latency_ns
+		e.interrupt(err)
 	}
 	return true
+}
+
+// interrupt records the stop reason that ctx's error err names (deadline
+// vs cancelled), overriding a budget or max-iters reason recorded before:
+// it is also called when cancellation cuts a certification short, after
+// which the run emits its last certified state, not what the flow
+// finished with — a timing-dependent result that must not pass for a
+// completed one.
+func (e *engine) interrupt(err error) {
+	if e.interrupted() {
+		return
+	}
+	if errors.Is(err, context.DeadlineExceeded) {
+		e.stats.StopReason = StopDeadline
+	} else {
+		e.stats.StopReason = StopCancelled
+	}
+	e.cancelAt = time.Now() // origin of the run span's cancel_latency_ns
+}
+
+// interrupted reports whether the run recorded a cancellation or deadline
+// stop.
+func (e *engine) interrupted() bool {
+	return e.stats.StopReason == StopCancelled || e.stats.StopReason == StopDeadline
 }
 
 // stopped reports whether a flow must stop before starting another
@@ -437,25 +481,40 @@ func (e *engine) applicable(l lac.LAC) bool {
 }
 
 // certifyAt certifies the current circuit at bound t and records the
-// "cert" span, whose method attribute names the proof. With enumCert the
-// maximum over the enumerated patterns is the true worst case, so the
-// check is a comparison. Otherwise it runs one SAT probe under
-// Options.CertConflictLimit, counted in Stats.CertCalls: in the tightening
-// session *sess if sess is non-nil (encoded by the first probe, inside its
-// span), else on a fresh miter. A conflict-budget exhaustion (or any
-// solver error) counts as a failed certification, keeping limited runs
-// deterministic. This is also the skip-wce-cert fault site: the seeded bug
-// claims success without proving anything.
-func (e *engine) certifyAt(t uint64, sess **equiv.Session) bool {
+// "cert" span, whose method attribute names the proof. It returns whether
+// the proof succeeded and the bound it proves: t, or the exact worst case
+// when an enumeration measured it. With enumCert the maximum over the
+// run's enumerated patterns is the true worst case, so the check is a
+// comparison; with worst it is a streamed enumeration. Cancellation can
+// cut the streamed one short: that proves nothing, fails the
+// certification and records the stop reason (interrupt), so callers tell
+// it from a violation by interrupted. Otherwise it runs one SAT probe
+// under Options.CertConflictLimit, counted in Stats.CertCalls: in the
+// tightening session *sess if sess is non-nil (encoded by the first
+// probe, inside its span), else on a fresh miter. A conflict-budget
+// exhaustion (or any solver error) counts as a failed certification,
+// keeping limited runs deterministic. This is also the skip-wce-cert
+// fault site: the seeded bug claims success without proving anything,
+// and the sampled maximum as the bound.
+func (e *engine) certifyAt(t uint64, sess **equiv.Session) (uint64, bool) {
 	if e.fire(fault.SkipWCECert) {
-		return true
+		return uint64(e.st.Error()), true
 	}
 	sp := e.cur.Child("cert")
 	defer sp.End()
 	sp.SetInt("bound", int64(t))
-	if e.enumCert {
+	switch {
+	case e.enumCert:
 		sp.SetStr("method", "enum")
-		return e.st.Error() <= float64(t)
+		return uint64(e.st.Error()), e.st.Error() <= float64(t)
+	case e.worst != nil:
+		sp.SetStr("method", "enum")
+		m, err := e.worst.Max(e.ctx, e.g, t)
+		if err != nil {
+			e.interrupt(err)
+			return t, false
+		}
+		return m, m <= t
 	}
 	sp.SetStr("method", "sat")
 	e.stats.CertCalls++
@@ -463,21 +522,22 @@ func (e *engine) certifyAt(t uint64, sess **equiv.Session) bool {
 	limit := e.opt.CertConflictLimit
 	if sess == nil {
 		ok, _, err := equiv.WCEAtMost(e.ref, e.g, t, limit)
-		return err == nil && ok
+		return t, err == nil && ok
 	}
 	var err error
 	if *sess == nil {
 		if *sess, err = equiv.NewSession(e.ref, e.g); err != nil {
-			return false
+			return t, false
 		}
 	}
 	ok, _, err := (*sess).AtMost(t, limit)
-	return err == nil && ok
+	return t, err == nil && ok
 }
 
-// markCertified records the current state as proven at bound t: the held
-// reports of the pending LACs go out, the pending records are cleared, and
-// the state becomes the rollback anchor.
+// markCertified records the current state as proven at bound t, the bound
+// certifyAt returned (so the exact worst case when an enumeration proved
+// it): the held reports of the pending LACs go out, the pending records
+// are cleared, and the state becomes the rollback anchor.
 func (e *engine) markCertified(t uint64) {
 	if e.hooks.OnIteration != nil {
 		for _, h := range e.pending {
@@ -497,7 +557,11 @@ func (e *engine) markCertified(t uint64) {
 // the pending LACs one by one, certifying each, keeping the longest
 // certified prefix — and reports true, upon which the flow must stop
 // (re-proposing the violating LAC would loop forever: the sampled estimate
-// that admitted it cannot see the violating input).
+// that admitted it cannot see the violating input), with StopBudget
+// unless a reason is recorded already. A run that is interrupted — by a
+// certification that cancellation cut short, or before the checkpoint —
+// does no new certification work: the checkpoint reports true without
+// replaying, and finalizeWCE rolls the uncertified tail back.
 func (e *engine) wceCheckpoint(force bool) bool {
 	if e.ref == nil || len(e.pending) == 0 {
 		return false
@@ -505,19 +569,27 @@ func (e *engine) wceCheckpoint(force bool) bool {
 	if !force && len(e.pending) < e.opt.CertEvery {
 		return false
 	}
-	if e.certifyAt(e.opt.WCEBound, nil) {
-		e.markCertified(e.opt.WCEBound)
+	if m, ok := e.certifyAt(e.opt.WCEBound, nil); ok {
+		e.markCertified(m)
 		return false
 	}
+	if e.interrupted() {
+		return true
+	}
 	e.wceReplay()
+	if e.stats.StopReason == "" {
+		e.stats.StopReason = StopBudget
+	}
 	return true
 }
 
 // wceReplay is the violation path of wceCheckpoint: restore the last
 // certified state, then re-apply the recorded LACs in order with a
 // certification after each, stopping at (and restoring away) the first
-// violator. A re-applied LAC is reported under its new iteration number
-// once certified; a skipped or undone one is never reported. Each restore
+// violator, or the first LAC whose certification cancellation cuts short
+// (which leaves the run interrupted, not stopped by a violation). A
+// re-applied LAC is reported under its new iteration number once
+// certified; a skipped or undone one is never reported. Each restore
 // counts in Stats.Rollbacks; the replay as a whole counts once in
 // Stats.CertRollbacks.
 func (e *engine) wceReplay() {
@@ -531,8 +603,8 @@ func (e *engine) wceReplay() {
 		}
 		e.apply(l)
 		e.report(e.stats.Applied, h.chosen, h.bests)
-		if e.certifyAt(e.opt.WCEBound, nil) {
-			e.markCertified(e.opt.WCEBound)
+		if m, ok := e.certifyAt(e.opt.WCEBound, nil); ok {
+			e.markCertified(m)
 			continue
 		}
 		e.restore(e.lastGood)
@@ -541,36 +613,36 @@ func (e *engine) wceReplay() {
 }
 
 // finalizeWCE closes out a WCE-constrained run before the final sweep, so
-// that the emitted circuit always carries a proven bound. Cancelled or
-// deadline-stopped runs do no new certification work: the uncertified
-// tail is rolled back and the last certified state is emitted. Completed
-// runs force a final checkpoint. CertifiedWCE is then the tightest bound
-// at hand: with enumCert the exact worst case, the maximum over the
-// enumerated patterns. Otherwise a completed run tightens it by binary
-// search between the sampled maximum (a genuine lower bound on the true
-// worst case) and the proven bound, every probe in one incremental
-// equiv.Session on the final circuit — with an unlimited conflict budget
-// the result is the exact worst-case error; with a limited one,
-// inconclusive probes keep the current proven bound.
+// that the emitted circuit always carries a proven bound. Interrupted runs
+// do no new certification work; completed runs force a final checkpoint.
+// Either way the uncertified tail, if any, is rolled back and the last
+// certified state is emitted — so too when cancellation cuts the final
+// checkpoint short, which interrupts the run. CertifiedWCE is then the
+// tightest bound at hand. An enumeration (enumCert or worst) certified
+// the emitted state with its exact worst case. Otherwise a completed run
+// tightens the proven bound by binary search between the sampled maximum
+// (a genuine lower bound on the true worst case) and it, every probe in
+// one incremental equiv.Session on the final circuit — with an unlimited
+// conflict budget the result is the exact worst-case error; with a
+// limited one, inconclusive probes keep the current proven bound.
 func (e *engine) finalizeWCE() {
 	if e.ref == nil {
 		return
 	}
-	stopped := e.stats.StopReason == StopCancelled || e.stats.StopReason == StopDeadline
-	switch {
-	case stopped && len(e.pending) > 0:
-		e.restore(e.lastGood)
-	case !stopped:
+	if !e.interrupted() {
 		e.wceCheckpoint(true)
 	}
-	if e.enumCert {
-		e.stats.CertifiedWCE = uint64(e.st.Error())
-		return
+	if len(e.pending) > 0 {
+		e.restore(e.lastGood)
 	}
-	if stopped {
-		e.stats.CertifiedWCE = e.certWCE
-		return
+	e.stats.CertifiedWCE = e.certWCE
+	if !e.interrupted() && !e.enumCert && e.worst == nil {
+		e.tightenWCE()
 	}
+}
+
+// tightenWCE is finalizeWCE's SAT tightening session.
+func (e *engine) tightenWCE() {
 	lo, hi := uint64(0), e.certWCE
 	if sm := e.st.Error(); sm > 0 && hi > 0 {
 		lo = uint64(sm)
@@ -581,7 +653,7 @@ func (e *engine) finalizeWCE() {
 	var sess *equiv.Session
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		if e.certifyAt(mid, &sess) {
+		if _, ok := e.certifyAt(mid, &sess); ok {
 			hi = mid
 		} else {
 			lo = mid + 1

@@ -151,11 +151,7 @@ func (e *engine) accept(chosen lac.NodeBest, bests []lac.NodeBest, validate bool
 		return true
 	}
 	e.report(e.stats.Applied, chosen, bests)
-	if e.wceCheckpoint(false) {
-		e.stats.StopReason = StopBudget
-		return true
-	}
-	return false
+	return e.wceCheckpoint(false)
 }
 
 // acceptBest is one iteration's decision after a full analysis: stop if
@@ -262,7 +258,6 @@ func (e *engine) runAccALS() {
 					e.report(sn.applied+i+1, nb, bests)
 				}
 				if e.wceCheckpoint(false) {
-					e.stats.StopReason = StopBudget
 					return
 				}
 				continue

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"dpals/internal/aig"
 	"dpals/internal/aiger"
 	"dpals/internal/gen"
 	"dpals/internal/metric"
@@ -26,10 +27,13 @@ func normalizeStats(s Stats) Stats {
 // renderer must leave the synthesis result — circuit bytes
 // and deterministic Stats — bit-identical to an unobserved run, for every
 // flow, every metric, and every thread count. The WCE case runs the SAT
-// certifier under a conflict cap, which keeps limited runs deterministic.
+// certifier under a conflict cap, which keeps limited runs deterministic,
+// on a circuit beyond CertifiesByEnumeration; WCE-enum runs the streamed
+// enumeration certifier on the shared multiplier.
 func TestTracingDoesNotPerturbResults(t *testing.T) {
 	g := gen.MultU(5, 5)
 	R := metric.ReferenceError(g.NumPOs())
+	sat := satCircuit()
 
 	flows := []struct {
 		name  string
@@ -46,17 +50,23 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 		name      string
 		kind      metric.Kind
 		threshold float64
+		g         *aig.Graph // nil: the shared multiplier
 	}{
-		{"ER", metric.ER, 0.05},
-		{"MSE", metric.MSE, R * R},
-		{"MED", metric.MED, R},
-		{"MHD", metric.MHD, 0.5},
-		{"WCE", metric.WCE, R},
+		{"ER", metric.ER, 0.05, nil},
+		{"MSE", metric.MSE, R * R, nil},
+		{"MED", metric.MED, R, nil},
+		{"MHD", metric.MHD, 0.5, nil},
+		{"WCE", metric.WCE, metric.ReferenceError(sat.NumPOs()), sat},
+		{"WCE-enum", metric.WCE, R, nil},
 	}
 
 	for _, fc := range flows {
 		for _, mc := range metricCases {
 			t.Run(fc.name+"/"+mc.name, func(t *testing.T) {
+				c := g
+				if mc.g != nil {
+					c = mc.g
+				}
 				run := func(threads int, traced bool) (*Result, []byte) {
 					opt := Options{
 						Flow: fc.flow, Metric: mc.kind, Threshold: mc.threshold,
@@ -76,7 +86,7 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 						ctx = obs.WithTracer(ctx, obs.New())
 						ctx = obs.WithProgress(ctx, obs.NewProgress(io.Discard, time.Millisecond))
 					}
-					res, err := Run(ctx, g, opt, Hooks{})
+					res, err := Run(ctx, c, opt, Hooks{})
 					if err != nil {
 						t.Fatalf("Run(threads=%d traced=%v): %v", threads, traced, err)
 					}
@@ -124,10 +134,13 @@ func TestSpanTreeMatchesStats(t *testing.T) {
 		{"WCE", FlowDP, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			c := g
 			opt := Options{Flow: tc.flow, Metric: metric.MSE, Threshold: R * R}
 			if tc.wce {
+				// Beyond CertifiesByEnumeration: the run certifies by SAT.
+				c = satCircuit()
 				opt.Metric = metric.WCE
-				opt.WCEBound = uint64(R)
+				opt.WCEBound = uint64(metric.ReferenceError(c.NumPOs()))
 				opt.CertEvery = 4
 			}
 			opt.Patterns = 512
@@ -135,7 +148,7 @@ func TestSpanTreeMatchesStats(t *testing.T) {
 			opt.Threads = 4
 			opt.MaxIters = 15
 			tr := obs.New()
-			res, err := Run(obs.WithTracer(context.Background(), tr), g, opt, Hooks{})
+			res, err := Run(obs.WithTracer(context.Background(), tr), c, opt, Hooks{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -120,7 +120,8 @@ type Options struct {
 	// the budget (2^inputs ≤ Patterns) is enumerated rather than sampled,
 	// unless InputProbabilities are set. Every error figure is then exact,
 	// and a WCE run certifies by that enumeration instead of SAT (see
-	// sim.New). Patterns = 1 << inputs asks for enumeration.
+	// sim.New). Patterns = 1 << inputs asks for enumeration. A WCE run may
+	// certify by enumeration beyond the budget too (CertifiesByEnumeration).
 	Patterns int `json:"patterns,omitempty"`
 	// Seed is the simulation RNG seed. The zero value (UseDefaultSeed) is
 	// an alias for DefaultSeed — see the constants above. Every non-zero
@@ -144,8 +145,8 @@ type Options struct {
 
 	// WCEBound is the worst-case error budget for Metric == WCE: the run
 	// only emits circuits whose maximum absolute numeric deviation is
-	// certified ≤ WCEBound on every input — by enumeration when the run's
-	// patterns enumerate the input space, else by SAT. Phase-1 analyses
+	// certified ≤ WCEBound on every input — by enumeration when
+	// CertifiesByEnumeration admits the circuit, else by SAT. Phase-1 analyses
 	// prune candidates by a sampled worst-case upper-bound estimate, and
 	// the sampled budget of the flow is WCEBound (Threshold is ignored).
 	// Rejected when non-zero for other metrics.
@@ -160,7 +161,8 @@ type Options struct {
 	// counts as a failed certification and triggers rollback, keeping the
 	// emitted bound sound; the run then stops deterministically. A SAT
 	// call cannot be interrupted, so with 0 an uncapped call ignores
-	// cancellation and TimeLimit until it returns.
+	// cancellation and TimeLimit until it returns. Circuits that
+	// CertifiesByEnumeration admits never call SAT and ignore the knob.
 	CertConflictLimit int64 `json:"cert_conflict_limit,omitempty"`
 
 	DepthLimit int `json:"depth_limit,omitempty"` // VECBEE depth limit l (0 = ∞, fully accurate; 1 = direct fanout)
@@ -176,7 +178,8 @@ type Options struct {
 	// Stats.StopReason = StopDeadline. Composes with a context deadline:
 	// whichever fires first stops the run. The one exception to "within
 	// one wave" is an uncapped SAT certification (WCE with
-	// CertConflictLimit 0), which runs to its verdict first.
+	// CertConflictLimit 0 on a circuit beyond CertifiesByEnumeration),
+	// which runs to its verdict first.
 	TimeLimit time.Duration `json:"-"`
 }
 
@@ -308,10 +311,14 @@ const (
 	// StopMaxIters: the Options.MaxIters safety cap was reached.
 	StopMaxIters StopReason = "max-iters"
 	// StopCancelled: the caller's context was cancelled; the result is the
-	// valid best-so-far circuit at the last checkpoint.
+	// valid best-so-far circuit at the last checkpoint. It also names a
+	// WCE run whose flow had finished (for budget or max-iters) when
+	// cancellation cut its certification short: that run emits its last
+	// certified state, which depends on when the context ended.
 	StopCancelled StopReason = "cancelled"
 	// StopDeadline: Options.TimeLimit (or a context deadline) expired; the
-	// result is the valid best-so-far circuit at the last checkpoint.
+	// result is the valid best-so-far circuit at the last checkpoint, as
+	// for StopCancelled.
 	StopDeadline StopReason = "deadline"
 )
 
@@ -389,12 +396,13 @@ type Stats struct {
 	// otherwise). CertifiedWCE is the proven worst-case error bound of the
 	// returned circuit — every emitted circuit is certified, even on
 	// cancellation (the uncertified tail is rolled back instead of running
-	// new SAT work). A run whose patterns enumerate the input space proves
-	// it by that enumeration, and CertifiedWCE is then the exact worst
-	// case; other runs prove it by SAT. CertCalls counts SAT calls only,
-	// CertRollbacks the checkpoint failures that triggered the
-	// rollback-and-replay path. CertCexHits is always 0: certification
-	// keeps no counterexample cache; the field stays for existing readers.
+	// new certification work). A run that CertifiesByEnumeration admits
+	// proves it by enumeration, and CertifiedWCE is then the exact worst
+	// case of the returned circuit; other runs prove it by SAT. CertCalls
+	// counts SAT calls only, CertRollbacks the checkpoint failures that
+	// triggered the rollback-and-replay path. CertCexHits is always 0:
+	// certification keeps no counterexample cache; the field stays for
+	// existing readers.
 	CertifiedWCE  uint64 `json:"certified_wce,omitempty"`
 	CertCalls     int    `json:"cert_calls,omitempty"`
 	CertCexHits   int    `json:"cert_cex_hits,omitempty"`

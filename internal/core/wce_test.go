@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"testing"
+	"time"
 
 	"dpals/internal/aig"
 	"dpals/internal/equiv"
@@ -38,16 +39,21 @@ func TestWCERejectsBadOptions(t *testing.T) {
 	}
 }
 
-// satPatterns samples the 2^7 inputs of MultU(4, 3) instead of
-// enumerating them, so its WCE runs certify by SAT. The enumeration twins
-// of the tests below are in enum_test.go.
+// satCircuit returns a circuit beyond CertifiesByEnumeration: the 2^32
+// inputs of a 16-bit adder are too many to enumerate, so its WCE runs
+// certify by SAT, which finds adder miters easy. Sampled at satPatterns,
+// every flow's runs there take the replay (a checkpoint fails, the engine
+// rolls back and replays) and the final tightening session. The
+// enumeration twins of the tests below are in enum_test.go.
+func satCircuit() *aig.Graph { return gen.Adder(16) }
+
 const satPatterns = 64
 
 // Every flow under the WCE metric must emit a circuit whose worst case —
 // proven by an independent SAT query, not the engine's own certifier — is
 // within the requested bound, with a consistent certificate in Stats.
 func TestWCEAllFlowsCertifiedWithinBound(t *testing.T) {
-	g := gen.MultU(4, 3)
+	g := satCircuit()
 	const bound = 6
 	for _, flow := range []Flow{FlowConventional, FlowVECBEE, FlowAccALS, FlowDP, FlowDPSA} {
 		opt := wceOptions(flow, bound)
@@ -61,6 +67,9 @@ func TestWCEAllFlowsCertifiedWithinBound(t *testing.T) {
 		}
 		if res.Stats.Applied > 0 && res.Stats.CertCalls == 0 {
 			t.Errorf("%v: applied %d LACs with zero certification calls", flow, res.Stats.Applied)
+		}
+		if res.Stats.CertRollbacks == 0 {
+			t.Errorf("%v: no checkpoint failed, so the replay went untested", flow)
 		}
 		ok, cex, err := equiv.WCEAtMost(g, res.Graph, res.Stats.CertifiedWCE, 0)
 		if err != nil {
@@ -78,7 +87,7 @@ func TestWCEAllFlowsCertifiedWithinBound(t *testing.T) {
 // certificate must hold either way, and per-LAC certification can never
 // certify less than it applied.
 func TestWCECertEveryAmortisation(t *testing.T) {
-	g := gen.MultU(4, 3)
+	g := satCircuit()
 	for _, every := range []int{1, 3, 8} {
 		opt := wceOptions(FlowDP, 6)
 		opt.Patterns = satPatterns
@@ -183,4 +192,123 @@ func TestRestoreUncountsPending(t *testing.T) {
 	if e.stats.Rollbacks != 3 {
 		t.Fatalf("Rollbacks = %d, want 3", e.stats.Rollbacks)
 	}
+}
+
+// A streamed certification that cancellation cuts short proves nothing
+// either way. It must not count as a violation, and the run must say it
+// was interrupted: it then emits its last certified state, not what the
+// flow finished with, and a result that depends on when the context ended
+// must never pass for a completed (and cacheable) one — not even when the
+// flow had already recorded budget or max-iters. Three cuts on a sampled
+// MultU(4, 4), which certifies by sim.WorstCase: a replay whose second
+// check starts after the OnIteration hook of its first certified LAC
+// cancels the context, and final checkpoints of flows that stopped for
+// budget and for max-iters, under a cancelled and an expired context. A
+// SAT check cannot be cut short, so beyond the rule a final checkpoint
+// that fails after the context ended still replays, as it does with a
+// live context.
+func TestCutShortCertificationInterruptsRun(t *testing.T) {
+	// Each case ties the drivers of two or one of the circuit's outputs
+	// to 0, one accepted LAC each, all pending. The least significant
+	// output's driver (a0 b0 in the multiplier, the sum XOR in the adder)
+	// costs at most 1 tied to 0, within the bound 1; the top output's
+	// costs far more.
+	type run struct {
+		g        *aig.Graph
+		patterns int
+		streamed bool
+	}
+	mult := run{gen.MultU(4, 4), 16, true}
+	setup := func(t *testing.T, r run, ctx context.Context, hooks Hooks, top bool) *engine {
+		t.Helper()
+		opt := wceOptions(FlowConventional, 1)
+		opt.Patterns = r.patterns
+		e, err := newEngine(r.g, opt.Resolved(), hooks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (e.worst != nil) != r.streamed || e.enumCert {
+			t.Fatalf("streamed certification %v, want %v", e.worst != nil, r.streamed)
+		}
+		e.ctx = ctx
+		outs := []int{0}
+		if top {
+			outs = append(outs, e.g.NumPOs()-1)
+		}
+		for _, o := range outs {
+			v := e.g.POs()[o].Var()
+			l := lac.LAC{Target: v, NewLit: aig.False}
+			if !e.applicable(l) {
+				t.Fatalf("LAC on var %d not applicable", v)
+			}
+			e.apply(l)
+			e.report(e.stats.Applied, lac.NodeBest{Node: v, Best: lac.Eval{LAC: l}}, nil)
+		}
+		return e
+	}
+	// finish closes the run as Run does and checks the outcome: the stop
+	// reason, the applied LACs kept, and a certificate that an independent
+	// SAT query confirms.
+	finish := func(t *testing.T, r run, e *engine, want StopReason, applied int, cert uint64) {
+		t.Helper()
+		e.finalizeWCE()
+		if e.stats.StopReason != want {
+			t.Errorf("stop reason %q, want %q", e.stats.StopReason, want)
+		}
+		if e.stats.Applied != applied || e.stats.CertifiedWCE != cert {
+			t.Errorf("applied %d, certified %d; want %d and %d", e.stats.Applied, e.stats.CertifiedWCE, applied, cert)
+		}
+		ok, _, err := equiv.WCEAtMost(r.g, e.g, e.stats.CertifiedWCE, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			t.Errorf("independent SAT query refutes the certificate %d", e.stats.CertifiedWCE)
+		}
+	}
+
+	t.Run("replay", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		e := setup(t, mult, ctx, Hooks{OnIteration: func(int, lac.NodeBest, []lac.NodeBest) { cancel() }}, true)
+		if !e.wceCheckpoint(true) {
+			t.Fatal("checkpoint passed; the replay went untested")
+		}
+		if e.stats.CertRollbacks != 1 {
+			t.Fatalf("%d replays, want 1", e.stats.CertRollbacks)
+		}
+		if ctx.Err() == nil {
+			t.Fatal("the replay certified no LAC, so the hook never cancelled")
+		}
+		finish(t, mult, e, StopCancelled, 1, 1)
+	})
+
+	for _, prior := range []StopReason{StopBudget, StopMaxIters} {
+		t.Run("final after "+string(prior), func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			e := setup(t, mult, ctx, Hooks{}, false)
+			e.stats.StopReason = prior
+			finish(t, mult, e, StopCancelled, 0, 0)
+		})
+	}
+	t.Run("final after max-iters past deadline", func(t *testing.T) {
+		ctx, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
+		defer cancel()
+		e := setup(t, mult, ctx, Hooks{}, false)
+		e.stats.StopReason = StopMaxIters
+		finish(t, mult, e, StopDeadline, 0, 0)
+	})
+
+	t.Run("SAT final after max-iters", func(t *testing.T) {
+		sat := run{satCircuit(), satPatterns, false}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		e := setup(t, sat, ctx, Hooks{}, true)
+		e.stats.StopReason = StopMaxIters
+		finish(t, sat, e, StopMaxIters, 1, 1)
+		if e.stats.CertRollbacks != 1 {
+			t.Errorf("%d replays, want 1", e.stats.CertRollbacks)
+		}
+	})
 }

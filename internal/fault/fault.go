@@ -49,9 +49,10 @@ const (
 	// analysis would silently trust: a later pass warm-starts from stale
 	// cuts instead of falling back to a cold rebuild.
 	SkipCutWarmUpdate Kind = "skip-cut-warm-update"
-	// SkipWCECert skips one SAT certification of the WCE-constrained flow
-	// while still recording the checkpoint as certified — the claimed bound
-	// in Result.CertifiedWCE is then an unproven estimate. Detectable when
+	// SkipWCECert skips one certification (SAT or enumeration) of the
+	// WCE-constrained flow while still recording the checkpoint as
+	// certified, at the sampled maximum — the claimed bound in
+	// Result.CertifiedWCE is then an unproven estimate. Detectable when
 	// the skipped check would have failed: the emitted circuit's true
 	// worst-case error exceeds the certified bound the run reports.
 	SkipWCECert Kind = "skip-wce-cert"

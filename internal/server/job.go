@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dpals"
+	"dpals/internal/core"
 )
 
 // JobRequest is the JSON body of POST /v1/jobs: a circuit plus the
@@ -29,14 +30,15 @@ type JobRequest struct {
 	Threshold float64   `json:"threshold"`
 	Weights   []float64 `json:"weights,omitempty"`
 
-	// WCE jobs (metric "wce"): WCEBound is the SAT-certified worst-case
-	// error budget, CertEvery the certification amortisation interval (0 =
+	// WCE jobs (metric "wce"): WCEBound is the certified worst-case error
+	// budget, CertEvery the certification amortisation interval (0 =
 	// default 8), and CertConflictLimit the per-certification SAT conflict
-	// cap. The server REQUIRES CertConflictLimit ≥ 1 for WCE jobs: an
-	// uncapped certification call cannot be cancelled cooperatively, so
-	// whether such a job completes or hits its deadline would depend on
-	// wall clock — which would make the result uncacheable and the worker
-	// pool unboundable.
+	// cap. The server REQUIRES CertConflictLimit ≥ 1 for WCE jobs that
+	// certify by SAT (core.CertifiesByEnumeration is false): an uncapped
+	// SAT call cannot be cancelled cooperatively, so whether such a job
+	// completes or hits its deadline would depend on wall clock — which
+	// would make the result uncacheable and the worker pool unboundable.
+	// Jobs the rule admits never reach SAT and may leave it 0.
 	WCEBound          uint64 `json:"wce_bound,omitempty"`
 	CertEvery         int    `json:"cert_every,omitempty"`
 	CertConflictLimit int64  `json:"cert_conflict_limit,omitempty"`
@@ -200,8 +202,8 @@ func parseJob(req *JobRequest) (*dpals.Circuit, dpals.Options, error) {
 	if err := opt.Validate(c.NumOutputs()); err != nil {
 		return nil, dpals.Options{}, err
 	}
-	if metric == dpals.WCE && req.CertConflictLimit < 1 {
-		return nil, dpals.Options{}, fmt.Errorf("metric wce requires cert_conflict_limit ≥ 1: an uncapped SAT certification call cannot be cancelled, so the job could overrun its deadline unboundedly")
+	if metric == dpals.WCE && req.CertConflictLimit < 1 && !core.CertifiesByEnumeration(c.Graph(), opt.Resolved()) {
+		return nil, dpals.Options{}, fmt.Errorf("metric wce on a circuit too large to certify by enumeration requires cert_conflict_limit ≥ 1: an uncapped SAT certification call cannot be cancelled, so the job could overrun its deadline unboundedly")
 	}
 	return c, opt, nil
 }

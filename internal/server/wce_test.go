@@ -8,11 +8,21 @@ import (
 	"dpals"
 )
 
-// wceJob is a WCE job on a 4-bit adder. Its 2^8 inputs exceed the 128
-// patterns, so the job samples and certifies by SAT.
+// wceJob is a WCE job on a 4-bit adder, sampled at 128 patterns. Its 2^8
+// inputs are few enough to certify by enumeration.
 func wceJob(t *testing.T, bound uint64) map[string]any {
+	return wceJobOn(t, dpals.NewAdder(4), bound)
+}
+
+// satWCEJob is a WCE job on a 16-bit adder: its 2^32 inputs are beyond
+// core.CertifiesByEnumeration, so the job certifies by SAT.
+func satWCEJob(t *testing.T, bound uint64) map[string]any {
+	return wceJobOn(t, dpals.NewAdder(16), bound)
+}
+
+func wceJobOn(t *testing.T, c *dpals.Circuit, bound uint64) map[string]any {
 	return map[string]any{
-		"circuit":             circuitAIGER(t, dpals.NewAdder(4)),
+		"circuit":             circuitAIGER(t, c),
 		"flow":                "dp",
 		"metric":              "wce",
 		"wce_bound":           bound,
@@ -27,7 +37,7 @@ func wceJob(t *testing.T, bound uint64) map[string]any {
 // uncacheable, unboundable job.
 func TestServerRejectsUncappedWCECert(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	job := wceJob(t, 2)
+	job := satWCEJob(t, 2)
 	delete(job, "cert_conflict_limit")
 	code, _ := submit(t, ts, job)
 	if code != http.StatusBadRequest {
@@ -55,11 +65,30 @@ func TestServerRejectsUncappedWCECert(t *testing.T) {
 	}
 }
 
+// Uncapped WCE jobs that certify by enumeration never reach SAT, so the
+// server accepts them: every flow answers 200 with a certificate within
+// the bound, and no SAT call.
+func TestServerAcceptsUncappedEnumeratedWCE(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, flow := range []string{"conventional", "vecbee", "accals", "dp", "dpsa"} {
+		job := wceJob(t, 3)
+		job["flow"] = flow
+		delete(job, "cert_conflict_limit")
+		code, resp := submit(t, ts, job)
+		if code != http.StatusOK {
+			t.Fatalf("%s: uncapped WCE job on a 4-bit adder: status %d, want 200", flow, code)
+		}
+		if resp.CertifiedWCE > 3 || resp.CertCalls != 0 {
+			t.Errorf("%s: certified_wce %d (bound 3), %d SAT calls (want 0)", flow, resp.CertifiedWCE, resp.CertCalls)
+		}
+	}
+}
+
 // A completed WCE job answers with a certified bound within budget and is
 // served from the cache — certified bound included — on resubmission.
 func TestServerWCEJobCertifiedAndCached(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	code, first := submit(t, ts, wceJob(t, 3))
+	code, first := submit(t, ts, satWCEJob(t, 3))
 	if code != http.StatusOK {
 		t.Fatalf("WCE job: status %d", code)
 	}
@@ -72,7 +101,7 @@ func TestServerWCEJobCertifiedAndCached(t *testing.T) {
 	if first.Applied > 0 && first.CertCalls == 0 {
 		t.Fatal("applied LACs but report zero certification calls")
 	}
-	code, second := submit(t, ts, wceJob(t, 3))
+	code, second := submit(t, ts, satWCEJob(t, 3))
 	if code != http.StatusOK || second.Cache != "hit" {
 		t.Fatalf("resubmission: status %d cache %q, want 200/hit", code, second.Cache)
 	}

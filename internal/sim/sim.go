@@ -13,6 +13,8 @@
 // (Options.Probs), are sampled (Monte-Carlo). Every caller that asks for
 // uniform patterns — the engine, the verification oracle, independent
 // re-measurement — therefore sees the same patterns for the same options.
+// WorstCase streams the same enumeration, chunk by chunk, to measure a
+// worst-case error over input spaces beyond the pattern budget.
 package sim
 
 import (
@@ -46,22 +48,21 @@ func fillBiased(p float64, v bitvec.Vec, rng *rand.Rand) {
 	}
 }
 
+// enumWords are the words of inputs 0..5 under enumeration: within a word
+// the pattern index varies in the low 6 bits, so input pi repeats 2^pi
+// zeros then 2^pi ones.
+var enumWords = [6]uint64{
+	0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
+	0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000,
+}
+
 // fillEnum enumerates all input combinations: pattern i assigns bit pi of
-// i to input pi.
-func fillEnum(pi int, v bitvec.Vec) {
+// i to input pi. v holds the words from index first on, so a WorstCase
+// can generate the space one chunk at a time.
+func fillEnum(pi int, v []uint64, first int) {
 	if pi < 6 {
-		// Within a word the pattern index varies in the low 6 bits.
-		var w uint64
-		period := uint(1) << uint(pi)
-		// Build the repeating pattern for this input: period zeros then
-		// period ones.
-		for b := uint(0); b < 64; b++ {
-			if b/period%2 == 1 {
-				w |= 1 << b
-			}
-		}
 		for i := range v {
-			v[i] = w
+			v[i] = enumWords[pi]
 		}
 		return
 	}
@@ -69,7 +70,7 @@ func fillEnum(pi int, v bitvec.Vec) {
 	// is bit pi of the pattern index, constant within a word.
 	shift := uint(pi - 6)
 	for i := range v {
-		if uint64(i)>>shift&1 == 1 {
+		if uint64(first+i)>>shift&1 == 1 {
 			v[i] = ^uint64(0)
 		} else {
 			v[i] = 0
@@ -155,7 +156,7 @@ func New(g *aig.Graph, opt Options) *Sim {
 		s.val[v] = s.arena.Alloc()
 		switch {
 		case enum:
-			fillEnum(i, s.val[v])
+			fillEnum(i, s.val[v], 0)
 		case len(opt.Probs) > 0:
 			p := 0.5
 			if i < len(opt.Probs) {

@@ -95,12 +95,13 @@ func snapshotJobs() []snapshotJob {
 			}
 		}
 	}
-	// The 2^16 inputs of an 8-bit adder exceed the 4096 patterns: this run
-	// samples and certifies by SAT, so the snapshot pins the SAT counters.
-	adder8 := dpals.NewAdder(8)
-	sat := wceOpt(adder8)
+	// The 2^32 inputs of a 16-bit adder are beyond
+	// core.CertifiesByEnumeration: this run samples and certifies by SAT,
+	// so the snapshot pins the SAT counters.
+	adder16 := dpals.NewAdder(16)
+	sat := wceOpt(adder16)
 	sat.Seed = 1
-	jobs = append(jobs, snapshotJob{name: "wce-sat/adder8/seed1", circuit: adder8, opt: sat, sat: true})
+	jobs = append(jobs, snapshotJob{name: "wce-sat/adder16/seed1", circuit: adder16, opt: sat, sat: true})
 	// A small fixed round shape (one phase-1 apply plus N=2 phase-2 applies
 	// per round), so MaxIters 24 spans eight rounds and the cross-round
 	// warm start fires seven times.
