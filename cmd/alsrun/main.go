@@ -39,7 +39,7 @@ func main() {
 	threshold := flag.Float64("threshold", -1, "error budget (ER: fraction; MSE/MED: absolute; <0: paper median)")
 	wceBound := flag.Uint64("wce-bound", 0, "worst-case error budget for -metric wce (certified on the result: by enumeration when the inputs fit -patterns, else by SAT)")
 	certEvery := flag.Int("cert-every", 0, "WCE: accepted LACs per certification (0 = default 8)")
-	certConflicts := flag.Int64("cert-conflict-limit", 0, "WCE: SAT conflict cap per certification call (0 = unlimited; an uncapped call ignores -time-limit and SIGINT until it returns; circuits small enough to certify by enumeration never call SAT)")
+	certConflicts := flag.Int64("cert-conflict-limit", 0, "WCE: SAT conflict cap per certification call (0 = unlimited; -time-limit and SIGINT interrupt a call at its next conflict; circuits small enough to certify by enumeration never call SAT)")
 	patterns := flag.Int("patterns", 8192, "simulation patterns (a circuit with 2^inputs ≤ patterns is enumerated instead)")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	threads := flag.Int("threads", 0, "analysis worker threads (<=0 = all CPUs, 1 = serial)")
@@ -47,7 +47,7 @@ func main() {
 	depth := flag.Int("l", 0, "VECBEE depth limit (0 = exact)")
 	out := flag.String("o", "", "output file (.blif or .aag); empty: no output written")
 	maxIters := flag.Int("max-iters", 0, "cap on applied LACs (0 = unlimited)")
-	timeLimit := flag.Duration("time-limit", 0, "wall-clock budget; on expiry the best-so-far circuit is written (0 = unlimited; a WCE run on a circuit too large to certify by enumeration must also set -cert-conflict-limit, since an uncapped SAT call runs to its verdict first)")
+	timeLimit := flag.Duration("time-limit", 0, "wall-clock budget; on expiry the best-so-far circuit is written (0 = unlimited)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file (taken after the run)")
 	statsOut := flag.String("stats", "", "write run statistics (dpals.Stats: runtime, work counters, MTrace, reuse rates) as JSON to this file")

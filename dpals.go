@@ -392,11 +392,9 @@ func Approximate(c *Circuit, opt Options) (*Result, error) {
 // StopMaxIters) from a stopped one (StopCancelled, StopDeadline). An
 // uncancelled run is bit-identical to Approximate for every thread
 // count. Errors are returned only for invalid configurations, never for
-// cancellation. The one exception to "within one analysis wave" is a WCE
-// run's SAT certification with CertConflictLimit 0 on a circuit too large
-// to certify by enumeration (core.CertifiesByEnumeration): an uncapped SAT
-// call cannot be interrupted and ignores ctx until it returns, so cap it
-// where the deadline matters.
+// cancellation. A WCE run's SAT certification, capped or not, stops at
+// the solver's next conflict, and the run returns its last certified
+// circuit.
 func ApproximateContext(ctx context.Context, c *Circuit, opt Options) (*Result, error) {
 	if c == nil || c.g == nil {
 		return nil, errors.New("dpals: nil circuit")
@@ -492,7 +490,7 @@ func ProveEquivalent(a, b *Circuit) (bool, []bool, error) {
 // average case; this bounds the worst case. On failure the returned
 // counterexample is a violating input assignment.
 func CertifyWorstCaseError(orig, approx *Circuit, t uint64) (bool, []bool, error) {
-	return equiv.WCEAtMost(orig.g, approx.g, t, 0)
+	return equiv.WCEAtMost(context.Background(), orig.g, approx.g, t, 0)
 }
 
 // WorstCaseError computes the exact worst-case numeric deviation of approx

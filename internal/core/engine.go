@@ -485,15 +485,15 @@ func (e *engine) applicable(l lac.LAC) bool {
 // the proof succeeded and the bound it proves: t, or the exact worst case
 // when an enumeration measured it. With enumCert the maximum over the
 // run's enumerated patterns is the true worst case, so the check is a
-// comparison; with worst it is a streamed enumeration. Cancellation can
-// cut the streamed one short: that proves nothing, fails the
+// comparison; with worst it is a streamed enumeration. Otherwise it runs
+// one SAT probe under Options.CertConflictLimit, counted in
+// Stats.CertCalls: in the tightening session *sess if sess is non-nil
+// (encoded by the first probe, inside its span), else on a fresh miter. A
+// conflict-budget exhaustion (or any solver error) counts as a failed
+// certification, keeping limited runs deterministic. Cancellation can cut
+// a streamed check or a SAT probe short: that proves nothing, fails the
 // certification and records the stop reason (interrupt), so callers tell
-// it from a violation by interrupted. Otherwise it runs one SAT probe
-// under Options.CertConflictLimit, counted in Stats.CertCalls: in the
-// tightening session *sess if sess is non-nil (encoded by the first
-// probe, inside its span), else on a fresh miter. A conflict-budget
-// exhaustion (or any solver error) counts as a failed certification,
-// keeping limited runs deterministic. This is also the skip-wce-cert
+// it from a violation by interrupted. This is also the skip-wce-cert
 // fault site: the seeded bug claims success without proving anything,
 // and the sampled maximum as the bound.
 func (e *engine) certifyAt(t uint64, sess **equiv.Session) (uint64, bool) {
@@ -520,17 +520,21 @@ func (e *engine) certifyAt(t uint64, sess **equiv.Session) (uint64, bool) {
 	e.stats.CertCalls++
 	sp.SetInt("sat_calls", int64(e.stats.CertCalls))
 	limit := e.opt.CertConflictLimit
-	if sess == nil {
-		ok, _, err := equiv.WCEAtMost(e.ref, e.g, t, limit)
-		return t, err == nil && ok
-	}
+	var ok bool
 	var err error
-	if *sess == nil {
-		if *sess, err = equiv.NewSession(e.ref, e.g); err != nil {
-			return t, false
+	if sess == nil {
+		ok, _, err = equiv.WCEAtMost(e.ctx, e.ref, e.g, t, limit)
+	} else {
+		if *sess == nil {
+			if *sess, err = equiv.NewSession(e.ref, e.g); err != nil {
+				return t, false
+			}
 		}
+		ok, _, err = (*sess).AtMost(e.ctx, t, limit)
 	}
-	ok, _, err := (*sess).AtMost(t, limit)
+	if err != nil && e.ctx.Err() != nil {
+		e.interrupt(e.ctx.Err())
+	}
 	return t, err == nil && ok
 }
 
@@ -641,7 +645,9 @@ func (e *engine) finalizeWCE() {
 	}
 }
 
-// tightenWCE is finalizeWCE's SAT tightening session.
+// tightenWCE is finalizeWCE's SAT tightening session. A probe that
+// cancellation cuts short interrupts the run and ends the search at the
+// tightest bound proven so far.
 func (e *engine) tightenWCE() {
 	lo, hi := uint64(0), e.certWCE
 	if sm := e.st.Error(); sm > 0 && hi > 0 {
@@ -655,6 +661,8 @@ func (e *engine) tightenWCE() {
 		mid := lo + (hi-lo)/2
 		if _, ok := e.certifyAt(mid, &sess); ok {
 			hi = mid
+		} else if e.interrupted() {
+			break
 		} else {
 			lo = mid + 1
 		}

@@ -106,18 +106,26 @@ func (e *engine) comprehensive(parent *obs.Span) []lac.NodeBest {
 // targets against the CPM res in an "eval" span under parent and returns
 // the per-node bests sorted by ascending error. Work is charged at its
 // cold-equivalent cost, memo-served evaluations included (e.memo is nil
-// outside the dual-phase flows). It is also the flip-diff-bit fault site:
-// one opportunity per analysis.
+// outside the dual-phase flows). An evaluation that scored through fold
+// records (phase 2) records on its span how many candidate mask words
+// they served (words_reused) and how many were folded afresh
+// (words_refolded). It is also the flip-diff-bit fault site: one
+// opportunity per analysis.
 func (e *engine) evaluate(parent *obs.Span, res *cpm.Result, targets []int32) ([]lac.NodeBest, error) {
 	if e.fire(fault.FlipDiffBit) {
 		res.FlipDiffBit(e.hooks.Fault.Opportunities())
 	}
 	sp, ctx := e.step(parent, "eval")
+	r0, f0 := e.memo.FoldWords()
 	bests, work, reused, hits, err := lac.Evaluate(ctx, e.gen, res, e.st, targets, e.opt.Threads, e.memo)
 	sp.SetInt("targets", int64(len(targets)))
 	sp.SetInt("lacs_best", int64(len(bests)))
 	sp.SetInt("work", work)
 	sp.SetInt("memo_hits", int64(hits))
+	if r, f := e.memo.FoldWords(); r+f > r0+f0 {
+		sp.SetInt("words_reused", r-r0)
+		sp.SetInt("words_refolded", f-f0)
+	}
 	sp.End()
 	e.stats.EvalWork += work
 	e.stats.EvalSkipped += reused
@@ -362,6 +370,9 @@ func (e *engine) dualPhaseRound(round *obs.Span, M, N int, selfAdapt bool) (stop
 
 	// ---------- Phase 1: comprehensive analysis ----------
 	E0 := e.st.Error() // error at the start of this dual-phase iteration
+	// Fold records serve phase-2 re-scoring only: a comprehensive pass
+	// scores every node once, and little of its work recurs.
+	e.memo.DropFolds()
 	bests := e.comprehensive(round)
 	if e.acceptBest(bests, false) {
 		return true
@@ -379,6 +390,7 @@ func (e *engine) dualPhaseRound(round *obs.Span, M, N int, selfAdapt bool) (stop
 			scand = append(scand, nb.Node)
 		}
 	}
+	e.memo.KeepFolds(scand)
 
 	// ---------- Phase 2: incremental analysis ----------
 	p2 := round.Child("phase2")
@@ -421,10 +433,12 @@ func (e *engine) dualPhaseRound(round *obs.Span, M, N int, selfAdapt bool) (stop
 			e.cancelled()
 			return true
 		}
-		// The memo is write-mostly here (an apply separates consecutive
-		// phase-2 evaluations, bumping the epoch): its value is that the
-		// final evaluation of a round that exits *without* applying stays
-		// fresh into the next comprehensive pass.
+		// The memo's NodeBests are write-mostly here (an apply separates
+		// consecutive phase-2 evaluations, bumping the epoch): their value
+		// is that the final evaluation of a round that exits *without*
+		// applying stays fresh into the next comprehensive pass. Its fold
+		// records are what an apply keeps: each S_cand target re-folds
+		// only the pattern words the apply changed.
 		bests2, err := e.evaluate(p2, res, scand)
 		if err != nil {
 			e.cancelled()

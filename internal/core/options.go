@@ -159,10 +159,10 @@ type Options struct {
 	// CertConflictLimit caps each SAT certification call at that many
 	// solver conflicts (0 = unlimited). A call that exhausts its budget
 	// counts as a failed certification and triggers rollback, keeping the
-	// emitted bound sound; the run then stops deterministically. A SAT
-	// call cannot be interrupted, so with 0 an uncapped call ignores
-	// cancellation and TimeLimit until it returns. Circuits that
-	// CertifiesByEnumeration admits never call SAT and ignore the knob.
+	// emitted bound sound; the run then stops deterministically.
+	// Cancellation and TimeLimit interrupt a call, capped or not, at its
+	// next conflict. Circuits that CertifiesByEnumeration admits never
+	// call SAT and ignore the knob.
 	CertConflictLimit int64 `json:"cert_conflict_limit,omitempty"`
 
 	DepthLimit int `json:"depth_limit,omitempty"` // VECBEE depth limit l (0 = ∞, fully accurate; 1 = direct fanout)
@@ -176,10 +176,9 @@ type Options struct {
 	// When it expires the run stops cooperatively — within one analysis
 	// wave — and returns the valid best-so-far circuit with
 	// Stats.StopReason = StopDeadline. Composes with a context deadline:
-	// whichever fires first stops the run. The one exception to "within
-	// one wave" is an uncapped SAT certification (WCE with
-	// CertConflictLimit 0 on a circuit beyond CertifiesByEnumeration),
-	// which runs to its verdict first.
+	// whichever fires first stops the run. A SAT certification it cuts
+	// short stops at the solver's next conflict, and the run emits its
+	// last certified state.
 	TimeLimit time.Duration `json:"-"`
 }
 

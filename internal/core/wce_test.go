@@ -71,7 +71,7 @@ func TestWCEAllFlowsCertifiedWithinBound(t *testing.T) {
 		if res.Stats.CertRollbacks == 0 {
 			t.Errorf("%v: no checkpoint failed, so the replay went untested", flow)
 		}
-		ok, cex, err := equiv.WCEAtMost(g, res.Graph, res.Stats.CertifiedWCE, 0)
+		ok, cex, err := equiv.WCEAtMost(context.Background(), g, res.Graph, res.Stats.CertifiedWCE, 0)
 		if err != nil {
 			t.Fatalf("%v: recheck: %v", flow, err)
 		}
@@ -96,7 +96,7 @@ func TestWCECertEveryAmortisation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("CertEvery %d: %v", every, err)
 		}
-		ok, _, err := equiv.WCEAtMost(g, res.Graph, res.Stats.CertifiedWCE, 0)
+		ok, _, err := equiv.WCEAtMost(context.Background(), g, res.Graph, res.Stats.CertifiedWCE, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func TestWCEReplayKeepsCertificate(t *testing.T) {
 		if st.CertifiedWCE > bound {
 			t.Errorf("%v: certified WCE %d exceeds bound %d", flow, st.CertifiedWCE, bound)
 		}
-		ok, _, err := equiv.WCEAtMost(g, res.Graph, st.CertifiedWCE, 0)
+		ok, _, err := equiv.WCEAtMost(context.Background(), g, res.Graph, st.CertifiedWCE, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,9 +204,9 @@ func TestRestoreUncountsPending(t *testing.T) {
 // check starts after the OnIteration hook of its first certified LAC
 // cancels the context, and final checkpoints of flows that stopped for
 // budget and for max-iters, under a cancelled and an expired context. A
-// SAT check cannot be cut short, so beyond the rule a final checkpoint
-// that fails after the context ended still replays, as it does with a
-// live context.
+// SAT check is cut short the same way: beyond the rule, a final
+// checkpoint under an ended context certifies nothing and replays
+// nothing.
 func TestCutShortCertificationInterruptsRun(t *testing.T) {
 	// Each case ties the drivers of two or one of the circuit's outputs
 	// to 0, one accepted LAC each, all pending. The least significant
@@ -258,7 +258,7 @@ func TestCutShortCertificationInterruptsRun(t *testing.T) {
 		if e.stats.Applied != applied || e.stats.CertifiedWCE != cert {
 			t.Errorf("applied %d, certified %d; want %d and %d", e.stats.Applied, e.stats.CertifiedWCE, applied, cert)
 		}
-		ok, _, err := equiv.WCEAtMost(r.g, e.g, e.stats.CertifiedWCE, 0)
+		ok, _, err := equiv.WCEAtMost(context.Background(), r.g, e.g, e.stats.CertifiedWCE, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,9 +306,48 @@ func TestCutShortCertificationInterruptsRun(t *testing.T) {
 		cancel()
 		e := setup(t, sat, ctx, Hooks{}, true)
 		e.stats.StopReason = StopMaxIters
-		finish(t, sat, e, StopMaxIters, 1, 1)
-		if e.stats.CertRollbacks != 1 {
-			t.Errorf("%d replays, want 1", e.stats.CertRollbacks)
+		finish(t, sat, e, StopCancelled, 0, 0)
+		if e.stats.CertRollbacks != 0 {
+			t.Errorf("%d replays, want 0", e.stats.CertRollbacks)
 		}
 	})
+}
+
+// An uncapped WCE job on a circuit beyond CertifiesByEnumeration, so one
+// that certifies by SAT, must honour a 200 ms deadline: the deadline
+// interrupts the running SAT call, and the run returns promptly with
+// StopDeadline and its last certified state, whose certificate an
+// independent SAT query confirms. A 10×10 multiplier (20 inputs, too many
+// ANDs to enumerate) certified after every LAC makes the first SAT call
+// run for far longer than the deadline.
+func TestUncappedSATHonoursDeadline(t *testing.T) {
+	g := gen.MultU(10, 10)
+	opt := Options{Flow: FlowDP, Metric: metric.WCE, WCEBound: 1 << 12, CertEvery: 1,
+		Patterns: 256, Threads: 1, TimeLimit: 200 * time.Millisecond}
+	if CertifiesByEnumeration(g.Sweep(), opt.Resolved()) {
+		t.Fatal("the circuit certifies by enumeration; the test needs SAT")
+	}
+	start := time.Now()
+	res, err := Run(context.Background(), g, opt, Hooks{})
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.StopReason != StopDeadline {
+		t.Fatalf("stop reason %q, want %q", res.Stats.StopReason, StopDeadline)
+	}
+	if res.Stats.CertCalls == 0 {
+		t.Fatal("no SAT call started before the deadline; the test proves nothing")
+	}
+	if elapsed > 2*time.Second {
+		t.Fatalf("run took %v under a 200ms deadline", elapsed)
+	}
+	ok, _, err := equiv.WCEAtMost(context.Background(), g, res.Graph, res.Stats.CertifiedWCE, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok {
+		t.Fatalf("independent SAT query refutes the certificate %d", res.Stats.CertifiedWCE)
+	}
+	t.Logf("stopped after %v: %d SAT calls, %d LACs kept, certified WCE %d", elapsed, res.Stats.CertCalls, res.Stats.Applied, res.Stats.CertifiedWCE)
 }

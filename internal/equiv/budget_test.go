@@ -30,10 +30,10 @@ func TestBudgetExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, _, err := equiv.WCEAtMost(orig, approx, w, 1); !errors.Is(err, equiv.ErrBudget) {
+	if _, _, err := equiv.WCEAtMost(context.Background(), orig, approx, w, 1); !errors.Is(err, equiv.ErrBudget) {
 		t.Fatalf("starved one-shot certification returned %v, want ErrBudget", err)
 	}
-	if ok, _, err := equiv.WCEAtMost(orig, approx, w, 0); err != nil || !ok {
+	if ok, _, err := equiv.WCEAtMost(context.Background(), orig, approx, w, 0); err != nil || !ok {
 		t.Fatalf("unlimited one-shot certification = %v, %v; want certified", ok, err)
 	}
 
@@ -41,11 +41,11 @@ func TestBudgetExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := sess.AtMost(w, 1); !errors.Is(err, equiv.ErrBudget) {
+	if _, _, err := sess.AtMost(context.Background(), w, 1); !errors.Is(err, equiv.ErrBudget) {
 		t.Fatalf("starved session certification returned %v, want ErrBudget", err)
 	}
 	// Lifting the cap on the same session must succeed.
-	if ok, _, err := sess.AtMost(w, 0); err != nil || !ok {
+	if ok, _, err := sess.AtMost(context.Background(), w, 0); err != nil || !ok {
 		t.Fatalf("unlimited session retry = %v, %v; want certified", ok, err)
 	}
 }

@@ -1,6 +1,7 @@
 package equiv
 
 import (
+	"context"
 	"testing"
 
 	"dpals/internal/aig"
@@ -38,12 +39,12 @@ func TestWCEConstantOutputs(t *testing.T) {
 		t.Errorf("constant 3 vs constant 0: WCE %d, want 3", wce)
 	}
 	for t0 := uint64(0); t0 <= 4; t0++ {
-		ok, cex, err := WCEAtMost(orig, approx, t0, 0)
+		ok, cex, err := WCEAtMost(context.Background(), orig, approx, t0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want := t0 >= 3; ok != want {
-			t.Errorf("WCEAtMost(const3, const0, %d) = %v, want %v (cex %v)", t0, ok, want, cex)
+			t.Errorf("WCEAtMost(context.Background(), const3, const0, %d) = %v, want %v (cex %v)", t0, ok, want, cex)
 		}
 	}
 }
@@ -95,15 +96,15 @@ func TestWCESingleOutput(t *testing.T) {
 	if wce != 1 {
 		t.Errorf("AND vs 0: WCE %d, want 1", wce)
 	}
-	ok, _, err := WCEAtMost(orig, approx, 0, 0)
+	ok, _, err := WCEAtMost(context.Background(), orig, approx, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok {
-		t.Error("WCEAtMost(…, 0) certified a circuit with WCE 1")
+		t.Error("WCEAtMost(context.Background(), …, 0) certified a circuit with WCE 1")
 	}
 	// Equal single-output circuits certify at threshold 0.
-	ok, _, err = WCEAtMost(orig, orig.Sweep(), 0, 0)
+	ok, _, err = WCEAtMost(context.Background(), orig, orig.Sweep(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,12 +126,12 @@ func TestWCEAtMostLargeThreshold(t *testing.T) {
 		return []aig.Lit{aig.False, aig.False}
 	})
 	for _, thr := range []uint64{3, 4, 5, 100, 1 << 40} {
-		ok, cex, err := WCEAtMost(orig, approx, thr, 0)
+		ok, cex, err := WCEAtMost(context.Background(), orig, approx, thr, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
-			t.Errorf("WCEAtMost(const3, const0, %d) = false (cex %v); |diff| can never exceed 3", thr, cex)
+			t.Errorf("WCEAtMost(context.Background(), const3, const0, %d) = false (cex %v); |diff| can never exceed 3", thr, cex)
 		}
 	}
 }

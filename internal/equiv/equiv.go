@@ -8,6 +8,7 @@
 package equiv
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -153,8 +154,10 @@ func maxDiff(g *aig.Graph) uint64 { return uint64(1)<<uint(g.NumPOs()) - 1 }
 // orig (unsigned LSB-first output interpretation) is at most t for every
 // input, by one SAT call on a fresh miter with t built in. On failure it
 // returns a violating input assignment. limit caps the solver's conflicts
-// (0 = unlimited); running out returns ErrBudget.
-func WCEAtMost(orig, approx *aig.Graph, t uint64, limit int64) (bool, []bool, error) {
+// (0 = unlimited); running out returns ErrBudget. When ctx ends before the
+// verdict the solver is interrupted at its next conflict, and the call
+// returns ctx.Err(), having proven nothing.
+func WCEAtMost(ctx context.Context, orig, approx *aig.Graph, t uint64, limit int64) (bool, []bool, error) {
 	if err := checkWCE(orig, approx); err != nil {
 		return false, nil, err
 	}
@@ -172,13 +175,18 @@ func WCEAtMost(orig, approx *aig.Graph, t uint64, limit int64) (bool, []bool, er
 	if !s.AddClause(outs[0]) {
 		return true, nil, nil
 	}
-	return wceVerdict(s, s.Solve(), piVars, limit)
+	return solveWCE(ctx, s, nil, piVars, limit)
 }
 
-// wceVerdict turns the solve of a violation miter into WCEAtMost's
+// solveWCE solves a violation miter under the assumptions, interrupting
+// the solver when ctx ends, and turns the outcome into WCEAtMost's
 // result: Unsat certifies, Sat yields the counterexample on xVars.
-func wceVerdict(s *sat.Solver, st sat.Status, xVars []int, limit int64) (bool, []bool, error) {
-	switch st {
+func solveWCE(ctx context.Context, s *sat.Solver, assume []sat.Lit, xVars []int, limit int64) (bool, []bool, error) {
+	if err := ctx.Err(); err != nil {
+		return false, nil, err // ended before the call: no race with the interrupt
+	}
+	defer context.AfterFunc(ctx, s.Interrupt)()
+	switch s.Solve(assume...) {
 	case sat.Unsat:
 		return true, nil, nil
 	case sat.Sat:
@@ -187,6 +195,9 @@ func wceVerdict(s *sat.Solver, st sat.Status, xVars []int, limit int64) (bool, [
 			cex[i] = s.Model(v)
 		}
 		return false, cex, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return false, nil, err
 	}
 	if limit > 0 {
 		return false, nil, ErrBudget
@@ -199,7 +210,9 @@ func wceVerdict(s *sat.Solver, st sat.Status, xVars []int, limit int64) (bool, [
 // with a free threshold word, and each bound is a set of assumption
 // literals fixing that word, so every check reuses the clauses learnt by
 // the earlier ones. The circuits must not change while the session is in
-// use, and a Session is not safe for concurrent use.
+// use, and a Session is not safe for concurrent use. A check interrupted
+// by its context leaves the solver stopped: every later check of the
+// session fails without a verdict.
 type Session struct {
 	s       *sat.Solver
 	xVars   []int // solver variables of orig's inputs
@@ -228,7 +241,7 @@ func NewSession(orig, approx *aig.Graph) (*Session, error) {
 
 // AtMost is WCEAtMost on the session's circuits: one SAT call under
 // assumptions fixing the threshold word to t.
-func (w *Session) AtMost(t uint64, limit int64) (bool, []bool, error) {
+func (w *Session) AtMost(ctx context.Context, t uint64, limit int64) (bool, []bool, error) {
 	if t >= w.maxDiff {
 		return true, nil, nil
 	}
@@ -237,7 +250,7 @@ func (w *Session) AtMost(t uint64, limit int64) (bool, []bool, error) {
 		w.assume = append(w.assume, sat.MkLit(v, t>>uint(i)&1 == 0))
 	}
 	w.s.MaxConflicts = limit
-	return wceVerdict(w.s, w.s.Solve(w.assume...), w.xVars, limit)
+	return solveWCE(ctx, w.s, w.assume, w.xVars, limit)
 }
 
 // WorstCaseError computes the exact worst-case numeric error by binary
@@ -258,7 +271,7 @@ func WorstCaseError(orig, approx *aig.Graph) (uint64, error) {
 	// Invariant: WCE > lo−1 (i.e. not certified at lo−1), WCE ≤ hi.
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		ok, _, err := w.AtMost(mid, 0)
+		ok, _, err := w.AtMost(context.Background(), mid, 0)
 		if err != nil {
 			return 0, err
 		}

@@ -132,7 +132,7 @@ func TestWCEAtMostExactOnSmall(t *testing.T) {
 	}
 	// Certification must agree on both sides of the exact value.
 	if wceTruth > 0 {
-		ok, _, err := equiv.WCEAtMost(orig, approx, wceTruth-1, 0)
+		ok, _, err := equiv.WCEAtMost(context.Background(), orig, approx, wceTruth-1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestWCEAtMostExactOnSmall(t *testing.T) {
 			t.Error("certified below the true WCE")
 		}
 	}
-	ok, cex, err := equiv.WCEAtMost(orig, approx, wceTruth, 0)
+	ok, cex, err := equiv.WCEAtMost(context.Background(), orig, approx, wceTruth, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

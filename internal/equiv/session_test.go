@@ -1,6 +1,7 @@
 package equiv
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -49,7 +50,7 @@ func TestWCESessionMatchesWCEAtMost(t *testing.T) {
 			single := make([]bool, maxDiff(orig)+1) // WCEAtMost's verdicts
 			var below, above []uint64               // refuted and certified thresholds
 			for thr := range single {
-				ok, _, err := WCEAtMost(orig, approx, uint64(thr), 0)
+				ok, _, err := WCEAtMost(context.Background(), orig, approx, uint64(thr), 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -72,7 +73,7 @@ func TestWCESessionMatchesWCEAtMost(t *testing.T) {
 				}
 			}
 			for _, thr := range order {
-				ok, cex, err := w.AtMost(thr, 0)
+				ok, cex, err := w.AtMost(context.Background(), thr, 0)
 				if err != nil {
 					t.Fatal(err)
 				}

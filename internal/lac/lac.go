@@ -369,11 +369,25 @@ func (gen *Generator) sasimiAppend(out []LAC, v int32, gain int) []LAC {
 // comprehensive pass runs under the exact state of the last phase-2
 // evaluation and reuses its S_cand evaluations — including the serial
 // candidate generation, which no parallelism can hide.
+//
+// A memo also holds a metric.Fold for every node given one by KeepFolds:
+// the phase-2 targets, re-scored after every apply, whose scoring then
+// re-folds only the pattern words whose row, masks or error state changed.
+// A fold checks its own validity word by word, so no epoch governs it and
+// an apply keeps it. DropFolds recycles them all; the owner drops them
+// before each comprehensive pass, so the records cover at most one round's
+// candidate set, never every node.
 type Memo struct {
 	epoch uint64
 	stamp []uint64 // per var: epoch of the node's stored evaluation
 	best  []NodeBest
 	work  []int64 // per var: work estimate of the stored evaluation
+
+	folds []*metric.Fold // per var: the node's fold record, nil if none
+	kept  []int32        // the vars holding a fold record
+	spare []*metric.Fold // dropped records, recycled by KeepFolds
+
+	wordsReused, wordsRefolded atomic.Int64 // mask words, see metric.State.ScoreBatch
 }
 
 // NewMemo returns an empty memo for graphs with numVars variables.
@@ -383,12 +397,13 @@ func NewMemo(numVars int) *Memo {
 		stamp: make([]uint64, numVars),
 		best:  make([]NodeBest, numVars),
 		work:  make([]int64, numVars),
+		folds: make([]*metric.Fold, numVars),
 	}
 }
 
 // Invalidate starts a new epoch, atomically dropping every memoized
 // evaluation. Cheap: entries age out by stamp mismatch. A nil memo (a
-// flow that keeps none) has nothing to drop.
+// flow that keeps none) has nothing to drop. Fold records stay.
 func (m *Memo) Invalidate() {
 	if m != nil {
 		m.epoch++
@@ -397,6 +412,57 @@ func (m *Memo) Invalidate() {
 
 // fresh reports whether v's stored evaluation is from the current epoch.
 func (m *Memo) fresh(v int32) bool { return m != nil && m.stamp[v] == m.epoch }
+
+// KeepFolds gives every node of targets that has none a fold record, so
+// that Evaluate scores it change-driven from then on.
+func (m *Memo) KeepFolds(targets []int32) {
+	for _, v := range targets {
+		if m.folds[v] != nil {
+			continue
+		}
+		var f *metric.Fold
+		if n := len(m.spare); n > 0 {
+			f, m.spare = m.spare[n-1], m.spare[:n-1]
+		} else {
+			f = &metric.Fold{}
+		}
+		m.folds[v] = f
+		m.kept = append(m.kept, v)
+	}
+}
+
+// DropFolds drops every fold record, keeping the buffers for KeepFolds.
+// A nil memo has none.
+func (m *Memo) DropFolds() {
+	if m == nil {
+		return
+	}
+	for _, v := range m.kept {
+		f := m.folds[v]
+		f.Reset()
+		m.spare = append(m.spare, f)
+		m.folds[v] = nil
+	}
+	m.kept = m.kept[:0]
+}
+
+// fold returns v's fold record, nil if none.
+func (m *Memo) fold(v int32) *metric.Fold {
+	if m == nil {
+		return nil
+	}
+	return m.folds[v]
+}
+
+// FoldWords returns how many nonzero candidate mask words Evaluate served
+// from fold records (reused) and folded afresh into one (refolded), summed
+// over the memo's lifetime; none for a nil memo.
+func (m *Memo) FoldWords() (reused, refolded int64) {
+	if m == nil {
+		return 0, 0
+	}
+	return m.wordsReused.Load(), m.wordsRefolded.Load()
+}
 
 // Eval is the evaluated error of one candidate LAC.
 type Eval struct {
@@ -426,7 +492,9 @@ type NodeBest struct {
 // With a non-nil memo, targets whose memo entry is from the current epoch
 // skip both candidate generation and evaluation and reuse the stored
 // NodeBest — bit-identical by the Memo epoch contract — while every freshly
-// evaluated target is stored back. The returned work includes reusedWork,
+// evaluated target is stored back. A target with a fold record (KeepFolds)
+// is scored through it, re-folding only its changed words, with scores
+// bit-identical to a memo-less evaluation. The returned work includes reusedWork,
 // the recorded work estimate of the reused evaluations: an unchanged state
 // implies an identical re-evaluation cost, so charging it keeps the
 // deterministic work profile — and with it DP-SA's self-adaption
@@ -478,7 +546,10 @@ func Evaluate(ctx context.Context, gen *Generator, res *cpm.Result, st *metric.S
 			b.ops = append(b.ops, cand.DiffOperands(gen.s))
 		}
 		b.errs, b.masks = resize(b.errs, len(cl)), resize(b.masks, len(cl))
-		st.ScoreBatch(row.POs, row.Diffs, b.ops, b.errs, b.masks)
+		if r, rf := st.ScoreBatch(row.POs, row.Diffs, b.ops, b.errs, b.masks, memo.fold(v)); r+rf > 0 {
+			memo.wordsReused.Add(int64(r))
+			memo.wordsRefolded.Add(int64(rf))
+		}
 		for c, cand := range cl {
 			e := b.errs[c]
 			if nb.Best.Err < 0 || e < nb.Best.Err ||

@@ -284,7 +284,7 @@ func TestEvaluateMatchesSingleCandidateScores(t *testing.T) {
 				nb := NodeBest{Node: v, N: len(cl), Best: Eval{Err: -1}}
 				for _, c := range cl {
 					var e [1]float64
-					st.ScoreBatch(row.POs, row.Diffs, []metric.Operands{c.DiffOperands(s)}, e[:], make([]uint64, 1))
+					st.ScoreBatch(row.POs, row.Diffs, []metric.Operands{c.DiffOperands(s)}, e[:], make([]uint64, 1), nil)
 					if nb.Best.Err < 0 || e[0] < nb.Best.Err || (e[0] == nb.Best.Err && c.Gain > nb.Best.Gain) {
 						nb.Best = Eval{LAC: c, Err: e[0]}
 					}

@@ -189,7 +189,7 @@ func newBatchFixture(rng *rand.Rand, kind Kind, weights Weights, nPO, patterns, 
 // score runs ScoreBatch on ops with freshly sized buffers.
 func (f batchFixture) score(ops []Operands) []float64 {
 	out := make([]float64, len(ops))
-	f.st.ScoreBatch(f.row.POs, f.row.Diffs, ops, out, make([]uint64, len(ops)))
+	f.st.ScoreBatch(f.row.POs, f.row.Diffs, ops, out, make([]uint64, len(ops)), nil)
 	return out
 }
 
@@ -255,7 +255,7 @@ func TestScoreBatchConcurrent(t *testing.T) {
 					for i := range fs {
 						k := (i + g) % len(fs)
 						f := fs[k]
-						f.st.ScoreBatch(f.row.POs, f.row.Diffs, f.ops, out, masks)
+						f.st.ScoreBatch(f.row.POs, f.row.Diffs, f.ops, out, masks, nil)
 						if !slices.Equal(out[:len(f.ops)], want[k]) {
 							errs <- kind.String()
 							return
@@ -313,7 +313,7 @@ func BenchmarkScoreBatch(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					st.ScoreBatch(row.POs, row.Diffs, bt.ops, out, masks)
+					st.ScoreBatch(row.POs, row.Diffs, bt.ops, out, masks, nil)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(bt.ops)), "ns/cand")
 			})

@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
+	"sync/atomic"
 
 	"dpals/internal/bitvec"
 )
@@ -156,6 +158,13 @@ func HoeffdingDelta(rang float64, n int, alpha float64) float64 {
 // and keeps its scratch on the stack or in caller-owned buffers, so any
 // number of goroutines may evaluate concurrently as long as none mutates
 // the state (CommitPO) meanwhile.
+//
+// For change-driven scoring (see Fold) a State carries a process-unique id
+// and a clock: CommitPO advances the clock and stamps every 64-pattern
+// word whose current bits it changes, so stamp[w] ≤ c says that word w's
+// per-pattern state (cur, dev, mism) is what it was at clock c. A rebuilt
+// State (a rollback) gets a new id, so no fold written against its
+// predecessor ever matches it.
 type State struct {
 	kind     Kind
 	weights  Weights
@@ -177,7 +186,17 @@ type State struct {
 	// a pure read and concurrent evaluation remains safe.
 	wceMax   float64
 	wceDirty bool
+
+	id    uint64   // process-unique, never 0
+	clock uint64   // advanced by every CommitPO
+	stamp []uint64 // per word: clock of the last CommitPO that changed it
+	// foldExact: every score is a sum (or max) that comes out the same in
+	// any order, so ScoreBatch may reuse a Fold's per-word terms.
+	foldExact bool
 }
+
+// stateIDs hands out State ids.
+var stateIDs atomic.Uint64
 
 // NewState builds the tracking state. exact are the reference PO value
 // vectors (one per PO, in PO order); the approximate circuit is assumed to
@@ -199,7 +218,10 @@ func NewState(kind Kind, exact []bitvec.Vec, weights Weights, patterns int) *Sta
 		cur:      make([]bitvec.Vec, len(exact)),
 		dev:      make([]float64, patterns),
 		mism:     make([]int32, patterns),
+		id:       stateIDs.Add(1),
+		stamp:    make([]uint64, words),
 	}
+	st.foldExact = foldsExactly(kind, weights, len(exact), patterns)
 	for i, e := range exact {
 		st.exact[i] = e.Clone()
 		st.cur[i] = e.Clone()
@@ -256,14 +278,96 @@ type Operands struct {
 	Inv  uint64
 }
 
+// foldsExactly reports whether every score of a State of this kind, whose
+// per-pattern terms ScoreBatch sums (or maxes) into it, is the same in any
+// order of summation, so that a score assembled from per-word partial
+// sums, some of them reused from a Fold, equals the sequential one bit for
+// bit. WCE is a max, ER and MHD count integers. MSE and MED need integer
+// terms, which SumsExactly gives, and every partial sum below 2^53: each
+// is the current error sum plus some terms, both at most patterns ×
+// MaxDeviation in magnitude, and one more bit of headroom absorbs the
+// rounding of MaxDeviation itself.
+func foldsExactly(kind Kind, weights Weights, numPOs, patterns int) bool {
+	switch kind {
+	case ER, MHD, WCE:
+		return true
+	}
+	return weights.SumsExactly() && 2*float64(patterns)*MaxDeviation(kind, weights, numPOs) < 1<<52
+}
+
+// Fold is the fold record of one scoring target: the inputs ScoreBatch
+// folded for it last time, and the term each candidate slot got from
+// each 64-pattern word, so that the next call re-folds only the words
+// whose inputs changed. A term depends only on the row, the error state
+// and the slot's mask on its word, so word w of slot c reuses its stored
+// term when all of these still hold:
+//
+//   - error state: the record was written against this State, and word w
+//     has not changed since (its stamp is at most the record's clock);
+//   - row: the row's PO list is the stored one, and every diff word at w
+//     equals the stored copy — a content compare, so rows carry no
+//     versions, and a row corrupted in place is re-folded;
+//   - mask: the slot's mask word (A ⊕ B ⊕ Inv) equals the stored one, so a
+//     reordered candidate list still reuses whatever matches.
+//
+// A record is used only on States whose scores sum exactly in any order
+// (foldsExactly); elsewhere ScoreBatch ignores it. The zero value is an
+// empty record. A Fold is owned by one target and is not safe for
+// concurrent use.
+type Fold struct {
+	state, clock uint64    // the State that wrote the record, and its clock then
+	pos          []int32   // the row's PO list
+	row          []uint64  // the row's diff words, word-major: [w*len(pos)+i]
+	masks        []uint64  // per word and slot, word-major: [w*slots+c]
+	terms        []float64 // the term each mask word folded to, like masks
+}
+
+// Reset empties the record, keeping its buffers.
+func (f *Fold) Reset() { f.state = 0 }
+
+// prepare sizes the record for a call on st with the given row PO list
+// and slot count, and reports whether its stored words may be reused: it
+// was written against st, for the same PO list and slot count.
+func (f *Fold) prepare(st *State, pos []int32, slots int) bool {
+	if f.state == st.id && slices.Equal(f.pos, pos) && len(f.masks) == slots*st.words {
+		return true
+	}
+	f.pos = append(f.pos[:0], pos...)
+	f.row = resize(f.row, len(pos)*st.words)
+	f.masks = resize(f.masks, slots*st.words)
+	f.terms = resize(f.terms, slots*st.words)
+	return false
+}
+
+// sameRow reports whether the stored copy of word wi of the row equals
+// diffs, and updates the copy.
+func (f *Fold) sameRow(diffs []bitvec.Vec, wi int) bool {
+	same := true
+	row := f.row[wi*len(diffs) : (wi+1)*len(diffs)]
+	for ri, d := range diffs {
+		if x := d[wi]; row[ri] != x {
+			row[ri], same = x, false
+		}
+	}
+	return same
+}
+
+// resize returns s with length n, reusing its backing array when it fits.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // ScoreBatch scores every candidate LAC of one target: out[c] is the
 // error the circuit would have after the LAC whose value-change mask is
 // ops[c], given the target's change propagation row: diffs[i] holds the
 // patterns on which a flip of the target flips PO pos[i]. out and masks
 // (the per-call scratch) must hold at least len(ops) entries. The circuit
-// state is unchanged, and concurrent calls with distinct out and masks
-// are safe. Row PO indices must be unique — guaranteed for rows built by
-// package cpm, whose cut elements partition the reachable POs.
+// state is unchanged, and concurrent calls with distinct out, masks and
+// folds are safe. Row PO indices must be unique — guaranteed for rows
+// built by package cpm, whose cut elements partition the reachable POs.
 //
 // A LAC flips its target on a pattern wholesale or not at all, and where
 // it does, the POs that flip are the row's, whichever the candidate. So
@@ -293,11 +397,25 @@ type Operands struct {
 // 2^53 — true for the unsigned and two's-complement weights. Other
 // weights round in this fixed order, so results are still identical at
 // every thread count.
-func (st *State) ScoreBatch(pos []int32, diffs []bitvec.Vec, ops []Operands, out []float64, masks []uint64) {
+//
+// With a non-nil fold record f, on a State whose scores sum exactly in
+// any order, each slot's term of each word is folded separately, stored
+// in f and added to its score, and a slot whose word is unchanged since f
+// was written (see Fold) adds its stored term instead: only the dirty
+// slots form the word's union, and a word with none is skipped outright.
+// The scores are bit-identical to a nil-fold call. reused and refolded
+// count the nonzero (slot, word) mask words served from f and folded
+// afresh; a nil f, or a State whose sums depend on their order, runs the
+// sequential fold above and counts nothing.
+func (st *State) ScoreBatch(pos []int32, diffs []bitvec.Vec, ops []Operands, out []float64, masks []uint64, f *Fold) (reused, refolded int) {
 	if len(ops) == 0 {
-		return
+		return 0, 0
 	}
 	out, masks = out[:len(ops)], masks[:len(ops)]
+	if !st.foldExact {
+		f = nil
+	}
+	keep := f != nil && f.prepare(st, pos, len(ops))
 	start := st.errSum
 	switch st.kind {
 	case ER:
@@ -313,11 +431,35 @@ func (st *State) ScoreBatch(pos []int32, diffs []bitvec.Vec, ops []Operands, out
 	var delta, g [64]float64 // MSE/MED/WCE: deviation deltas; terms
 	var dm [64]int32         // ER/MHD: mismatch deltas
 	for wi := 0; wi < st.words; wi++ {
+		// With a fold, a clean slot adds its stored term and drops out of
+		// the union (mask 0); a dirty one stores its mask and a zero term,
+		// which the fold below overwrites if the slot touches a pattern.
 		var u uint64
+		var reuse bool
+		var fm []uint64
+		var ft []float64
+		if f != nil {
+			reuse = f.sameRow(diffs, wi) && keep && st.stamp[wi] <= f.clock
+			fm, ft = f.masks[wi*len(ops):(wi+1)*len(ops)], f.terms[wi*len(ops):(wi+1)*len(ops)]
+		}
 		for c, op := range ops {
 			d := op.A[wi] ^ op.Inv
 			if op.B != nil {
 				d ^= op.B[wi]
+			}
+			switch {
+			case f == nil:
+			case reuse && fm[c] == d:
+				if d != 0 {
+					reused++
+					out[c] = st.combine(out[c], ft[c])
+					d = 0
+				}
+			default:
+				fm[c], ft[c] = d, 0
+				if d != 0 {
+					refolded++
+				}
 			}
 			masks[c] = d
 			u |= d
@@ -379,7 +521,11 @@ func (st *State) ScoreBatch(pos []int32, diffs []bitvec.Vec, ops []Operands, out
 				dm[i] = 0
 			}
 			for c, d := range masks {
-				out[c] += float64(bits.OnesCount64(d&up) - bits.OnesCount64(d&down))
+				x := float64(bits.OnesCount64(d&up) - bits.OnesCount64(d&down))
+				if f != nil && d != 0 {
+					ft[c] = x
+				}
+				out[c] += x
 			}
 			continue
 		case MHD:
@@ -410,7 +556,12 @@ func (st *State) ScoreBatch(pos []int32, diffs []bitvec.Vec, ops []Operands, out
 			if m == 0 {
 				continue
 			}
+			// With a fold the word's term is folded on its own, stored,
+			// then added; without one the score folds in place.
 			acc := out[c]
+			if f != nil {
+				acc = 0
+			}
 			if st.kind == WCE {
 				for ; m != 0; m &= m - 1 {
 					if x := g[bits.TrailingZeros64(m)]; x > acc {
@@ -422,8 +573,15 @@ func (st *State) ScoreBatch(pos []int32, diffs []bitvec.Vec, ops []Operands, out
 					acc += g[bits.TrailingZeros64(m)]
 				}
 			}
+			if f != nil {
+				ft[c] = acc
+				acc = st.combine(out[c], acc)
+			}
 			out[c] = acc
 		}
+	}
+	if f != nil {
+		f.state, f.clock = st.id, st.clock
 	}
 	if st.kind != WCE {
 		x := float64(st.patterns)
@@ -431,18 +589,31 @@ func (st *State) ScoreBatch(pos []int32, diffs []bitvec.Vec, ops []Operands, out
 			out[c] /= x
 		}
 	}
+	return reused, refolded
+}
+
+// combine adds a word's term to a score: the larger of the two for WCE,
+// their sum otherwise.
+func (st *State) combine(score, term float64) float64 {
+	if st.kind == WCE {
+		return max(score, term)
+	}
+	return score + term
 }
 
 // CommitPO records that PO o's value vector is now newVal, updating the
-// per-pattern state incrementally from the changed bits.
+// per-pattern state incrementally from the changed bits. It advances the
+// clock and stamps every word it changes.
 func (st *State) CommitPO(o int, newVal bitvec.Vec) {
 	curW := st.cur[o]
 	exW := st.exact[o]
+	st.clock++
 	for wi := 0; wi < st.words; wi++ {
 		d := curW[wi] ^ newVal[wi]
 		if d == 0 {
 			continue
 		}
+		st.stamp[wi] = st.clock
 		base := wi << 6
 		cw, ew := curW[wi], exW[wi]
 		for d != 0 {

@@ -20,7 +20,7 @@ type testRow struct {
 func (st *State) EvalLAC(D bitvec.Vec, row *testRow) float64 {
 	var out [1]float64
 	var masks [1]uint64
-	st.ScoreBatch(row.POs, row.Diffs, []Operands{{A: D}}, out[:], masks[:])
+	st.ScoreBatch(row.POs, row.Diffs, []Operands{{A: D}}, out[:], masks[:], nil)
 	return out[0]
 }
 
@@ -225,7 +225,7 @@ func TestEvalLACNoEffect(t *testing.T) {
 		}
 		row := &testRow{POs: []int32{0, 1, 2}, Diffs: []bitvec.Vec{D, D, D}}
 		out := []float64{42}
-		st.ScoreBatch(row.POs, row.Diffs, nil, out, nil)
+		st.ScoreBatch(row.POs, row.Diffs, nil, out, nil, nil)
 		if out[0] != 42 || st.Error() != cur {
 			t.Errorf("%v: empty batch wrote %v (error %v, want %v)", k, out[0], st.Error(), cur)
 		}

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"context"
 	"testing"
 
 	"dpals/internal/core"
@@ -98,7 +99,7 @@ func TestWCEDifferentialGenSuite(t *testing.T) {
 			// exhaustive enumeration are independent derivations of the same
 			// integer, so WCEAtMost must accept the true WCE and reject one
 			// below it.
-			ok, _, err := equiv.WCEAtMost(g, res.Graph, ex.WCE, 0)
+			ok, _, err := equiv.WCEAtMost(context.Background(), g, res.Graph, ex.WCE, 0)
 			if err != nil {
 				t.Fatalf("WCEAtMost(%d): %v", ex.WCE, err)
 			}
@@ -106,7 +107,7 @@ func TestWCEDifferentialGenSuite(t *testing.T) {
 				t.Fatalf("WCEAtMost rejects the true WCE %d", ex.WCE)
 			}
 			if ex.WCE > 0 {
-				ok, cex, err := equiv.WCEAtMost(g, res.Graph, ex.WCE-1, 0)
+				ok, cex, err := equiv.WCEAtMost(context.Background(), g, res.Graph, ex.WCE-1, 0)
 				if err != nil {
 					t.Fatalf("WCEAtMost(%d): %v", ex.WCE-1, err)
 				}

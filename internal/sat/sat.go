@@ -16,6 +16,7 @@ package sat
 import (
 	"math"
 	"slices"
+	"sync/atomic"
 )
 
 // Lit is a solver literal: variable<<1 | sign (sign 1 = negated).
@@ -83,6 +84,8 @@ type Solver struct {
 
 	// MaxConflicts caps the conflicts of each Solve call; 0: unlimited.
 	MaxConflicts int64
+
+	stop atomic.Bool // set by Interrupt, read at every conflict
 }
 
 // New returns an empty solver.
@@ -430,15 +433,26 @@ type Status int
 const (
 	Unsat Status = iota
 	Sat
-	Unknown // conflict limit reached
+	Unknown // conflict limit reached, or interrupted
 )
 
+// Interrupt makes the running Solve call, and every later one, return
+// Unknown at its next conflict (a restart follows a conflict, so it is
+// checked there too). It is the one method safe to call from another
+// goroutine while Solve runs; it does not change the search up to the
+// conflict where it is seen.
+func (s *Solver) Interrupt() { s.stop.Store(true) }
+
 // Solve runs the solver under the optional assumptions and returns the
-// status. After Sat, Model reports variable values until the next Solve or
-// AddClause.
+// status: Unknown when the conflict cap is reached or Interrupt was
+// called. After Sat, Model reports variable values until the next Solve
+// or AddClause.
 func (s *Solver) Solve(assumptions ...Lit) Status {
 	if !s.ok {
 		return Unsat
+	}
+	if s.stop.Load() {
+		return Unknown
 	}
 	s.backtrackTo(0) // drop the previous call's model
 	if s.propagate() != crefUndef {
@@ -487,7 +501,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 				s.enqueue(s.learnt[0], r)
 			}
 			s.varInc /= 0.95
-			if s.MaxConflicts > 0 && confs >= s.MaxConflicts {
+			if s.MaxConflicts > 0 && confs >= s.MaxConflicts || s.stop.Load() {
 				s.backtrackTo(0)
 				return Unknown
 			}
