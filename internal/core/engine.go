@@ -355,11 +355,13 @@ func (e *engine) apply(l lac.LAC) {
 			// cut structure.
 			e.cuts.ForceSync()
 		} else {
-			e.cuts.UpdateAfter(cs)
+			cu.SetInt("nodes", int64(len(e.cuts.UpdateAfter(cs))))
 			e.stats.CutUpdates++
 		}
+		dw := e.cuts.Work() - w0
+		cu.SetInt("work", dw)
 		cu.End()
-		e.stats.CutWork += e.cuts.Work() - w0
+		e.stats.CutWork += dw
 		if e.cache != nil && !e.fire(fault.SkipCPMInvalidate) {
 			e.cache.Invalidate(cs, changed)
 		}

@@ -21,7 +21,7 @@ package cut
 import (
 	"context"
 	"fmt"
-	"sort"
+	"math/bits"
 	"sync/atomic"
 
 	"dpals/internal/aig"
@@ -58,6 +58,7 @@ type Set struct {
 	// scratch
 	tmp        bitvec.Vec
 	pos        []int32       // UpdateAfter scratch: topo position per var (-1: not live)
+	posBits    []uint64      // UpdateAfter scratch: S_v as a bitmap over topo positions
 	scr        []*cutScratch // per-worker recompute scratch, indexed by par worker id
 	reachArena *bitvec.Arena // slab backing for reach bitsets; never reset
 
@@ -197,6 +198,45 @@ func (s *Set) elemsIntersect(a, b int32) bool {
 	}
 }
 
+// firstConflict returns the first pair (i < j), in lexicographic order,
+// of elements whose Reach sets overlap, or (-1, -1) when they are pairwise
+// disjoint. One backward pass keeps the union of the Reach sets after i
+// (a sink counts as its one PO, a nil reach as empty): the smallest i
+// whose Reach meets it is the pair's i, and its j is the first later
+// element that overlaps element i. The pass stops at lo, below which no
+// element may overlap any other: recompute passes the i of its previous
+// round, since the elements before it overlapped nothing and a raise only
+// appends elements that cover part of the two it removes.
+func (s *Set) firstConflict(sc *cutScratch, elems []int32, lo int) (int, int) {
+	if sc.union == nil {
+		sc.union = bitvec.NewWords(s.poWords)
+	}
+	u := sc.union
+	u.Clear()
+	ci := -1
+	for i := len(elems) - 1; i >= lo; i-- {
+		if e := elems[i]; IsSink(e) {
+			if u.Get(SinkPO(e)) {
+				ci = i
+			}
+			u.Set(SinkPO(e), true)
+		} else if r := s.reach[e]; r != nil {
+			if u.Intersects(r) {
+				ci = i
+			}
+			u.OrWith(r)
+		}
+	}
+	if ci < 0 {
+		return -1, -1
+	}
+	for j := ci + 1; ; j++ {
+		if s.elemsIntersect(elems[ci], elems[j]) {
+			return ci, j
+		}
+	}
+}
+
 // cutScratch is the per-worker scratch of recompute: a reused element
 // buffer plus epoch-stamped dedup marks for node and sink elements. It
 // replaces the per-call maps that dominated cut-update allocations; one
@@ -206,7 +246,8 @@ type cutScratch struct {
 	varMark  []uint32 // per var, stamped with epoch
 	sinkMark []uint32 // per PO index, stamped with epoch
 	epoch    uint32
-	one      [1]int32 // backing for a sink's single-element expansion
+	one      [1]int32   // backing for a sink's single-element expansion
+	union    bitvec.Vec // firstConflict's running union of Reach sets
 }
 
 // nextEpoch starts a fresh dedup set (growing the mark arrays as needed).
@@ -245,6 +286,15 @@ func (sc *cutScratch) mark(e int32) bool {
 	return false
 }
 
+// unmark drops element e from the current epoch's dedup set.
+func (sc *cutScratch) unmark(e int32) {
+	if IsSink(e) {
+		sc.sinkMark[SinkPO(e)] = 0
+	} else {
+		sc.varMark[e] = 0
+	}
+}
+
 // scratchFor returns (growing if needed) the first `workers` recompute
 // scratches.
 func (s *Set) scratchFor(workers int) []*cutScratch {
@@ -280,9 +330,9 @@ func (s *Set) successors(sc *cutScratch, v int32) []int32 {
 func (s *Set) recompute(sc *cutScratch, v int32) {
 	elems := s.successors(sc, v)
 	// Work accounting: the reach union costs one poWords pass per
-	// successor, each conflict-scan pair one Intersects; counted locally
-	// and folded in with a single atomic add at the end (a deferred
-	// closure would heap-allocate once per call).
+	// successor, conflict resolution one poWords pass per element pair it
+	// rules on (below); counted locally and folded in with a single atomic
+	// add at the end (a deferred closure would heap-allocate once per call).
 	w := int64(1+len(elems)) * int64(s.poWords)
 
 	// Reachability: union over successors.
@@ -312,30 +362,27 @@ func (s *Set) recompute(sc *cutScratch, v int32) {
 	elems = kept
 
 	// Conflict resolution: raise overlapping elements to their own cuts
-	// until all Reach sets are pairwise disjoint.
-	for {
-		ci, cj := -1, -1
-	scan:
-		for i := 0; i < len(elems); i++ {
-			for j := i + 1; j < len(elems); j++ {
-				w += int64(s.poWords)
-				if s.elemsIntersect(elems[i], elems[j]) {
-					ci, cj = i, j
-					break scan
-				}
-			}
-		}
+	// until all Reach sets are pairwise disjoint. Each round raises the
+	// first overlapping pair in lexicographic order and charges poWords for
+	// every pair (i < j) up to and including it, as a pair-by-pair scan
+	// would; the conflict-free round charges every pair.
+	for lo := 0; ; {
+		n := len(elems)
+		ci, cj := s.firstConflict(sc, elems, lo)
 		if ci < 0 {
+			w += int64(n*(n-1)/2) * int64(s.poWords)
 			break
 		}
+		w += int64(ci*(n-1)-ci*(ci-1)/2+cj-ci) * int64(s.poWords)
+		lo = ci
 		ei, ej := elems[ci], elems[cj]
-		// Remove both (cj > ci).
+		// Remove both (cj > ci). The marks still hold exactly the listed
+		// elements plus the dropped dangling successors, which reach no PO
+		// and so never appear in a cut.
 		elems = append(elems[:cj], elems[cj+1:]...)
 		elems = append(elems[:ci], elems[ci+1:]...)
-		sc.nextEpoch(s.g.NumVars(), s.g.NumPOs())
-		for _, e := range elems {
-			sc.mark(e)
-		}
+		sc.unmark(ei)
+		sc.unmark(ej)
 		for _, raised := range [2]int32{ei, ej} {
 			src := sc.one[:0]
 			if IsSink(raised) {
@@ -377,9 +424,13 @@ func (s *Set) UpdateAfter(cs aig.ChangeSet) []int32 {
 		}
 	}
 	cone := s.g.TFICone(roots)
-	// Topo positions in a reused flat slice (-1: not in the live order) —
-	// this runs once per applied LAC, and the per-call map it replaces
-	// dominated the update's allocations.
+	// Order S_v by descending topological position without comparisons,
+	// as cpm orders its regions: each live AND node of the cone sets the
+	// bit of its position, and walking the set bits from the highest word
+	// down yields the order of a sort by position, positions being unique.
+	// The position table is a reused flat slice (-1: not in the live
+	// order) because this runs once per applied LAC.
+	topo := s.g.Topo()
 	if len(s.pos) < s.g.NumVars() {
 		s.pos = make([]int32, s.g.NumVars())
 	}
@@ -387,16 +438,30 @@ func (s *Set) UpdateAfter(cs aig.ChangeSet) []int32 {
 	for i := range pos {
 		pos[i] = -1
 	}
-	for i, v := range s.g.Topo() {
+	for i, v := range topo {
 		pos[v] = int32(i)
 	}
-	var sv []int32
+	if n := (len(topo) + 63) >> 6; len(s.posBits) < n {
+		s.posBits = make([]uint64, n)
+	}
+	set := s.posBits
+	lo, hi, n := len(set), -1, 0
 	for _, v := range cone {
-		if s.g.IsAnd(v) && pos[v] >= 0 {
-			sv = append(sv, v)
+		if p := pos[v]; p >= 0 && s.g.IsAnd(v) {
+			w := int(p >> 6)
+			set[w] |= 1 << (p & 63)
+			lo, hi, n = min(lo, w), max(hi, w), n+1
 		}
 	}
-	sort.Slice(sv, func(i, j int) bool { return pos[sv[i]] > pos[sv[j]] })
+	sv := make([]int32, 0, n)
+	for w := hi; w >= lo; w-- {
+		for b := set[w]; b != 0; {
+			k := 63 - bits.LeadingZeros64(b)
+			b &^= 1 << k
+			sv = append(sv, topo[w<<6|k])
+		}
+		set[w] = 0
+	}
 	sc := s.scratchFor(1)[0]
 	for _, v := range sv {
 		s.recompute(sc, v)
